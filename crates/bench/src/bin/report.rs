@@ -443,10 +443,9 @@ fn main() {
 
     // ---------------- E10: cube catalog ----------------
     let (e10_triples, e10_cubes) = if quick { (20_000, 60) } else { (100_000, 200) };
-    println!("\n## E10 — cube catalog: indexed cost-based planning vs linear scan\n");
+    println!("\n## E10 — cube catalog: indexed cost-based planning\n");
     println!("(strategy selection over a {e10_cubes}-cube workload; per-probe planning");
-    println!("latency of the signature-indexed, cost-based catalog vs the pre-refactor");
-    println!("linear rescan with per-cube signature recomputation)\n");
+    println!("latency of the signature-indexed, cost-based catalog)\n");
     let f = catalog_fixture(e10_triples, e10_cubes);
     let n_probes = f.probes.len();
     let t_indexed = median(runs, || {
@@ -454,20 +453,13 @@ fn main() {
             black_box(f.session.explain_query(p));
         }
     });
-    let t_linear = median(runs, || {
-        for p in &f.probes {
-            black_box(f.session.explain_query_linear(p));
-        }
-    });
-    println!("| cubes | probes | indexed plan | linear scan | speedup |");
-    println!("|---|---|---|---|---|");
+    println!("| cubes | probes | indexed plan |");
+    println!("|---|---|---|");
     println!(
-        "| {} | {} | {} | {} | {} |",
+        "| {} | {} | {} |",
         f.session.len(),
         n_probes,
-        fmt(t_indexed),
-        fmt(t_linear),
-        speedup(t_linear, t_indexed)
+        fmt(t_indexed)
     );
 
     // Hit rate + budget: answer the probe set in an unbudgeted session and

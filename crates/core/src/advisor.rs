@@ -28,7 +28,7 @@
 //!    Its *benefit* is Σ over logged shapes of
 //!    `(current plan cost − plan cost via the candidate) × frequency`,
 //!    where the current cost comes from re-running the planner
-//!    ([`crate::session`]'s `plan_in`) against the catalog as it stands.
+//!    (`pipeline::plan_in`) against the catalog as it stands.
 //! 4. **Select** — greedy benefit-per-byte under the session's existing
 //!    memory budget: repeatedly take the candidate with the highest
 //!    `benefit / bytes` that still fits, then re-credit the shapes it
@@ -46,8 +46,8 @@ use crate::catalog::{classify_derivation, CubeCatalog, CubeStats, LoggedQuery};
 use crate::cost;
 use crate::error::CoreError;
 use crate::extended::{ExtendedQuery, Sigma};
+use crate::pipeline;
 use crate::pres::PartialResult;
-use crate::session;
 use crate::signature::{ViewKey, ViewSignature};
 use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::Graph;
@@ -129,7 +129,7 @@ pub(crate) fn advise_catalog(
     let mut cur_cost: Vec<f64> = shapes
         .iter()
         .map(|s| {
-            session::plan_in(catalog, instance, s.query(), s.signature())
+            pipeline::plan_in(catalog, instance, s.query(), s.signature())
                 .1
                 .estimated_cost
         })
@@ -263,7 +263,7 @@ pub(crate) fn advise_catalog(
                 idx
             }
             None => {
-                if let Some(idx) = session::find_duplicate(catalog, &c.sig, &c.eq) {
+                if let Some(idx) = pipeline::find_duplicate(catalog, &c.sig, &c.eq) {
                     // A twin appeared between enumeration and now (e.g. an
                     // earlier pick materialized it): reuse, don't copy.
                     if selected > 0 && catalog.entry(idx).stats().bytes > actual_remaining {

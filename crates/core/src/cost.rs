@@ -65,6 +65,27 @@ pub struct ExplainedStrategy {
 }
 
 impl ExplainedStrategy {
+    /// An explanation for answering from the materialized catalog entry
+    /// `source` (a catalog hit) by `strategy`, chosen among `candidates`
+    /// applicable derivations.
+    pub(crate) fn hit(
+        strategy: Strategy,
+        source: usize,
+        estimated_cost: f64,
+        scratch_cost: f64,
+        candidates: usize,
+    ) -> Self {
+        ExplainedStrategy {
+            strategy,
+            source: Some(CubeHandle(source)),
+            estimated_cost,
+            scratch_cost,
+            candidates,
+            catalog_hit: true,
+            rehydrated: false,
+        }
+    }
+
     /// An explanation for a from-scratch evaluation that considered (and
     /// rejected) `candidates` applicable derivations.
     pub fn scratch(scratch_cost: f64, candidates: usize) -> Self {

@@ -71,6 +71,7 @@ pub mod cost;
 pub mod error;
 pub mod extended;
 pub mod olap;
+mod pipeline;
 pub mod pres;
 pub mod rewrite;
 pub mod schema;

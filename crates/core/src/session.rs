@@ -32,17 +32,16 @@
 
 use crate::anq::AnalyticalQuery;
 use crate::answer::Cube;
-use crate::catalog::{CubeCatalog, Derivation};
-use crate::cost::{self, ExplainedStrategy};
+use crate::catalog::CubeCatalog;
+use crate::cost::ExplainedStrategy;
 use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
-use crate::olap::{apply, OlapOp};
+use crate::olap::OlapOp;
+use crate::pipeline::{self, Route, Served, Step};
 use crate::pres::PartialResult;
-use crate::rewrite;
 use crate::shared::SharedSession;
-use crate::signature::{query_signature, BodySignature, ViewSignature};
 use rdfcube_engine::AggFunc;
-use rdfcube_obs::{self as obs, QueryTrace};
+use rdfcube_obs::QueryTrace;
 use rdfcube_rdf::{Graph, Term};
 use std::fmt;
 use std::sync::Arc;
@@ -63,7 +62,7 @@ pub enum Strategy {
     /// Algorithm 2 over `pres(Q)` + the instance (Proposition 3).
     Algorithm2,
     /// The roll-up composition of Algorithms 1 and 2 over `pres(Q)` + the
-    /// instance (extension; see [`rewrite::roll_up_from_pres`]).
+    /// instance (extension; see [`crate::rewrite::roll_up_from_pres`]).
     RollUpComposition,
     /// Full re-evaluation on the instance (no sound rewriting available,
     /// or every applicable one was estimated more expensive).
@@ -382,93 +381,34 @@ impl OlapSession {
         &mut self,
         eq: ExtendedQuery,
     ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        let start = std::time::Instant::now();
-        let plan_span = obs::span("plan");
-        let sig = ViewSignature::of(eq.query());
-        // Deduplicate before planning, so the guarantee does not depend on
-        // which candidate the cost model happens to pick (or reject): an
-        // entry in the family with the same canonical dimensions, the same
-        // Σ, and the same user-facing dimension names would materialize
-        // cell-identically under identical names — reuse it. (The dedup
-        // path, like every serving path, goes through `ensure_resident`,
-        // which also recomputes cells whose watermark the instance grew
-        // past — repeated traffic can never be served stale cells.)
-        if let Some(idx) = find_duplicate(&self.catalog, &sig, &eq) {
-            drop(plan_span);
-            let rehydrated;
-            let explained;
-            {
-                let sp = obs::span("duplicate");
-                rehydrated = self.catalog.ensure_resident(idx, &self.instance)?;
-                self.catalog.touch(idx);
-                self.catalog.record_hit();
-                explained =
-                    duplicate_explained(&self.catalog, idx, &eq, &self.instance, rehydrated);
-                if sp.active() {
-                    sp.attr("rehydrated", u64::from(rehydrated));
+        self.serve(eq, None)
+    }
+
+    /// Drives one query through the pipeline ([`crate::pipeline`]): this
+    /// plane owns its catalog, so every phase borrows it directly and no
+    /// lock exists anywhere.
+    fn serve(&mut self, eq: ExtendedQuery, forced: Option<Route>) -> Result<Served, CoreError> {
+        let mut step = pipeline::route(&self.catalog, &self.instance, eq, forced)?;
+        loop {
+            step = match step {
+                Step::Refresh(idx, job) => {
+                    pipeline::refresh(&mut self.catalog, &self.instance, idx, job)?
                 }
-            }
-            record_strategy_span(&explained);
-            self.catalog
-                .record_query(&eq, &sig, &explained, start.elapsed().as_nanos() as u64);
-            return Ok((CubeHandle(idx), explained));
-        }
-        let (pick, mut explained) = plan_in(&self.catalog, &self.instance, &eq, &sig);
-        if plan_span.active() {
-            plan_span.attr("candidates", explained.candidates as u64);
-        }
-        drop(plan_span);
-        record_strategy_span(&explained);
-        let (ans, pres) = match pick {
-            Some((source_idx, d)) => {
-                let sp = obs::span("derive");
-                explained.rehydrated = self.catalog.ensure_resident(source_idx, &self.instance)?;
-                let derived = self.derive(source_idx, &eq, &d)?;
-                // Count the hit (and the source's LRU/benefit credit) only
-                // once the derivation actually succeeded — a failing
-                // rewrite must not inflate counters or eviction scores.
-                self.catalog.touch(source_idx);
-                self.catalog.record_hit();
-                if sp.active() {
-                    sp.detail(|| explained.strategy.to_string());
-                    let source_cells = self
-                        .catalog
-                        .get_entry(source_idx)
-                        .map_or(0, |e| e.stats().ans_cells as u64);
-                    sp.rows(source_cells, derived.0.len() as u64);
-                    sp.attr("rehydrated", u64::from(explained.rehydrated));
+                Step::Execute(job) => pipeline::execute(&self.instance, job)?,
+                Step::Commit(job, cells) => {
+                    pipeline::commit(&mut self.catalog, &self.instance, job, cells)?
                 }
-                derived
-            }
-            None => {
-                let sp = obs::span("from_scratch");
-                self.catalog.record_miss();
-                let computed = rewrite::from_scratch_with_pres(&eq, &self.instance)?;
-                if sp.active() {
-                    sp.rows(computed.1.len() as u64, computed.0.len() as u64);
-                }
-                computed
-            }
-        };
-        self.catalog
-            .record_query(&eq, &sig, &explained, start.elapsed().as_nanos() as u64);
-        let watermark = self.instance.len();
-        let sp = obs::span("materialize");
-        if sp.active() {
-            sp.rows(ans.len() as u64, ans.len() as u64);
-            sp.bytes((ans.approx_bytes() + pres.approx_bytes()) as u64);
+                Step::Done(served) => return Ok(served),
+            };
         }
-        let idx = self.catalog.insert_signed(eq, sig, ans, pres, watermark);
-        drop(sp);
-        Ok((CubeHandle(idx), explained))
     }
 
     /// [`Self::answer_query`] under a structured trace: brackets the call
     /// in a [`QueryTrace`] whose span tree records where the answer's
-    /// time, rows and bytes went (`plan → strategy → derive/from_scratch
-    /// (→ BGP steps, join, group-aggregate, cube build) → materialize`),
-    /// returned alongside the usual handle and [`ExplainedStrategy`].
-    /// Render it with [`QueryTrace::render`] or
+    /// time, rows and bytes went (`plan → strategy → duplicate/derive/
+    /// from_scratch (→ BGP steps, join, group-aggregate, cube build) →
+    /// materialize`), returned alongside the usual handle and
+    /// [`ExplainedStrategy`]. Render it with [`QueryTrace::render`] or
     /// [`crate::explain_analyze`].
     ///
     /// Only this call is traced: concurrent queries on other threads (and
@@ -479,16 +419,7 @@ impl OlapSession {
         &mut self,
         eq: ExtendedQuery,
     ) -> Result<(CubeHandle, ExplainedStrategy, QueryTrace), CoreError> {
-        let began = obs::trace_begin("answer_query");
-        let result = self.answer_query(eq);
-        let trace = if began {
-            obs::sink().traces.inc();
-            obs::trace_end().unwrap_or_default()
-        } else {
-            QueryTrace::default()
-        };
-        let (handle, explained) = result?;
-        Ok((handle, explained, trace))
+        pipeline::traced(|| self.answer_query(eq))
     }
 
     /// Runs one workload-driven view-selection cycle (see
@@ -507,66 +438,32 @@ impl OlapSession {
     ///
     /// This is the strategy-selection path benchmark E10 measures.
     pub fn explain_query(&self, eq: &ExtendedQuery) -> ExplainedStrategy {
-        let sig = ViewSignature::of(eq.query());
-        plan_in(&self.catalog, &self.instance, eq, &sig).1
-    }
-
-    /// The pre-catalog baseline for benchmark E10: linearly rescans every
-    /// materialized cube, re-canonicalizing its signatures per probe
-    /// instead of using the [`ViewKey`](crate::signature::ViewKey) family
-    /// index. Both planners funnel into the same costing loop
-    /// ([`plan_in`]'s), so on any catalog state they choose the identical
-    /// strategy and source — only the candidate-discovery work differs,
-    /// and that per-probe re-canonicalization is exactly what E10
-    /// measures.
-    pub fn explain_query_linear(&self, target: &ExtendedQuery) -> ExplainedStrategy {
-        plan_linear(&self.catalog, &self.instance, target).1
-    }
-
-    /// Executes a derivation against the (resident) source cube.
-    fn derive(
-        &self,
-        source_idx: usize,
-        target: &ExtendedQuery,
-        d: &Derivation,
-    ) -> Result<(Cube, PartialResult), CoreError> {
-        let entry = self
-            .catalog
-            .get_entry(source_idx)
-            .ok_or(CoreError::UnknownHandle(source_idx))?;
-        let (source_ans, source_pres) = entry
-            .payload()
-            .ok_or(CoreError::CubeNotResident(source_idx))?;
-        derive_with(
-            &self.instance,
-            entry.query(),
-            source_ans,
-            source_pres,
-            target,
-            d,
-        )
+        pipeline::explain(&self.catalog, &self.instance, eq)
     }
 
     /// Applies an OLAP operation to a materialized cube, answering the
     /// transformed query with the cheapest sound strategy the catalog
     /// offers (any materialized cube may serve as the source, not just
     /// `handle`); materializes and returns the new cube plus the explained
-    /// strategy that produced it.
+    /// strategy that produced it. ROLL-UP is always composed over
+    /// `handle`'s own `pres(Q)`. Like any served query, a transformation
+    /// that was already answered returns the existing handle.
     pub fn transform(
         &mut self,
         handle: CubeHandle,
         op: &OlapOp,
     ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        // ROLL-UP needs the dictionary to encode its mapping property, so
-        // the rewritten query is built here rather than in bare `apply`.
-        if let OlapOp::RollUp { dim, via } = op {
-            return self.roll_up(handle, dim, via);
+        // ROLL-UP's mapping property is interned first: this plane may
+        // grow the dictionary.
+        if let OlapOp::RollUp { via, .. } = op {
+            let dict = Arc::make_mut(&mut self.instance).dict_mut();
+            dict.encode_owned(Term::iri(via.as_str()));
         }
         let source_eq = self
             .try_query(handle)
             .ok_or(CoreError::UnknownHandle(handle.0))?;
-        let new_eq = apply(source_eq, op)?;
-        self.answer_query(new_eq)
+        let (eq, forced) = pipeline::transformed(&self.instance, source_eq, handle, op)?;
+        self.serve(eq, forced)
     }
 
     /// [`Self::transform`] under a structured trace, the way
@@ -577,16 +474,7 @@ impl OlapSession {
         handle: CubeHandle,
         op: &OlapOp,
     ) -> Result<(CubeHandle, ExplainedStrategy, QueryTrace), CoreError> {
-        let began = obs::trace_begin("answer_query");
-        let result = self.transform(handle, op);
-        let trace = if began {
-            obs::sink().traces.inc();
-            obs::trace_end().unwrap_or_default()
-        } else {
-            QueryTrace::default()
-        };
-        let (new_handle, explained) = result?;
-        Ok((new_handle, explained, trace))
+        pipeline::traced(|| self.transform(handle, op))
     }
 
     /// Lock-free snapshot of the session catalog's metrics registry (see
@@ -594,307 +482,6 @@ impl OlapSession {
     pub fn metrics_snapshot(&self) -> rdfcube_obs::Snapshot {
         self.catalog.metrics_snapshot()
     }
-
-    fn roll_up(
-        &mut self,
-        handle: CubeHandle,
-        dim: &str,
-        via: &str,
-    ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        let start = std::time::Instant::now();
-        let via_id = Arc::make_mut(&mut self.instance)
-            .dict_mut()
-            .encode_owned(rdfcube_rdf::Term::iri(via));
-        // Validate the operation against the source query *before* paying
-        // for a possible rehydration.
-        let source_eq = self
-            .try_query(handle)
-            .ok_or(CoreError::UnknownHandle(handle.0))?;
-        let new_eq = crate::olap::apply_roll_up_encoded(source_eq, dim, via_id)?;
-        let dim_idx = source_eq.query().dim_index(dim)?;
-        let coarse_name = new_eq.query().dim_names()[dim_idx].to_string();
-        let rehydrated = self.touch(handle)?;
-
-        let entry = self
-            .catalog
-            .get_entry(handle.0)
-            .ok_or(CoreError::UnknownHandle(handle.0))?;
-        let (_, source_pres) = entry
-            .payload()
-            .ok_or(CoreError::CubeNotResident(handle.0))?;
-        let explained = ExplainedStrategy {
-            strategy: Strategy::RollUpComposition,
-            source: Some(handle),
-            estimated_cost: rewrite::roll_up_cost(source_pres.len()),
-            scratch_cost: rewrite::scratch_cost(&new_eq, &self.instance),
-            candidates: 1,
-            catalog_hit: true,
-            rehydrated,
-        };
-        record_strategy_span(&explained);
-        let sp = obs::span("derive");
-        let (ans, pres) =
-            rewrite::roll_up_from_pres(source_pres, dim_idx, via_id, &coarse_name, &self.instance)?;
-        if sp.active() {
-            sp.detail(|| explained.strategy.to_string());
-            sp.rows(source_pres.len() as u64, ans.len() as u64);
-        }
-        drop(sp);
-        self.catalog.record_hit();
-        let new_sig = ViewSignature::of(new_eq.query());
-        self.catalog.record_query(
-            &new_eq,
-            &new_sig,
-            &explained,
-            start.elapsed().as_nanos() as u64,
-        );
-        let watermark = self.instance.len();
-        let sp = obs::span("materialize");
-        if sp.active() {
-            sp.rows(ans.len() as u64, ans.len() as u64);
-            sp.bytes((ans.approx_bytes() + pres.approx_bytes()) as u64);
-        }
-        let idx = self
-            .catalog
-            .insert_signed(new_eq, new_sig, ans, pres, watermark);
-        drop(sp);
-        Ok((CubeHandle(idx), explained))
-    }
-}
-
-/// Emits the zero-duration `strategy` marker span carrying the planner's
-/// decision, so every trace records the chosen strategy (and its cost
-/// evidence) as a span the shape tests can match against the returned
-/// [`ExplainedStrategy`]. A no-op branch when untraced.
-pub(crate) fn record_strategy_span(explained: &ExplainedStrategy) {
-    let sp = obs::span("strategy");
-    if sp.active() {
-        sp.detail(|| explained.strategy.to_string());
-        if explained.estimated_cost.is_finite() {
-            sp.attr("estimated_cost", explained.estimated_cost as u64);
-        }
-        if explained.scratch_cost.is_finite() {
-            sp.attr("scratch_cost", explained.scratch_cost as u64);
-        }
-        sp.attr("candidates", explained.candidates as u64);
-        sp.attr("catalog_hit", u64::from(explained.catalog_hit));
-    }
-}
-
-/// Finds an *exact duplicate* of `eq` in the catalog: an entry of the same
-/// derivation family with identical canonical dimensions, identical Σ, and
-/// identical user-facing dimension names. Such an entry would materialize
-/// cell-identically under identical names, so serving paths reuse it
-/// instead of growing the catalog.
-pub(crate) fn find_duplicate(
-    catalog: &CubeCatalog,
-    sig: &ViewSignature,
-    eq: &ExtendedQuery,
-) -> Option<usize> {
-    catalog.family(&sig.key).iter().copied().find(|&idx| {
-        let e = catalog.entry(idx);
-        e.signature().dims == sig.dims
-            && e.query().sigma() == eq.sigma()
-            && e.query().query().dim_names() == eq.query().dim_names()
-    })
-}
-
-/// The explanation reported when a query is served by an exact duplicate
-/// (an identity dice over the existing entry's `ans`).
-pub(crate) fn duplicate_explained(
-    catalog: &CubeCatalog,
-    idx: usize,
-    eq: &ExtendedQuery,
-    instance: &Graph,
-    rehydrated: bool,
-) -> ExplainedStrategy {
-    let stats = catalog.entry(idx).stats();
-    ExplainedStrategy {
-        strategy: Strategy::SelectionOnAns,
-        source: Some(CubeHandle(idx)),
-        estimated_cost: rewrite::dice_cost(stats.ans_cells),
-        scratch_cost: rewrite::scratch_cost(eq, instance),
-        candidates: 1,
-        catalog_hit: true,
-        rehydrated,
-    }
-}
-
-/// The single costing loop every planner funnels through.
-///
-/// Candidates must be offered in ascending catalog-index order; the strict
-/// `<` comparison keeps the first of equal-cost candidates. Because the
-/// indexed planner ([`plan_in`]) and the linear baseline ([`plan_linear`])
-/// both discover family members in ascending index order and both offer
-/// into this loop, they can never disagree on the chosen strategy or
-/// source — that is the explain-equivalence guarantee the test suite
-/// checks.
-struct Costing {
-    scratch: f64,
-    best: Option<(usize, Derivation, f64)>,
-    candidates: usize,
-}
-
-impl Costing {
-    fn new(scratch: f64) -> Self {
-        Costing {
-            scratch,
-            best: None,
-            candidates: 0,
-        }
-    }
-
-    fn offer(
-        &mut self,
-        idx: usize,
-        entry: &crate::catalog::CatalogEntry,
-        d: Derivation,
-        eq: &ExtendedQuery,
-        instance: &Graph,
-    ) {
-        self.candidates += 1;
-        let mut cost = cost::derivation_cost(&d, entry, eq, instance);
-        if !entry.is_resident() || !entry.is_fresh(instance) {
-            // Using an evicted — or stale, which serving treats the same
-            // way — source first pays its recomputation. Family members
-            // share the target's body and measure, so the recompute
-            // estimate IS the target's scratch estimate (no per-candidate
-            // re-derivation needed). It is charged discounted: a full
-            // surcharge would always equal or exceed the target's own
-            // scratch cost and such sources could never win, whereas the
-            // recompute is an investment (the refreshed source serves
-            // future queries too), so half is billed to this query.
-            cost += cost::REHYDRATION_CHARGE * self.scratch;
-        }
-        if self.best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-            self.best = Some((idx, d, cost));
-        }
-    }
-
-    fn finish(self) -> (Option<(usize, Derivation)>, ExplainedStrategy) {
-        match self.best {
-            Some((idx, d, cost)) if cost < self.scratch => {
-                let explained = ExplainedStrategy {
-                    strategy: cost::strategy_of(&d),
-                    source: Some(CubeHandle(idx)),
-                    estimated_cost: cost,
-                    scratch_cost: self.scratch,
-                    candidates: self.candidates,
-                    catalog_hit: true,
-                    rehydrated: false,
-                };
-                (Some((idx, d)), explained)
-            }
-            _ => (
-                None,
-                ExplainedStrategy::scratch(self.scratch, self.candidates),
-            ),
-        }
-    }
-}
-
-/// Probes the catalog through the signature index and costs every
-/// applicable derivation of `eq`; returns the cheapest pick (if it beats
-/// from-scratch) and the explanation. Shared by [`OlapSession`] and
-/// [`SharedSession`].
-pub(crate) fn plan_in(
-    catalog: &CubeCatalog,
-    instance: &Graph,
-    eq: &ExtendedQuery,
-    sig: &ViewSignature,
-) -> (Option<(usize, Derivation)>, ExplainedStrategy) {
-    let mut costing = Costing::new(rewrite::scratch_cost(eq, instance));
-    for &idx in catalog.family(&sig.key) {
-        let entry = catalog.entry(idx);
-        let Some(d) = entry.classify(sig, eq.sigma()) else {
-            continue;
-        };
-        costing.offer(idx, entry, d, eq, instance);
-    }
-    costing.finish()
-}
-
-/// The linear-rescan planner (benchmark E10's baseline): visits every
-/// catalog entry and re-canonicalizes its signatures per probe instead of
-/// using the family index, then costs through the same [`Costing`] loop
-/// as [`plan_in`].
-pub(crate) fn plan_linear(
-    catalog: &CubeCatalog,
-    instance: &Graph,
-    target: &ExtendedQuery,
-) -> (Option<(usize, Derivation)>, ExplainedStrategy) {
-    let t_sig = ViewSignature::of(target.query());
-    let mut costing = Costing::new(rewrite::scratch_cost(target, instance));
-    for idx in 0..catalog.len() {
-        let entry = catalog.entry(idx);
-        let sq = entry.query().query();
-        // Recompute everything per cube, as the pre-catalog session did.
-        if sq.agg() != t_sig.key.agg || query_signature(sq.measure()) != t_sig.key.measure {
-            continue;
-        }
-        let s_body = BodySignature::of(sq.classifier());
-        if s_body.text != t_sig.key.body {
-            continue;
-        }
-        // Same canonical body text with a different fact (root) variable
-        // is a different derivation family. The indexed planner has always
-        // keyed on the root; this rescan's original omission of the check
-        // was the explain-drift bug.
-        if s_body.name_of(sq.root()) != Some(t_sig.key.root.as_str()) {
-            continue;
-        }
-        let Some(d) = entry.classify(&t_sig, target.sigma()) else {
-            continue;
-        };
-        costing.offer(idx, entry, d, target, instance);
-    }
-    costing.finish()
-}
-
-/// Executes a derivation of `target` from an already-materialized source
-/// payload. Free-standing so [`SharedSession`] can run it outside any
-/// catalog lock, against payload `Arc`s it snapshotted earlier.
-pub(crate) fn derive_with(
-    instance: &Graph,
-    source_eq: &ExtendedQuery,
-    source_ans: &Cube,
-    source_pres: &PartialResult,
-    target: &ExtendedQuery,
-    d: &Derivation,
-) -> Result<(Cube, PartialResult), CoreError> {
-    let dict = instance.dict();
-    let target_names: Vec<String> = target
-        .query()
-        .dim_names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let (mut ans, mut pres, inherited_sigma) = match d {
-        Derivation::Dice => (
-            rewrite::dice_from_ans(source_ans, target.sigma(), dict),
-            rewrite::dice_pres(source_pres, target.sigma(), dict),
-            target.sigma().clone(),
-        ),
-        Derivation::DrillOut(removed) => {
-            let (ans, pres) = rewrite::drill_out_from_pres(source_pres, removed, dict)?;
-            let inherited = source_eq.sigma().without_dims(removed);
-            (ans, pres, inherited)
-        }
-        Derivation::DrillIn(var) => {
-            let (ans, pres) =
-                rewrite::drill_in_from_pres(source_eq.query(), source_pres, *var, instance)?;
-            let inherited = source_eq.sigma().with_new_dim();
-            (ans, pres, inherited)
-        }
-    };
-    if target.sigma() != &inherited_sigma {
-        ans = rewrite::dice_from_ans(&ans, target.sigma(), dict);
-        pres = rewrite::dice_pres(&pres, target.sigma(), dict);
-    }
-    Ok((
-        ans.with_dim_names(target_names.clone()),
-        pres.with_dim_names(target_names),
-    ))
 }
 
 #[cfg(test)]
@@ -1298,11 +885,6 @@ mod tests {
         assert_eq!(explained, Strategy::Algorithm1);
         assert!(explained.catalog_hit);
         assert_eq!(s.len(), 1, "planning must not materialize");
-
-        // The linear baseline agrees on the choice here.
-        let legacy = s.explain_query_linear(&eq);
-        assert_eq!(legacy.strategy, explained.strategy);
-        assert_eq!(legacy.source, explained.source);
     }
 
     #[test]
@@ -1384,6 +966,25 @@ mod tests {
         let (h3, _) = s.answer_query(renamed).unwrap();
         assert_ne!(h3, h);
         assert_eq!(s.len(), 2);
+
+        // ROLL-UP runs the same pipeline as every other operator, so a
+        // repeated roll-up reuses its entry too — on either plane, and
+        // across the switch between them.
+        let (s, h, op) = roll_up_fixture();
+        let shared = s.into_shared();
+        let (up, first) = shared.transform(h, &op).unwrap();
+        assert_eq!(first, Strategy::RollUpComposition);
+        let (again, repeat) = shared.transform(h, &op).unwrap();
+        assert_eq!(
+            again, up,
+            "a repeated roll-up must reuse the existing entry"
+        );
+        assert_eq!(repeat, Strategy::SelectionOnAns);
+        assert_eq!(shared.len(), 2, "no copy was materialized");
+        let mut s = shared.into_session();
+        assert_eq!(s.transform(h, &op).unwrap().0, up);
+        assert_eq!(s.answer_query(s.query(up).clone()).unwrap().0, up);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -1424,8 +1025,9 @@ mod tests {
         assert!(s.answer(h2).same_cells(&scratch));
     }
 
-    #[test]
-    fn roll_up_in_a_session() {
+    /// A session over cities with a `locatedIn` hierarchy, its posts-per-
+    /// city cube, and the ROLL-UP of that cube to countries.
+    fn roll_up_fixture() -> (OlapSession, CubeHandle, OlapOp) {
         let instance = parse_turtle(
             "<Madrid> <locatedIn> <Spain> . <NY> <locatedIn> <USA> .
              <user1> rdf:type <Blogger> ; <livesIn> <Madrid> ; <wrotePost> <p1> .
@@ -1441,15 +1043,17 @@ mod tests {
                 AggFunc::Count,
             )
             .unwrap();
-        let (h2, strategy) = s
-            .transform(
-                h,
-                &OlapOp::RollUp {
-                    dim: "dcity".into(),
-                    via: "locatedIn".into(),
-                },
-            )
-            .unwrap();
+        let op = OlapOp::RollUp {
+            dim: "dcity".into(),
+            via: "locatedIn".into(),
+        };
+        (s, h, op)
+    }
+
+    #[test]
+    fn roll_up_in_a_session() {
+        let (mut s, h, op) = roll_up_fixture();
+        let (h2, strategy) = s.transform(h, &op).unwrap();
         assert_eq!(strategy, Strategy::RollUpComposition);
         let spain = s.instance().dict().id(&Term::iri("Spain")).unwrap();
         let usa = s.instance().dict().id(&Term::iri("USA")).unwrap();

@@ -13,12 +13,14 @@
 //! * every serving method takes `&self`, so `&SharedSession` (or an
 //!   `Arc<SharedSession>`) can be queried from any number of threads
 //!   concurrently;
-//! * the catalog sits behind a single [`RwLock`]: planning, duplicate
-//!   detection and snapshotting happen under a read lock (shared), while
-//!   materializing a new cube, rehydrating an evicted one or refreshing a
-//!   stale one takes the write lock briefly. The expensive work — BGP
-//!   evaluation, derivation, aggregation — always runs **outside** any
-//!   lock, against [`CubeSnapshot`]s;
+//! * the catalog sits behind a single [`RwLock`], and a query is served by
+//!   the same pipeline phases (`pipeline.rs`) as on the mutation plane, each
+//!   handed the guard it needs: `route` (planning, duplicate detection,
+//!   snapshotting) runs under a read lock (shared); `commit`
+//!   (materializing a new cube) and `refresh` (rehydrating an evicted
+//!   source or refreshing a stale one) take the write lock briefly. The
+//!   expensive phase, `execute` — BGP evaluation, derivation, aggregation
+//!   — always runs **outside** any lock, against [`CubeSnapshot`]s;
 //! * recency/benefit bookkeeping (`touch`, hit/miss counters) is atomic
 //!   (see [`crate::catalog`]), so the hot read path never blocks on it.
 //!
@@ -35,10 +37,10 @@ use crate::catalog::{CatalogCounters, CubeCatalog, CubeSnapshot};
 use crate::cost::ExplainedStrategy;
 use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
-use crate::olap::{apply, apply_roll_up_encoded, OlapOp};
-use crate::rewrite;
-use crate::session::{self, CubeHandle, OlapSession, Strategy};
-use crate::signature::ViewSignature;
+use crate::olap::OlapOp;
+use crate::pipeline::{self, Route, Served, Step};
+use crate::session::{CubeHandle, OlapSession};
+use rdfcube_obs::QueryTrace;
 use rdfcube_rdf::Graph;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -149,12 +151,6 @@ impl SharedSession {
     /// the payload alive independently of later evictions, so it can be
     /// read for as long as needed without holding any lock.
     pub fn snapshot(&self, handle: CubeHandle) -> Result<CubeSnapshot, CoreError> {
-        self.snapshot_inner(handle).map(|(snap, _)| snap)
-    }
-
-    /// [`Self::snapshot`] plus whether a recompute (rehydration or
-    /// refresh) happened on the way.
-    fn snapshot_inner(&self, handle: CubeHandle) -> Result<(CubeSnapshot, bool), CoreError> {
         {
             let cat = self.read();
             let e = cat
@@ -162,198 +158,62 @@ impl SharedSession {
                 .ok_or(CoreError::UnknownHandle(handle.0))?;
             if e.is_resident() && e.is_fresh(&self.instance) {
                 cat.touch(handle.0);
-                let snap = cat
+                return cat
                     .snapshot(handle.0)
-                    .ok_or(CoreError::CubeNotResident(handle.0))?;
-                return Ok((snap, false));
+                    .ok_or(CoreError::CubeNotResident(handle.0));
             }
         }
         // Evicted or stale: recompute under the write lock. Racing
         // threads may all observe the miss and queue here; the first one
         // recomputes and the rest see a fresh entry (no-op).
         let mut cat = self.write();
-        let recomputed = cat.ensure_resident(handle.0, &self.instance)?;
+        cat.ensure_resident(handle.0, &self.instance)?;
         cat.touch(handle.0);
-        let snap = cat
-            .snapshot(handle.0)
-            .ok_or(CoreError::CubeNotResident(handle.0))?;
-        Ok((snap, recomputed))
+        cat.snapshot(handle.0)
+            .ok_or(CoreError::CubeNotResident(handle.0))
     }
 
     /// Plans `eq` without executing or materializing anything (the
     /// concurrent counterpart of [`OlapSession::explain_query`]).
     pub fn explain_query(&self, eq: &ExtendedQuery) -> ExplainedStrategy {
-        let sig = ViewSignature::of(eq.query());
-        session::plan_in(&self.read(), &self.instance, eq, &sig).1
-    }
-
-    /// The linear-rescan planner baseline (see
-    /// [`OlapSession::explain_query_linear`]); chooses identically to
-    /// [`Self::explain_query`] by construction.
-    pub fn explain_query_linear(&self, target: &ExtendedQuery) -> ExplainedStrategy {
-        session::plan_linear(&self.read(), &self.instance, target).1
+        pipeline::explain(&self.read(), &self.instance, eq)
     }
 
     /// Answers an arbitrary extended query — the concurrent counterpart
-    /// of [`OlapSession::answer_query`], with the identical
-    /// dedup/plan/derive semantics. Returns the handle of the (existing
-    /// or newly materialized) cube; read its cells with
-    /// [`Self::snapshot`].
-    ///
-    /// Locking: duplicate detection, planning and source snapshotting run
-    /// under the read lock; derivation and from-scratch evaluation run
-    /// under **no** lock; the write lock is taken only to materialize the
-    /// result (and to refresh a stale/evicted source first, when the
-    /// planner picked one).
+    /// of [`OlapSession::answer_query`], running the identical pipeline.
+    /// Returns the handle of the (existing or newly materialized) cube;
+    /// read its cells with [`Self::snapshot`].
     pub fn answer_query(
         &self,
         eq: ExtendedQuery,
     ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        let start = std::time::Instant::now();
-        let plan_span = rdfcube_obs::span("plan");
-        let sig = ViewSignature::of(eq.query());
-        // Duplicate fast path: served entirely under the read lock when
-        // the entry is fresh and resident (the common case under steady
-        // traffic). The query log sits behind its own mutex, so recording
-        // works under the read lock too.
-        let stale_duplicate = {
-            let cat = self.read();
-            match session::find_duplicate(&cat, &sig, &eq) {
-                Some(idx) => {
-                    let e = cat.entry(idx);
-                    if e.is_resident() && e.is_fresh(&self.instance) {
-                        drop(plan_span);
-                        let sp = rdfcube_obs::span("duplicate");
-                        cat.touch(idx);
-                        cat.record_hit();
-                        let explained =
-                            session::duplicate_explained(&cat, idx, &eq, &self.instance, false);
-                        drop(sp);
-                        session::record_strategy_span(&explained);
-                        cat.record_query(&eq, &sig, &explained, start.elapsed().as_nanos() as u64);
-                        return Ok((CubeHandle(idx), explained));
-                    }
-                    Some(idx)
-                }
-                None => None,
-            }
-        };
-        if let Some(idx) = stale_duplicate {
-            drop(plan_span);
-            let sp = rdfcube_obs::span("duplicate");
-            let mut cat = self.write();
-            let rehydrated = cat.ensure_resident(idx, &self.instance)?;
-            cat.touch(idx);
-            cat.record_hit();
-            let explained =
-                session::duplicate_explained(&cat, idx, &eq, &self.instance, rehydrated);
-            if sp.active() {
-                sp.attr("rehydrated", u64::from(rehydrated));
-            }
-            drop(sp);
-            session::record_strategy_span(&explained);
-            cat.record_query(&eq, &sig, &explained, start.elapsed().as_nanos() as u64);
-            return Ok((CubeHandle(idx), explained));
-        }
+        self.serve(eq, None)
+    }
 
-        // Plan under the read lock and snapshot the chosen source if it
-        // is servable as-is; stale/evicted sources are refreshed under
-        // the write lock below.
-        let (planned, mut explained) = {
-            let cat = self.read();
-            let (pick, explained) = session::plan_in(&cat, &self.instance, &eq, &sig);
-            let planned = pick.map(|(idx, d)| {
-                let e = cat.entry(idx);
-                let snap = if e.is_resident() && e.is_fresh(&self.instance) {
-                    cat.snapshot(idx)
-                } else {
-                    None
-                };
-                (idx, d, snap)
-            });
-            (planned, explained)
-        };
-        if plan_span.active() {
-            plan_span.attr("candidates", explained.candidates as u64);
-        }
-        drop(plan_span);
-        session::record_strategy_span(&explained);
-
-        let (ans, pres) = match planned {
-            Some((source_idx, d, snap)) => {
-                let sp = rdfcube_obs::span("derive");
-                let (snap, rehydrated) = match snap {
-                    Some(snap) => (snap, false),
-                    None => {
-                        let mut cat = self.write();
-                        let recomputed = cat.ensure_resident(source_idx, &self.instance)?;
-                        let snap = cat
-                            .snapshot(source_idx)
-                            .ok_or(CoreError::CubeNotResident(source_idx))?;
-                        (snap, recomputed)
-                    }
-                };
-                explained.rehydrated = rehydrated;
-                let source_cells = snap.answer().len() as u64;
-                let derived = session::derive_with(
-                    &self.instance,
-                    snap.query(),
-                    snap.answer(),
-                    snap.pres(),
-                    &eq,
-                    &d,
-                )?;
-                if sp.active() {
-                    let strategy = explained.strategy;
-                    sp.detail(move || strategy.to_string());
-                    sp.rows(source_cells, derived.0.len() as u64);
-                    sp.attr("rehydrated", u64::from(rehydrated));
+    /// Drives one query through the pipeline ([`crate::pipeline`]), each
+    /// phase under the lock it needs and no longer: `route` under the
+    /// read lock (a fresh duplicate is answered there and then), `execute`
+    /// under **no** lock, `commit` under the write lock — as is `refresh`,
+    /// when the routed entry is stale or evicted.
+    fn serve(&self, eq: ExtendedQuery, forced: Option<Route>) -> Result<Served, CoreError> {
+        let mut step = pipeline::route(&self.read(), &self.instance, eq, forced)?;
+        loop {
+            step = match step {
+                Step::Refresh(idx, job) => {
+                    pipeline::refresh(&mut self.write(), &self.instance, idx, job)?
                 }
-                drop(sp);
-                // Credit the source only once the derivation succeeded,
-                // exactly as the mutation plane does.
-                let cat = self.read();
-                cat.touch(source_idx);
-                cat.record_hit();
-                derived
-            }
-            None => {
-                let sp = rdfcube_obs::span("from_scratch");
-                let computed = rewrite::from_scratch_with_pres(&eq, &self.instance)?;
-                if sp.active() {
-                    sp.rows(computed.1.len() as u64, computed.0.len() as u64);
+                Step::Execute(job) => pipeline::execute(&self.instance, job)?,
+                Step::Commit(job, cells) => {
+                    pipeline::commit(&mut self.write(), &self.instance, job, cells)?
                 }
-                drop(sp);
-                self.read().record_miss();
-                computed
-            }
-        };
-
-        // Materialize under the write lock — re-probing for a duplicate a
-        // racing thread may have registered while we were computing, so
-        // concurrent identical queries converge on one entry instead of
-        // inserting N copies.
-        let mut cat = self.write();
-        cat.record_query(&eq, &sig, &explained, start.elapsed().as_nanos() as u64);
-        if let Some(idx) = session::find_duplicate(&cat, &sig, &eq) {
-            cat.ensure_resident(idx, &self.instance)?;
-            cat.touch(idx);
-            return Ok((CubeHandle(idx), explained));
+                Step::Done(served) => return Ok(served),
+            };
         }
-        let sp = rdfcube_obs::span("materialize");
-        let watermark = self.instance.len();
-        if sp.active() {
-            sp.rows(ans.len() as u64, ans.len() as u64);
-            sp.bytes((ans.approx_bytes() + pres.approx_bytes()) as u64);
-        }
-        let idx = cat.insert_signed(eq, sig, ans, pres, watermark);
-        drop(sp);
-        Ok((CubeHandle(idx), explained))
     }
 
     /// Like [`Self::answer_query`], but records a structured
-    /// [`QueryTrace`](rdfcube_obs::QueryTrace) of the evaluation —
-    /// the concurrent counterpart of [`OlapSession::answer_traced`].
+    /// [`QueryTrace`] of the evaluation — the concurrent counterpart of
+    /// [`OlapSession::answer_traced`].
     ///
     /// Tracing is thread-local: it adds no locking and does not change
     /// the lock structure of the underlying evaluation. Concurrent
@@ -361,17 +221,8 @@ impl SharedSession {
     pub fn answer_traced(
         &self,
         eq: ExtendedQuery,
-    ) -> Result<(CubeHandle, ExplainedStrategy, rdfcube_obs::QueryTrace), CoreError> {
-        let began = rdfcube_obs::trace_begin("answer_query");
-        let result = self.answer_query(eq);
-        let trace = if began {
-            rdfcube_obs::sink().traces.inc();
-            rdfcube_obs::trace_end().unwrap_or_default()
-        } else {
-            rdfcube_obs::QueryTrace::default()
-        };
-        let (handle, explained) = result?;
-        Ok((handle, explained, trace))
+    ) -> Result<(CubeHandle, ExplainedStrategy, QueryTrace), CoreError> {
+        pipeline::traced(|| self.answer_query(eq))
     }
 
     /// Re-runs workload-driven view selection (see [`crate::advisor`])
@@ -403,71 +254,30 @@ impl SharedSession {
     /// Applies an OLAP operation to a materialized cube — the concurrent
     /// counterpart of [`OlapSession::transform`].
     ///
-    /// ROLL-UP is served only when its mapping property is already
-    /// interned in the (frozen) dictionary; otherwise it belongs to the
-    /// mutation plane.
+    /// The dictionary is frozen during a shared epoch, so ROLL-UP is
+    /// served only when its mapping property is already interned (any
+    /// property that actually occurs in the instance is); otherwise it
+    /// belongs to the mutation plane.
     pub fn transform(
         &self,
         handle: CubeHandle,
         op: &OlapOp,
     ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        if let OlapOp::RollUp { dim, via } = op {
-            return self.roll_up(handle, dim, via);
-        }
         let source_eq = self
             .try_query(handle)
             .ok_or(CoreError::UnknownHandle(handle.0))?;
-        let new_eq = apply(&source_eq, op)?;
-        self.answer_query(new_eq)
+        let (eq, forced) = pipeline::transformed(&self.instance, &source_eq, handle, op)?;
+        self.serve(eq, forced)
     }
 
-    fn roll_up(
+    /// [`Self::transform`] under a structured trace — the concurrent
+    /// counterpart of [`OlapSession::transform_traced`].
+    pub fn transform_traced(
         &self,
         handle: CubeHandle,
-        dim: &str,
-        via: &str,
-    ) -> Result<(CubeHandle, ExplainedStrategy), CoreError> {
-        let start = std::time::Instant::now();
-        // The dictionary is frozen during a shared epoch, so the mapping
-        // property must already be interned (any property that actually
-        // occurs in the instance is).
-        let via_id = self.instance.dict().iri_id(via).ok_or_else(|| {
-            CoreError::InvalidOperation(format!(
-                "roll-up mapping property <{via}> is not in the shared instance's \
-                 dictionary; apply this roll-up through the mutation plane \
-                 (OlapSession::transform)"
-            ))
-        })?;
-        let source_eq = self
-            .try_query(handle)
-            .ok_or(CoreError::UnknownHandle(handle.0))?;
-        let new_eq = apply_roll_up_encoded(&source_eq, dim, via_id)?;
-        let dim_idx = source_eq.query().dim_index(dim)?;
-        let coarse_name = new_eq.query().dim_names()[dim_idx].to_string();
-        let (snap, rehydrated) = self.snapshot_inner(handle)?;
-        let explained = ExplainedStrategy {
-            strategy: Strategy::RollUpComposition,
-            source: Some(handle),
-            estimated_cost: rewrite::roll_up_cost(snap.pres().len()),
-            scratch_cost: rewrite::scratch_cost(&new_eq, &self.instance),
-            candidates: 1,
-            catalog_hit: true,
-            rehydrated,
-        };
-        let (ans, pres) =
-            rewrite::roll_up_from_pres(snap.pres(), dim_idx, via_id, &coarse_name, &self.instance)?;
-        let mut cat = self.write();
-        cat.record_hit();
-        let new_sig = ViewSignature::of(new_eq.query());
-        cat.record_query(
-            &new_eq,
-            &new_sig,
-            &explained,
-            start.elapsed().as_nanos() as u64,
-        );
-        let watermark = self.instance.len();
-        let idx = cat.insert_signed(new_eq, new_sig, ans, pres, watermark);
-        Ok((CubeHandle(idx), explained))
+        op: &OlapOp,
+    ) -> Result<(CubeHandle, ExplainedStrategy, QueryTrace), CoreError> {
+        pipeline::traced(|| self.transform(handle, op))
     }
 }
 
@@ -480,8 +290,11 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::Cube;
+    use crate::extended::ValueSelector;
+    use crate::session::Strategy;
     use rdfcube_engine::AggFunc;
-    use rdfcube_rdf::parse_turtle;
+    use rdfcube_rdf::{parse_turtle, Term};
 
     fn session() -> OlapSession {
         let instance = parse_turtle(
@@ -506,25 +319,202 @@ mod tests {
         .unwrap()
     }
 
+    /// Either plane behind one face, so that one script can drive both.
+    enum Plane {
+        Mutation(OlapSession),
+        Shared(SharedSession),
+    }
+
+    impl Plane {
+        fn answer_query(&mut self, eq: ExtendedQuery) -> Served {
+            match self {
+                Plane::Mutation(s) => s.answer_query(eq).unwrap(),
+                Plane::Shared(s) => s.answer_query(eq).unwrap(),
+            }
+        }
+
+        fn transform(&mut self, h: CubeHandle, op: &OlapOp) -> Served {
+            match self {
+                Plane::Mutation(s) => s.transform(h, op).unwrap(),
+                Plane::Shared(s) => s.transform(h, op).unwrap(),
+            }
+        }
+
+        /// The cells behind `h`, recomputed first if stale or evicted —
+        /// the same catalog operations (`ensure_resident`, `touch`) on
+        /// either plane, so reading never makes the catalogs diverge.
+        fn cells(&mut self, h: CubeHandle) -> Cube {
+            match self {
+                Plane::Mutation(s) => {
+                    s.touch(h).unwrap();
+                    s.answer(h).clone()
+                }
+                Plane::Shared(s) => s.snapshot(h).unwrap().answer().clone(),
+            }
+        }
+
+        /// Inserts through the mutation plane, as a shared epoch must.
+        fn insert(self, triples: Vec<(Term, Term, Term)>) -> Self {
+            match self {
+                Plane::Mutation(mut s) => {
+                    s.insert_triples(triples);
+                    Plane::Mutation(s)
+                }
+                Plane::Shared(s) => {
+                    let mut s = s.into_session();
+                    s.insert_triples(triples);
+                    Plane::Shared(s.into_shared())
+                }
+            }
+        }
+
+        fn state(&self) -> (usize, CatalogCounters) {
+            match self {
+                Plane::Mutation(s) => (s.len(), s.catalog().counters()),
+                Plane::Shared(s) => (s.len(), s.counters()),
+            }
+        }
+    }
+
+    /// One analyst chain over a world with a city → country hierarchy:
+    /// register, slice, widening dice, drill-out, drill-in, roll-up, exact
+    /// repeats, then an insert and a re-query of the now-stale base.
+    /// Returns every step's handle, explanation and cells, and the
+    /// catalog's final size and counters.
+    fn chain(
+        budget: Option<usize>,
+        shared: bool,
+    ) -> (Vec<(Served, Cube)>, (usize, CatalogCounters)) {
+        let instance = parse_turtle(
+            "<Madrid> <locatedIn> <Spain> . <Vigo> <locatedIn> <Spain> . <NY> <locatedIn> <USA> .
+             <user1> rdf:type <Blogger> ; <hasAge> 28 ; <livesIn> <Madrid> .
+             <user2> rdf:type <Blogger> ; <hasAge> 28 ; <livesIn> <Vigo> .
+             <user3> rdf:type <Blogger> ; <hasAge> 35 ; <livesIn> <NY> .
+             <user4> rdf:type <Blogger> ; <hasAge> 35 ; <livesIn> <NY> .
+             <user5> rdf:type <Blogger> ; <hasAge> 41 ; <livesIn> <Madrid>, <NY> .
+             <user1> <wrotePost> <p1>, <p2>, <p3> . <user2> <wrotePost> <p6> .
+             <p1> <postedOn> <s1> . <p2> <postedOn> <s1> . <p3> <postedOn> <s2> .
+             <user3> <wrotePost> <p4> . <p4> <postedOn> <s2> . <p6> <postedOn> <s3> .
+             <user4> <wrotePost> <p5> . <p5> <postedOn> <s3> .
+             <user5> <wrotePost> <p7> . <p7> <postedOn> <s1> .",
+        )
+        .unwrap();
+        let mut s = match budget {
+            Some(bytes) => OlapSession::with_budget(instance, bytes),
+            None => OlapSession::new(instance),
+        };
+        let base = example_1(&mut s);
+        let mut plane = if shared {
+            Plane::Shared(s.into_shared())
+        } else {
+            Plane::Mutation(s)
+        };
+
+        let dice = |ages: &[i64]| OlapOp::Dice {
+            constraints: vec![(
+                "dage".into(),
+                ValueSelector::OneOf(ages.iter().map(|&a| Term::integer(a)).collect()),
+            )],
+        };
+        let slice = OlapOp::Slice {
+            dim: "dage".into(),
+            value: Term::integer(35),
+        };
+        let drill_out = OlapOp::DrillOut {
+            dims: vec!["dage".into()],
+        };
+        let roll_up = OlapOp::RollUp {
+            dim: "dcity".into(),
+            via: "locatedIn".into(),
+        };
+
+        let mut trail: Vec<(Served, Cube)> = Vec::new();
+        let mut step = |plane: &mut Plane, call: &dyn Fn(&mut Plane) -> Served| {
+            let served = call(plane);
+            let handle = served.0;
+            trail.push((served, plane.cells(handle)));
+            handle
+        };
+        let h = step(&mut plane, &|p| p.answer_query(base.clone()));
+        let sliced = step(&mut plane, &|p| p.transform(h, &slice));
+        step(&mut plane, &|p| p.transform(sliced, &dice(&[28, 35])));
+        let by_city = step(&mut plane, &|p| p.transform(h, &drill_out));
+        step(&mut plane, &|p| {
+            p.transform(by_city, &OlapOp::DrillIn { var: "dage".into() })
+        });
+        step(&mut plane, &|p| p.transform(h, &roll_up));
+        step(&mut plane, &|p| p.transform(h, &roll_up));
+        step(&mut plane, &|p| p.transform(h, &slice));
+        let mut plane = plane.insert(vec![
+            (
+                Term::iri("user6"),
+                Term::iri(rdfcube_rdf::vocab::RDF_TYPE),
+                Term::iri("Blogger"),
+            ),
+            (Term::iri("user6"), Term::iri("hasAge"), Term::integer(35)),
+            (Term::iri("user6"), Term::iri("livesIn"), Term::iri("Vigo")),
+            (Term::iri("user6"), Term::iri("wrotePost"), Term::iri("p8")),
+            (Term::iri("p8"), Term::iri("postedOn"), Term::iri("s2")),
+        ]);
+        let h = step(&mut plane, &|p| p.answer_query(base.clone()));
+        step(&mut plane, &|p| p.transform(h, &dice(&[35, 41])));
+        step(&mut plane, &|p| p.transform(h, &roll_up));
+        let state = plane.state();
+        (trail, state)
+    }
+
     #[test]
     fn shared_answers_match_the_mutation_plane() {
-        let mut serial = session();
-        let eq = example_1(&mut serial);
-        let (hs, _) = serial.answer_query(eq.clone()).unwrap();
+        // Both planes run the one pipeline, so the same chain must leave
+        // them indistinguishable: handle for handle, explanation for
+        // explanation, cell for cell, counter for counter — unbudgeted,
+        // and under a budget tight enough to evict and rehydrate sources.
+        let (unbudgeted, _) = chain(None, false);
+        // Room for a source and its result, not for the chain's seven cubes.
+        let tight = unbudgeted[0].1.approx_bytes() * 3;
+        for budget in [None, Some(tight)] {
+            let (serial, serial_state) = chain(budget, false);
+            let (shared, shared_state) = chain(budget, true);
+            assert_eq!(serial.len(), shared.len());
+            for (i, (((hs, es), cs), ((hp, ep), cp))) in serial.iter().zip(&shared).enumerate() {
+                assert_eq!(hs, hp, "step {i}: handles differ");
+                assert_eq!(es.strategy, ep.strategy, "step {i}");
+                assert_eq!(es.source, ep.source, "step {i}");
+                assert_eq!(es.candidates, ep.candidates, "step {i}");
+                assert_eq!(es.catalog_hit, ep.catalog_hit, "step {i}");
+                assert_eq!(es.rehydrated, ep.rehydrated, "step {i}");
+                assert!(cs.same_cells(cp), "step {i}: cells differ");
+            }
+            assert_eq!(serial_state, shared_state);
 
-        let mut s = session();
-        let eq2 = example_1(&mut s);
-        let shared = s.into_shared();
-        let (h, explained) = shared.answer_query(eq2).unwrap();
-        assert_eq!(explained.strategy, Strategy::FromScratch);
-        let snap = shared.snapshot(h).unwrap();
-        assert!(snap.answer().same_cells(serial.answer(hs)));
-        // The duplicate fast path reuses the entry from plain `&self`.
-        let eq3 = shared.try_query(h).unwrap();
-        let (h2, ex2) = shared.answer_query((*eq3).clone()).unwrap();
-        assert_eq!(h2, h);
-        assert!(ex2.catalog_hit);
-        assert_eq!(shared.len(), 1);
+            let strategies: Vec<Strategy> = serial.iter().map(|((_, e), _)| e.strategy).collect();
+            for expected in [
+                Strategy::FromScratch,
+                Strategy::SelectionOnAns,
+                Strategy::Algorithm1,
+                Strategy::Algorithm2,
+                Strategy::RollUpComposition,
+            ] {
+                assert!(
+                    strategies.contains(&expected),
+                    "{expected} never ran: {strategies:?}"
+                );
+            }
+            // The exact repeats reused their entries.
+            assert_eq!(serial[6].0 .0, serial[5].0 .0);
+            assert_eq!(serial[7].0 .0, serial[1].0 .0);
+            // The insert left the base stale; re-asking refreshed it.
+            assert_eq!(serial[8].0 .0, serial[0].0 .0);
+            assert!(serial[8].0 .1.rehydrated);
+            assert!(serial_state.1.refreshes + serial_state.1.rehydrations >= 1);
+            if budget.is_some() {
+                assert!(serial_state.1.evictions >= 1, "the budget never bit");
+                assert!(
+                    serial[..8].iter().any(|((_, e), _)| e.rehydrated),
+                    "no step ran from a rehydrated source"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Cube-freshness regressions and planner-equivalence checks.
+//! Cube-freshness regressions and planner checks.
 //!
 //! Every catalog entry carries the instance triple count it was
 //! materialized at (its *watermark*). These tests pin the contract: a
 //! query answered after the instance grew must never be served cells
 //! materialized before the growth — the serving paths (`answer_query`,
 //! `transform`, `touch`, shared-plane snapshots) detect the moved
-//! watermark and recompute. The second half pins the two explain planners
-//! (`explain_query` vs `explain_query_linear`) to identical choices on
-//! randomized workloads, including the same-body/different-root family
-//! collision the linear baseline historically fell for.
+//! watermark and recompute. The second half pins the planner: what
+//! `explain_query` predicts is what `answer_query` then does, on seeded
+//! random workloads (fresh, stale and budgeted catalogs), and a cube whose
+//! fact variable differs — the same-body/different-root family collision —
+//! is never offered as a derivation source.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rdfcube::core::ViewSignature;
@@ -152,20 +153,37 @@ fn shared_epoch_refreshes_after_mutation_epoch() {
 }
 
 // ---------------------------------------------------------------------
-// Planner equivalence: explain_query vs explain_query_linear.
+// EXPLAIN tells the truth: explain_query predicts the served route.
 // ---------------------------------------------------------------------
 
-fn assert_explains_agree(s: &OlapSession, eq: &ExtendedQuery, ctx: &str) {
-    let a = s.explain_query(eq);
-    let b = s.explain_query_linear(eq);
-    assert_eq!(a.strategy, b.strategy, "strategy diverged ({ctx})");
-    assert_eq!(a.source, b.source, "source diverged ({ctx})");
-    assert_eq!(a.catalog_hit, b.catalog_hit, "hit flag diverged ({ctx})");
-    assert!(
-        (a.estimated_cost - b.estimated_cost).abs() < 1e-6,
-        "estimated cost diverged ({ctx}): {} vs {}",
-        a.estimated_cost,
-        b.estimated_cost
+/// `explain_query` and the serving pipeline share one planner, so what
+/// EXPLAIN predicts for `eq` is what `answer_query` then does: same
+/// strategy, source, candidate count and plan-time estimate. (A query the
+/// catalog already holds verbatim is served by that entry instead — the
+/// duplicate probe runs before the planner — and must not grow the
+/// catalog.)
+fn assert_explain_predicts_serving(s: &mut OlapSession, eq: &ExtendedQuery, ctx: &str) {
+    let predicted = s.explain_query(eq);
+    let cubes = s.len();
+    let (handle, served) = s.answer_query(eq.clone()).unwrap();
+    if s.len() == cubes {
+        assert_eq!(served.source, Some(handle), "not a duplicate hit ({ctx})");
+        assert!(served.catalog_hit);
+        return;
+    }
+    assert_eq!(served.strategy, predicted.strategy, "strategy ({ctx})");
+    assert_eq!(served.source, predicted.source, "source ({ctx})");
+    assert_eq!(
+        served.candidates, predicted.candidates,
+        "candidates ({ctx})"
+    );
+    assert_eq!(
+        served.catalog_hit, predicted.catalog_hit,
+        "hit flag ({ctx})"
+    );
+    assert_eq!(
+        served.estimated_cost, predicted.estimated_cost,
+        "estimate ({ctx})"
     );
 }
 
@@ -237,53 +255,48 @@ fn random_workload(s: &mut OlapSession, seed: u64) -> Vec<ExtendedQuery> {
     probes
 }
 
-/// Both planners must pick the identical strategy/source/cost on seeded
-/// random workloads — on the pristine catalog, after answering (which
-/// materializes new candidates), and after inserts made entries stale.
+/// On seeded random workloads — against the pristine catalog, against
+/// one the answers themselves have grown, and after inserts made every
+/// entry stale.
 #[test]
-fn explain_planners_agree_on_random_workloads() {
+fn explain_predicts_serving_on_random_workloads() {
     for seed in [1u64, 7, 42] {
         let mut s = blogger_session(4_000);
         let probes = random_workload(&mut s, seed);
         for eq in &probes {
-            assert_explains_agree(&s, eq, &format!("seed {seed}, pristine"));
+            assert_explain_predicts_serving(&mut s, eq, &format!("seed {seed}, pristine"));
         }
         for eq in &probes {
-            s.answer_query(eq.clone()).unwrap();
-        }
-        for eq in &probes {
-            assert_explains_agree(&s, eq, &format!("seed {seed}, post-answer"));
+            assert_explain_predicts_serving(&mut s, eq, &format!("seed {seed}, repeated"));
         }
         s.insert_triples(growth_triples());
-        for eq in &probes {
-            assert_explains_agree(&s, eq, &format!("seed {seed}, stale"));
+        let again = random_workload(&mut blogger_session(4_000), seed + 100);
+        for eq in probes.iter().chain(&again) {
+            assert_explain_predicts_serving(&mut s, eq, &format!("seed {seed}, stale"));
         }
     }
 }
 
-/// Same equivalence under a tight budget, where eviction makes the
-/// rehydration surcharge part of every candidate's cost.
+/// The same under a tight budget, where eviction makes the rehydration
+/// surcharge part of every candidate's cost.
 #[test]
-fn explain_planners_agree_under_eviction() {
+fn explain_predicts_serving_under_eviction() {
     let cfg = BloggerConfig::with_approx_triples(4_000);
     let mut s = OlapSession::with_budget(rdfcube::datagen::generate_instance(&cfg), 48 * 1024);
     let probes = random_workload(&mut s, 11);
     for eq in &probes {
-        s.answer_query(eq.clone()).unwrap();
+        assert_explain_predicts_serving(&mut s, eq, "budgeted");
     }
     assert!(
         s.catalog().counters().evictions > 0,
         "budget must actually evict for this test to bite"
     );
-    for eq in &probes {
-        assert_explains_agree(&s, eq, "budgeted");
-    }
 }
 
-/// The family-collision regression the linear baseline historically fell
-/// for: two queries over the *same* canonical body and measure whose fact
-/// (root) variables differ. Reusing one for the other is unsound — their
-/// cells genuinely differ — and both planners must now reject the match.
+/// The family-collision regression: two queries over the *same* canonical
+/// body and measure whose fact (root) variables differ. Reusing one for
+/// the other is unsound — their cells genuinely differ — and the planner
+/// must reject the match.
 #[test]
 fn same_body_different_root_is_not_reused() {
     let world = "<a> <knows> <b> . <b> <knows> <a> . <a> <hasAge> 30 . <b> <hasAge> 40 .";
@@ -318,7 +331,6 @@ fn same_body_different_root_is_not_reused() {
     assert_ne!(s_sig.key.root, t_sig.key.root, "roots must differ");
 
     let h_src = s.register_query(src).unwrap();
-    assert_explains_agree(&s, &tgt, "root collision");
     assert!(
         !s.explain_query(&tgt).catalog_hit,
         "a different-root cube is not a sound derivation source"

@@ -1,7 +1,8 @@
 //! Trace-shape properties of the query-plane telemetry.
 //!
 //! For randomized blogger worlds and workloads, every trace returned by
-//! [`OlapSession::answer_traced`] must be structurally sound:
+//! `answer_traced` / `transform_traced` — on the mutation plane and on the
+//! shared plane, which must agree span for span — is structurally sound:
 //!
 //! * the span tree is rooted at `answer_query` and every span's parent
 //!   index points at an earlier span (a well-formed arena tree);
@@ -17,6 +18,7 @@ use proptest::prelude::*;
 // Explicit import wins over the glob imports: `Strategy` here always
 // means proptest's trait, never the session's strategy enum.
 use proptest::strategy::Strategy;
+use rdfcube::core::CubeHandle;
 use rdfcube::datagen::{generate_instance, BloggerConfig};
 use rdfcube::prelude::*;
 
@@ -70,35 +72,106 @@ fn assert_trace_sound(explained: &ExplainedStrategy, trace: &QueryTrace) {
     }
 }
 
+/// What a traced entry point returns.
+type Traced = (CubeHandle, ExplainedStrategy, QueryTrace);
+
+/// The traced entry points of either plane, so one operation list runs
+/// against both.
+trait TracedPlane {
+    fn answer(&mut self, eq: ExtendedQuery) -> Traced;
+    fn transform(&mut self, h: CubeHandle, op: &OlapOp) -> Traced;
+}
+
+impl TracedPlane for OlapSession {
+    fn answer(&mut self, eq: ExtendedQuery) -> Traced {
+        self.answer_traced(eq).unwrap()
+    }
+    fn transform(&mut self, h: CubeHandle, op: &OlapOp) -> Traced {
+        self.transform_traced(h, op).unwrap()
+    }
+}
+
+impl TracedPlane for SharedSession {
+    fn answer(&mut self, eq: ExtendedQuery) -> Traced {
+        self.answer_traced(eq).unwrap()
+    }
+    fn transform(&mut self, h: CubeHandle, op: &OlapOp) -> Traced {
+        self.transform_traced(h, op).unwrap()
+    }
+}
+
+/// The names of the root's direct stage spans, in order.
+fn stages(trace: &QueryTrace) -> Vec<&'static str> {
+    trace.children(0).map(|i| trace.spans()[i].name).collect()
+}
+
+/// Runs the operation list — the from-scratch base, a derived dice, the
+/// base again (a duplicate hit), a roll-up and the roll-up again — and
+/// checks every trace for soundness and the stages it must show. Returns
+/// each operation's full span-name sequence, for comparing planes.
+fn traced_operations(
+    plane: &mut impl TracedPlane,
+    eq: &ExtendedQuery,
+    dice: &OlapOp,
+) -> Vec<Vec<&'static str>> {
+    let roll_up = OlapOp::RollUp {
+        dim: "dcity".into(),
+        via: "locatedIn".into(),
+    };
+    let base = plane.answer(eq.clone());
+    let h = base.0;
+    let traced = [
+        base,
+        plane.transform(h, dice),
+        plane.answer(eq.clone()),
+        plane.transform(h, &roll_up),
+        plane.transform(h, &roll_up),
+    ];
+    for (_, explained, trace) in &traced {
+        assert_trace_sound(explained, trace);
+    }
+    let [base, _, again, rolled, rolled_again] = &traced;
+    assert_eq!(
+        stages(&base.2),
+        ["plan", "strategy", "from_scratch", "materialize"]
+    );
+    assert_eq!(stages(&again.2), ["plan", "strategy", "duplicate"]);
+    assert_eq!(rolled.1, rdfcube::core::Strategy::RollUpComposition);
+    assert_eq!(
+        stages(&rolled.2),
+        ["plan", "strategy", "derive", "materialize"]
+    );
+    assert_eq!(rolled_again.0, rolled.0);
+    assert_eq!(stages(&rolled_again.2), ["plan", "strategy", "duplicate"]);
+    traced
+        .iter()
+        .map(|(_, _, trace)| trace.spans().iter().map(|s| s.name).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
-    /// Random worlds, random dice: the trace of every answer — the
-    /// from-scratch base and a derived dice — is structurally sound and
-    /// consistent with the planner's explanation.
+    /// Random worlds, random dice: the trace of every operation is
+    /// structurally sound and consistent with the planner's explanation,
+    /// and both planes — one pipeline — emit the same spans in the same
+    /// order.
     #[test]
     fn traced_answers_have_sound_shape(cfg in arb_config(), lo in 18i64..35, width in 1i64..20) {
         let mut instance = generate_instance(&cfg);
+        for c in 0..cfg.n_cities {
+            let city = Term::literal(format!("city{c}"));
+            instance.insert(&city, &Term::iri("locatedIn"), &Term::iri(format!("country{}", c % 3)));
+        }
         let q = AnalyticalQuery::parse(CLASSIFIER, MEASURE, AggFunc::Count, instance.dict_mut())
             .unwrap();
         let eq = ExtendedQuery::from_query(q);
-        let mut s = OlapSession::new(instance);
-
-        let (h, explained, trace) = s.answer_traced(eq.clone()).unwrap();
-        assert_trace_sound(&explained, &trace);
-        prop_assert!(trace.find("from_scratch").is_some());
-
         let dice = OlapOp::Dice {
             constraints: vec![("dage".into(), ValueSelector::IntRange { lo, hi: lo + width })],
         };
-        let (_, explained, trace) = s.transform_traced(h, &dice).unwrap();
-        assert_trace_sound(&explained, &trace);
-
-        // Re-asking the base query is a duplicate hit — still traced,
-        // still sound.
-        let (_, explained, trace) = s.answer_traced(eq).unwrap();
-        assert_trace_sound(&explained, &trace);
-        prop_assert!(trace.find("duplicate").is_some());
+        let serial = traced_operations(&mut OlapSession::new(instance.clone()), &eq, &dice);
+        let shared = traced_operations(&mut OlapSession::new(instance).into_shared(), &eq, &dice);
+        prop_assert_eq!(serial, shared);
     }
 }
 
