@@ -51,8 +51,12 @@ fn fmt(d: Duration) -> String {
     }
 }
 
+/// `slow ÷ fast` to two significant digits below 10, so that a loss reads
+/// as one ("0.31×") instead of rounding to "0×".
 fn speedup(slow: Duration, fast: Duration) -> String {
-    format!("{:.0}×", slow.as_secs_f64() / fast.as_secs_f64().max(1e-12))
+    let ratio = slow.as_secs_f64() / fast.as_secs_f64().max(1e-12);
+    let decimals = (1.0 - ratio.max(1e-6).log10().floor()).max(0.0) as usize;
+    format!("{ratio:.decimals$}×")
 }
 
 /// With `--metrics`, prints the global registry snapshot (and any
@@ -653,4 +657,21 @@ fn main() {
 
     println!("\nAll rewriting outputs in this report were verified cell-for-cell against");
     println!("from-scratch evaluation by the test suite (propositions 1–3 as property tests).");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn speedup_shows_losses_and_small_wins() {
+        let ms = Duration::from_millis;
+        // "slow" faster than "fast": a loss must not print as 0×.
+        assert_eq!(speedup(ms(31), ms(100)), "0.31×");
+        assert_eq!(speedup(ms(3), ms(100)), "0.030×");
+        assert_eq!(speedup(ms(42), ms(10)), "4.2×");
+        assert_eq!(speedup(ms(100), ms(100)), "1.0×");
+        assert_eq!(speedup(ms(1250), ms(100)), "12×");
+        assert_eq!(speedup(ms(21000), ms(100)), "210×");
+    }
 }

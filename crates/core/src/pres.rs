@@ -15,16 +15,51 @@
 //! nothing extra, and Equation 3 recovers `ans(Q)` from it:
 //! `ans(Q) = γ_{d₁…dₙ,⊕(v)}(π_{x,d₁…dₙ,v}(pres(Q)))`.
 //!
-//! Storage is columnar (`roots / dims / keys / values`), which keeps the
-//! projection-heavy rewriting algorithms cache-friendly and makes the `k`
-//! column a plain `u32` rather than a dictionary term.
+//! # The invariant
+//!
+//! A [`PartialResult`] is immutable columnar data (`roots / dims / keys /
+//! values`) whose rows are **strictly ascending on `(d₁…dₙ, root, key)`**
+//! from the moment it exists — group-major and duplicate-free, written
+//! once and only ever scanned. Three things follow:
+//!
+//! * every cube cell is one contiguous run of rows, so
+//!   [`PartialResult::to_cube`] is a run scan with no sort, and `ans(Q)` is
+//!   the run-length summary of `pres(Q)`;
+//! * a SLICE/DICE keeps or drops whole runs: it tests Σ once per cell (or
+//!   once per refused prefix of cells) and copies the admitted runs, order
+//!   intact;
+//! * two tables holding the same rows are equal column for column, which
+//!   is what the derived `PartialEq` compares.
+//!
+//! # One sort, one scan
+//!
+//! Rows enter a table in one way only. Whoever produces them — the
+//! classifier ⋈ measure join of [`PartialResult::compute`], or the π / ⋈ of
+//! a rewriting in [`crate::rewrite`] — pushes them into the crate-private
+//! `Records` buffer one *fact run* at a time: a fixed-width record
+//! `(d₁…dₙ, root)` plus the `(key, value)` tuples that fact carries in that
+//! cell (`pres` is a join on the root, so a fact brings the same tuples to
+//! every cell it belongs to, and a table has one run per fact and cell,
+//! not one per row). The kernel, `Records::into_pres`, then
+//!
+//! 1. sorts the records once, on a packed `u128` key — the first four ids
+//!    of `(dims, root)`, which is the whole key up to three dimensions —
+//!    and only within the segments that are not in order already: records
+//!    derived from a sorted table keep a sorted key prefix;
+//! 2. in one scan merges adjacent records of the same fact (δ) and appends
+//!    the surviving rows column-wise.
+//!
+//! Every derivation is therefore one sort plus one scan, over one record
+//! per fact run rather than per row, and no row ever owns a heap vector.
 
 use crate::answer::Cube;
 use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
 use rdfcube_engine::{evaluate, AggFunc, Semantics};
+use rdfcube_obs as obs;
 use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::{Dictionary, Graph, TermId};
+use std::ops::Range;
 
 /// One row of a partial result, viewed by reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +74,9 @@ pub struct PresRow<'a> {
     pub value: TermId,
 }
 
-/// The materialized `pres(Q, I)` table.
-#[derive(Debug, Clone)]
+/// The materialized `pres(Q, I)` table. Its rows are strictly ascending on
+/// `(d₁…dₙ, root, key)` — see the [module docs](self).
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialResult {
     dim_names: Vec<String>,
     agg: AggFunc,
@@ -52,89 +88,209 @@ pub struct PartialResult {
     values: Vec<TermId>,
 }
 
+/// Rows on their way into a [`PartialResult`], one record per pushed fact
+/// run, for [`Records::into_pres`] to sort and scan.
+#[derive(Debug)]
+pub(crate) struct Records {
+    n_dims: usize,
+    /// Flat records `[d₁…dₙ, root, start, len]`: a fact (as raw term ids)
+    /// and where its run sits in `tuples`.
+    heads: Vec<u32>,
+    /// `key‖value` of every pushed measure tuple, run after run.
+    tuples: Vec<u64>,
+}
+
+impl Records {
+    /// An empty buffer for facts of `n_dims` dimensions, sized for `rows`
+    /// measure tuples.
+    pub(crate) fn new(n_dims: usize, rows: usize) -> Self {
+        let (heads, tuples) = (Vec::new(), Vec::with_capacity(rows));
+        Records {
+            n_dims,
+            heads,
+            tuples,
+        }
+    }
+
+    /// Number of rows pushed so far.
+    pub(crate) fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// Appends one fact run: its `(key, value)` tuples, keys ascending,
+    /// under `dims` (the `n_dims` values this buffer was created for).
+    pub(crate) fn push(
+        &mut self,
+        dims: impl IntoIterator<Item = TermId>,
+        root: TermId,
+        measures: impl IntoIterator<Item = (u32, TermId)>,
+    ) {
+        // Offsets wrap past 2³² rows; `into_pres` refuses such a buffer
+        // before it reads any of them.
+        let start = self.tuples.len() as u32;
+        let tuples = measures.into_iter();
+        let tuples = tuples.map(|(k, v)| u64::from(k) << 32 | u64::from(v.0));
+        self.tuples.extend(tuples);
+        let len = (self.tuples.len() as u32).wrapping_sub(start);
+        self.heads.extend(dims.into_iter().map(|d| d.0));
+        self.heads.extend([root.0, start, len]);
+    }
+
+    /// The sort–scan kernel: sorts the records on `(dims, root)` and in one
+    /// scan merges the runs of adjacent equal facts (δ — a key determines
+    /// its measure value, so whole tuples compare) and appends the
+    /// surviving rows column-wise as a table that is born sorted.
+    pub(crate) fn into_pres(
+        self,
+        dim_names: Vec<String>,
+        agg: AggFunc,
+    ) -> Result<PartialResult, CoreError> {
+        let (n, stride, rows_in) = (self.n_dims, self.n_dims + 3, self.tuples.len());
+        if u32::try_from(rows_in).is_err() {
+            return Err(CoreError::InvalidOperation(
+                "a partial result of more than 2^32 − 1 rows".into(),
+            ));
+        }
+        let head = |i: u32| &self.heads[i as usize * stride..][..stride];
+        let run = |i: u32| &self.tuples[head(i)[n + 1] as usize..][..head(i)[n + 2] as usize];
+
+        // One sort, on a fixed-width packed key: the first four ids of
+        // `(dims, root)` in a `u128` — the whole fact up to three
+        // dimensions — with the rest of a wider fact breaking ties.
+        let sp = obs::span("sort");
+        let lanes = (n + 1).min(4);
+        let pack = |k: u128, id: &u32| k << 32 | u128::from(*id);
+        let pack = |i| head(i)[..lanes].iter().fold(0, pack);
+        let n_heads = (self.heads.len() / stride) as u32;
+        let mut order: Vec<(u128, u32)> = (0..n_heads).map(|i| (pack(i), i)).collect();
+        // Facts derived from a sorted table arrive with their leading key
+        // bits still in order (a drill-in keeps all of the old key, a
+        // drill-out the dimensions before the first removed one). `low` is
+        // the key width below the widest such prefix: equal prefixes are
+        // contiguous and ascending, so sorting each of those segments alone
+        // sorts the buffer.
+        let descents = order.windows(2).filter(|w| w[1].0 < w[0].0);
+        let low = descents.map(|w| u128::BITS - (w[0].0 ^ w[1].0).leading_zeros());
+        let low = low.max().unwrap_or(0);
+        let prefix = |h: &(u128, u32)| h.0.checked_shr(low).unwrap_or(0);
+        let rest = |h: &(u128, u32)| &head(h.1)[lanes..=n];
+        for segment in order.chunk_by_mut(|a, b| prefix(a) == prefix(b)) {
+            segment.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a).cmp(rest(b))));
+        }
+        sp.rows(u64::from(n_heads), u64::from(n_heads));
+        drop(sp);
+
+        let sp = obs::span("dedup");
+        let mut roots = Vec::with_capacity(rows_in);
+        let mut dims = Vec::with_capacity(rows_in * n);
+        let mut keys = Vec::with_capacity(rows_in);
+        let mut values = Vec::with_capacity(rows_in);
+        let mut merged: Vec<u64> = Vec::new();
+        for group in order.chunk_by(|a, b| a.0 == b.0 && rest(a) == rest(b)) {
+            let first = group[0].1;
+            let tuples = if group.iter().all(|h| run(h.1) == run(first)) {
+                run(first)
+            } else {
+                merged.clear();
+                merged.extend(group.iter().flat_map(|h| run(h.1)));
+                merged.sort_unstable();
+                merged.dedup();
+                &merged
+            };
+            for &tuple in tuples {
+                dims.extend(head(first)[..n].iter().map(|&d| TermId(d)));
+                roots.push(TermId(head(first)[n]));
+                keys.push((tuple >> 32) as u32);
+                values.push(TermId(tuple as u32));
+            }
+        }
+        let pres = PartialResult::from_columns(dim_names, agg, roots, dims, keys, values);
+        if sp.active() {
+            sp.rows(rows_in as u64, pres.len() as u64);
+            sp.bytes(pres.approx_bytes() as u64);
+        }
+        Ok(pres)
+    }
+}
+
 impl PartialResult {
+    /// The one constructor: takes the four columns as they are (less any
+    /// spare capacity — a table is never appended to) and checks, in debug
+    /// builds, that they satisfy the sort invariant.
+    fn from_columns(
+        dim_names: Vec<String>,
+        agg: AggFunc,
+        mut roots: Vec<TermId>,
+        mut dims: Vec<TermId>,
+        mut keys: Vec<u32>,
+        mut values: Vec<TermId>,
+    ) -> Self {
+        roots.shrink_to_fit();
+        dims.shrink_to_fit();
+        keys.shrink_to_fit();
+        values.shrink_to_fit();
+        let pres = PartialResult {
+            n_dims: dim_names.len(),
+            dim_names,
+            agg,
+            roots,
+            dims,
+            keys,
+            values,
+        };
+        debug_assert_eq!(pres.dims.len(), pres.len() * pres.n_dims);
+        debug_assert!(pres.keys.len() == pres.len() && pres.values.len() == pres.len());
+        let order = |i| (pres.dims_of(i), pres.roots[i], pres.keys[i]);
+        debug_assert!(
+            (1..pres.len()).all(|i| order(i - 1) < order(i)),
+            "pres rows must be strictly ascending on (dims, root, key)"
+        );
+        pres
+    }
+
     /// Computes `pres(Q, I)` for an extended query over `instance`.
     ///
     /// The classifier is evaluated under set semantics and filtered by Σ;
     /// the measure under bag semantics with keys assigned in enumeration
-    /// order (the paper's illustrative `newk()` returning 1, 2, 3…).
+    /// order (the paper's illustrative `newk()` returning 1, 2, 3…). The
+    /// joined rows go through the same sort–scan kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let c_rel = {
-            let sp = rdfcube_obs::span("classifier");
+            let sp = obs::span("classifier");
             let rel = eq.classifier_relation(instance)?;
             sp.rows(instance.len() as u64, rel.len() as u64);
             rel
         };
         let m_rel = {
-            let sp = rdfcube_obs::span("measure");
+            let sp = obs::span("measure");
             let rel = evaluate(instance, q.measure(), Semantics::Bag)?;
             sp.rows(instance.len() as u64, rel.len() as u64);
             rel
         };
 
-        let sp = rdfcube_obs::span("key_join");
-        // m^k(I): key every measure tuple, grouped by fact for the join.
-        let mut by_fact: FxHashMap<TermId, Vec<(u32, TermId)>> = FxHashMap::default();
-        for (i, row) in m_rel.rows().enumerate() {
-            let key = u32::try_from(i + 1).expect("more than 2^32 measure tuples");
-            by_fact.entry(row[0]).or_default().push((key, row[1]));
-        }
-
-        let n_dims = q.n_dims();
-        let mut pres = PartialResult {
-            dim_names: q.dim_names().iter().map(|s| s.to_string()).collect(),
-            agg: q.agg(),
-            n_dims,
-            roots: Vec::new(),
-            dims: Vec::new(),
-            keys: Vec::new(),
-            values: Vec::new(),
-        };
-        for c_row in c_rel.rows() {
-            let root = c_row[0];
-            let Some(measures) = by_fact.get(&root) else {
-                continue;
-            };
-            for &(key, value) in measures {
-                pres.roots.push(root);
-                pres.dims.extend_from_slice(&c_row[1..]);
-                pres.keys.push(key);
-                pres.values.push(value);
+        let records = {
+            let sp = obs::span("key_join");
+            // m^k(I): key every measure tuple, grouped by fact for the join.
+            let mut by_fact: FxHashMap<TermId, Vec<(u32, TermId)>> = FxHashMap::default();
+            for (i, row) in m_rel.rows().enumerate() {
+                let key = u32::try_from(i + 1).map_err(|_| {
+                    CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
+                })?;
+                by_fact.entry(row[0]).or_default().push((key, row[1]));
             }
-        }
-        if sp.active() {
-            sp.rows((c_rel.len() + m_rel.len()) as u64, pres.len() as u64);
-            sp.bytes(pres.approx_bytes() as u64);
-        }
-        Ok(pres)
-    }
-
-    /// Builds a partial result from raw rows (used by the rewriting
-    /// algorithms to emit the transformed query's pres as a byproduct).
-    pub fn from_rows(
-        dim_names: Vec<String>,
-        agg: AggFunc,
-        rows: impl IntoIterator<Item = (TermId, Vec<TermId>, u32, TermId)>,
-    ) -> Self {
-        let n_dims = dim_names.len();
-        let mut pres = PartialResult {
-            dim_names,
-            agg,
-            n_dims,
-            roots: Vec::new(),
-            dims: Vec::new(),
-            keys: Vec::new(),
-            values: Vec::new(),
+            let mut records = Records::new(q.n_dims(), c_rel.len());
+            for c_row in c_rel.rows() {
+                if let Some(measures) = by_fact.get(&c_row[0]) {
+                    let dims = c_row[1..].iter().copied();
+                    records.push(dims, c_row[0], measures.iter().copied());
+                }
+            }
+            sp.rows((c_rel.len() + m_rel.len()) as u64, records.len() as u64);
+            records
         };
-        for (root, dims, key, value) in rows {
-            debug_assert_eq!(dims.len(), n_dims);
-            pres.roots.push(root);
-            pres.dims.extend_from_slice(&dims);
-            pres.keys.push(key);
-            pres.values.push(value);
-        }
-        pres
+        let dim_names = q.dim_names().iter().map(|s| s.to_string()).collect();
+        records.into_pres(dim_names, q.agg())
     }
 
     /// The dimension names, in classifier-head order.
@@ -170,19 +326,46 @@ impl PartialResult {
         self.roots.is_empty()
     }
 
-    /// The `i`-th row.
+    fn dims_of(&self, i: usize) -> &[TermId] {
+        &self.dims[i * self.n_dims..(i + 1) * self.n_dims]
+    }
+
+    /// The `i`-th row, in `(dims, root, key)` order.
     pub fn row(&self, i: usize) -> PresRow<'_> {
         PresRow {
             root: self.roots[i],
-            dims: &self.dims[i * self.n_dims..(i + 1) * self.n_dims],
+            dims: self.dims_of(i),
             key: self.keys[i],
             value: self.values[i],
         }
     }
 
-    /// Iterates all rows.
+    /// Iterates all rows, in `(dims, root, key)` order.
     pub fn rows(&self) -> impl Iterator<Item = PresRow<'_>> {
         (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// The table's fact runs — the consecutive rows sharing `(dims, root)`:
+    /// one fact in one cell — as row ranges, in `(dims, root)` order.
+    pub(crate) fn facts(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = 0;
+        std::iter::from_fn(move || {
+            let root = *self.roots.get(start)?;
+            let same_root = self.roots[start..].iter().take_while(|&&r| r == root);
+            let mut end = start + same_root.count();
+            // Dimension vectors only ascend, so the rows under this root
+            // are one run iff the two ends agree on theirs.
+            if self.dims_of(end - 1) != self.dims_of(start) {
+                end = self.block_end(start, self.n_dims);
+            }
+            Some(std::mem::replace(&mut start, end)..end)
+        })
+    }
+
+    /// The `(key, value)` tuples of the rows in `run`.
+    pub(crate) fn measures(&self, run: Range<usize>) -> impl Iterator<Item = (u32, TermId)> + '_ {
+        let (keys, values) = (&self.keys[run.clone()], &self.values[run]);
+        keys.iter().copied().zip(values.iter().copied())
     }
 
     /// Approximate memory footprint in bytes (reported by the benchmarks
@@ -211,57 +394,81 @@ impl PartialResult {
         counts
     }
 
+    /// The end of the block of rows sharing row `start`'s first `shared`
+    /// dimension values. The sort order makes the block a contiguous prefix
+    /// of `start..`, so it is found by galloping: a block of `b` rows costs
+    /// `O(log b)` probes, however many cells it spans.
+    fn block_end(&self, start: usize, shared: usize) -> usize {
+        let key = &self.dims_of(start)[..shared];
+        let same = |i: usize| self.dims_of(i)[..shared] == *key;
+        let mut step = 1;
+        while start + step < self.len() && same(start + step) {
+            step *= 2;
+        }
+        let (mut inside, mut end) = (start + step / 2, self.len().min(start + step));
+        while inside + 1 < end {
+            let mid = inside + (end - inside) / 2;
+            if same(mid) {
+                inside = mid;
+            } else {
+                end = mid;
+            }
+        }
+        end
+    }
+
+    /// The Σ-selection of the table. `refused_at` names the first dimension
+    /// whose value Σ refuses in a dimension vector, or `None` to admit it:
+    /// an admitted cell is copied column by column, a refused one is
+    /// skipped together with every cell that shares the refused prefix. The
+    /// result is sorted because `self` is.
+    pub(crate) fn select_cells(
+        &self,
+        mut refused_at: impl FnMut(&[TermId]) -> Option<usize>,
+    ) -> Self {
+        let n = self.n_dims;
+        let (mut roots, mut dims, mut keys, mut values) = (vec![], vec![], vec![], vec![]);
+        let mut start = 0;
+        while start < self.len() {
+            let refused = refused_at(self.dims_of(start));
+            let end = self.block_end(start, refused.map_or(n, |d| d + 1));
+            if refused.is_none() {
+                roots.extend_from_slice(&self.roots[start..end]);
+                dims.extend_from_slice(&self.dims[start * n..end * n]);
+                keys.extend_from_slice(&self.keys[start..end]);
+                values.extend_from_slice(&self.values[start..end]);
+            }
+            start = end;
+        }
+        Self::from_columns(self.dim_names.clone(), self.agg, roots, dims, keys, values)
+    }
+
     /// Equation 3: recovers `ans(Q)` from the partial result by grouping on
     /// the dimension columns (the projection keeps duplicates — bag
     /// semantics — so repeated measure values aggregate correctly).
     ///
-    /// Sort-based: a row permutation is sorted by dimension vector and the
-    /// runs scanned with one reusable bag buffer — no hash map of per-group
-    /// value bags, and cells emerge already in canonical key order.
+    /// A run scan, with no sort: the invariant already clusters each cell's
+    /// rows, its bag is a slice of the value column, and cells emerge in
+    /// canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
-        let n = self.n_dims;
-        let rows = self.len();
-        let sp = rdfcube_obs::span("group_aggregate");
+        let sp = obs::span("group_aggregate");
         let mut cells = Vec::new();
-        if rows > 0 {
-            let dims_of = |i: usize| &self.dims[i * n..(i + 1) * n];
-            let mut perm: Vec<u32> = (0..rows as u32).collect();
-            perm.sort_unstable_by(|&a, &b| {
-                dims_of(a as usize).cmp(dims_of(b as usize)).then(a.cmp(&b))
-            });
-            let mut bag: Vec<TermId> = Vec::new();
-            let mut start = 0usize;
-            while start < rows {
-                let key = dims_of(perm[start] as usize);
-                bag.clear();
-                let mut end = start;
-                while end < rows && dims_of(perm[end] as usize) == key {
-                    bag.push(self.values[perm[end] as usize]);
-                    end += 1;
-                }
-                cells.push((key.to_vec(), self.agg.apply(&bag, dict)?));
-                start = end;
-            }
+        let mut start = 0;
+        while start < self.len() {
+            let end = self.block_end(start, self.n_dims);
+            let bag = &self.values[start..end];
+            cells.push((self.dims_of(start).to_vec(), self.agg.apply(bag, dict)?));
+            start = end;
         }
-        sp.rows(rows as u64, cells.len() as u64);
+        sp.rows(self.len() as u64, cells.len() as u64);
         drop(sp);
-        let sp = rdfcube_obs::span("cube_build");
+        let sp = obs::span("cube_build");
         let cube = Cube::from_cells(self.dim_names.clone(), self.agg, cells);
         if sp.active() {
             sp.rows(cube.len() as u64, cube.len() as u64);
             sp.bytes(cube.approx_bytes() as u64);
         }
         Ok(cube)
-    }
-
-    /// Canonical sorted row list for test comparisons.
-    pub fn sorted_rows(&self) -> Vec<(TermId, Vec<TermId>, u32, TermId)> {
-        let mut rows: Vec<(TermId, Vec<TermId>, u32, TermId)> = self
-            .rows()
-            .map(|r| (r.root, r.dims.to_vec(), r.key, r.value))
-            .collect();
-        rows.sort_unstable();
-        rows
     }
 }
 
@@ -404,17 +611,63 @@ mod tests {
         let pres = PartialResult::compute(&eq, &g).unwrap();
         // Ages {28, 35}; cities {Madrid, NY}.
         assert_eq!(pres.dim_distinct_counts(), vec![2, 2]);
-        let empty = PartialResult::from_rows(vec!["d".into()], AggFunc::Count, vec![]);
+        let empty = Records::new(1, 0)
+            .into_pres(vec!["d".into()], AggFunc::Count)
+            .unwrap();
         assert_eq!(empty.dim_distinct_counts(), vec![0]);
     }
 
+    /// The kernel on both record forms: fact runs pushed out of order, one
+    /// of them twice and one split in two overlapping halves, come out
+    /// strictly ascending on `(dims, root, key)`, every row once.
     #[test]
-    fn from_rows_round_trips() {
-        let rows = vec![
-            (TermId(1), vec![TermId(10)], 1u32, TermId(20)),
-            (TermId(2), vec![TermId(11)], 2u32, TermId(21)),
-        ];
-        let pres = PartialResult::from_rows(vec!["d".into()], AggFunc::Count, rows.clone());
-        assert_eq!(pres.sorted_rows(), rows);
+    fn kernel_sorts_and_deduplicates_packed_and_wide_records() {
+        for n_dims in [0usize, 1, 3, 4, 6] {
+            let names: Vec<String> = (0..n_dims).map(|d| format!("d{d}")).collect();
+            let dims = |first: u32| (0..n_dims as u32).map(move |d| TermId(first + d));
+            let mut records = Records::new(n_dims, 8);
+            records.push(dims(9), TermId(2), [(6, TermId(60)), (7, TermId(70))]);
+            records.push(dims(9), TermId(1), [(8, TermId(80))]);
+            records.push(dims(5), TermId(3), [(9, TermId(90))]);
+            records.push(dims(9), TermId(2), [(6, TermId(60)), (7, TermId(70))]);
+            records.push(dims(9), TermId(4), [(1, TermId(10)), (3, TermId(30))]);
+            records.push(dims(9), TermId(4), [(2, TermId(20)), (3, TermId(30))]);
+            assert_eq!(records.len(), 10);
+            let pres = records.into_pres(names.clone(), AggFunc::Count).unwrap();
+            let got: Vec<(Vec<TermId>, u32, u32, u32)> = pres
+                .rows()
+                .map(|r| (r.dims.to_vec(), r.root.0, r.key, r.value.0))
+                .collect();
+            let d = |first: u32| dims(first).collect::<Vec<_>>();
+            let mut want = vec![
+                (d(5), 3, 9, 90),
+                (d(9), 1, 8, 80),
+                (d(9), 2, 6, 60),
+                (d(9), 2, 7, 70),
+                (d(9), 4, 1, 10),
+                (d(9), 4, 2, 20),
+                (d(9), 4, 3, 30),
+            ];
+            want.sort();
+            assert_eq!(got, want, "{n_dims} dims");
+
+            // Arrival order is not part of a table's identity, and the
+            // table's own fact runs rebuild it.
+            let mut again = Records::new(n_dims, pres.len());
+            let facts: Vec<_> = pres.facts().collect();
+            for run in facts.into_iter().rev() {
+                let f = pres.row(run.start);
+                again.push(f.dims.iter().copied(), f.root, pres.measures(run));
+            }
+            assert_eq!(again.into_pres(names, AggFunc::Count).unwrap(), pres);
+        }
+    }
+
+    #[test]
+    fn compute_returns_rows_in_group_major_order() {
+        let (g, eq) = example_2_setup();
+        let pres = PartialResult::compute(&eq, &g).unwrap();
+        let order: Vec<_> = pres.rows().map(|r| (r.dims, r.root, r.key)).collect();
+        assert!(order.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -14,6 +14,16 @@
 //! a byproduct, so chains of OLAP operations never touch the instance again
 //! (except for the drill-in auxiliary query, by necessity).
 //!
+//! Every `pres(Q)` is born sorted on `(d₁…dₙ, root, key)` (the invariant
+//! documented in [`crate::pres`]), and every rewriting over it has the same
+//! shape: **one sort plus one scan**. The algorithm's π or ⋈ pushes what
+//! it makes of each fact run — the rows one fact contributes to one cell —
+//! as a fixed-width record, the kernel in `pres.rs` sorts those records
+//! once and merges adjacent duplicates (δ) while appending the new,
+//! already sorted `pres(Q_T)`, and γ is the run scan of
+//! [`PartialResult::to_cube`]. SLICE/DICE needs no sort at all: it keeps
+//! or drops whole runs of cells.
+//!
 //! [`drill_out_from_ans`] implements the *incorrect* shortcut the paper
 //! warns against in Example 5 — re-aggregating already-aggregated cells —
 //! kept (clearly labeled) so the benchmarks can quantify how wrong it gets
@@ -24,11 +34,13 @@ use crate::anq::AnalyticalQuery;
 use crate::answer::Cube;
 use crate::aux_query::build_aux_query;
 use crate::error::CoreError;
-use crate::extended::{ExtendedQuery, Sigma};
-use crate::pres::PartialResult;
+use crate::extended::{CompiledSelector, ExtendedQuery, Sigma};
+use crate::pres::{PartialResult, PresRow, Records};
 use rdfcube_engine::{evaluate, AggFunc, AggValue, Semantics, VarId};
-use rdfcube_rdf::fx::{FxHashMap, FxHashSet};
+use rdfcube_obs as obs;
+use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::{Dictionary, Graph, TermId};
+use std::ops::Range;
 
 /// Baseline: evaluates the transformed query from scratch on the instance
 /// (what a system without the paper's rewritings must do).
@@ -63,16 +75,42 @@ pub fn dice_from_ans(ans: &Cube, new_sigma: &Sigma, dict: &Dictionary) -> Cube {
 
 /// The SLICE/DICE counterpart on partial results: `pres(Q_DICE)` is the
 /// Σ-selected subset of `pres(Q)` (same keys), letting a session keep the
-/// pres cache warm across slice/dice chains.
+/// pres cache warm across slice/dice chains. An order-preserving columnar
+/// filter: Σ is tested once per cell, admitted runs are copied whole, and a
+/// refused value takes every cell under the same prefix with it.
 pub fn dice_pres(pres: &PartialResult, new_sigma: &Sigma, dict: &Dictionary) -> PartialResult {
-    let compiled = new_sigma.compile(dict);
-    PartialResult::from_rows(
-        pres.dim_names().to_vec(),
-        pres.agg(),
-        pres.rows()
-            .filter(|r| compiled.admits(r.dims, dict))
-            .map(|r| (r.root, r.dims.to_vec(), r.key, r.value)),
-    )
+    let sp = obs::span("dice_pres");
+    let selectors: Vec<_> = new_sigma
+        .selectors()
+        .iter()
+        .map(|s| s.compile(dict))
+        .collect();
+    let refused = |(sel, &id): (&CompiledSelector, &TermId)| !sel.admits(id, dict);
+    let diced = pres.select_cells(|dims| selectors.iter().zip(dims).position(refused));
+    sp.rows(pres.len() as u64, diced.len() as u64);
+    diced
+}
+
+/// The shape every `pres`-based rewriting shares: `emit` pushes what the
+/// algorithm's π or ⋈ makes of each fact run of `pres(Q)`, the kernel sorts
+/// and deduplicates those records into `pres(Q_T)`, and the run-length
+/// summary of that table is `ans(Q_T)`.
+fn sort_scan(
+    pres: &PartialResult,
+    dim_names: Vec<String>,
+    dict: &Dictionary,
+    mut emit: impl FnMut(&mut Records, PresRow<'_>, Range<usize>),
+) -> Result<(Cube, PartialResult), CoreError> {
+    let sp = obs::span("project");
+    let mut records = Records::new(dim_names.len(), pres.len());
+    for run in pres.facts() {
+        emit(&mut records, pres.row(run.start), run);
+    }
+    sp.rows(pres.len() as u64, records.len() as u64);
+    drop(sp);
+    let new_pres = records.into_pres(dim_names, pres.agg())?;
+    let cube = new_pres.to_cube(dict)?;
+    Ok((cube, new_pres))
 }
 
 /// Algorithm 1 (generalized to a set of removed dimensions): answers a
@@ -85,7 +123,8 @@ pub fn dice_pres(pres: &PartialResult, new_sigma: &Sigma, dict: &Dictionary) -> 
 /// 3. γ — group by the surviving dimensions and re-aggregate.
 ///
 /// Returns `(ans(Q_DRILL-OUT), pres(Q_DRILL-OUT))` — the deduplicated table
-/// *is* the new partial result.
+/// *is* the new partial result. π pushes one record per fact run, δ is the
+/// kernel's sort + adjacent-duplicate scan, γ the run scan over its output.
 pub fn drill_out_from_pres(
     pres: &PartialResult,
     removed: &[usize],
@@ -102,44 +141,11 @@ pub fn drill_out_from_pres(
     let kept: Vec<usize> = (0..n).filter(|i| !removed.contains(i)).collect();
     let dim_names: Vec<String> = kept.iter().map(|&i| pres.dim_names()[i].clone()).collect();
 
-    // π + δ sort-based: order a row permutation by (root, kept dims, k) so
-    // duplicates become adjacent, then keep each run's first row — no hash
-    // set of freshly allocated (root, dims, k) tuples per input row. The
-    // measure value is functionally determined by (root, k), so it need not
-    // join the key.
-    let mut perm: Vec<u32> = (0..pres.len() as u32).collect();
-    perm.sort_unstable_by(|&a, &b| {
-        let ra = pres.row(a as usize);
-        let rb = pres.row(b as usize);
-        ra.root
-            .cmp(&rb.root)
-            .then_with(|| {
-                kept.iter()
-                    .map(|&i| ra.dims[i])
-                    .cmp(kept.iter().map(|&i| rb.dims[i]))
-            })
-            .then(ra.key.cmp(&rb.key))
-            .then(a.cmp(&b))
-    });
-    let mut rows: Vec<(TermId, Vec<TermId>, u32, TermId)> = Vec::new();
-    for (idx, &pi) in perm.iter().enumerate() {
-        let r = pres.row(pi as usize);
-        let duplicate = idx > 0 && {
-            let p = pres.row(perm[idx - 1] as usize);
-            p.root == r.root && p.key == r.key && kept.iter().all(|&i| p.dims[i] == r.dims[i])
-        };
-        if !duplicate {
-            rows.push((
-                r.root,
-                kept.iter().map(|&i| r.dims[i]).collect(),
-                r.key,
-                r.value,
-            ));
-        }
-    }
-    let new_pres = PartialResult::from_rows(dim_names, pres.agg(), rows);
-    let cube = new_pres.to_cube(dict)?;
-    Ok((cube, new_pres))
+    // π: the kept columns of every fact; the kernel's δ then collapses the
+    // facts a removed multi-valued dimension had kept apart.
+    sort_scan(pres, dim_names, dict, |records, f, run| {
+        records.push(kept.iter().map(|&i| f.dims[i]), f.root, pres.measures(run));
+    })
 }
 
 /// The **incorrect** ans-based drill-out of Example 5: re-aggregates the
@@ -241,77 +247,54 @@ pub fn drill_in_from_pres(
     instance: &Graph,
 ) -> Result<(Cube, PartialResult), CoreError> {
     let c = original.classifier();
-    let aux = build_aux_query(c, new_var)?;
-    let aux_rel = evaluate(instance, &aux, Semantics::Set)?;
-
-    // The join columns are q_aux's head minus the trailing new dimension.
-    // Map each to its pres column: position 0 of the classifier head is the
-    // root, position i>0 is dimension i-1.
-    let shared = &aux.head()[..aux.head().len() - 1];
-    let mut pres_cols: Vec<usize> = Vec::with_capacity(shared.len()); // 0 = root, i+1 = dim i
-    for v in shared {
-        let pos = c
-            .head()
-            .iter()
-            .position(|h| h == v)
-            .expect("aux head vars are classifier-distinguished by construction");
-        pres_cols.push(pos);
+    if c.head().len() != pres.n_dims() + 1 {
+        return Err(CoreError::InvalidOperation(format!(
+            "a {}-dimensional pres does not belong to a classifier with {} dimensions",
+            pres.n_dims(),
+            c.head().len() - 1
+        )));
     }
+    let aux = build_aux_query(c, new_var)?;
+    // The hash side is the (small) auxiliary answer, keyed by its
+    // shared-variable prefix; rows with equal keys are chained through
+    // `next`, so neither building nor probing allocates per key or per row.
+    let sp = obs::span("aux_eval");
+    let aux_rel = evaluate(instance, &aux, Semantics::Set)?;
+    let k = aux.head().len() - 1;
+    let mut first: FxHashMap<&[TermId], usize> = FxHashMap::default();
+    let mut next: Vec<Option<usize>> = Vec::with_capacity(aux_rel.len());
+    for (i, row) in aux_rel.rows().enumerate() {
+        next.push(first.insert(&row[..k], i));
+    }
+    sp.rows(instance.len() as u64, aux_rel.len() as u64);
+    drop(sp);
+
+    // The join columns are q_aux's head minus the trailing new dimension —
+    // classifier-distinguished variables, in classifier-head order. Map
+    // each to its pres column: position 0 of the classifier head is the
+    // root, position i>0 is dimension i-1.
+    let shared = |pos: &usize| aux.head()[..k].contains(&c.head()[*pos]);
+    let pres_cols: Vec<usize> = (0..c.head().len()).filter(shared).collect();
 
     let mut dim_names: Vec<String> = pres.dim_names().to_vec();
     dim_names.push(c.vars().name(new_var).to_string());
 
-    // One output row per (pres row, matching new-dimension value).
-    fn emit(
-        r: &crate::pres::PresRow<'_>,
-        new_values: &[TermId],
-        rows: &mut Vec<(TermId, Vec<TermId>, u32, TermId)>,
-    ) {
-        for &nv in new_values {
-            let mut dims = Vec::with_capacity(r.dims.len() + 1);
-            dims.extend_from_slice(r.dims);
-            dims.push(nv);
-            rows.push((r.root, dims, r.key, r.value));
+    // One output fact per (pres fact, matching new-dimension value); the
+    // chains are probed once per fact, through one reused key buffer.
+    let mut key: Vec<TermId> = Vec::with_capacity(k);
+    sort_scan(pres, dim_names, instance.dict(), |records, f, run| {
+        key.clear();
+        key.extend(pres_cols.iter().map(|&pos| match pos {
+            0 => f.root,
+            _ => f.dims[pos - 1],
+        }));
+        let mut at = first.get(key.as_slice()).copied();
+        while let Some(i) = at {
+            let dims = f.dims.iter().copied().chain([aux_rel.row(i)[k]]);
+            records.push(dims, f.root, pres.measures(run.clone()));
+            at = next[i];
         }
-    }
-
-    // Build the hash side from the (small) auxiliary answer: key = shared
-    // var values, payload = new-dimension values. The overwhelmingly common
-    // join key is a single column (the root, or one dimension), which probes
-    // a plain `TermId`-keyed map with no per-row key buffer at all.
-    let mut rows: Vec<(TermId, Vec<TermId>, u32, TermId)> = Vec::new();
-    if let [pos] = pres_cols.as_slice() {
-        let pos = *pos;
-        let mut table: FxHashMap<TermId, Vec<TermId>> = FxHashMap::default();
-        for row in aux_rel.rows() {
-            table.entry(row[0]).or_default().push(row[1]);
-        }
-        for r in pres.rows() {
-            let k = if pos == 0 { r.root } else { r.dims[pos - 1] };
-            if let Some(new_values) = table.get(&k) {
-                emit(&r, new_values, &mut rows);
-            }
-        }
-    } else {
-        let mut table: FxHashMap<Vec<TermId>, Vec<TermId>> = FxHashMap::default();
-        for row in aux_rel.rows() {
-            let key: Vec<TermId> = row[..shared.len()].to_vec();
-            table.entry(key).or_default().push(row[shared.len()]);
-        }
-        let mut key: Vec<TermId> = Vec::with_capacity(pres_cols.len());
-        for r in pres.rows() {
-            key.clear();
-            for &pos in &pres_cols {
-                key.push(if pos == 0 { r.root } else { r.dims[pos - 1] });
-            }
-            if let Some(new_values) = table.get(&key) {
-                emit(&r, new_values, &mut rows);
-            }
-        }
-    }
-    let new_pres = PartialResult::from_rows(dim_names, pres.agg(), rows);
-    let cube = new_pres.to_cube(instance.dict())?;
-    Ok((cube, new_pres))
+    })
 }
 
 /// **Extension** — ROLL-UP from `pres(Q)`: coarsens dimension `dim_idx` by
@@ -338,23 +321,25 @@ pub fn roll_up_from_pres(
     let mut dim_names = pres.dim_names().to_vec();
     dim_names[dim_idx] = coarse_dim_name.to_string();
 
-    // Join each row's fine value with its coarse parents, then δ on
-    // (root, dims, k): two fine values with the same parent must not make
-    // the fact count twice in the coarse cell.
-    let mut seen: FxHashSet<(TermId, Vec<TermId>, u32)> = FxHashSet::default();
-    let mut rows: Vec<(TermId, Vec<TermId>, u32, TermId)> = Vec::new();
-    for r in pres.rows() {
-        for coarse in instance.objects(r.dims[dim_idx], via) {
-            let mut dims = r.dims.to_vec();
-            dims[dim_idx] = coarse;
-            if seen.insert((r.root, dims.clone(), r.key)) {
-                rows.push((r.root, dims, r.key, r.value));
-            }
+    // Join each fact's fine value with its coarse parents, probing the
+    // instance once per distinct fine value. Two fine values with the same
+    // parent must not make the fact count twice in the coarse cell: the
+    // kernel's δ on (dims, root, k) sees to that.
+    let mut parents: FxHashMap<TermId, Range<usize>> = FxHashMap::default();
+    let mut coarse: Vec<TermId> = Vec::new();
+    sort_scan(pres, dim_names, instance.dict(), |records, f, run| {
+        let fine = f.dims[dim_idx];
+        let range = parents.entry(fine).or_insert_with(|| {
+            let start = coarse.len();
+            coarse.extend(instance.objects(fine, via));
+            start..coarse.len()
+        });
+        for &parent in &coarse[range.clone()] {
+            let dims = f.dims.iter().enumerate();
+            let dims = dims.map(|(i, &d)| if i == dim_idx { parent } else { d });
+            records.push(dims, f.root, pres.measures(run.clone()));
         }
-    }
-    let new_pres = PartialResult::from_rows(dim_names, pres.agg(), rows);
-    let cube = new_pres.to_cube(instance.dict())?;
-    Ok((cube, new_pres))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +353,7 @@ pub fn roll_up_from_pres(
 // of its algorithm:
 //
 // * σ_dice scans `ans(Q)` cells once;
-// * Algorithm 1 sorts `pres(Q)` twice (δ, then γ);
+// * Algorithm 1 projects `pres(Q)`, sorts it once (δ) and scans it (γ);
 // * Algorithm 2 evaluates q_aux on the instance, then joins + sorts;
 // * from-scratch evaluates both BGPs on the instance, joins, and sorts.
 
@@ -385,7 +370,8 @@ pub fn dice_cost(ans_cells: usize) -> f64 {
 }
 
 /// Estimated cost of Algorithm 1 over a `pres(Q)` of `pres_rows` rows:
-/// π is linear, δ and γ are sort-based.
+/// π is linear, δ is one sort and γ a run scan (the factor predates that
+/// and is the cost-model pass's to refit).
 pub fn drill_out_cost(pres_rows: usize) -> f64 {
     2.0 * sort_cost(pres_rows)
 }
@@ -531,7 +517,7 @@ mod tests {
         // Same rows as computing pres(Q_DICE) from the instance (keys are
         // assigned identically because the measure is untouched).
         let recomputed = PartialResult::compute(&diced, &g).unwrap();
-        assert_eq!(filtered.sorted_rows(), recomputed.sorted_rows());
+        assert_eq!(filtered, recomputed);
     }
 
     /// Example 5's scenario, concrete: x is multi-valued along the removed
@@ -816,6 +802,38 @@ mod tests {
         let via = g.dict_mut().encode_iri("locatedIn");
         assert!(matches!(
             apply_roll_up_encoded(&eq, "d", via),
+            Err(CoreError::InvalidOperation(_))
+        ));
+    }
+
+    /// A `pres` that does not belong to `original` is a typed error, not an
+    /// out-of-bounds panic while mapping join columns to pres columns.
+    #[test]
+    fn drill_in_rejects_a_pres_of_another_query() {
+        let mut g = blog_instance();
+        let narrow = ExtendedQuery::from_query(
+            AnalyticalQuery::parse(
+                "c(?x, ?dage) :- ?x rdf:type Blogger, ?x hasAge ?dage",
+                "m(?x, ?vwords) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p hasWordCount ?vwords",
+                AggFunc::Avg,
+                g.dict_mut(),
+            )
+            .unwrap(),
+        );
+        let narrow_pres = PartialResult::compute(&narrow, &g).unwrap();
+        // `original`'s auxiliary query joins on ?dcity — a column the
+        // 1-dimensional pres does not have.
+        let wide = AnalyticalQuery::parse(
+            "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, \
+             ?x livesIn ?dcity, ?dcity locatedIn ?country",
+            "m(?x, ?vwords) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p hasWordCount ?vwords",
+            AggFunc::Avg,
+            g.dict_mut(),
+        )
+        .unwrap();
+        let country = wide.classifier().vars().id("country").unwrap();
+        assert!(matches!(
+            drill_in_from_pres(&wide, &narrow_pres, country, &g),
             Err(CoreError::InvalidOperation(_))
         ));
     }

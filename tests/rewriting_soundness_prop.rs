@@ -328,3 +328,192 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// `pres`-level soundness: the partial result every rewriting returns — not
+// only the cells aggregated from it — is the one from-scratch evaluation of
+// the transformed query would materialize, row for row and in the same
+// order, so that chains of operations keep deriving from sound inputs.
+
+use rdfcube::core::olap::apply_roll_up_encoded;
+
+/// Three dimensions, the last (the posts) multi-valued, so that a *middle*
+/// dimension exists to drill out of.
+const CLASSIFIER3: &str = "c(?x, ?dage, ?dcity, ?dpost) :- ?x rdf:type Blogger, \
+     ?x hasAge ?dage, ?x livesIn ?dcity, ?x wrotePost ?dpost";
+
+/// A blogger world with a `city → country` hierarchy for ROLL-UP to follow
+/// (two cities in three get a second parent).
+fn world_with_countries(cfg: &BloggerConfig) -> Graph {
+    let mut instance = generate_instance(cfg);
+    for c in 0..cfg.n_cities {
+        let city = Term::literal(format!("city{c}"));
+        for k in 0..1 + usize::from(c % 3 != 0) {
+            let country = Term::iri(format!("country{}", (c + k) % 3));
+            instance.insert(&city, &Term::iri("locatedIn"), &country);
+        }
+    }
+    instance
+}
+
+fn query_over(instance: &mut Graph, classifier: &str, agg: AggFunc) -> ExtendedQuery {
+    ExtendedQuery::from_query(
+        AnalyticalQuery::parse(classifier, MEASURE, agg, instance.dict_mut()).unwrap(),
+    )
+}
+
+/// The invariant of `crates/core/src/pres.rs`: rows strictly ascending on
+/// `(d₁…dₙ, root, key)`.
+fn assert_born_sorted(pres: &PartialResult, what: &str) {
+    let order: Vec<_> = pres.rows().map(|r| (r.dims, r.root, r.key)).collect();
+    assert!(
+        order.windows(2).all(|w| w[0] < w[1]),
+        "{what}: pres rows are not strictly ascending on (dims, root, key)"
+    );
+}
+
+/// `derived` holds exactly the rows of `pres(target)` computed on the
+/// instance, in the same order (dimension names aside: ROLL-UP's callers
+/// name the coarse dimension themselves).
+fn assert_is_pres_of(
+    derived: &PartialResult,
+    target: &ExtendedQuery,
+    instance: &Graph,
+    what: &str,
+) {
+    let recomputed = PartialResult::compute(target, instance).unwrap();
+    assert_born_sorted(derived, what);
+    assert_born_sorted(&recomputed, what);
+    assert_eq!(derived.agg(), recomputed.agg(), "{what}");
+    assert_eq!(derived.len(), recomputed.len(), "{what}: row counts differ");
+    assert!(
+        derived.rows().eq(recomputed.rows()),
+        "{what}: derived pres differs from pres(Q_T) computed on the instance"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+
+    /// SLICE/DICE and DRILL-OUT — each single dimension (first, middle,
+    /// last), a pair, and all of them down to the 0-dimensional cube —
+    /// return the partial result of the transformed query.
+    #[test]
+    fn sigma_and_drill_out_return_the_transformed_pres(
+        cfg in arb_config(0.0f64..0.6),
+        agg in arb_agg(),
+        lo in 18i64..40,
+        width in 0i64..12,
+    ) {
+        let mut instance = generate_instance(&cfg);
+        let eq = query_over(&mut instance, CLASSIFIER3, agg);
+        let pres = PartialResult::compute(&eq, &instance).unwrap();
+        assert_born_sorted(&pres, "compute");
+
+        let dices = [
+            OlapOp::Slice { dim: "dage".into(), value: Term::integer(lo) },
+            OlapOp::Dice {
+                constraints: vec![("dage".into(), ValueSelector::IntRange { lo, hi: lo + width })],
+            },
+            OlapOp::Dice {
+                constraints: vec![
+                    ("dcity".into(), ValueSelector::OneOf(vec![Term::literal("city0"), Term::literal("city2")])),
+                    ("dage".into(), ValueSelector::IntRange { lo: 18, hi: lo }),
+                ],
+            },
+        ];
+        for op in &dices {
+            let target = rdfcube::apply(&eq, op).unwrap();
+            let diced = rewrite::dice_pres(&pres, target.sigma(), instance.dict());
+            assert_is_pres_of(&diced, &target, &instance, &format!("{op:?}"));
+            prop_assert_eq!(diced, PartialResult::compute(&target, &instance).unwrap());
+        }
+
+        for removed in [vec![0usize], vec![1], vec![2], vec![0, 2], vec![0, 1, 2]] {
+            let dims = removed.iter().map(|&i| eq.query().dim_names()[i].to_string()).collect();
+            let target = rdfcube::apply(&eq, &OlapOp::DrillOut { dims }).unwrap();
+            let (cube, derived) =
+                rewrite::drill_out_from_pres(&pres, &removed, instance.dict()).unwrap();
+            assert_is_pres_of(&derived, &target, &instance, &format!("drill-out {removed:?}"));
+            prop_assert!(cube.same_cells(&rewrite::from_scratch(&target, &instance).unwrap()));
+            prop_assert!(cube.same_cells(&derived.to_cube(instance.dict()).unwrap()));
+        }
+    }
+
+    /// DRILL-IN and ROLL-UP return the partial result of the transformed
+    /// query (its keys coincide with from-scratch keys because the measure
+    /// is untouched).
+    #[test]
+    fn drill_in_and_roll_up_return_the_transformed_pres(
+        cfg in arb_config(0.0f64..0.6),
+        agg in arb_agg(),
+    ) {
+        let mut instance = world_with_countries(&cfg);
+        let eq = query_over(&mut instance, CLASSIFIER, agg);
+        let pres = PartialResult::compute(&eq, &instance).unwrap();
+
+        let p = eq.query().classifier().vars().id("p").unwrap();
+        let target = rdfcube::apply(&eq, &OlapOp::DrillIn { var: "p".into() }).unwrap();
+        let (_, derived) = rewrite::drill_in_from_pres(eq.query(), &pres, p, &instance).unwrap();
+        assert_is_pres_of(&derived, &target, &instance, "drill-in");
+
+        let via = instance.dict().iri_id("locatedIn").unwrap();
+        let target = apply_roll_up_encoded(&eq, "dcity", via).unwrap();
+        let (cube, derived) =
+            rewrite::roll_up_from_pres(&pres, 1, via, "dcountry", &instance).unwrap();
+        assert_is_pres_of(&derived, &target, &instance, "roll-up");
+        let scratch = rewrite::from_scratch(&target, &instance).unwrap();
+        prop_assert_eq!(cube.cells(), scratch.cells());
+    }
+
+    /// Second-generation derivations off the *returned* partial results —
+    /// a drill-out of a dice, a drill-in of a drill-out, a roll-up of a
+    /// drill-in — still equal from-scratch evaluation, cells and rows.
+    #[test]
+    fn derivations_compose_over_returned_pres(
+        cfg in arb_config(0.0f64..0.6),
+        agg in arb_agg(),
+        lo in 18i64..40,
+        width in 0i64..12,
+    ) {
+        let mut instance = world_with_countries(&cfg);
+        let eq = query_over(&mut instance, CLASSIFIER, agg);
+        let pres = PartialResult::compute(&eq, &instance).unwrap();
+        let dict = instance.dict();
+        let drill_out_city = OlapOp::DrillOut { dims: vec!["dcity".into()] };
+
+        // DRILL-OUT of a DICE.
+        let dice = OlapOp::Dice {
+            constraints: vec![("dage".into(), ValueSelector::IntRange { lo, hi: lo + width })],
+        };
+        let diced_q = rdfcube::apply(&eq, &dice).unwrap();
+        let diced = rewrite::dice_pres(&pres, diced_q.sigma(), dict);
+        let target = rdfcube::apply(&diced_q, &drill_out_city).unwrap();
+        let (cube, derived) = rewrite::drill_out_from_pres(&diced, &[1], dict).unwrap();
+        prop_assert!(cube.same_cells(&rewrite::from_scratch(&target, &instance).unwrap()));
+        assert_is_pres_of(&derived, &target, &instance, "drill-out of a dice");
+
+        // DRILL-IN of a DRILL-OUT: the removed dimension comes back (as the
+        // last one).
+        let out_q = rdfcube::apply(&eq, &drill_out_city).unwrap();
+        let (_, out) = rewrite::drill_out_from_pres(&pres, &[1], dict).unwrap();
+        let dcity = out_q.query().classifier().vars().id("dcity").unwrap();
+        let target = rdfcube::apply(&out_q, &OlapOp::DrillIn { var: "dcity".into() }).unwrap();
+        let (cube, derived) =
+            rewrite::drill_in_from_pres(out_q.query(), &out, dcity, &instance).unwrap();
+        prop_assert!(cube.same_cells(&rewrite::from_scratch(&target, &instance).unwrap()));
+        assert_is_pres_of(&derived, &target, &instance, "drill-in of a drill-out");
+
+        // ROLL-UP of a DRILL-IN.
+        let p = eq.query().classifier().vars().id("p").unwrap();
+        let in_q = rdfcube::apply(&eq, &OlapOp::DrillIn { var: "p".into() }).unwrap();
+        let (_, drilled) = rewrite::drill_in_from_pres(eq.query(), &pres, p, &instance).unwrap();
+        let via = dict.iri_id("locatedIn").unwrap();
+        let target = apply_roll_up_encoded(&in_q, "dcity", via).unwrap();
+        let (cube, derived) =
+            rewrite::roll_up_from_pres(&drilled, 1, via, "dcountry", &instance).unwrap();
+        let scratch = rewrite::from_scratch(&target, &instance).unwrap();
+        prop_assert_eq!(cube.cells(), scratch.cells());
+        assert_is_pres_of(&derived, &target, &instance, "roll-up of a drill-in");
+    }
+}
