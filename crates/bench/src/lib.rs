@@ -447,6 +447,7 @@ pub fn advisor_protocol(cfg: &AdvisorProtocolConfig) -> AdvisorRun {
             evictions: after.evictions - before.evictions,
             rehydrations: after.rehydrations - before.rehydrations,
             refreshes: after.refreshes - before.refreshes,
+            incremental_refreshes: after.incremental_refreshes - before.incremental_refreshes,
         }
     };
     AdvisorRun {

@@ -25,6 +25,13 @@
 //!    handle`](crate::CubeHandle) remains valid forever and an evicted
 //!    cube is transparently recomputed on its next touch
 //!    ([`CubeCatalog::ensure_resident`]).
+//! 4. **Freshness** — every payload carries the instance triple count it
+//!    was materialized at. A resident payload the instance has grown past
+//!    is brought up to date from the inserted triples alone
+//!    (`PartialResult::refreshed` re-derives the facts they touch) as
+//!    long as the instance can still name them
+//!    ([`Graph::inserted_since`]); otherwise, like an evicted one, it is
+//!    recomputed.
 //!
 //! The statistics cached on each entry (`ans` cells, `pres` rows, byte
 //! sizes, per-dimension distinct counts) are exactly what the cost model
@@ -216,9 +223,12 @@ pub struct CatalogCounters {
     pub evictions: u64,
     /// Evicted payloads recomputed on demand.
     pub rehydrations: u64,
-    /// Resident-but-stale payloads recomputed after the instance grew
-    /// past their watermark.
+    /// Resident-but-stale payloads brought up to date after the instance
+    /// grew past their watermark, incrementally or by recomputation.
     pub refreshes: u64,
+    /// The [`Self::refreshes`] that re-derived only the facts the inserted
+    /// triples touch.
+    pub incremental_refreshes: u64,
 }
 
 /// Registry-backed catalog metric handles. The same atomic cells serve
@@ -239,6 +249,7 @@ struct CatalogMetrics {
     evictions: obs::Counter,
     rehydrations: obs::Counter,
     refreshes: obs::Counter,
+    incremental_refreshes: obs::Counter,
     resident_bytes: obs::Gauge,
     peak_resident_bytes: obs::Gauge,
     entries: obs::Gauge,
@@ -257,6 +268,7 @@ impl Default for CatalogMetrics {
             evictions: registry.counter("rdfcube_catalog_evictions_total"),
             rehydrations: registry.counter("rdfcube_catalog_rehydrations_total"),
             refreshes: registry.counter("rdfcube_catalog_refreshes_total"),
+            incremental_refreshes: registry.counter("rdfcube_catalog_incremental_refreshes_total"),
             resident_bytes: registry.gauge("rdfcube_catalog_resident_bytes"),
             peak_resident_bytes: registry.gauge("rdfcube_catalog_peak_resident_bytes"),
             entries: registry.gauge("rdfcube_catalog_entries"),
@@ -483,6 +495,7 @@ impl CubeCatalog {
             evictions: self.metrics.evictions.get(),
             rehydrations: self.metrics.rehydrations.get(),
             refreshes: self.metrics.refreshes.get(),
+            incremental_refreshes: self.metrics.incremental_refreshes.get(),
         }
     }
 
@@ -720,21 +733,48 @@ impl CubeCatalog {
         e.hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Recomputes the payload of an entry that is evicted **or stale**
-    /// (the instance grew past the entry's watermark) from the current
-    /// instance; `pres(Q, I)` is deterministic, so an evicted-and-fresh
-    /// recompute answers identically, and a stale recompute answers with
-    /// the new triples reflected. Returns `true` if a recompute happened.
+    /// Brings the payload of an entry that is evicted **or stale** (the
+    /// instance grew past the entry's watermark) up to the current
+    /// instance. Returns `true` if there was anything to do.
     ///
-    /// The recomputed entry is pinned while the budget is re-enforced, so
-    /// it is resident (and fresh) when this returns.
+    /// A stale payload whose missed triples the instance can still itemize
+    /// ([`Graph::inserted_since`]) is refreshed **incrementally**
+    /// (`PartialResult::refreshed`): the facts those triples touch are
+    /// re-derived, every other row is carried over. Otherwise — evicted
+    /// payload, insertion log gone, key space exhausted — `pres(Q, I)` is
+    /// recomputed in **full**. Either way the cells are those of
+    /// from-scratch evaluation on `instance`.
+    ///
+    /// The new payload is pinned while the budget is re-enforced, so the
+    /// entry is resident (and fresh) when this returns.
     pub fn ensure_resident(&mut self, idx: usize, instance: &Graph) -> Result<bool, CoreError> {
         let e = self.entries.get(idx).ok_or(CoreError::UnknownHandle(idx))?;
         let was_resident = e.is_resident();
         if was_resident && e.is_fresh(instance) {
             return Ok(false);
         }
-        let pres = PartialResult::compute(&self.entries[idx].eq, instance)?;
+        let sp = obs::span("refresh");
+        let stale = e
+            .payload
+            .as_deref()
+            .zip(instance.inserted_since(e.watermark));
+        let incremental = match stale {
+            Some((old, new)) => {
+                sp.attr("new_triples", new.len() as u64);
+                old.pres.refreshed(&e.eq, instance, new)?
+            }
+            None => None,
+        };
+        let (mode, pres) = match incremental {
+            Some((pres, touched_roots)) => {
+                sp.attr("touched_roots", touched_roots as u64);
+                self.metrics.incremental_refreshes.inc();
+                ("incremental", pres)
+            }
+            None => ("full", PartialResult::compute(&e.eq, instance)?),
+        };
+        sp.detail(|| mode.into());
+        sp.rows(e.stats.pres_rows as u64, pres.len() as u64);
         let ans = pres.to_cube(instance.dict())?;
         let bytes = ans.approx_bytes() + pres.approx_bytes();
         // A stale payload is dropped (with its accounting) before making

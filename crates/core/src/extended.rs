@@ -14,7 +14,7 @@
 use crate::anq::AnalyticalQuery;
 use crate::answer::{answer_with_classifier_relation, Cube};
 use crate::error::CoreError;
-use rdfcube_engine::{evaluate, evaluate_filtered, FilterExpr, Relation, Semantics, VarId};
+use rdfcube_engine::{evaluate, evaluate_seeded, FilterExpr, Relation, Seed, Semantics, VarId};
 use rdfcube_rdf::fx::FxHashSet;
 use rdfcube_rdf::{Dictionary, Graph, Term, TermId};
 
@@ -297,15 +297,26 @@ impl ExtendedQuery {
     /// are pruned — compacted out of the evaluator's flat binding arena in
     /// place — the moment the dimension variable binds.
     pub fn classifier_relation(&self, instance: &Graph) -> Result<Relation, CoreError> {
-        if self.sigma.is_unrestricted() {
-            return Ok(evaluate(instance, self.query.classifier(), Semantics::Set)?);
-        }
+        self.classifier_relation_from(instance, &Seed::unit())
+    }
+
+    /// [`Self::classifier_relation`] started from `seed` (bindings of
+    /// classifier variables, see [`evaluate_seeded`]): the Σ-filtered
+    /// classifier rows of, say, a given set of facts.
+    pub fn classifier_relation_from(
+        &self,
+        instance: &Graph,
+        seed: &Seed,
+    ) -> Result<Relation, CoreError> {
+        // An unrestricted Σ compiles to no filter at all.
         let filters = self
             .sigma
             .to_filters(self.query.dim_vars(), instance.dict());
-        Ok(evaluate_filtered(
+        let classifier = self.query.classifier();
+        Ok(evaluate_seeded(
             instance,
-            self.query.classifier(),
+            classifier,
+            seed,
             &filters,
             Semantics::Set,
         )?)

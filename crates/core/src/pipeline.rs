@@ -18,7 +18,8 @@
 //!   materializes the result.
 //!
 //! [`refresh`] is the rare fourth step on the `&mut` side: when the routed
-//! entry is stale or evicted it is recomputed before the job carries on.
+//! entry is stale or evicted it is brought up to date — from the inserted
+//! triples alone when it can be — before the job carries on.
 //! Each phase returns the [`Step`] that names the next one; a plane's
 //! driver is the loop that dispatches on it.
 
@@ -181,8 +182,9 @@ pub(crate) fn route(
 }
 
 /// The `&mut` step before [`execute`], only for a source entry that is
-/// stale (the instance grew past its watermark) or evicted: recomputes it,
-/// so no serving path can hand out stale cells.
+/// stale (the instance grew past its watermark) or evicted: refreshes or
+/// recomputes it ([`CubeCatalog::ensure_resident`]), so no serving path can
+/// hand out stale cells.
 pub(crate) fn refresh(
     cat: &mut CubeCatalog,
     instance: &Graph,

@@ -55,10 +55,10 @@
 use crate::answer::Cube;
 use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
-use rdfcube_engine::{evaluate, AggFunc, Semantics};
+use rdfcube_engine::{evaluate_seeded, AggFunc, Bgp, Relation, Seed, Semantics};
 use rdfcube_obs as obs;
 use rdfcube_rdf::fx::FxHashMap;
-use rdfcube_rdf::{Dictionary, Graph, TermId};
+use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
 use std::ops::Range;
 
 /// One row of a partial result, viewed by reference.
@@ -88,6 +88,36 @@ pub struct PartialResult {
     values: Vec<TermId>,
 }
 
+/// The four columns of a table under construction.
+#[derive(Debug)]
+struct Columns {
+    roots: Vec<TermId>,
+    dims: Vec<TermId>,
+    keys: Vec<u32>,
+    values: Vec<TermId>,
+}
+
+impl Columns {
+    fn with_capacity(rows: usize, n_dims: usize) -> Self {
+        Columns {
+            roots: Vec::with_capacity(rows),
+            dims: Vec::with_capacity(rows * n_dims),
+            keys: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Appends the rows `rows` of `table`, column by column.
+    fn extend_from(&mut self, table: &PartialResult, rows: Range<usize>) {
+        let n = table.n_dims;
+        self.roots.extend_from_slice(&table.roots[rows.clone()]);
+        self.dims
+            .extend_from_slice(&table.dims[rows.start * n..rows.end * n]);
+        self.keys.extend_from_slice(&table.keys[rows.clone()]);
+        self.values.extend_from_slice(&table.values[rows]);
+    }
+}
+
 /// Rows on their way into a [`PartialResult`], one record per pushed fact
 /// run, for [`Records::into_pres`] to sort and scan.
 #[derive(Debug)]
@@ -115,6 +145,31 @@ impl Records {
     /// Number of rows pushed so far.
     pub(crate) fn len(&self) -> usize {
         self.tuples.len()
+    }
+
+    /// `c(I) ⋈ₓ m^k(I)`: keys every tuple of the measure result `m_rel`
+    /// (`newk()` counts up from `keys_above + 1` in enumeration order) and
+    /// pushes one fact run per classifier row of `c_rel` that has measure
+    /// tuples. `None` if the keys would not fit `u32`.
+    fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation, keys_above: u32) -> Option<()> {
+        let sp = obs::span("key_join");
+        let rows_before = self.len();
+        u32::try_from(m_rel.len()).ok()?.checked_add(keys_above)?;
+        // m^k(I), grouped by fact for the join.
+        let mut by_fact: FxHashMap<TermId, Vec<(u32, TermId)>> = FxHashMap::default();
+        for (nth, row) in (1..).zip(m_rel.rows()) {
+            let tuple = (keys_above + nth, row[1]);
+            by_fact.entry(row[0]).or_default().push(tuple);
+        }
+        for c_row in c_rel.rows() {
+            if let Some(measures) = by_fact.get(&c_row[0]) {
+                let dims = c_row[1..].iter().copied();
+                self.push(dims, c_row[0], measures.iter().copied());
+            }
+        }
+        let rows_in = (c_rel.len() + m_rel.len()) as u64;
+        sp.rows(rows_in, (self.len() - rows_before) as u64);
+        Some(())
     }
 
     /// Appends one fact run: its `(key, value)` tuples, keys ascending,
@@ -181,10 +236,7 @@ impl Records {
         drop(sp);
 
         let sp = obs::span("dedup");
-        let mut roots = Vec::with_capacity(rows_in);
-        let mut dims = Vec::with_capacity(rows_in * n);
-        let mut keys = Vec::with_capacity(rows_in);
-        let mut values = Vec::with_capacity(rows_in);
+        let mut columns = Columns::with_capacity(rows_in, n);
         let mut merged: Vec<u64> = Vec::new();
         for group in order.chunk_by(|a, b| a.0 == b.0 && rest(a) == rest(b)) {
             let first = group[0].1;
@@ -198,13 +250,14 @@ impl Records {
                 &merged
             };
             for &tuple in tuples {
-                dims.extend(head(first)[..n].iter().map(|&d| TermId(d)));
-                roots.push(TermId(head(first)[n]));
-                keys.push((tuple >> 32) as u32);
-                values.push(TermId(tuple as u32));
+                let dims = head(first)[..n].iter().map(|&d| TermId(d));
+                columns.dims.extend(dims);
+                columns.roots.push(TermId(head(first)[n]));
+                columns.keys.push((tuple >> 32) as u32);
+                columns.values.push(TermId(tuple as u32));
             }
         }
-        let pres = PartialResult::from_columns(dim_names, agg, roots, dims, keys, values);
+        let pres = PartialResult::from_columns(dim_names, agg, columns);
         if sp.active() {
             sp.rows(rows_in as u64, pres.len() as u64);
             sp.bytes(pres.approx_bytes() as u64);
@@ -217,14 +270,13 @@ impl PartialResult {
     /// The one constructor: takes the four columns as they are (less any
     /// spare capacity — a table is never appended to) and checks, in debug
     /// builds, that they satisfy the sort invariant.
-    fn from_columns(
-        dim_names: Vec<String>,
-        agg: AggFunc,
-        mut roots: Vec<TermId>,
-        mut dims: Vec<TermId>,
-        mut keys: Vec<u32>,
-        mut values: Vec<TermId>,
-    ) -> Self {
+    fn from_columns(dim_names: Vec<String>, agg: AggFunc, columns: Columns) -> Self {
+        let Columns {
+            mut roots,
+            mut dims,
+            mut keys,
+            mut values,
+        } = columns;
         roots.shrink_to_fit();
         dims.shrink_to_fit();
         keys.shrink_to_fit();
@@ -256,41 +308,79 @@ impl PartialResult {
     /// joined rows go through the same sort–scan kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
-        let c_rel = {
-            let sp = obs::span("classifier");
-            let rel = eq.classifier_relation(instance)?;
-            sp.rows(instance.len() as u64, rel.len() as u64);
-            rel
-        };
-        let m_rel = {
-            let sp = obs::span("measure");
-            let rel = evaluate(instance, q.measure(), Semantics::Bag)?;
-            sp.rows(instance.len() as u64, rel.len() as u64);
-            rel
-        };
-
-        let records = {
-            let sp = obs::span("key_join");
-            // m^k(I): key every measure tuple, grouped by fact for the join.
-            let mut by_fact: FxHashMap<TermId, Vec<(u32, TermId)>> = FxHashMap::default();
-            for (i, row) in m_rel.rows().enumerate() {
-                let key = u32::try_from(i + 1).map_err(|_| {
-                    CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
-                })?;
-                by_fact.entry(row[0]).or_default().push((key, row[1]));
-            }
-            let mut records = Records::new(q.n_dims(), c_rel.len());
-            for c_row in c_rel.rows() {
-                if let Some(measures) = by_fact.get(&c_row[0]) {
-                    let dims = c_row[1..].iter().copied();
-                    records.push(dims, c_row[0], measures.iter().copied());
-                }
-            }
-            sp.rows((c_rel.len() + m_rel.len()) as u64, records.len() as u64);
-            records
-        };
+        let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
+        let mut records = Records::new(q.n_dims(), c_rel.len());
+        records.key_join(&c_rel, &m_rel, 0).ok_or_else(|| {
+            CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
+        })?;
         let dim_names = q.dim_names().iter().map(|s| s.to_string()).collect();
         records.into_pres(dim_names, q.agg())
+    }
+
+    /// `pres(Q, I)` from `self = pres(Q, I ∖ Δ)` and the inserted triples
+    /// `new = Δ`, without re-evaluating the untouched part of `I`.
+    ///
+    /// `pres` is partitioned by fact: a fact's rows are its classifier rows
+    /// joined with its measure tuples, and both are found from the root by
+    /// the rooted BGPs of `Q`. So only the facts some embedding of which
+    /// uses a triple of `Δ` — the *touched roots*, found semi-naively —
+    /// can have different rows now. Theirs are re-derived on `instance` (Σ
+    /// applied as in [`Self::compute`], measure tuples keyed above every key
+    /// of `self`) and sorted by the kernel; one pass over `self` then drops
+    /// their old rows and merges the new fact runs in where they sort.
+    /// Whatever ⊕ is, [`Self::to_cube`] of the result is `ans(Q, I)`, and
+    /// the table equals [`Self::compute`]'s up to a renaming of keys.
+    ///
+    /// Returns the table and the number of touched roots, or `None` if the
+    /// key space is exhausted (recompute: `compute` restarts keys at 1).
+    pub(crate) fn refreshed(
+        &self,
+        eq: &ExtendedQuery,
+        instance: &Graph,
+        new: &[Triple],
+    ) -> Result<Option<(Self, usize)>, CoreError> {
+        let touched = touched_roots(eq, instance, new)?;
+        let (c_rel, m_rel) = evaluate_parts(eq, instance, Some(&touched))?;
+        let mut records = Records::new(self.n_dims, m_rel.len());
+        let keys_above = self.keys.iter().copied().max().unwrap_or(0);
+        if records.key_join(&c_rel, &m_rel, keys_above).is_none() {
+            return Ok(None);
+        }
+        let fresh = records.into_pres(self.dim_names.clone(), self.agg)?;
+
+        let sp = obs::span("merge");
+        let mut columns = Columns::with_capacity(self.len() + fresh.len(), self.n_dims);
+        // Copies the rows `rows` of `self` less those of touched roots.
+        let carry_over = |columns: &mut Columns, rows: Range<usize>| {
+            let mut kept = rows.start;
+            for i in rows.clone() {
+                if touched.binary_search(&self.roots[i]).is_ok() {
+                    columns.extend_from(self, kept..i);
+                    kept = i + 1;
+                }
+            }
+            columns.extend_from(self, kept..rows.end);
+        };
+        let mut done = 0;
+        for run in fresh.facts() {
+            // The new fact run goes before the first old row not below it.
+            let fact = (fresh.dims_of(run.start), fresh.roots[run.start]);
+            let (mut cut, mut end) = (done, self.len());
+            while cut < end {
+                let mid = cut + (end - cut) / 2;
+                if (self.dims_of(mid), self.roots[mid]) < fact {
+                    cut = mid + 1;
+                } else {
+                    end = mid;
+                }
+            }
+            carry_over(&mut columns, std::mem::replace(&mut done, cut)..cut);
+            columns.extend_from(&fresh, run);
+        }
+        carry_over(&mut columns, done..self.len());
+        let pres = Self::from_columns(self.dim_names.clone(), self.agg, columns);
+        sp.rows((self.len() + fresh.len()) as u64, pres.len() as u64);
+        Ok(Some((pres, touched.len())))
     }
 
     /// The dimension names, in classifier-head order.
@@ -427,20 +517,17 @@ impl PartialResult {
         mut refused_at: impl FnMut(&[TermId]) -> Option<usize>,
     ) -> Self {
         let n = self.n_dims;
-        let (mut roots, mut dims, mut keys, mut values) = (vec![], vec![], vec![], vec![]);
+        let mut columns = Columns::with_capacity(0, n);
         let mut start = 0;
         while start < self.len() {
             let refused = refused_at(self.dims_of(start));
             let end = self.block_end(start, refused.map_or(n, |d| d + 1));
             if refused.is_none() {
-                roots.extend_from_slice(&self.roots[start..end]);
-                dims.extend_from_slice(&self.dims[start * n..end * n]);
-                keys.extend_from_slice(&self.keys[start..end]);
-                values.extend_from_slice(&self.values[start..end]);
+                columns.extend_from(self, start..end);
             }
             start = end;
         }
-        Self::from_columns(self.dim_names.clone(), self.agg, roots, dims, keys, values)
+        Self::from_columns(self.dim_names.clone(), self.agg, columns)
     }
 
     /// Equation 3: recovers `ans(Q)` from the partial result by grouping on
@@ -470,6 +557,70 @@ impl PartialResult {
         }
         Ok(cube)
     }
+}
+
+/// The two halves of `pres(Q, I)`: the Σ-filtered classifier relation (set
+/// semantics) and the measure relation (bag semantics), over all of
+/// `instance` or — given `roots` — for those facts only, each BGP seeded
+/// with its root variable bound to them.
+fn evaluate_parts(
+    eq: &ExtendedQuery,
+    instance: &Graph,
+    roots: Option<&[TermId]>,
+) -> Result<(Relation, Relation), CoreError> {
+    let q = eq.query();
+    let seed = |bgp: &Bgp| match roots {
+        None => Seed::unit(),
+        Some(roots) => {
+            let mut seed = Seed::new(vec![bgp.head()[0]]);
+            roots.iter().for_each(|&root| seed.push(&[root]));
+            seed
+        }
+    };
+    let rows_in = roots.map_or(instance.len(), <[TermId]>::len) as u64;
+    let sp = obs::span("classifier");
+    let c_rel = eq.classifier_relation_from(instance, &seed(q.classifier()))?;
+    sp.rows(rows_in, c_rel.len() as u64);
+    drop(sp);
+    let sp = obs::span("measure");
+    let m_rel = evaluate_seeded(
+        instance,
+        q.measure(),
+        &seed(q.measure()),
+        &[],
+        Semantics::Bag,
+    )?;
+    sp.rows(rows_in, m_rel.len() as u64);
+    Ok((c_rel, m_rel))
+}
+
+/// The facts whose classifier or measure embeddings can use a triple of
+/// `new`, ascending: each pattern of each BGP in turn is bound to its
+/// matches among `new` and the rest of the BGP is joined on `instance`
+/// (which already holds `new`). Σ plays no part — a superset of the facts
+/// whose rows changed is as good as the set.
+fn touched_roots(
+    eq: &ExtendedQuery,
+    instance: &Graph,
+    new: &[Triple],
+) -> Result<Vec<TermId>, CoreError> {
+    let sp = obs::span("touched_roots");
+    let mut roots = Vec::new();
+    for bgp in [eq.query().classifier(), eq.query().measure()] {
+        let mut rooted = bgp.clone();
+        rooted.set_head(vec![bgp.head()[0]]);
+        for pattern in 0..rooted.body().len() {
+            let seed = Seed::of_pattern(&rooted, pattern, new);
+            if !seed.is_empty() {
+                let found = evaluate_seeded(instance, &rooted, &seed, &[], Semantics::Set)?;
+                roots.extend(found.rows().map(|row| row[0]));
+            }
+        }
+    }
+    roots.sort_unstable();
+    roots.dedup();
+    sp.rows(new.len() as u64, roots.len() as u64);
+    Ok(roots)
 }
 
 #[cfg(test)]

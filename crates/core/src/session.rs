@@ -42,7 +42,7 @@ use crate::pres::PartialResult;
 use crate::shared::SharedSession;
 use rdfcube_engine::AggFunc;
 use rdfcube_obs::QueryTrace;
-use rdfcube_rdf::{Graph, Term};
+use rdfcube_rdf::{Graph, Term, Triple};
 use std::fmt;
 use std::sync::Arc;
 
@@ -212,10 +212,12 @@ impl OlapSession {
     /// Inserts one triple into the instance (the thin mutation plane).
     /// Returns `true` if the triple was new.
     ///
-    /// Materialized cubes are **not** recomputed eagerly: every entry
+    /// Materialized cubes are **not** updated eagerly: every entry
     /// carries the triple-count watermark it was built at, and
     /// [`Self::answer_query`]/[`Self::transform`] refresh a cube the next
-    /// time it is asked to serve after the watermark moved. Direct handle
+    /// time it is asked to serve after the watermark moved — from the
+    /// triples inserted since, as long as the store's insertion log still
+    /// names them ([`CubeCatalog::ensure_resident`]). Direct handle
     /// reads ([`Self::cube`], [`Self::answer`]) keep returning the cells
     /// materialized at the cube's watermark until [`Self::touch`] or a
     /// query refreshes them.
@@ -228,20 +230,37 @@ impl OlapSession {
     }
 
     /// Bulk [`Self::insert`]; returns how many triples were new.
+    ///
+    /// The batch goes to the store as one batch
+    /// ([`Graph::bulk_insert_ids`]): a small one rides the delta runs and
+    /// the insertion log, so stale cubes refresh from its triples alone; a
+    /// large one is merged into the sorted runs in one pass and leaves no
+    /// delta behind (stale cubes are then recomputed — on a compacted
+    /// store).
     pub fn insert_triples<I>(&mut self, triples: I) -> usize
     where
         I: IntoIterator<Item = (Term, Term, Term)>,
     {
         let g = Arc::make_mut(&mut self.instance);
-        triples
-            .into_iter()
-            .filter(|(s, p, o)| g.insert(s, p, o))
-            .count()
+        let encode = |(s, p, o): (Term, Term, Term)| {
+            let dict = g.dict_mut();
+            Triple::new(
+                dict.encode_owned(s),
+                dict.encode_owned(p),
+                dict.encode_owned(o),
+            )
+        };
+        let batch: Vec<Triple> = triples.into_iter().map(encode).collect();
+        g.bulk_insert_ids(batch)
     }
 
-    /// Folds any pending insert delta into the store's sorted CSR runs
-    /// (worth calling after a large [`Self::insert_triples`] batch, and
-    /// before [`Self::into_shared`]).
+    /// Folds any pending insert delta into the store's sorted CSR runs.
+    /// Reads do not need it — they range over the delta's sorted runs at
+    /// the cost of their matches — but the engine's shard-parallel step
+    /// paths require a compacted store, so it is worth calling before
+    /// [`Self::into_shared`] on a sharded, multi-threaded session. Stale
+    /// cubes still refresh incrementally afterwards: compacting adds no
+    /// triple, so the insertion log stays valid.
     pub fn compact_instance(&mut self) {
         Arc::make_mut(&mut self.instance).compact();
     }

@@ -49,6 +49,14 @@
 //! the merged table (and therefore every downstream aggregation) is
 //! **bit-identical** to the serial evaluation.
 //!
+//! Evaluation starts from a [`Seed`]: a table of initial bindings, one row
+//! per partial solution to extend. Plain evaluation is the unit seed (one
+//! row binding nothing); [`evaluate_seeded`] starts the same driver from any
+//! table — a rooted query restricted to a few hundred roots, or to the
+//! matches of one pattern among a handful of new triples — and the seeded
+//! variables are bound from the first step on, so such a run probes where an
+//! unrestricted one would scan.
+//!
 //! A deliberately naive full-scan nested-loop evaluator
 //! ([`evaluate_nested_loop`]) is kept as an oracle for the property tests;
 //! it still materializes one `Vec<Option<TermId>>` per row, on purpose — its
@@ -116,12 +124,23 @@ impl BindingTable {
         }
     }
 
-    /// Seeds the table with the single empty binding (all slots sentinel).
-    fn seed(stride: usize) -> Self {
+    /// The table an evaluation starts from: one row per seed row, holding
+    /// the seed's bindings and the `pre_bound` constants (every other slot
+    /// sentinel).
+    fn seeded(stride: usize, seed: &Seed, pre_bound: &FxHashMap<VarId, TermId>) -> Self {
+        let mut data = vec![TermId(0); stride * seed.rows];
+        for (i, row) in data.chunks_exact_mut(stride.max(1)).enumerate() {
+            for (&v, &c) in seed.vars.iter().zip(seed.row(i)) {
+                row[v.index()] = c;
+            }
+            for (&v, &c) in pre_bound {
+                row[v.index()] = c;
+            }
+        }
         BindingTable {
             stride,
-            rows: 1,
-            data: vec![TermId(0); stride],
+            rows: seed.rows,
+            data,
         }
     }
 
@@ -164,6 +183,112 @@ impl BindingTable {
     }
 }
 
+/// The bindings an evaluation starts from: a table of rows over `vars`, each
+/// row one partial solution every body pattern then extends. [`evaluate`]
+/// and [`evaluate_filtered`] start from [`Seed::unit`] — nothing bound, one
+/// empty row; [`evaluate_seeded`] from any table, which is how a query is
+/// restricted to a set of values of one variable (one row per value) or to
+/// the matches of one of its patterns among a handful of triples
+/// ([`Seed::of_pattern`]) without a scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Seed {
+    vars: Vec<VarId>,
+    rows: usize,
+    /// Row-major, `vars.len()` ids per row.
+    data: Vec<TermId>,
+}
+
+impl Seed {
+    /// The seed of an unrestricted evaluation: no variable bound, one row.
+    pub fn unit() -> Self {
+        Seed {
+            vars: Vec::new(),
+            rows: 1,
+            data: Vec::new(),
+        }
+    }
+
+    /// An empty seed binding `vars` (distinct variables of the query it
+    /// will seed); add rows with [`Self::push`].
+    pub fn new(vars: Vec<VarId>) -> Self {
+        Seed {
+            vars,
+            rows: 0,
+            data: Vec::new(),
+        }
+    }
+
+    /// Appends one row: a value for each of [`Self::vars`], in order.
+    ///
+    /// # Panics
+    /// Panics if `row` has a different width than the seed.
+    pub fn push(&mut self, row: &[TermId]) {
+        assert_eq!(row.len(), self.vars.len(), "seed row width");
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+
+    /// The variables the seed binds.
+    pub fn vars(&self) -> &[VarId] {
+        &self.vars
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True if the seed has no row — evaluation from it yields nothing.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    fn row(&self, i: usize) -> &[TermId] {
+        &self.data[i * self.vars.len()..(i + 1) * self.vars.len()]
+    }
+
+    /// The bindings under which body pattern `pattern` of `bgp` matches
+    /// each of `triples`: one row per matching triple, over the pattern's
+    /// variables. Seeding `bgp` with it evaluates "the solutions that use
+    /// one of `triples` at this pattern" — the semi-naive restriction — as
+    /// long as the triples are in the graph, where the pattern's own step
+    /// then finds each exactly once.
+    ///
+    /// # Panics
+    /// Panics if `pattern` is not an index into `bgp.body()`.
+    pub fn of_pattern(bgp: &Bgp, pattern: usize, triples: &[Triple]) -> Self {
+        let positions = bgp.body()[pattern].positions();
+        let mut vars: Vec<VarId> = Vec::with_capacity(3);
+        for v in positions.iter().filter_map(PatternTerm::as_var) {
+            if !vars.contains(&v) {
+                vars.push(v);
+            }
+        }
+        let slot = |v: VarId| vars.iter().position(|&s| s == v).expect("collected");
+        let (mut rows, mut data) = (0, Vec::new());
+        let mut row = [TermId(0); 3];
+        for t in triples {
+            let values = t.as_array();
+            for (pos, value) in positions.iter().zip(values) {
+                if let PatternTerm::Var(v) = *pos {
+                    row[slot(v)] = value;
+                }
+            }
+            // Constants must match, and so must every occurrence of a
+            // variable the pattern repeats (`row` holds its last one).
+            let unifies = positions.iter().zip(values).all(|(pos, value)| match *pos {
+                PatternTerm::Const(c) => c == value,
+                PatternTerm::Var(v) => row[slot(v)] == value,
+            });
+            if unifies {
+                data.extend_from_slice(&row[..vars.len()]);
+                rows += 1;
+            }
+        }
+        Seed { vars, rows, data }
+    }
+}
+
 /// How one position of a pattern behaves at a given step, decided statically
 /// from the set of variables bound by earlier steps.
 #[derive(Debug, Clone, Copy)]
@@ -191,13 +316,19 @@ struct StepPlan {
 }
 
 /// Compiles `order` into per-step plans, tracking the statically-known
-/// bound-variable set across steps. Variables in `pre_bound` (Σ equality
-/// constants) compile to [`Probe::Const`] rather than [`Probe::Bound`]:
-/// semantically identical (the arena slot is seeded with the same value),
-/// but a constant participates in the steps' constant shapes — so shard
-/// skipping and base-count estimation see the pushed-down selection.
-fn build_plans(bgp: &Bgp, order: &[usize], pre_bound: &FxHashMap<VarId, TermId>) -> Vec<StepPlan> {
-    let mut bound: FxHashSet<VarId> = pre_bound.keys().copied().collect();
+/// bound-variable set across steps, which starts as the `seeded` variables
+/// plus `pre_bound`. Variables in `pre_bound` (Σ equality constants) compile
+/// to [`Probe::Const`] rather than [`Probe::Bound`]: semantically identical
+/// (the arena slot is seeded with the same value), but a constant
+/// participates in the steps' constant shapes — so shard skipping and
+/// base-count estimation see the pushed-down selection.
+fn build_plans(
+    bgp: &Bgp,
+    order: &[usize],
+    seeded: &[VarId],
+    pre_bound: &FxHashMap<VarId, TermId>,
+) -> Vec<StepPlan> {
+    let mut bound: FxHashSet<VarId> = pre_bound.keys().chain(seeded).copied().collect();
     let mut plans = Vec::with_capacity(order.len());
     for &pi in order {
         let pattern = bgp.body()[pi];
@@ -671,23 +802,50 @@ pub fn evaluate_filtered(
     filters: &[crate::filter::FilterExpr],
     semantics: Semantics,
 ) -> Result<Relation, EngineError> {
+    evaluate_seeded(graph, bgp, &Seed::unit(), filters, semantics)
+}
+
+/// [`evaluate_filtered`] started from `seed` instead of from the single
+/// empty binding: the solutions of `bgp` that extend one of the seed's rows
+/// (under bag semantics, once per row they extend). The seeded variables
+/// count as bound from the first step on — they steer the join order and
+/// turn their patterns into index probes — so evaluating a rooted query
+/// for a few hundred roots costs a few hundred probes per pattern, not a
+/// scan. Filters on a seeded variable select among the seed's rows.
+pub fn evaluate_seeded(
+    graph: &Graph,
+    bgp: &Bgp,
+    seed: &Seed,
+    filters: &[crate::filter::FilterExpr],
+    semantics: Semantics,
+) -> Result<Relation, EngineError> {
     bgp.validate()?;
     // Filter variables must occur in the body (checked up front: evaluation
     // may short-circuit on an empty intermediate result before reaching the
-    // pattern that would have bound them).
+    // pattern that would have bound them) — and so must seeded ones, whose
+    // ids index the arena.
     let body_vars = bgp.body_var_set();
-    for f in filters {
-        if !body_vars.contains(&f.var()) {
+    let filtered = filters.iter().map(|f| ("filter", f.var()));
+    let seeded = seed.vars.iter().map(|&v| ("seeded", v));
+    for (what, v) in filtered.chain(seeded) {
+        if !body_vars.contains(&v) {
+            // A seed may name a variable of some other query altogether.
+            let known = v.index() < bgp.vars().len();
+            let name = known.then(|| format!("?{}", bgp.vars().name(v)));
             return Err(EngineError::Validation(format!(
-                "filter variable ?{} does not occur in the query body",
-                bgp.vars().name(f.var())
+                "{what} variable {} does not occur in the query body",
+                name.unwrap_or_else(|| v.to_string())
             )));
         }
     }
     let mut pre_bound: FxHashMap<VarId, TermId> = FxHashMap::default();
     for f in filters {
         if let Some(c) = f.as_eq_constant() {
-            pre_bound.entry(f.var()).or_insert(c);
+            // A seeded variable already has its values; the filter selects
+            // among them like any other.
+            if !seed.vars.contains(&f.var()) {
+                pre_bound.entry(f.var()).or_insert(c);
+            }
         }
     }
     let mut residual: Vec<crate::filter::FilterExpr> = Vec::new();
@@ -700,8 +858,8 @@ pub fn evaluate_filtered(
             None => residual.push(f.clone()),
         }
     }
-    let order = order_patterns(graph, bgp, &pre_bound);
-    evaluate_steps(graph, bgp, &order, &pre_bound, &residual, semantics)
+    let order = order_patterns(graph, bgp, &seed.vars, &pre_bound);
+    evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, semantics)
 }
 
 /// Ablation evaluator: index-backed binding propagation like [`evaluate`],
@@ -715,30 +873,41 @@ pub fn evaluate_in_order(
 ) -> Result<Relation, EngineError> {
     bgp.validate()?;
     let order: Vec<usize> = (0..bgp.body().len()).collect();
-    evaluate_steps(graph, bgp, &order, &FxHashMap::default(), &[], semantics)
+    let (seed, pre_bound) = (Seed::unit(), FxHashMap::default());
+    evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], semantics)
 }
 
-/// Shared driver: compiles `order` to step plans and runs them over the
-/// double-buffered arena. `pre_bound` variables hold their constant from
-/// the seed row onward (their slots are written before the first step).
+/// The one step driver: compiles `order` to step plans and runs them over
+/// the double-buffered arena, starting from `seed`'s rows. The seeded and
+/// `pre_bound` variables hold their values from the first step on (their
+/// slots are written before it); `filters` on a seeded variable fire before
+/// it too, every other one right after the step that binds its variable.
 fn evaluate_steps(
     graph: &Graph,
     bgp: &Bgp,
     order: &[usize],
+    seed: &Seed,
     pre_bound: &FxHashMap<VarId, TermId>,
     filters: &[crate::filter::FilterExpr],
     semantics: Semantics,
 ) -> Result<Relation, EngineError> {
     let stride = bgp.vars().len();
-    let plans = build_plans(bgp, order, pre_bound);
+    let plans = build_plans(bgp, order, &seed.vars, pre_bound);
     let dict = graph.dict();
-    let mut current = BindingTable::seed(stride);
-    for (&v, &c) in pre_bound {
-        current.data[v.index()] = c;
+    let mut current = BindingTable::seeded(stride, seed, pre_bound);
+    let on_seed: Vec<&crate::filter::FilterExpr> = filters
+        .iter()
+        .filter(|f| seed.vars.contains(&f.var()))
+        .collect();
+    if !on_seed.is_empty() {
+        current.retain(|row| on_seed.iter().all(|f| f.admits(row[f.var().index()], dict)));
     }
     let mut next = BindingTable::new(stride);
     let sink = rdfcube_obs::sink();
     for (step, plan) in plans.iter().enumerate() {
+        if current.is_empty() {
+            break;
+        }
         let sp = rdfcube_obs::span("bgp_step");
         let rows_in = current.rows as u64;
         let exec = run_step(graph, plan, &current, &mut next);
@@ -767,9 +936,6 @@ fn evaluate_steps(
         }
         drop(sp);
         std::mem::swap(&mut current, &mut next);
-        if current.is_empty() {
-            break;
-        }
     }
     project_head(bgp, &current, semantics)
 }
@@ -875,9 +1041,17 @@ fn try_bind(pattern: &QueryPattern, row: &PartialRow, t: Triple, out: &mut Vec<P
 /// `pre_bound` variables (Σ equality constants) are resolved **into** the
 /// constant shape, so their base counts are exact rather than discounted
 /// guesses — and they count as bound for connectivity, steering the plan to
-/// start from the sliced dimension. On a sharded store the counts are sums
-/// of shard-local statistics ([`Graph::count_matching`]).
-fn order_patterns(graph: &Graph, bgp: &Bgp, pre_bound: &FxHashMap<VarId, TermId>) -> Vec<usize> {
+/// start from the sliced dimension. `seeded` variables are bound from the
+/// start too, to one value per seed row rather than to a constant, so they
+/// are discounted like any variable an earlier step bound. On a sharded
+/// store the counts are sums of shard-local statistics
+/// ([`Graph::count_matching`]).
+fn order_patterns(
+    graph: &Graph,
+    bgp: &Bgp,
+    seeded: &[VarId],
+    pre_bound: &FxHashMap<VarId, TermId>,
+) -> Vec<usize> {
     let n = bgp.body().len();
     let base: Vec<usize> = bgp
         .body()
@@ -885,7 +1059,7 @@ fn order_patterns(graph: &Graph, bgp: &Bgp, pre_bound: &FxHashMap<VarId, TermId>
         .map(|&p| base_count_resolved(graph, p, pre_bound))
         .collect();
     let mut remaining: Vec<usize> = (0..n).collect();
-    let mut bound: FxHashSet<VarId> = pre_bound.keys().copied().collect();
+    let mut bound: FxHashSet<VarId> = pre_bound.keys().chain(seeded).copied().collect();
     let mut order = Vec::with_capacity(n);
 
     while !remaining.is_empty() {
@@ -937,7 +1111,7 @@ pub struct PlanStep {
 /// running it — for debugging analytical queries over large instances.
 pub fn explain(graph: &Graph, bgp: &Bgp) -> Result<Vec<PlanStep>, EngineError> {
     bgp.validate()?;
-    let order = order_patterns(graph, bgp, &FxHashMap::default());
+    let order = order_patterns(graph, bgp, &[], &FxHashMap::default());
     let mut bound: FxHashSet<VarId> = FxHashSet::default();
     let mut steps = Vec::with_capacity(order.len());
     for pi in order {
@@ -1586,6 +1760,101 @@ mod tests {
         // …while an admitted one is simply dropped as implied.
         let kept = evaluate_filtered(&g, &q, &[eq(age28), between], Semantics::Set).unwrap();
         assert_eq!(kept.len(), 1); // only user1 (28)
+    }
+
+    #[test]
+    fn seeded_evaluation_is_the_restriction_to_the_seed_rows() {
+        use crate::filter::FilterExpr;
+        let mut g = blog_graph();
+        let q = parse_query(
+            "m(?x, ?s) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?s",
+            g.dict_mut(),
+        )
+        .unwrap();
+        let x = q.vars().id("x").unwrap();
+        let id = |g: &Graph, iri: &str| g.dict().iri_id(iri).unwrap();
+        let (user1, user4, s1) = (id(&g, "user1"), id(&g, "user4"), id(&g, "s1"));
+        let all = evaluate(&g, &q, Semantics::Bag).unwrap();
+
+        // One row per root: the bag of exactly those roots' solutions,
+        // whether or not a root has any (a post is nobody's root).
+        let mut seed = Seed::new(vec![x]);
+        for root in [user4, user1, id(&g, "p1")] {
+            seed.push(&[root]);
+        }
+        let seeded = evaluate_seeded(&g, &q, &seed, &[], Semantics::Bag).unwrap();
+        let expect = all.select(|row| row[0] == user1 || row[0] == user4);
+        assert!(seeded.same_bag(&expect));
+        assert_eq!(seeded.len(), 4);
+
+        // The unit seed is plain evaluation; the empty seed yields nothing.
+        let unit = evaluate_seeded(&g, &q, &Seed::unit(), &[], Semantics::Bag).unwrap();
+        assert!(unit.same_bag(&all));
+        let none = evaluate_seeded(&g, &q, &Seed::new(vec![x]), &[], Semantics::Bag).unwrap();
+        assert!(none.is_empty());
+
+        // Filters compose with a seed: on a free variable they fire when it
+        // binds, on the seeded one they select among the seed's rows.
+        let s_var = q.vars().id("s").unwrap();
+        let only = |var, value| FilterExpr::OneOf {
+            var,
+            set: [value].into_iter().collect(),
+        };
+        let on_free = evaluate_seeded(&g, &q, &seed, &[only(s_var, s1)], Semantics::Bag).unwrap();
+        assert!(on_free.same_bag(&expect.select(|row| row[1] == s1)));
+        let on_seeded = evaluate_seeded(&g, &q, &seed, &[only(x, user4)], Semantics::Bag).unwrap();
+        assert!(on_seeded.same_bag(&all.select(|row| row[0] == user4)));
+
+        // A seed over another query's variable is refused.
+        let foreign = Seed::new(vec![VarId(40)]);
+        assert!(evaluate_seeded(&g, &q, &foreign, &[], Semantics::Bag).is_err());
+    }
+
+    #[test]
+    fn pattern_seeds_find_the_solutions_that_use_a_new_triple() {
+        // Semi-naive: after inserting Δ, the solutions that did not exist
+        // before are exactly those found by seeding some pattern with its
+        // matches in Δ — whichever pattern Δ's triples land on.
+        let mut g = blog_graph();
+        let q = parse_query(
+            "m(?x, ?s) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?s",
+            g.dict_mut(),
+        )
+        .unwrap();
+        let before = evaluate(&g, &q, Semantics::Set).unwrap();
+        let mut delta = Vec::new();
+        for (s, p, o) in [
+            ("user3", "wrotePost", "p9"), // joins only once p9 is posted
+            ("p9", "postedOn", "s1"),
+            ("p5", "postedOn", "s2"),     // two hops from user4
+            ("user7", "wrotePost", "p1"), // user7 is no Blogger: no solution
+            ("s1", "linksTo", "s2"),      // matches no pattern
+        ] {
+            let ids = [s, p, o].map(|iri| g.encode(&rdfcube_rdf::Term::iri(iri)));
+            assert!(g.insert_ids(ids[0], ids[1], ids[2]));
+            delta.push(Triple::from(ids));
+        }
+        let after = evaluate(&g, &q, Semantics::Set).unwrap();
+        let mut found = Relation::new(q.head().to_vec());
+        for i in 0..q.body().len() {
+            let seed = Seed::of_pattern(&q, i, &delta);
+            assert_eq!(seed.len(), [0, 2, 2][i], "pattern #{i}");
+            let rel = evaluate_seeded(&g, &q, &seed, &[], Semantics::Set).unwrap();
+            rel.rows().for_each(|row| found.push_row(row));
+        }
+        let id = |iri: &str| g.dict().iri_id(iri).unwrap();
+        let fresh = after.select(|row| !before.rows().any(|old| old == row));
+        assert_eq!(fresh.len(), 2);
+        assert!(found.distinct().same_bag(&fresh));
+        assert!(fresh.rows().any(|r| r == [id("user3"), id("s1")]));
+        assert!(fresh.rows().any(|r| r == [id("user4"), id("s2")]));
+
+        // Constants and repeated variables are checked while seeding.
+        let self_link = Triple::new(id("s1"), id("linksTo"), id("s1"));
+        let loops = parse_query("q(?a) :- ?a linksTo ?a", g.dict_mut()).unwrap();
+        assert!(Seed::of_pattern(&loops, 0, &delta).is_empty());
+        let seed = Seed::of_pattern(&loops, 0, &[self_link]);
+        assert_eq!((seed.vars().len(), seed.len()), (1, 1));
     }
 
     #[test]

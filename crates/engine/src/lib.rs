@@ -47,8 +47,8 @@ pub use aggfn::{group_aggregate, AggFunc, AggValue, Distributivity};
 pub use bgp::Bgp;
 pub use error::EngineError;
 pub use eval::{
-    eval_threads, evaluate, evaluate_filtered, evaluate_in_order, evaluate_nested_loop, explain,
-    set_eval_threads, PlanStep, Semantics,
+    eval_threads, evaluate, evaluate_filtered, evaluate_in_order, evaluate_nested_loop,
+    evaluate_seeded, explain, set_eval_threads, PlanStep, Seed, Semantics,
 };
 pub use filter::{CompareOp, FilterExpr};
 pub use parser::parse_query;

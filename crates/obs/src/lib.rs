@@ -39,12 +39,18 @@ use std::sync::OnceLock;
 #[derive(Debug)]
 pub struct ObsSink {
     registry: Registry,
-    /// Delta-buffer folds into the sorted CSR runs
+    /// Folds of a shard's pending delta (and any batch riding along) into
+    /// its sorted CSR runs — automatic at the threshold, explicit, or part
+    /// of a bulk load; one per shard that had rows to fold
     /// (`rdfcube_graph_delta_merges_total`).
     pub delta_merges: Counter,
     /// Triples moved by those folds
     /// (`rdfcube_graph_delta_merge_rows_total`).
     pub delta_merge_rows: Counter,
+    /// Pending-delta rows visited by store reads
+    /// (`rdfcube_graph_delta_rows_read_total`): a probe over sorted delta
+    /// runs visits its matches, not the delta.
+    pub delta_rows_read: Counter,
     /// BGP join steps executed (`rdfcube_engine_bgp_steps_total`).
     pub bgp_steps: Counter,
     /// Rows produced by BGP steps (`rdfcube_engine_step_rows_total`).
@@ -65,6 +71,7 @@ impl ObsSink {
         ObsSink {
             delta_merges: registry.counter("rdfcube_graph_delta_merges_total"),
             delta_merge_rows: registry.counter("rdfcube_graph_delta_merge_rows_total"),
+            delta_rows_read: registry.counter("rdfcube_graph_delta_rows_read_total"),
             bgp_steps: registry.counter("rdfcube_engine_bgp_steps_total"),
             step_rows: registry.counter("rdfcube_engine_step_rows_total"),
             shard_probes: registry.counter("rdfcube_engine_shard_probes_total"),

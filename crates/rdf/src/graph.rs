@@ -23,20 +23,28 @@
 //!
 //! ## Sharding and enumeration order
 //!
+//! Every read enumerates the **CSR run, then the delta run**, both in the
+//! order of the index that serves the pattern's shape (SPO, POS or OSP —
+//! each shape's bound components are a prefix of one of them). The pending
+//! delta is stored the same way as the runs it will be merged into, one
+//! ordered set per permutation, so neither half is ever swept: a probe costs
+//! `O(log n)` to find its run plus its matches, whatever is pending.
+//!
 //! Subject hashing makes the partitioning transparent to readers:
 //!
 //! * a **subject-bound** probe routes to exactly one shard — its local
 //!   enumeration order *is* the flat store's order;
-//! * a **subject-free** probe k-way merges the per-shard sorted runs by the
-//!   index's sort key, which reproduces the flat store's global sorted order
-//!   exactly (ties across shards are impossible — equal subjects share a
-//!   shard); per-shard delta entries carry a graph-global sequence number,
-//!   so the trailing delta sweep also replays flat insertion order.
+//! * a **subject-free** probe k-way merges the per-shard CSR runs by the
+//!   index's sort key, then the per-shard delta runs by the same key. Each
+//!   merge reproduces the flat store's order exactly: ties across shards are
+//!   impossible, because every index key contains the subject and equal
+//!   subjects share a shard.
 //!
 //! Every read of a sharded graph is therefore **bit-identical** to the same
-//! read of a flat graph over the same triples — sharding changes the cost
-//! model (per-shard parallel loading and evaluation, shard skipping), never
-//! the answer. The query engine additionally probes shards directly through
+//! read of a flat graph holding the same triples in the same state (merged
+//! or pending) — sharding changes the cost model (per-shard parallel loading
+//! and evaluation, shard skipping), never the answer. The query engine
+//! additionally probes shards directly through
 //! [`Graph::for_each_match_in_shard`] / [`Graph::count_matching_in_shard`]
 //! to run BGP steps shard-parallel.
 //!
@@ -48,11 +56,23 @@
 //! shards when the graph has more than one. The parsers, the data
 //! generators, the reasoner and schema materialization all load through it.
 //!
-//! The incremental [`Graph::insert`] path stays available through each
-//! shard's small unsorted **delta buffer** (plus a hash set for duplicate
-//! checks) that every read path consults alongside the sorted runs. A delta
-//! is merged into its shard's CSR runs automatically once it exceeds a
-//! fraction of the shard, or eagerly via [`Graph::compact`].
+//! The incremental [`Graph::insert`] path goes through each shard's
+//! **delta**: three small ordered sets (SPO/POS/OSP; the SPO one is the
+//! duplicate check) that reads range over after the CSR runs. An insert is
+//! three `O(log δ)` tree insertions and moves no column; a read over a
+//! pending delta costs what a read of a compacted store costs, plus the
+//! delta rows it actually matches. A delta is merged into its shard's CSR
+//! runs automatically once it exceeds a fraction of the shard, or eagerly
+//! via [`Graph::compact`]. A batch handed to [`Graph::bulk_insert_ids`]
+//! takes whichever path is cheaper for its size.
+//!
+//! Beside the delta the graph keeps a bounded **insertion log**: the triples
+//! added since some earlier triple count, in arrival order
+//! ([`Graph::inserted_since`]). It is what lets a materialized view built at
+//! that count be brought up to date from the new triples alone. The log
+//! survives delta merges (merging adds nothing) and is dropped when a bulk
+//! merge adds triples it does not itemize, or when it outgrows the delta
+//! threshold.
 //!
 //! Graphs are append-only: the analytical framework of the paper only ever
 //! loads data, saturates it, and materializes analytical-schema instances —
@@ -60,7 +80,9 @@
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::fx::{FxHashMap, FxHashSet};
-use crate::shard::{distinct_with_delta, shard_of_subject, CsrIndex, Shard};
+use crate::shard::{
+    count_delta_reads, distinct_with_delta, shard_of_subject, CsrIndex, Perm, Shard,
+};
 use crate::term::Term;
 use crate::triple::{Triple, TriplePattern};
 
@@ -75,10 +97,12 @@ const PARALLEL_LOAD_MIN: usize = 4096;
 pub struct Graph {
     dict: Dictionary,
     shards: Vec<Shard>,
-    /// Stamps incremental inserts across shards so cross-shard sweeps can
-    /// replay global insertion order.
-    next_seq: u64,
     len: usize,
+    /// The insertion log: `log[i]` is the triple that took the graph from
+    /// `log_start + i` to `log_start + i + 1` triples, so
+    /// `log_start + log.len() == len` always.
+    log: Vec<Triple>,
+    log_start: usize,
 }
 
 /// Alias emphasizing that [`Graph`] *is* the sharded store: every graph is a
@@ -106,8 +130,9 @@ impl Graph {
         Graph {
             dict: Dictionary::new(),
             shards: vec![Shard::default(); n_shards.max(1)],
-            next_seq: 0,
             len: 0,
+            log: Vec::new(),
+            log_start: 0,
         }
     }
 
@@ -171,7 +196,6 @@ impl Graph {
         }
         let all: Vec<Triple> = self.triples().collect();
         self.shards = vec![Shard::default(); n_shards];
-        self.next_seq = 0;
         self.len = 0;
         self.bulk_insert_ids(all);
     }
@@ -202,9 +226,9 @@ impl Graph {
         self.len == 0
     }
 
-    /// Number of triples sitting in the unsorted delta buffers (not yet
-    /// merged into the CSR runs), summed across shards. Exposed for
-    /// instrumentation and tests.
+    /// Number of triples sitting in the delta runs (not yet merged into the
+    /// CSR runs), summed across shards. Exposed for instrumentation and
+    /// tests.
     pub fn pending_delta_len(&self) -> usize {
         self.shards.iter().map(Shard::pending_delta_len).sum()
     }
@@ -222,10 +246,28 @@ impl Graph {
     }
 
     /// Graph-level delta capacity, mirroring the per-shard thresholds: the
-    /// routing bound below which a bulk batch rides the delta buffers
-    /// instead of forcing per-shard merges.
+    /// routing bound below which a bulk batch rides the delta runs instead
+    /// of forcing per-shard merges, and the bound of the insertion log.
     fn delta_threshold(&self) -> usize {
         self.shards.iter().map(Shard::delta_threshold).sum()
+    }
+
+    /// The triples added since the graph held `watermark` triples, in
+    /// arrival order — or `None` if the insertion log no longer reaches back
+    /// that far: a bulk merge added triples since then (it reports how many
+    /// were new, not which), or the log outgrew the delta threshold and was
+    /// dropped. `watermark` is a value [`Self::len`] returned earlier; the
+    /// graph is append-only, so the two triple counts identify the slice.
+    pub fn inserted_since(&self, watermark: usize) -> Option<&[Triple]> {
+        debug_assert_eq!(self.log_start + self.log.len(), self.len);
+        self.log.get(watermark.checked_sub(self.log_start)?..)
+    }
+
+    /// Forgets the insertion log: from here on only triples added later can
+    /// be itemized.
+    fn restart_log(&mut self) {
+        self.log.clear();
+        self.log_start = self.len;
     }
 
     /// Bulk-inserts a batch of already-encoded triples: scatters the batch
@@ -236,9 +278,11 @@ impl Graph {
     /// number of newly added triples.
     ///
     /// Small batches arriving at a large store (e.g. a reasoner round that
-    /// entails a handful of triples over millions) are routed through the
-    /// delta buffers instead: a full three-index rebuild for a few rows
-    /// would cost O(n), while the deltas' auto-merge amortizes it away.
+    /// entails a handful of triples over millions, or a trickle of new
+    /// facts under a serving session) are routed through the delta runs
+    /// instead: a full three-index rebuild for a few rows would cost O(n),
+    /// while the deltas' auto-merge amortizes it away — and only triples
+    /// that arrive this way are itemized in the insertion log.
     ///
     /// The ids must come from this graph's dictionary (debug-asserted).
     pub fn bulk_insert_ids(&mut self, triples: impl IntoIterator<Item = Triple>) -> usize {
@@ -267,11 +311,6 @@ impl Graph {
         let before = self.len;
         let n = self.shards.len();
         let work = batch.len() + self.pending_delta_len();
-        if work > 0 {
-            let sink = rdfcube_obs::sink();
-            sink.delta_merges.inc();
-            sink.delta_merge_rows.add(work as u64);
-        }
         if n == 1 {
             self.shards[0].merge_batch(batch);
         } else {
@@ -292,6 +331,10 @@ impl Graph {
             }
         }
         self.len = self.shards.iter().map(Shard::len).sum();
+        if self.len != before {
+            // The batch added triples the log cannot name.
+            self.restart_log();
+        }
         self.len - before
     }
 
@@ -323,21 +366,24 @@ impl Graph {
     /// Inserts an already-encoded triple; returns `true` if it was new.
     ///
     /// The ids must come from this graph's dictionary (debug-asserted). The
-    /// triple lands in its subject shard's delta buffer; that buffer
-    /// auto-merges into the shard's CSR runs once it outgrows a fraction of
-    /// the shard.
+    /// triple lands in its subject shard's delta runs, which auto-merge into
+    /// the shard's CSR runs once they outgrow a fraction of the shard, and
+    /// in the insertion log.
     pub fn insert_ids(&mut self, s: TermId, p: TermId, o: TermId) -> bool {
         debug_assert!(s.index() < self.dict.len(), "foreign subject id");
         debug_assert!(p.index() < self.dict.len(), "foreign predicate id");
         debug_assert!(o.index() < self.dict.len(), "foreign object id");
         let w = shard_of_subject(s, self.shards.len());
-        if self.shards[w].insert(self.next_seq, Triple::new(s, p, o)) {
-            self.next_seq += 1;
-            self.len += 1;
-            true
-        } else {
-            false
+        let t = Triple::new(s, p, o);
+        if !self.shards[w].insert(t) {
+            return false;
         }
+        self.len += 1;
+        self.log.push(t);
+        if self.log.len() > self.delta_threshold() {
+            self.restart_log();
+        }
+        true
     }
 
     /// Inserts an encoded [`Triple`].
@@ -358,22 +404,22 @@ impl Graph {
         }
     }
 
-    /// The objects of `(s, p, ·)`: the sorted CSR run first, then any
-    /// not-yet-merged delta inserts. Subject-bound, so a single shard
-    /// serves the whole iteration.
+    /// The objects of `(s, p, ·)`: the sorted CSR run first, then the
+    /// not-yet-merged delta run, each ascending. Subject-bound, so a single
+    /// shard serves the whole iteration.
     pub fn objects(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
         let sh = &self.shards[self.shard_of(s)];
-        sh.spo.thirds_of_pair(s, p).iter().copied().chain(
-            sh.delta
-                .iter()
-                .filter(move |(_, t)| t.s == s && t.p == p)
-                .map(|(_, t)| t.o),
-        )
+        let pending = sh.delta.run(TriplePattern::new(Some(s), Some(p), None)).1;
+        let sorted = sh.spo.thirds_of_pair(s, p).iter().copied();
+        sorted.chain(pending.map(|&(_, _, o)| {
+            count_delta_reads(1);
+            o
+        }))
     }
 
-    /// The subjects of `(·, p, o)`: the sorted CSR runs first (merged
-    /// across shards in ascending subject order — exactly the flat store's
-    /// order), then any not-yet-merged delta inserts in insertion order.
+    /// The subjects of `(·, p, o)`: the sorted CSR runs first, then the
+    /// not-yet-merged delta runs, each merged across shards in ascending
+    /// subject order — exactly the flat store's order.
     pub fn subjects(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
         let mut slices: Vec<&[TermId]> = self
             .shards
@@ -382,7 +428,7 @@ impl Graph {
             .collect();
         let pattern = TriplePattern::new(None, Some(p), Some(o));
         let mut delta: Vec<TermId> = Vec::new();
-        self.sweep_delta_matches(pattern, &mut |t| delta.push(t.s));
+        self.for_each_delta_match(pattern, &mut |t| delta.push(t.s));
         std::iter::from_fn(move || {
             let mut best: Option<(usize, TermId)> = None;
             for (i, sl) in slices.iter().enumerate() {
@@ -399,22 +445,16 @@ impl Graph {
         .chain(delta)
     }
 
-    /// Iterates every triple: the sorted SPO runs first (merged across
-    /// shards in global sorted order), then the deltas in insertion order.
+    /// Iterates every triple: the sorted SPO runs first, then the delta
+    /// runs, each merged across shards in global SPO order.
     pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
         let mut runs: Vec<_> = self
             .shards
             .iter()
             .map(|sh| sh.spo.tuples().peekable())
             .collect();
-        let mut delta: Vec<(u64, Triple)> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.delta.iter().copied())
-            .collect();
-        if self.shards.len() > 1 {
-            delta.sort_unstable_by_key(|&(seq, _)| seq);
-        }
+        let mut delta: Vec<Triple> = Vec::new();
+        self.for_each_delta_match(TriplePattern::default(), &mut |t| delta.push(t));
         std::iter::from_fn(move || {
             let mut best: Option<usize> = None;
             let mut best_val = (TermId(0), TermId(0), TermId(0));
@@ -430,35 +470,29 @@ impl Graph {
             runs[i].next();
             Some(Triple::new(best_val.0, best_val.1, best_val.2))
         })
-        .chain(delta.into_iter().map(|(_, t)| t))
+        .chain(delta)
     }
 
-    /// Fires `f` for every delta triple matching `pattern`, across shards,
-    /// in global insertion order.
-    fn sweep_delta_matches<F: FnMut(Triple)>(&self, pattern: TriplePattern, f: &mut F) {
-        if self.shards.len() == 1 {
-            for &(_, t) in &self.shards[0].delta {
-                if pattern.matches(&t) {
-                    f(t);
-                }
-            }
-            return;
-        }
+    /// Fires `f` for every pending triple matching `pattern`: the shards'
+    /// delta runs, k-way merged by the key of the index that serves the
+    /// shape — the delta half of every cross-shard read.
+    fn for_each_delta_match<F: FnMut(Triple)>(&self, pattern: TriplePattern, f: &mut F) {
         if !self.has_pending_delta() {
             return;
         }
-        let mut hits: Vec<(u64, Triple)> = Vec::new();
-        for sh in &self.shards {
-            for &(seq, t) in &sh.delta {
-                if pattern.matches(&t) {
-                    hits.push((seq, t));
-                }
-            }
-        }
-        hits.sort_unstable_by_key(|&(seq, _)| seq);
-        for (_, t) in hits {
-            f(t);
-        }
+        let perm = Perm::serving(pattern);
+        let mut runs: Vec<_> = self
+            .shards
+            .iter()
+            .filter(|sh| !sh.delta.is_empty())
+            .map(|sh| sh.delta.run(pattern).1.copied().peekable())
+            .collect();
+        let mut rows = 0;
+        merge_sorted_runs(&mut runs, |t| {
+            f(perm.triple(t));
+            rows += 1;
+        });
+        count_delta_reads(rows);
     }
 
     /// Calls `f` for every triple matching `pattern`, using the cheapest
@@ -466,8 +500,9 @@ impl Graph {
     ///
     /// The enumeration order is independent of the shard count: a
     /// subject-bound shape routes to one shard (whose local order is the
-    /// flat order), and subject-free shapes k-way merge the per-shard sorted
-    /// runs by the index's sort key, which cannot tie across shards.
+    /// flat order), and subject-free shapes k-way merge the per-shard CSR
+    /// runs, then the per-shard delta runs, by the index's sort key, which
+    /// cannot tie across shards.
     pub fn for_each_match<F: FnMut(Triple)>(&self, pattern: TriplePattern, mut f: F) {
         if self.shards.len() == 1 {
             self.shards[0].for_each_match_local(pattern, &mut f);
@@ -523,11 +558,11 @@ impl Graph {
                 merge_sorted_runs(&mut runs, |(s, p, o)| f(Triple::new(s, p, o)));
             }
         }
-        self.sweep_delta_matches(pattern, &mut f);
+        self.for_each_delta_match(pattern, &mut f);
     }
 
     /// Calls `f` for every triple of shard `shard` matching `pattern`, in
-    /// the shard's local order (sorted run, then shard delta). The engine's
+    /// the shard's local order (CSR run, then delta run). The engine's
     /// per-shard evaluation workers use this to probe shards directly;
     /// patterns whose subject routes elsewhere simply match nothing here.
     ///
@@ -550,7 +585,7 @@ impl Graph {
     }
 
     /// Exact number of triples matching `pattern`, computed from the CSR
-    /// offset/run metadata (plus sweeps of the bounded delta buffers) — no
+    /// offset/run metadata plus the lengths of the matching delta runs — no
     /// shape falls back to a full scan. Used for join-order selectivity.
     ///
     /// Subject-bound shapes are answered by one shard; subject-free shapes
@@ -600,7 +635,7 @@ impl Graph {
             for (p, n) in sh.pos.first_group_sizes() {
                 *counts.entry(p).or_insert(0) += n;
             }
-            for (_, t) in &sh.delta {
+            for t in sh.delta.triples() {
                 *counts.entry(t.p).or_insert(0) += 1;
             }
         }
@@ -632,8 +667,8 @@ impl Graph {
             for (k, _) in idx_of(sh).first_group_sizes() {
                 set.insert(k);
             }
-            for (_, t) in &sh.delta {
-                set.insert(key(t));
+            for t in sh.delta.triples() {
+                set.insert(key(&t));
             }
         }
         set.len()

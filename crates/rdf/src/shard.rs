@@ -3,8 +3,8 @@
 //! A [`Graph`] is a set of independent `Shard`s. Every triple belongs to
 //! exactly one shard, chosen by hashing its **subject** (`shard_of_subject`),
 //! so each shard is a complete, self-contained CSR triple store for its slice
-//! of the data: its own SPO/POS/OSP sorted column sets, its own delta buffer
-//! for incremental inserts, and its own merge threshold. Shards never
+//! of the data: its own SPO/POS/OSP sorted column sets, its own sorted delta
+//! runs for incremental inserts, and its own merge threshold. Shards never
 //! reference each other — the bulk loader builds them in parallel, and the
 //! query engine evaluates BGP steps against them in parallel.
 //!
@@ -17,23 +17,32 @@
 //!   by the index's sort key reproduces the global sorted order with no ties
 //!   across shards — equal subjects always share a shard.
 //!
-//! Delta entries carry a graph-global sequence number so cross-shard
-//! enumeration can also reproduce the exact insertion order of a flat store.
+//! The pending delta keeps the same three permutations as ordered sets, so
+//! both guarantees hold for it as they do for the CSR runs: a read is the
+//! CSR run followed by the delta run, each in index order.
 //!
 //! [`Graph`]: crate::graph::Graph
 
 use crate::dictionary::TermId;
 use crate::fx::FxHashSet;
 use crate::triple::{Triple, TriplePattern};
+use std::collections::{btree_set, BTreeSet};
 
 /// Minimum delta size before an automatic merge is considered; below this
-/// the linear delta scans are cheaper than re-merging the columns.
+/// a merge would rewrite the shard's columns for a handful of rows that the
+/// delta runs serve at the same `O(log δ)` per probe.
 pub(crate) const DELTA_MERGE_MIN: usize = 1024;
 
-/// Upper bound on a shard's delta regardless of its size: read probes sweep
-/// the delta linearly, so letting it track `len / 4` unbounded would degrade
-/// index lookups on incrementally-built giant graphs.
+/// Upper bound on a shard's delta regardless of its size. Reads do not
+/// degrade with the delta (they range over sorted runs), but a delta row
+/// costs three tree nodes where a CSR row costs twelve bytes, and the graph's
+/// insertion log is bounded by the same figure — letting both track
+/// `len / 4` unbounded would make an incrementally-built giant graph carry a
+/// giant second copy of its tail.
 pub(crate) const DELTA_MERGE_MAX: usize = 65_536;
+
+/// One triple in some index's component order.
+type Tuple = (TermId, TermId, TermId);
 
 /// The shard owning subject `s` in an `n_shards`-way partitioning.
 ///
@@ -226,11 +235,113 @@ impl CsrIndex {
     }
 }
 
+/// The index permutation that serves a pattern shape. The choice is the same
+/// for a shard's CSR runs and for its delta runs: the pattern's bound
+/// components are a prefix of the chosen component order, so its matches are
+/// one contiguous, sorted run of that index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Perm {
+    /// `(s, p, o)`: serves `(s p o)`, `(s p ·)`, `(s · ·)` and the full scan.
+    Spo,
+    /// `(p, o, s)`: serves `(· p o)` and `(· p ·)`.
+    Pos,
+    /// `(o, s, p)`: serves `(s · o)` and `(· · o)`.
+    Osp,
+}
+
+impl Perm {
+    /// The permutation whose order `pattern`'s matches are enumerated in.
+    pub(crate) fn serving(pattern: TriplePattern) -> Perm {
+        match (pattern.s, pattern.p, pattern.o) {
+            (Some(_), Some(_), _) | (_, None, None) => Perm::Spo,
+            (None, Some(_), _) => Perm::Pos,
+            (_, None, Some(_)) => Perm::Osp,
+        }
+    }
+
+    /// `[s, p, o]` rearranged into this permutation's component order.
+    fn permute<T>(self, [s, p, o]: [T; 3]) -> (T, T, T) {
+        match self {
+            Perm::Spo => (s, p, o),
+            Perm::Pos => (p, o, s),
+            Perm::Osp => (o, s, p),
+        }
+    }
+
+    /// The triple a tuple of this permutation stands for.
+    pub(crate) fn triple(self, (a, b, c): Tuple) -> Triple {
+        match self {
+            Perm::Spo => Triple::new(a, b, c),
+            Perm::Pos => Triple::new(c, a, b),
+            Perm::Osp => Triple::new(b, c, a),
+        }
+    }
+}
+
+/// A shard's pending inserts: the triples not yet folded into the CSR runs,
+/// held once per permutation as an ordered set — sorted runs that grow by
+/// insertion. Every pattern shape reads its matches as one range of one set,
+/// `O(log δ + matches)`, in the same index order the CSR run before it came
+/// in; the SPO set doubles as the duplicate check.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Delta {
+    /// Indexed by `Perm as usize`.
+    runs: [BTreeSet<Tuple>; 3],
+}
+
+impl Delta {
+    /// Number of pending triples.
+    pub(crate) fn len(&self) -> usize {
+        self.runs[0].len()
+    }
+
+    /// True if nothing is pending. Every read checks this before it touches
+    /// the sets, so a compacted store pays one branch for having a delta.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.runs[0].is_empty()
+    }
+
+    /// Adds `t` to all three runs; `false` if it was already pending.
+    fn insert(&mut self, t: Triple) -> bool {
+        let fresh = self.runs[Perm::Spo as usize].insert((t.s, t.p, t.o));
+        if fresh {
+            self.runs[Perm::Pos as usize].insert((t.p, t.o, t.s));
+            self.runs[Perm::Osp as usize].insert((t.o, t.s, t.p));
+        }
+        fresh
+    }
+
+    /// The pending triples in SPO order.
+    pub(crate) fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
+        let spo = self.runs[Perm::Spo as usize].iter();
+        spo.map(|&t| Perm::Spo.triple(t))
+    }
+
+    /// The pending matches of `pattern`: a range of the serving
+    /// permutation's set, as tuples in that permutation's order. Callers
+    /// report what they consume through [`count_delta_reads`].
+    pub(crate) fn run(&self, pattern: TriplePattern) -> (Perm, btree_set::Range<'_, Tuple>) {
+        let perm = Perm::serving(pattern);
+        let (a, b, c) = perm.permute([pattern.s, pattern.p, pattern.o]);
+        debug_assert!(a.is_some() || b.is_none(), "bound components form a prefix");
+        debug_assert!(b.is_some() || c.is_none(), "bound components form a prefix");
+        let (min, max) = (TermId(0), TermId(u32::MAX));
+        let lo = (a.unwrap_or(min), b.unwrap_or(min), c.unwrap_or(min));
+        let hi = (a.unwrap_or(max), b.unwrap_or(max), c.unwrap_or(max));
+        (perm, self.runs[perm as usize].range(lo..=hi))
+    }
+}
+
+/// Reports `rows` delta rows visited by a read to the global sink
+/// (`rdfcube_graph_delta_rows_read_total`).
+pub(crate) fn count_delta_reads(rows: usize) {
+    if rows > 0 {
+        rdfcube_obs::sink().delta_rows_read.add(rows as u64);
+    }
+}
+
 /// One subject-hash partition of a [`Graph`]: a complete CSR triple store
-/// (SPO/POS/OSP) plus a delta buffer for the shard's incremental inserts.
-///
-/// Delta entries are stamped with a **graph-global** sequence number so that
-/// cross-shard sweeps can replay the exact insertion order of a flat store.
+/// (SPO/POS/OSP) plus the [`Delta`] runs of the shard's incremental inserts.
 ///
 /// [`Graph`]: crate::graph::Graph
 #[derive(Debug, Default, Clone)]
@@ -241,11 +352,8 @@ pub(crate) struct Shard {
     pub(crate) pos: CsrIndex,
     /// Sorted as (o, s, p).
     pub(crate) osp: CsrIndex,
-    /// Recent incremental inserts not yet merged, in insertion order, each
-    /// stamped with the graph-global insertion sequence number.
-    pub(crate) delta: Vec<(u64, Triple)>,
-    /// The delta's triples again, for O(1) duplicate checks.
-    pub(crate) delta_set: FxHashSet<Triple>,
+    /// Recent incremental inserts not yet merged.
+    pub(crate) delta: Delta,
     len: usize,
 }
 
@@ -255,34 +363,33 @@ impl Shard {
         self.len
     }
 
-    /// Number of triples sitting in the shard's delta buffer.
+    /// Number of triples sitting in the shard's delta runs.
     pub(crate) fn pending_delta_len(&self) -> usize {
         self.delta.len()
     }
 
     /// Delta size at which this shard's automatic merge fires. Proportional
-    /// to the shard so incremental building stays amortized-cheap, but
-    /// capped so read probes (which sweep the delta linearly) never pay more
-    /// than a bounded scan on top of their index lookups.
+    /// to the shard so incremental building stays amortized-cheap (each
+    /// merge rewrites the columns, so merging every `len / 4` inserts keeps
+    /// the total work linear), and capped by [`DELTA_MERGE_MAX`] so the
+    /// tree-shaped delta — and the graph's insertion log, which shares this
+    /// bound — stays a small fraction of a large store's memory.
     pub(crate) fn delta_threshold(&self) -> usize {
         DELTA_MERGE_MIN.max((self.spo.len() / 4).min(DELTA_MERGE_MAX))
     }
 
     /// True if the encoded triple is present in this shard.
     pub(crate) fn contains_ids(&self, s: TermId, p: TermId, o: TermId) -> bool {
-        self.spo.contains(s, p, o) || self.delta_set.contains(&Triple::new(s, p, o))
+        self.spo.contains(s, p, o) || self.delta.runs[Perm::Spo as usize].contains(&(s, p, o))
     }
 
-    /// Inserts one triple into the shard's delta buffer under the given
-    /// graph-global sequence number; returns `true` if it was new. The
-    /// buffer auto-merges into the CSR runs once it crosses the shard's
-    /// threshold.
-    pub(crate) fn insert(&mut self, seq: u64, t: Triple) -> bool {
-        if self.spo.contains(t.s, t.p, t.o) || self.delta_set.contains(&t) {
+    /// Inserts one triple into the shard's delta runs; returns `true` if it
+    /// was new. The delta auto-merges into the CSR runs once it crosses the
+    /// shard's threshold.
+    pub(crate) fn insert(&mut self, t: Triple) -> bool {
+        if self.spo.contains(t.s, t.p, t.o) || !self.delta.insert(t) {
             return false;
         }
-        self.delta.push((seq, t));
-        self.delta_set.insert(t);
         self.len += 1;
         if self.delta.len() >= self.delta_threshold() {
             self.merge_batch(Vec::new());
@@ -291,24 +398,24 @@ impl Shard {
     }
 
     /// Folds the shard's delta plus `batch` into the sorted CSR runs
-    /// unconditionally. Returns the number of newly added triples. Because a
-    /// duplicate triple shares its subject — and therefore its shard — with
+    /// unconditionally — the one place a merge happens, and so the one place
+    /// merges are counted. Returns the number of newly added triples. Because
+    /// a duplicate triple shares its subject — and therefore its shard — with
     /// the original, shard-local dedup here is also global dedup.
     pub(crate) fn merge_batch(&mut self, batch: Vec<Triple>) -> usize {
         let before = self.len;
-        let mut spo_add: Vec<(TermId, TermId, TermId)> = self
-            .delta
-            .iter()
-            .map(|&(_, t)| t)
-            .chain(batch.iter().copied())
+        let delta = std::mem::take(&mut self.delta);
+        let mut spo_add: Vec<Tuple> = delta
+            .triples()
+            .chain(batch)
             .map(|t| (t.s, t.p, t.o))
             .collect();
-        drop(batch);
-        self.delta.clear();
-        self.delta_set.clear();
         if spo_add.is_empty() {
             return 0;
         }
+        let sink = rdfcube_obs::sink();
+        sink.delta_merges.inc();
+        sink.delta_merge_rows.add(spo_add.len() as u64);
         spo_add.sort_unstable();
         spo_add.dedup();
         // One sort + dedup covers all three permutations (a duplicate triple
@@ -316,10 +423,8 @@ impl Shard {
         // therefore only need ordering, not dedup: when the shard is empty
         // they go through the O(n) counting-scatter construction, and only
         // merges into a non-empty shard pay for full permuted sorts.
-        let pos_add: Vec<(TermId, TermId, TermId)> =
-            spo_add.iter().map(|&(s, p, o)| (p, o, s)).collect();
-        let osp_add: Vec<(TermId, TermId, TermId)> =
-            spo_add.iter().map(|&(s, p, o)| (o, s, p)).collect();
+        let pos_add: Vec<Tuple> = spo_add.iter().map(|&(s, p, o)| (p, o, s)).collect();
+        let osp_add: Vec<Tuple> = spo_add.iter().map(|&(s, p, o)| (o, s, p)).collect();
         if self.spo.len() == 0 {
             self.pos.rebuild_grouped(pos_add);
             self.osp.rebuild_grouped(osp_add);
@@ -337,19 +442,18 @@ impl Shard {
         self.len - before
     }
 
-    /// Calls `f` for every shard-local triple matching `pattern`: the sorted
-    /// run in index order first, then the shard's delta in insertion order.
-    /// For a single-shard graph this is exactly the flat store's enumeration
-    /// order.
+    /// Calls `f` for every shard-local triple matching `pattern`: the CSR run
+    /// first, then the delta run, each in the order of the index that serves
+    /// the shape. For a single-shard graph this is exactly the flat store's
+    /// enumeration order.
     pub(crate) fn for_each_match_local<F: FnMut(Triple)>(&self, pattern: TriplePattern, f: &mut F) {
         match (pattern.s, pattern.p, pattern.o) {
             (Some(s), Some(p), Some(o)) => {
-                // contains_ids covers the delta; return before the delta
-                // sweep below to avoid double-firing.
-                if self.contains_ids(s, p, o) {
+                if self.spo.contains(s, p, o) {
                     f(Triple::new(s, p, o));
+                    // A triple lives in the runs or in the delta, never both.
+                    return;
                 }
-                return;
             }
             (Some(s), Some(p), None) => {
                 for &o in self.spo.thirds_of_pair(s, p) {
@@ -387,16 +491,21 @@ impl Shard {
                 }
             }
         }
-        for &(_, t) in &self.delta {
-            if pattern.matches(&t) {
-                f(t);
-            }
+        if self.delta.is_empty() {
+            return;
         }
+        let (perm, run) = self.delta.run(pattern);
+        let mut rows = 0;
+        for &t in run {
+            f(perm.triple(t));
+            rows += 1;
+        }
+        count_delta_reads(rows);
     }
 
     /// Exact number of shard-local triples matching `pattern`, from the CSR
-    /// offset/run metadata plus a sweep of the bounded delta buffer — no
-    /// shape falls back to a full scan, and nothing is materialized.
+    /// offset/run metadata plus the length of the delta run — no shape falls
+    /// back to a full scan, and nothing is materialized.
     pub(crate) fn count_matching_local(&self, pattern: TriplePattern) -> usize {
         let sorted = match (pattern.s, pattern.p, pattern.o) {
             (Some(s), Some(p), Some(o)) => usize::from(self.spo.contains(s, p, o)),
@@ -418,15 +527,11 @@ impl Shard {
             (None, None, None) => return self.len,
         };
         if self.delta.is_empty() {
-            sorted
-        } else {
-            sorted
-                + self
-                    .delta
-                    .iter()
-                    .filter(|(_, t)| pattern.matches(t))
-                    .count()
+            return sorted;
         }
+        let pending = self.delta.run(pattern).1.count();
+        count_delta_reads(pending);
+        sorted + pending
     }
 
     /// Number of distinct subjects in this shard (sorted runs + delta).
@@ -441,7 +546,7 @@ impl Shard {
 /// sorted runs.
 pub(crate) fn distinct_with_delta(
     idx: &CsrIndex,
-    delta: &[(u64, Triple)],
+    delta: &Delta,
     key: impl Fn(&Triple) -> TermId,
 ) -> usize {
     let base = idx.distinct_firsts();
@@ -449,8 +554,8 @@ pub(crate) fn distinct_with_delta(
         return base;
     }
     let mut extra: FxHashSet<TermId> = FxHashSet::default();
-    for (_, t) in delta {
-        let k = key(t);
+    for t in delta.triples() {
+        let k = key(&t);
         if idx.first_len(k) == 0 {
             extra.insert(k);
         }
