@@ -205,8 +205,8 @@ fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 /// on the fact variable and aggregated per dimension vector (sort-based γ).
 ///
 /// This is the reference ("from scratch") evaluation every rewriting in
-/// [`crate::rewrite`] is benchmarked and tested against, and the subject of
-/// benchmark E9.
+/// [`crate::rewrite`] is benchmarked and tested against (`olapbench`'s
+/// `cold-scratch` workload runs nothing else).
 pub fn answer(q: &AnalyticalQuery, instance: &Graph) -> Result<Cube, CoreError> {
     let c_rel = evaluate(instance, q.classifier(), Semantics::Set)?;
     answer_with_classifier_relation(q, c_rel, instance)

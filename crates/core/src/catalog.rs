@@ -212,7 +212,7 @@ impl CatalogEntry {
     }
 }
 
-/// Cumulative catalog counters, for observability and the E10 report.
+/// Cumulative catalog counters, for observability (`olapbench`'s `catalog.*`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CatalogCounters {
     /// Queries answered by reusing a materialized cube.

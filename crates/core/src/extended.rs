@@ -323,7 +323,7 @@ impl ExtendedQuery {
     }
 
     /// The naive formulation — evaluate the unrestricted classifier, then
-    /// select — kept for the E7c ablation quantifying what push-down buys.
+    /// select — kept as the reference the push-down is tested against.
     pub fn classifier_relation_postfilter(&self, instance: &Graph) -> Result<Relation, CoreError> {
         let rel = evaluate(instance, self.query.classifier(), Semantics::Set)?;
         Ok(self.filter_classifier(rel, instance.dict()))

@@ -154,7 +154,7 @@ pub fn drill_out_from_pres(
 /// * For `min`/`max` this is actually sound (idempotent ⊕) — and the session
 ///   exploits that.
 /// * For `count`/`sum` it double-counts facts that are multi-valued along a
-///   removed dimension; benchmark E4 measures exactly how wrong.
+///   removed dimension; `examples/blogger_analytics.rs` prints how wrong.
 /// * For non-distributive functions (`avg`, `count_distinct`) it is not even
 ///   computable and yields an error (the paper's case 2 in §3.2).
 pub fn drill_out_from_ans(
@@ -348,9 +348,9 @@ pub fn roll_up_from_pres(
 // The catalog's planner ([`crate::cost`]) compares these to pick the
 // cheapest sound evaluation route, replacing the old fixed preference order
 // (dice < drill-out < drill-in < scratch). Estimates are in abstract "row
-// touches": what matters is their *relative* order, which the E10 benchmark
-// and the soundness property suite exercise. Each mirrors the dominant term
-// of its algorithm:
+// touches": what matters is their *relative* order, which `olapbench`'s
+// `planner.*` metrics and the soundness property suite exercise. Each
+// mirrors the dominant term of its algorithm:
 //
 // * σ_dice scans `ans(Q)` cells once;
 // * Algorithm 1 projects `pres(Q)`, sorts it once (δ) and scans it (γ);

@@ -455,7 +455,8 @@ impl OlapSession {
     /// catalog index, classifies the candidate family, costs every
     /// applicable derivation, and returns the would-be choice.
     ///
-    /// This is the strategy-selection path benchmark E10 measures.
+    /// This is the strategy-selection path `olapbench`'s `planner.plan_us`
+    /// measures.
     pub fn explain_query(&self, eq: &ExtendedQuery) -> ExplainedStrategy {
         pipeline::explain(&self.catalog, &self.instance, eq)
     }

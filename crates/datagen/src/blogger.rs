@@ -13,7 +13,7 @@
 //! * `n_bloggers` — scale;
 //! * `multi_city_prob` / `multi_name_prob` — **multi-valuedness**, the
 //!   RDF-specific fan-out that makes ans-based drill-out incorrect
-//!   (Example 5) and that benchmark E4/E7 sweep;
+//!   (Example 5; `examples/blogger_analytics.rs` prints how wrong);
 //! * `n_cities` / `n_ages` — dimension cardinality, which drives dice
 //!   selectivity;
 //! * `max_posts`/`post_skew` — Zipf-skewed measure bag sizes;
@@ -75,8 +75,7 @@ impl Default for BloggerConfig {
 
 /// The "large world" target size: ≥1M base triples, roughly 10× the usual
 /// benchmark ceiling — the scale the sharded store is built for. Used by
-/// [`BloggerConfig::large_world`], the report binary's `--scale large`
-/// flag, and the `e12_sharded` bench.
+/// [`BloggerConfig::large_world`] and `olapbench`'s `cold-scratch` workload.
 pub const LARGE_WORLD_TRIPLES: usize = 1_000_000;
 
 impl BloggerConfig {
@@ -330,8 +329,8 @@ mod tests {
 
     #[test]
     fn large_world_config_targets_a_million_triples() {
-        // Config math only — the 1M world itself is generated in the
-        // release-mode `e12_sharded` bench, not in debug tests.
+        // Config math only — the 1M world itself is generated by the
+        // release-mode `olapbench`, not in debug tests.
         let cfg = BloggerConfig::large_world();
         assert_eq!(cfg.n_bloggers, LARGE_WORLD_TRIPLES / 14);
         assert!(cfg.n_bloggers >= 70_000);

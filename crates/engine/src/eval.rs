@@ -23,31 +23,33 @@
 //! and [`Semantics::Bag`] (measures — one row per homomorphism, so repeated
 //! measure values of one fact stay distinct).
 //!
-//! The pipeline parallelizes by data: when [`set_eval_threads`] raises the
-//! worker count and an intermediate table is large enough, each step fans
-//! out across scoped worker threads against the read-only graph and step
-//! plan. Over a sharded store ([`Graph::with_shards`]) the partitioning
-//! follows the **storage shards** rather than the arena rows:
+//! The pipeline parallelizes by data, through one step runner. When
+//! [`set_eval_threads`] raises the worker count and an intermediate table is
+//! large enough, a step's work is *partitioned*, and the partitioning — which
+//! share of the store each worker probes, which worker takes each row — is
+//! all that varies:
 //!
-//! * a step whose subject is an already-bound variable routes each row to
-//!   its subject's shard — one worker per shard extends only its rows, and
-//!   the merge stitches each input row's matches back in input-row order
-//!   (pure cursor arithmetic, no comparisons);
-//! * a step whose subject is free runs every row against each shard's local
-//!   indexes in parallel, and the merge k-way-interleaves each row's
-//!   per-shard matches by the index sort key — which cannot tie across
-//!   shards, because every such key determines the subject and a subject
-//!   lives in exactly one shard;
+//! * over a compacted sharded store ([`Graph::with_shards`]) a step whose
+//!   subject is a variable gets one worker per storage shard. A subject bound
+//!   by an earlier step lives in exactly one shard, so its row is *routed* to
+//!   that shard's worker; a free subject can match in any shard, so every
+//!   worker takes every row;
 //! * shards whose [`Graph::count_matching_in_shard`] is zero for the step's
-//!   constant shape are skipped entirely — constants pushed down by
+//!   constant shape get no worker — constants pushed down by
 //!   [`evaluate_filtered`]'s equality pre-binding (slice/dice Σ constraints)
-//!   prune whole shards here before any probe runs.
+//!   prune whole shards here before any probe runs;
+//! * on a flat graph, while unmerged delta triples are pending, or when the
+//!   subject is a constant (one shard serves every probe anyway), the rows
+//!   are cut into contiguous chunks, one per thread, against the whole graph.
 //!
-//! On a single-shard (flat) graph — or while unmerged delta triples are
-//! pending — each step instead partitions the arena's rows into contiguous
-//! chunks and concatenates the partial tables in chunk order. Either way
-//! the merged table (and therefore every downstream aggregation) is
-//! **bit-identical** to the serial evaluation.
+//! Every worker runs the same row kernel and returns its partial table with
+//! a match count per input row; one merge walks the input rows and pulls each
+//! row's matches back in input-row order. Matches from a single worker — all
+//! a chunked or routed row can have — are copied by cursor arithmetic; a row
+//! that matched in several shards has its per-shard runs k-way merged by the
+//! index sort key, which cannot tie across shards (it determines the subject,
+//! and a subject lives in one shard). The merged table, and so every
+//! downstream aggregation, is **bit-identical** to the serial evaluation.
 //!
 //! Evaluation starts from a [`Seed`]: a table of initial bindings, one row
 //! per partial solution to extend. Plain evaluation is the unit seed (one
@@ -78,6 +80,26 @@ static EVAL_THREADS: AtomicUsize = AtomicUsize::new(1);
 /// Intermediate tables smaller than this stay serial: below it, the cost
 /// of spawning scoped workers outweighs the per-row probe work.
 const PAR_MIN_ROWS: usize = 1024;
+
+/// How far one query's steps may fan out. The public entry points read it
+/// from the process setting once per query and pass it down, so no query sees
+/// the setting change under it; in-crate tests pass values of their own.
+#[derive(Debug, Clone, Copy)]
+struct Fanout {
+    /// Worker threads a step may use; 1 keeps every step serial.
+    threads: usize,
+    /// Steps over fewer input rows than this stay serial.
+    min_rows: usize,
+}
+
+impl Fanout {
+    fn of_process() -> Self {
+        Fanout {
+            threads: eval_threads(),
+            min_rows: PAR_MIN_ROWS,
+        }
+    }
+}
 
 /// Sets the number of worker threads BGP evaluation may use (clamped to at
 /// least 1; 1 disables fan-out). Process-wide: the evaluator is a shared
@@ -298,8 +320,9 @@ enum Probe {
     /// A variable bound by an earlier step: its current value joins the
     /// index probe (an index nested-loop join key).
     Bound(usize),
-    /// A variable first bound here: left free in the probe.
-    Free,
+    /// A variable first bound here, into this arena slot: left free in the
+    /// probe.
+    Free(usize),
 }
 
 /// The compiled form of one evaluation step over one body pattern.
@@ -333,7 +356,7 @@ fn build_plans(
     for &pi in order {
         let pattern = bgp.body()[pi];
         let mut plan = StepPlan {
-            probe: [Probe::Free; 3],
+            probe: [Probe::Free(0); 3],
             writes: Vec::new(),
             eq_checks: Vec::new(),
             newly_bound: Vec::new(),
@@ -353,7 +376,7 @@ fn build_plans(
                             plan.newly_bound.push(v);
                         }
                     }
-                    Probe::Free
+                    Probe::Free(v.index())
                 }
             };
         }
@@ -368,9 +391,8 @@ fn build_plans(
 /// Shard-level execution statistics one step reports back to the
 /// coordinating thread: worker threads never touch the tracer's
 /// thread-local state, so these counts travel by return value and the
-/// coordinator attaches them to its own span / the global sink. Both
-/// fields stay 0 on non-shard-partitioned paths (flat store, chunked
-/// fallback, serial kernel).
+/// coordinator attaches them to its own span / the global sink. Both stay
+/// 0 unless the step was partitioned by shard.
 #[derive(Debug, Clone, Copy, Default)]
 struct StepExec {
     /// Shards whose indexes this step actually probed.
@@ -380,293 +402,228 @@ struct StepExec {
     shards_skipped: u32,
 }
 
+/// What a worker hands back: a match count for each input row it took, and
+/// the extended rows in input-row order.
+type PartResult = (Vec<u32>, BindingTable);
+
+/// [`run_step`]'s `owner` entry of a row no worker takes: its subject's shard
+/// holds nothing for the step.
+const NO_WORKER: u32 = u32::MAX;
+
 /// Runs one compiled step: probes the index under every current row and
-/// appends the extended rows to `next` — fanning out across worker threads
-/// when the table is large enough and [`set_eval_threads`] allows.
+/// appends the extended rows to `next`. All that is decided here is how the
+/// step's work is **partitioned**:
 ///
-/// Parallel dispatch prefers shard-partitioned execution (one worker per
-/// storage shard, shard-skipping via per-shard statistics) and falls back
-/// to contiguous row chunks when the graph is flat, holds unmerged delta
-/// triples, or the step's subject is a constant (which routes every probe
-/// to one shard anyway). All paths produce bit-identical tables.
+/// * the whole table on the calling thread, straight into `next` — `fanout`
+///   allows one thread, or the table is below its row floor;
+/// * one worker per storage shard whose statistics admit the step's constant
+///   shape (`shards`) — on a compacted sharded store, unless the subject is a
+///   constant (one shard serves every probe anyway). A bound subject routes
+///   its row to the one worker of its shard (`owner`); under a free subject
+///   every worker takes every row;
+/// * otherwise contiguous row chunks against the whole graph, one worker per
+///   thread.
+///
+/// The workers run [`extend_rows`] on scoped threads and meet in
+/// [`merge_parts`]; the table is bit-identical to the serial one.
 fn run_step(
     graph: &Graph,
     plan: &StepPlan,
     current: &BindingTable,
+    fanout: Fanout,
     next: &mut BindingTable,
 ) -> StepExec {
     next.clear();
-    let threads = eval_threads();
-    if threads > 1 && current.rows >= PAR_MIN_ROWS {
-        if graph.shard_count() > 1 && !graph.has_pending_delta() {
-            match plan.probe[0] {
-                Probe::Bound(slot) => {
-                    return run_step_sharded_bound(graph, plan, current, slot, next);
-                }
-                Probe::Free => {
-                    return run_step_sharded_scan(graph, plan, current, next);
-                }
-                Probe::Const(_) => {}
-            }
-        }
-        run_step_chunked(graph, plan, current, threads, next);
-        return StepExec::default();
+    let rows = current.rows;
+    let mut exec = StepExec::default();
+    if fanout.threads <= 1 || rows < fanout.min_rows {
+        // Most steps keep or grow the row count; pre-sizing to the current
+        // arena avoids repeated doubling in the match closure.
+        next.data.reserve(current.data.len());
+        extend_rows(graph, plan, current, None, 0..rows, next, None);
+        return exec;
     }
-    // Most steps keep or grow the row count; pre-sizing to the current
-    // arena avoids repeated doubling in the match closure.
-    next.data.reserve(current.data.len());
-    run_step_range(graph, plan, current, 0, current.rows, next);
-    StepExec::default()
-}
-
-/// The step's constant-only shape: probe positions holding query constants
-/// (including Σ constants pre-bound by [`evaluate_filtered`]), with bound
-/// variables wildcarded. Every per-row probe pattern specializes this
-/// shape, so a shard where it matches nothing can be skipped outright.
-fn const_shape(plan: &StepPlan) -> TriplePattern {
-    let c = |p: Probe| match p {
-        Probe::Const(c) => Some(c),
-        Probe::Bound(_) | Probe::Free => None,
-    };
-    TriplePattern::new(c(plan.probe[0]), c(plan.probe[1]), c(plan.probe[2]))
-}
-
-/// Extends `row` with every match of `tp` inside one shard, appending to
-/// `next`; returns how many rows were produced. The per-shard kernel of
-/// both sharded parallel paths.
-#[inline]
-fn extend_matches_in_shard(
-    graph: &Graph,
-    shard: usize,
-    plan: &StepPlan,
-    row: &[TermId],
-    tp: TriplePattern,
-    next: &mut BindingTable,
-) -> u32 {
-    let stride = next.stride;
-    let mut produced = 0u32;
-    graph.for_each_match_in_shard(shard, tp, |t| {
-        let vals = t.as_array();
-        for &(a, b) in &plan.eq_checks {
-            if vals[a] != vals[b] {
-                return;
+    let (shards, owner): (Vec<Option<usize>>, Option<Vec<u32>>) = if graph.shard_count() > 1
+        && !graph.has_pending_delta()
+        && !matches!(plan.probe[0], Probe::Const(_))
+    {
+        let shape = probe_of(plan, |_| None);
+        let mut worker_of = vec![NO_WORKER; graph.shard_count()];
+        let mut shards = Vec::new();
+        for (w, worker) in worker_of.iter_mut().enumerate() {
+            if graph.count_matching_in_shard(w, shape) > 0 {
+                *worker = shards.len() as u32;
+                shards.push(Some(w));
             }
         }
-        next.data.extend_from_slice(row);
-        let base = next.data.len() - stride;
-        for &(pos, slot) in &plan.writes {
-            next.data[base + slot] = vals[pos];
-        }
-        next.rows += 1;
-        produced += 1;
-    });
-    produced
-}
-
-/// Sharded parallel path for steps whose subject is an already-bound
-/// variable: every row's probe is served entirely by its subject's shard,
-/// so rows are routed there, one worker per shard extends its rows in row
-/// order (recording each row's match count), and the merge walks the input
-/// rows pulling each row's run from its owner's partial table — cursor
-/// arithmetic only, no value comparisons. Shards where the step's constant
-/// shape matches nothing are skipped (their rows produce no matches).
-fn run_step_sharded_bound(
-    graph: &Graph,
-    plan: &StepPlan,
-    current: &BindingTable,
-    slot: usize,
-    next: &mut BindingTable,
-) -> StepExec {
-    let n = graph.shard_count();
-    let shape = const_shape(plan);
-    let active: Vec<bool> = (0..n)
-        .map(|w| graph.count_matching_in_shard(w, shape) > 0)
-        .collect();
-    let exec = StepExec {
-        shards_probed: active.iter().filter(|&&a| a).count() as u32,
-        shards_skipped: active.iter().filter(|&&a| !a).count() as u32,
-    };
-    let mut rows_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..current.rows {
-        let w = graph.shard_of(current.row(i)[slot]);
-        if active[w] {
-            rows_of[w].push(i as u32);
-        }
-    }
-    let mut results: Vec<Option<(Vec<u32>, BindingTable)>> = Vec::with_capacity(n);
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(n);
-        for (w, rows) in rows_of.iter().enumerate() {
-            if rows.is_empty() {
-                workers.push(None);
-                continue;
+        exec.shards_probed = shards.len() as u32;
+        exec.shards_skipped = (worker_of.len() - shards.len()) as u32;
+        let owner = match plan.probe[0] {
+            Probe::Bound(slot) => {
+                let owner = |i| worker_of[graph.shard_of(current.row(i)[slot])];
+                Some((0..rows).map(owner).collect())
             }
-            workers.push(Some(scope.spawn(move || {
-                let mut part = BindingTable::new(current.stride);
-                let mut counts = Vec::with_capacity(rows.len());
-                for &i in rows {
-                    let row = current.row(i as usize);
-                    let resolve = |p: Probe| -> Option<TermId> {
-                        match p {
-                            Probe::Const(c) => Some(c),
-                            Probe::Bound(s) => Some(row[s]),
-                            Probe::Free => None,
-                        }
-                    };
-                    let tp = TriplePattern::new(
-                        Some(row[slot]),
-                        resolve(plan.probe[1]),
-                        resolve(plan.probe[2]),
-                    );
-                    counts.push(extend_matches_in_shard(graph, w, plan, row, tp, &mut part));
-                }
-                (counts, part)
-            })));
-        }
-        results = workers
-            .into_iter()
-            .map(|h| h.map(|h| h.join().expect("BGP evaluation worker panicked")))
-            .collect();
-    });
-    let stride = current.stride;
-    next.data.reserve(
-        results
-            .iter()
-            .flatten()
-            .map(|(_, p)| p.data.len())
-            .sum::<usize>(),
-    );
-    let mut count_cursor = vec![0usize; n];
-    let mut data_cursor = vec![0usize; n];
-    for i in 0..current.rows {
-        let w = graph.shard_of(current.row(i)[slot]);
-        let Some((counts, part)) = &results[w] else {
-            continue; // inactive shard, or no rows routed: zero matches
+            _ => None,
         };
-        let produced = counts[count_cursor[w]] as usize;
-        count_cursor[w] += 1;
-        if produced > 0 {
-            let start = data_cursor[w];
-            next.data
-                .extend_from_slice(&part.data[start..start + produced * stride]);
-            data_cursor[w] += produced * stride;
-            next.rows += produced;
+        (shards, owner)
+    } else {
+        let chunk = rows.div_ceil(fanout.threads);
+        let workers = rows.div_ceil(chunk);
+        let mut owner = Vec::with_capacity(rows);
+        for k in 1..=workers {
+            owner.resize((k * chunk).min(rows), k as u32 - 1);
         }
-    }
+        (vec![None; workers], Some(owner))
+    };
+    let owner = owner.as_deref();
+    let results: Vec<PartResult> = std::thread::scope(|scope| {
+        let spawn = |(k, &shard)| {
+            scope.spawn(move || {
+                let (mut counts, mut table) = (Vec::new(), BindingTable::new(current.stride));
+                let (rows, counted) = (rows_of(owner, k, rows), Some(&mut counts));
+                extend_rows(graph, plan, current, shard, rows, &mut table, counted);
+                (counts, table)
+            })
+        };
+        let workers: Vec<_> = shards.iter().enumerate().map(spawn).collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("BGP evaluation worker panicked"))
+            .collect()
+    });
+    merge_parts(plan, current, owner, &results, next);
     exec
 }
 
-/// Sharded parallel path for steps whose subject is a fresh variable: the
-/// probe cannot be routed, so every active shard's worker runs **all** rows
-/// against its local indexes (recording per-row match counts), and the
-/// merge interleaves each input row's per-shard runs by the index sort key
-/// — reproducing the flat store's enumeration order exactly. The key always
-/// determines the subject and a subject lives in one shard, so cross-shard
-/// ties are impossible. Shards where the step's constant shape matches
-/// nothing are never spawned.
-fn run_step_sharded_scan(
+/// The index probe of `plan`: constants (including Σ constants pre-bound by
+/// [`evaluate_filtered`]) resolved, fresh variables free, and each variable an
+/// earlier step bound whatever `bound` makes of its arena slot — a row's value
+/// there for that row's probe; nothing for the step's constant-only *shape*,
+/// which every row's probe specializes, so that a shard where the shape
+/// matches nothing can be skipped outright.
+#[inline]
+fn probe_of(plan: &StepPlan, bound: impl Fn(usize) -> Option<TermId>) -> TriplePattern {
+    let [s, p, o] = plan.probe.map(|probe| match probe {
+        Probe::Const(c) => Some(c),
+        Probe::Bound(slot) => bound(slot),
+        Probe::Free(_) => None,
+    });
+    TriplePattern::new(s, p, o)
+}
+
+/// The input rows worker `k` takes, ascending: the ones `owner` gives it, or
+/// all `rows` of them.
+fn rows_of(owner: Option<&[u32]>, k: usize, rows: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..rows).filter(move |&i| owner.is_none_or(|o| o[i] == k as u32))
+}
+
+/// The row kernel every worker runs, serial or not: extends each of its
+/// `rows` with every match of the step's probe in its share of the store —
+/// storage shard `shard`, or the whole graph — appending to `out` in the
+/// order given, and pushes each row's match count to `counts` (the serial
+/// path keeps none).
+fn extend_rows(
     graph: &Graph,
     plan: &StepPlan,
     current: &BindingTable,
-    next: &mut BindingTable,
-) -> StepExec {
-    let shape = const_shape(plan);
-    let active: Vec<usize> = (0..graph.shard_count())
-        .filter(|&w| graph.count_matching_in_shard(w, shape) > 0)
-        .collect();
-    let exec = StepExec {
-        shards_probed: active.len() as u32,
-        shards_skipped: (graph.shard_count() - active.len()) as u32,
-    };
-    if active.is_empty() {
-        return exec;
-    }
+    shard: Option<usize>,
+    rows: impl Iterator<Item = usize>,
+    out: &mut BindingTable,
+    mut counts: Option<&mut Vec<u32>>,
+) {
     let stride = current.stride;
-    let mut results: Vec<(Vec<u32>, BindingTable)> = Vec::with_capacity(active.len());
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = active
-            .iter()
-            .map(|&w| {
-                scope.spawn(move || {
-                    let mut part = BindingTable::new(stride);
-                    let mut counts = Vec::with_capacity(current.rows);
-                    for i in 0..current.rows {
-                        let row = current.row(i);
-                        let resolve = |p: Probe| -> Option<TermId> {
-                            match p {
-                                Probe::Const(c) => Some(c),
-                                Probe::Bound(s) => Some(row[s]),
-                                Probe::Free => None,
-                            }
-                        };
-                        let tp = TriplePattern::new(
-                            None,
-                            resolve(plan.probe[1]),
-                            resolve(plan.probe[2]),
-                        );
-                        counts.push(extend_matches_in_shard(graph, w, plan, row, tp, &mut part));
-                    }
-                    (counts, part)
-                })
-            })
-            .collect();
-        for worker in workers {
-            results.push(worker.join().expect("BGP evaluation worker panicked"));
-        }
-    });
-    next.data
-        .reserve(results.iter().map(|(_, p)| p.data.len()).sum::<usize>());
-    if results.len() == 1 {
-        let (_, part) = results.pop().expect("one result");
-        next.rows = part.rows;
-        next.data = part.data;
-        return exec;
-    }
-    // Arena slots holding each triple position's value in an extended row
-    // (writes cover first occurrences; eq-check positions mirror them).
-    let mut slot_of_pos: [usize; 3] = [usize::MAX; 3];
-    for &(pos, s) in &plan.writes {
-        slot_of_pos[pos] = s;
-    }
-    for &(a, b) in &plan.eq_checks {
-        slot_of_pos[b] = slot_of_pos[a];
-    }
-    // The flat store enumerates a subject-free shape in the order of the
-    // index serving it; the per-shard runs are sorted by the same key.
-    let free = |p: Probe| matches!(p, Probe::Free);
-    let key: Vec<usize> = match (free(plan.probe[1]), free(plan.probe[2])) {
-        (false, false) => vec![slot_of_pos[0]], // POS pair: by s
-        (false, true) => vec![slot_of_pos[2], slot_of_pos[0]], // POS group: by (o, s)
-        (true, false) => vec![slot_of_pos[0], slot_of_pos[1]], // OSP group: by (s, p)
-        (true, true) => vec![slot_of_pos[0], slot_of_pos[1], slot_of_pos[2]], // SPO scan
-    };
-    let less = |a: &[TermId], b: &[TermId]| -> bool {
-        for &k in &key {
-            match a[k].cmp(&b[k]) {
-                std::cmp::Ordering::Less => return true,
-                std::cmp::Ordering::Greater => return false,
-                std::cmp::Ordering::Equal => {}
+    for i in rows {
+        let row = current.row(i);
+        let before = out.rows;
+        let tp = probe_of(plan, |slot| Some(row[slot]));
+        let emit = |t: Triple| {
+            let vals = t.as_array();
+            for &(a, b) in &plan.eq_checks {
+                if vals[a] != vals[b] {
+                    return;
+                }
             }
+            out.data.extend_from_slice(row);
+            let base = out.data.len() - stride;
+            for &(pos, slot) in &plan.writes {
+                out.data[base + slot] = vals[pos];
+            }
+            out.rows += 1;
+        };
+        match shard {
+            None => graph.for_each_match(tp, emit),
+            Some(w) => graph.for_each_match_in_shard(w, tp, emit),
         }
-        false
+        if let Some(counts) = &mut counts {
+            counts.push((out.rows - before) as u32);
+        }
+    }
+}
+
+/// Stitches the workers' partial tables into `next`, reproducing the serial
+/// enumeration: walks the input rows and, for each, gathers the run of
+/// matches held by its `owner` — or, with no `owner`, by every worker. One
+/// run — all a chunked or routed row can have — is copied by cursor
+/// arithmetic. Several runs arise only when a free subject matched in several
+/// shards; they are k-way merged by the sort key of the index that serves the
+/// probe's shape, as the flat store would have enumerated them. That key
+/// always determines the subject and a subject lives in one shard, so runs
+/// never tie.
+fn merge_parts(
+    plan: &StepPlan,
+    current: &BindingTable,
+    owner: Option<&[u32]>,
+    results: &[PartResult],
+    next: &mut BindingTable,
+) {
+    let stride = current.stride;
+    next.data
+        .reserve(results.iter().map(|(_, t)| t.data.len()).sum::<usize>());
+    // The key as arena slots of an extended row. Only runs of a free subject
+    // are ever compared, and their key positions are all free.
+    let slot = |pos: usize| match plan.probe[pos] {
+        Probe::Free(slot) => slot,
+        Probe::Const(_) | Probe::Bound(_) => usize::MAX,
     };
+    let free = |pos: usize| matches!(plan.probe[pos], Probe::Free(_));
+    let key: &[usize] = match (free(1), free(2)) {
+        (false, false) => &[slot(0)],                 // POS pair: by s
+        (false, true) => &[slot(2), slot(0)],         // POS group: by (o, s)
+        (true, false) => &[slot(0), slot(1)],         // OSP group: by (s, p)
+        (true, true) => &[slot(0), slot(1), slot(2)], // SPO scan
+    };
+    let less = |a: &[TermId], b: &[TermId]| {
+        let (a, b) = (key.iter().map(|&s| a[s]), key.iter().map(|&s| b[s]));
+        a.lt(b)
+    };
+    // Per result: its next unread count entry and table row.
+    let mut cursor = vec![(0usize, 0usize); results.len()];
     // `(result index, next row, end row)` runs for the input row in flight.
     let mut runs: Vec<(usize, usize, usize)> = Vec::with_capacity(results.len());
-    let mut row_cursor = vec![0usize; results.len()];
+    let mut copy = |k: usize, lo: usize, hi: usize| {
+        let table: &BindingTable = &results[k].1;
+        next.data
+            .extend_from_slice(&table.data[lo * stride..hi * stride]);
+        next.rows += hi - lo;
+    };
     for i in 0..current.rows {
         runs.clear();
-        for (k, (counts, _)) in results.iter().enumerate() {
-            let produced = counts[i] as usize;
+        let holders = match owner.map(|owner| owner[i]) {
+            Some(NO_WORKER) => 0..0,
+            Some(k) => k as usize..k as usize + 1,
+            None => 0..results.len(),
+        };
+        for k in holders {
+            let (entry, row) = &mut cursor[k];
+            let produced = results[k].0[*entry] as usize;
+            *entry += 1;
             if produced > 0 {
-                runs.push((k, row_cursor[k], row_cursor[k] + produced));
-                row_cursor[k] += produced;
+                runs.push((k, *row, *row + produced));
+                *row += produced;
             }
         }
         if let [(k, lo, hi)] = runs[..] {
-            let part = &results[k].1;
-            next.data
-                .extend_from_slice(&part.data[lo * stride..hi * stride]);
-            next.rows += hi - lo;
+            copy(k, lo, hi);
             continue;
         }
         while !runs.is_empty() {
@@ -679,101 +636,12 @@ fn run_step_sharded_scan(
                 }
             }
             let (k, row, end) = &mut runs[best];
-            let part = &results[*k].1;
-            next.data
-                .extend_from_slice(&part.data[*row * stride..(*row + 1) * stride]);
-            next.rows += 1;
+            copy(*k, *row, *row + 1);
             *row += 1;
             if *row == *end {
                 runs.swap_remove(best);
             }
         }
-    }
-    exec
-}
-
-/// Extends the rows `lo..hi` of `current` through `plan`, appending to
-/// `next` in input-row order. The serial kernel both the single-threaded
-/// path and each parallel partition run.
-fn run_step_range(
-    graph: &Graph,
-    plan: &StepPlan,
-    current: &BindingTable,
-    lo: usize,
-    hi: usize,
-    next: &mut BindingTable,
-) {
-    let stride = current.stride;
-    for i in lo..hi {
-        let row = current.row(i);
-        let resolve = |p: Probe| -> Option<TermId> {
-            match p {
-                Probe::Const(c) => Some(c),
-                Probe::Bound(slot) => Some(row[slot]),
-                Probe::Free => None,
-            }
-        };
-        let tp = TriplePattern::new(
-            resolve(plan.probe[0]),
-            resolve(plan.probe[1]),
-            resolve(plan.probe[2]),
-        );
-        graph.for_each_match(tp, |t| {
-            let vals = t.as_array();
-            for &(a, b) in &plan.eq_checks {
-                if vals[a] != vals[b] {
-                    return;
-                }
-            }
-            next.data.extend_from_slice(row);
-            let base = next.data.len() - stride;
-            for &(pos, slot) in &plan.writes {
-                next.data[base + slot] = vals[pos];
-            }
-            next.rows += 1;
-        });
-    }
-}
-
-/// Row-chunked parallel fallback (flat graphs, pending deltas, or
-/// constant-subject steps): partitions `current`'s rows into `threads`
-/// contiguous chunks, runs [`run_step_range`] per chunk on a scoped worker,
-/// and concatenates the partial tables in chunk order — the merged table is
-/// identical to what the serial path would have produced, because
-/// [`run_step_range`] appends in input-row order within each chunk too.
-fn run_step_chunked(
-    graph: &Graph,
-    plan: &StepPlan,
-    current: &BindingTable,
-    threads: usize,
-    next: &mut BindingTable,
-) {
-    let chunk = current.rows.div_ceil(threads);
-    let mut parts: Vec<BindingTable> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut workers = Vec::with_capacity(threads);
-        for w in 0..threads {
-            let lo = w * chunk;
-            let hi = ((w + 1) * chunk).min(current.rows);
-            if lo >= hi {
-                break;
-            }
-            workers.push(scope.spawn(move || {
-                let mut part = BindingTable::new(current.stride);
-                part.data.reserve((hi - lo) * current.stride);
-                run_step_range(graph, plan, current, lo, hi, &mut part);
-                part
-            }));
-        }
-        for worker in workers {
-            parts.push(worker.join().expect("BGP evaluation worker panicked"));
-        }
-    });
-    next.data
-        .reserve(parts.iter().map(|p| p.data.len()).sum::<usize>());
-    for part in parts {
-        next.rows += part.rows;
-        next.data.extend_from_slice(&part.data);
     }
 }
 
@@ -785,7 +653,7 @@ pub fn evaluate(graph: &Graph, bgp: &Bgp, semantics: Semantics) -> Result<Relati
 /// Evaluates `bgp` with sideways filter push-down: each [`FilterExpr`] is
 /// applied the moment its variable binds, pruning partial solutions before
 /// they fan out through later patterns. Equivalent to evaluating and then
-/// selecting, but cheaper for selective filters (ablation E7c).
+/// selecting, but cheaper for selective filters.
 ///
 /// Filters that pin a variable to one constant (`Eq`, singleton `OneOf` —
 /// the shape slice/dice Σ constraints take) go further: the variable is
@@ -859,13 +727,15 @@ pub fn evaluate_seeded(
         }
     }
     let order = order_patterns(graph, bgp, &seed.vars, &pre_bound);
-    evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, semantics)
+    let fanout = Fanout::of_process();
+    let solutions = evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, fanout);
+    project_head(bgp, &solutions, semantics)
 }
 
-/// Ablation evaluator: index-backed binding propagation like [`evaluate`],
-/// but visiting patterns in declaration order instead of greedy
-/// cheapest-first order. Used by the benchmarks to quantify what the join
-/// ordering buys.
+/// Declared-order evaluator: index-backed binding propagation like
+/// [`evaluate`], but visiting patterns in declaration order instead of greedy
+/// cheapest-first order — the reference the test suites hold the join
+/// ordering against.
 pub fn evaluate_in_order(
     graph: &Graph,
     bgp: &Bgp,
@@ -874,7 +744,9 @@ pub fn evaluate_in_order(
     bgp.validate()?;
     let order: Vec<usize> = (0..bgp.body().len()).collect();
     let (seed, pre_bound) = (Seed::unit(), FxHashMap::default());
-    evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], semantics)
+    let fanout = Fanout::of_process();
+    let solutions = evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], fanout);
+    project_head(bgp, &solutions, semantics)
 }
 
 /// The one step driver: compiles `order` to step plans and runs them over
@@ -882,6 +754,7 @@ pub fn evaluate_in_order(
 /// `pre_bound` variables hold their values from the first step on (their
 /// slots are written before it); `filters` on a seeded variable fire before
 /// it too, every other one right after the step that binds its variable.
+/// Returns the surviving solutions, one arena row each.
 fn evaluate_steps(
     graph: &Graph,
     bgp: &Bgp,
@@ -889,8 +762,8 @@ fn evaluate_steps(
     seed: &Seed,
     pre_bound: &FxHashMap<VarId, TermId>,
     filters: &[crate::filter::FilterExpr],
-    semantics: Semantics,
-) -> Result<Relation, EngineError> {
+    fanout: Fanout,
+) -> BindingTable {
     let stride = bgp.vars().len();
     let plans = build_plans(bgp, order, &seed.vars, pre_bound);
     let dict = graph.dict();
@@ -910,7 +783,7 @@ fn evaluate_steps(
         }
         let sp = rdfcube_obs::span("bgp_step");
         let rows_in = current.rows as u64;
-        let exec = run_step(graph, plan, &current, &mut next);
+        let exec = run_step(graph, plan, &current, fanout, &mut next);
         let rows_matched = next.rows as u64;
         // Filters whose variable binds at this step fire right after it.
         if !filters.is_empty() {
@@ -937,7 +810,7 @@ fn evaluate_steps(
         drop(sp);
         std::mem::swap(&mut current, &mut next);
     }
-    project_head(bgp, &current, semantics)
+    current
 }
 
 /// Oracle evaluator: declaration order, full scans, no indexes. Produces the
@@ -1473,55 +1346,18 @@ mod tests {
         assert_eq!(estimate(&g2, q3.body()[0], &bound3), 0.0);
     }
 
-    #[test]
-    fn parallel_evaluation_is_identical_to_serial() {
-        // A join whose intermediate table crosses PAR_MIN_ROWS: 1500 users
-        // with 2 posts each → 3000 rows entering the postedOn step.
-        let mut g = Graph::new();
-        for u in 0..1500 {
-            for p in 0..2 {
-                let post = format!("post_{u}_{p}");
-                g.insert_iri(
-                    &format!("user{u}"),
-                    "wrotePost",
-                    &rdfcube_rdf::Term::iri(post.clone()),
-                );
-                g.insert_iri(
-                    &post,
-                    "postedOn",
-                    &rdfcube_rdf::Term::iri(format!("site{}", u % 7)),
-                );
-            }
-        }
-        g.compact();
-        let q = parse_query("q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s", g.dict_mut()).unwrap();
-
-        let before = eval_threads();
-        set_eval_threads(1);
-        let serial = evaluate(&g, &q, Semantics::Bag).unwrap();
-        set_eval_threads(4);
-        let parallel = evaluate(&g, &q, Semantics::Bag).unwrap();
-        set_eval_threads(before);
-
-        assert_eq!(serial.len(), 3000);
-        assert_eq!(parallel.len(), serial.len());
-        // Not merely the same bag: the in-order merge reproduces the exact
-        // row order of serial evaluation.
-        assert!(serial.rows().zip(parallel.rows()).all(|(a, b)| a == b));
-    }
-
-    /// A fixture big enough that intermediate tables cross [`PAR_MIN_ROWS`]:
-    /// 1500 users with ages, a `knows` ring, two posts each, plus a tiny
-    /// disconnected badge relation for cartesian shapes.
+    /// 240 users with ages, a `knows` ring and two posts each, plus a tiny
+    /// badge relation that shares nothing with them (cartesian shapes, and
+    /// shards that hold none of it).
     fn big_graph() -> Graph {
         let mut g = Graph::new();
-        for u in 0..1500i64 {
+        for u in 0..240i64 {
             let user = format!("user{u}");
             g.insert_iri(&user, "hasAge", &rdfcube_rdf::Term::integer(u % 50));
             g.insert_iri(
                 &user,
                 "knows",
-                &rdfcube_rdf::Term::iri(format!("user{}", (u + 1) % 1500)),
+                &rdfcube_rdf::Term::iri(format!("user{}", (u + 1) % 240)),
             );
             for p in 0..2 {
                 let post = format!("post_{u}_{p}");
@@ -1544,159 +1380,194 @@ mod tests {
         g
     }
 
-    /// The same triples over the same dictionary, repartitioned into `n`
-    /// subject-hash shards.
-    fn sharded_copy(flat: &Graph, n: usize) -> Graph {
-        Graph::from_triples_sharded(flat.dict().clone(), flat.triples().collect::<Vec<_>>(), n)
-    }
+    const SERIAL: Fanout = Fanout {
+        threads: 1,
+        min_rows: 0,
+    };
 
-    fn assert_identical(a: &crate::relation::Relation, b: &crate::relation::Relation, ctx: &str) {
-        assert_eq!(a.len(), b.len(), "{ctx}: row count");
-        assert!(
-            a.rows().zip(b.rows()).all(|(x, y)| x == y),
-            "{ctx}: row order diverged"
-        );
+    /// Runs `q` through the step driver under `fanout`, in greedy or declared
+    /// pattern order; also returns how many shards its
+    /// steps probed and skipped, read off this thread's trace.
+    fn solve(
+        g: &Graph,
+        q: &Bgp,
+        declared: bool,
+        semantics: Semantics,
+        fanout: Fanout,
+    ) -> (Relation, u64, u64) {
+        assert!(rdfcube_obs::trace_begin("solve"));
+        let (seed, none) = (Seed::unit(), FxHashMap::default());
+        let order: Vec<usize> = match declared {
+            true => (0..q.body().len()).collect(),
+            false => order_patterns(g, q, &[], &none),
+        };
+        let solutions = evaluate_steps(g, q, &order, &seed, &none, &[], fanout);
+        let rel = project_head(q, &solutions, semantics);
+        let trace = rdfcube_obs::trace_end().expect("trace begun above");
+        let total = |attr: &str| -> u64 {
+            let steps = trace.find_all("bgp_step");
+            steps.filter_map(|step| step.attr(attr)).sum()
+        };
+        (
+            rel.unwrap(),
+            total("shards_probed"),
+            total("shards_skipped"),
+        )
     }
 
     #[test]
-    fn sharded_bound_step_is_identical_to_flat_serial() {
-        // Step 2 probes (Bound, Const, Free): rows route to their subject's
-        // shard and the merge is pure cursor arithmetic.
+    fn every_partitioning_is_identical_to_serial_flat() {
+        // (what the last step exercises, query, declared order?). At one
+        // shard every case is the chunked partitioning; at more, the shard
+        // partitioning named here.
+        let cases = [
+            (
+                "subject-routed: (Bound, Const, Free)",
+                "q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s",
+                false,
+            ),
+            (
+                "all shards, merge key [s]: (Free, Const, Bound)",
+                "q(?x, ?y, ?a) :- ?x hasAge ?a, ?y hasAge ?a",
+                false,
+            ),
+            (
+                "all shards, merge key [o,s]: (Free, Const, Free)",
+                "q(?b, ?y, ?a) :- ?b awardedFor ?c, ?y hasAge ?a",
+                true,
+            ),
+            (
+                "all shards, merge key [s,p]: (Free, Free, Bound)",
+                "q(?x, ?a, ?y, ?r) :- ?x hasAge ?a, ?y ?r ?x",
+                false,
+            ),
+            (
+                "all shards, merge key [s,p,o]: (Free, Free, Free)",
+                "q(?b, ?y, ?r, ?z) :- ?b awardedFor ?c, ?y ?r ?z",
+                true,
+            ),
+            (
+                "cartesian scan of a relation most shards lack",
+                "q(?x, ?a, ?y, ?b) :- ?x hasAge ?a, ?y awardedFor ?b",
+                true,
+            ),
+        ];
         let mut flat = big_graph();
-        let q = parse_query(
-            "q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        let before = eval_threads();
-        set_eval_threads(1);
-        let serial = evaluate(&flat, &q, Semantics::Bag).unwrap();
-        assert_eq!(serial.len(), 3000);
-        for n in [2, 7] {
-            let sharded = sharded_copy(&flat, n);
-            set_eval_threads(4);
-            let par = evaluate(&sharded, &q, Semantics::Bag).unwrap();
-            assert_identical(&serial, &par, &format!("bound path, {n} shards"));
+        let queries: Vec<Bgp> = cases
+            .iter()
+            .map(|(_, text, _)| parse_query(text, flat.dict_mut()).unwrap())
+            .collect();
+        // The same store with two inserts still in the delta.
+        let mut pending = flat.clone();
+        for (s, p, o) in [
+            ("user_extra", "wrotePost", "post_extra"),
+            ("post_extra", "postedOn", "site_extra"),
+        ] {
+            pending.insert_iri(s, p, &rdfcube_rdf::Term::iri(o));
         }
-        set_eval_threads(before);
-    }
-
-    #[test]
-    fn sharded_scan_step_is_identical_to_flat_serial() {
-        let mut flat = big_graph();
-        // Step 2 probes (Free, Const, Bound): the merge key is the subject
-        // slot alone.
-        let q1 = parse_query(
-            "q(?x, ?y, ?a) :- ?x hasAge ?a, ?y hasAge ?a",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        // Step 2 probes (Free, Free, Bound): the merge key is (subject,
-        // predicate).
-        let q2 = parse_query(
-            "q(?x, ?a, ?y, ?r) :- ?x hasAge ?a, ?y ?r ?x",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        let before = eval_threads();
-        for (q, label) in [(&q1, "key [s]"), (&q2, "key [s,p]")] {
-            set_eval_threads(1);
-            let serial = evaluate(&flat, q, Semantics::Bag).unwrap();
-            for n in [2, 7] {
-                let sharded = sharded_copy(&flat, n);
-                set_eval_threads(4);
-                let par = evaluate(&sharded, q, Semantics::Bag).unwrap();
-                assert_identical(&serial, &par, &format!("{label}, {n} shards"));
+        let fanout = Fanout {
+            threads: 4,
+            min_rows: 0,
+        };
+        for n in [1, 2, 7, 16] {
+            // Both stores over the same dictionary, in `n` shards.
+            let compacted = Graph::from_triples_sharded(pending.dict().clone(), flat.triples(), n);
+            let mut with_delta = compacted.clone();
+            for t in pending.inserted_since(flat.len()).expect("two inserts") {
+                with_delta.insert_triple(*t);
+            }
+            assert!(with_delta.has_pending_delta());
+            for (((name, text, declared), q), semantics) in cases
+                .iter()
+                .zip(&queries)
+                .flat_map(|case| [Semantics::Set, Semantics::Bag].map(|s| (case, s)))
+            {
+                let ctx = format!("{name}, {n} shards, {semantics:?}");
+                let (serial, ..) = solve(&flat, q, *declared, semantics, SERIAL);
+                assert!(!serial.is_empty(), "{ctx}: vacuous case");
+                let (par, probed, skipped) = solve(&compacted, q, *declared, semantics, fanout);
+                assert!(serial.rows().eq(par.rows()), "{ctx}: rows diverged");
+                // Shard partitioning ran exactly when there are shards.
+                assert_eq!(probed > 0, n > 1, "{ctx}: {probed} shards probed");
+                if text.contains("awardedFor") && n > 3 {
+                    // Three badges have at most three subject shards.
+                    assert!(skipped > 0, "{ctx}: no shard skipped");
+                }
+                // A pending delta falls back to row chunks at any count.
+                let (serial, ..) = solve(&pending, q, *declared, semantics, SERIAL);
+                let (par, probed, _) = solve(&with_delta, q, *declared, semantics, fanout);
+                assert!(serial.rows().eq(par.rows()), "{ctx}: delta rows diverged");
+                assert_eq!(probed, 0, "{ctx}: shard partitioning over a delta");
             }
         }
-        set_eval_threads(before);
     }
 
-    #[test]
-    fn sharded_cartesian_scan_is_identical_and_skips_shards() {
-        // Step 2 probes (Free, Const, Free) against the 3-triple badge
-        // relation — most shards hold no `awardedFor` triples and are
-        // skipped by the constant-shape statistics. Declaration order is
-        // forced so the big relation feeds the scan step.
-        let mut flat = big_graph();
-        let q = parse_query(
-            "q(?x, ?a, ?y, ?b) :- ?x hasAge ?a, ?y awardedFor ?b",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        let before = eval_threads();
-        set_eval_threads(1);
-        let serial = evaluate_in_order(&flat, &q, Semantics::Bag).unwrap();
-        assert_eq!(serial.len(), 1500 * 3);
-        for n in [7, 16] {
-            let sharded = sharded_copy(&flat, n);
-            set_eval_threads(4);
-            let par = evaluate_in_order(&sharded, &q, Semantics::Bag).unwrap();
-            assert_identical(&serial, &par, &format!("cartesian scan, {n} shards"));
-        }
-        set_eval_threads(before);
+    /// One pattern position, in the style of `tests/bgp_eval_prop.rs`: kinds
+    /// 0..=4 pick a variable v0..v4 (few, so repeats within and across
+    /// patterns are common), the rest a constant — sometimes one absent from
+    /// every graph.
+    type PosSpec = (u8, u8);
+
+    fn arb_pattern() -> impl proptest::strategy::Strategy<Value = (PosSpec, PosSpec, PosSpec)> {
+        ((0u8..8, 0u8..10), (0u8..8, 0u8..6), (0u8..8, 0u8..10))
     }
 
-    #[test]
-    fn sharded_full_scan_step_is_identical_to_flat_serial() {
-        // Step 3 probes (Free, Free, Free) — the SPO-order merge key
-        // (s, p, o) — fed by a 1200-row cartesian intermediate over a small
-        // store.
-        let mut flat = Graph::new();
-        for i in 0..40i64 {
-            flat.insert_iri(&format!("a{i}"), "p1", &rdfcube_rdf::Term::integer(i));
-        }
-        for i in 0..30i64 {
-            flat.insert_iri(&format!("b{i}"), "p2", &rdfcube_rdf::Term::integer(i));
-        }
-        flat.compact();
-        let q = parse_query(
-            "q(?y, ?r, ?z) :- ?u p1 ?v, ?w p2 ?x, ?y ?r ?z",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        let before = eval_threads();
-        set_eval_threads(1);
-        let serial = evaluate_in_order(&flat, &q, Semantics::Bag).unwrap();
-        assert_eq!(serial.len(), 40 * 30 * 70);
-        let sharded = sharded_copy(&flat, 7);
-        set_eval_threads(4);
-        let par = evaluate_in_order(&sharded, &q, Semantics::Bag).unwrap();
-        set_eval_threads(before);
-        assert_identical(&serial, &par, "full scan, 7 shards");
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 96,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
 
-    #[test]
-    fn sharded_eval_with_pending_delta_matches_flat() {
-        // Unmerged delta triples force the row-chunked fallback; results
-        // must still be identical.
-        let mut flat = big_graph();
-        let q = parse_query(
-            "q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s",
-            flat.dict_mut(),
-        )
-        .unwrap();
-        let mut sharded = sharded_copy(&flat, 7);
-        for g in [&mut flat, &mut sharded] {
-            g.insert_iri(
-                "user_extra",
-                "wrotePost",
-                &rdfcube_rdf::Term::iri("post_extra"),
-            );
-            g.insert_iri(
-                "post_extra",
-                "postedOn",
-                &rdfcube_rdf::Term::iri("site_extra"),
-            );
+        /// Random graph × random BGP × shard count × thread count, every
+        /// step fanned out (row floor 0): the partitioned runner returns the
+        /// nested-loop oracle's bag, and serial evaluation's rows in serial
+        /// evaluation's order.
+        #[test]
+        fn partitioned_steps_equal_serial_and_the_oracle(
+            triples in proptest::collection::vec((0u8..8, 0u8..4, 0u8..8), 0..32),
+            patterns in proptest::collection::vec(arb_pattern(), 1..4),
+            head_mask in 0u8..32,
+        ) {
+            use rdfcube_rdf::Term;
+            let mut flat = Graph::new();
+            for &(s, p, o) in &triples {
+                flat.insert_iri(&format!("n{s}"), &format!("p{p}"), &Term::iri(format!("n{o}")));
+            }
+            flat.compact();
+            let mut q = Bgp::new("q");
+            let mut used: Vec<VarId> = Vec::new();
+            for &(s, p, o) in &patterns {
+                let mut term = |(kind, payload): PosSpec, prefix: &str, range: u8| {
+                    if kind < 5 {
+                        let v = q.var(&format!("v{}", payload % 5));
+                        if !used.contains(&v) {
+                            used.push(v);
+                        }
+                        PatternTerm::Var(v)
+                    } else {
+                        // n8/n9 and p4/p5 occur in no graph.
+                        PatternTerm::Const(flat.encode(&Term::iri(format!("{prefix}{}", payload % range))))
+                    }
+                };
+                let pattern = QueryPattern::new(term(s, "n", 10), term(p, "p", 6), term(o, "n", 10));
+                q.push_pattern(pattern);
+            }
+            let head = used.iter().enumerate().filter(|(i, _)| head_mask & (1 << i) != 0);
+            q.set_head(head.map(|(_, &v)| v).collect());
+
+            for semantics in [Semantics::Set, Semantics::Bag] {
+                let oracle = evaluate_nested_loop(&flat, &q, semantics).unwrap();
+                let (serial, ..) = solve(&flat, &q, false, semantics, SERIAL);
+                for (n, threads) in [(1, 2), (1, 4), (2, 2), (2, 4), (7, 2), (7, 4)] {
+                    let sharded = Graph::from_triples_sharded(flat.dict().clone(), flat.triples(), n);
+                    let fanout = Fanout { threads, min_rows: 0 };
+                    let (par, ..) = solve(&sharded, &q, false, semantics, fanout);
+                    let ctx = format!("{n} shards, {threads} threads, {semantics:?}");
+                    proptest::prop_assert!(par.same_bag(&oracle), "oracle's bag, {}", ctx);
+                    proptest::prop_assert!(serial.rows().eq(par.rows()), "serial rows, {}", ctx);
+                }
+            }
         }
-        assert!(sharded.has_pending_delta());
-        let before = eval_threads();
-        set_eval_threads(1);
-        let serial = evaluate(&flat, &q, Semantics::Bag).unwrap();
-        set_eval_threads(4);
-        let par = evaluate(&sharded, &q, Semantics::Bag).unwrap();
-        set_eval_threads(before);
-        assert_identical(&serial, &par, "delta fallback");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! violating Σ are discarded the moment the dimension variable binds —
 //! before they fan out through the remaining joins. This module provides
 //! the engine-level filter language that [`crate::eval::evaluate_filtered`]
-//! applies during binding propagation (the E7c ablation quantifies the
-//! difference against post-filtering).
+//! applies during binding propagation (`tests/bgp_eval_prop.rs` holds it
+//! equal to post-filtering).
 
 use crate::var::VarId;
 use rdfcube_rdf::fx::FxHashSet;

@@ -105,11 +105,6 @@ pub struct Graph {
     log_start: usize,
 }
 
-/// Alias emphasizing that [`Graph`] *is* the sharded store: every graph is a
-/// set of subject-hash shards — a single one by default (the flat layout),
-/// N under [`Graph::with_shards`] / [`Graph::from_triples_sharded`].
-pub type ShardedGraph = Graph;
-
 impl Default for Graph {
     fn default() -> Self {
         Self::with_shards(1)
@@ -421,56 +416,22 @@ impl Graph {
     /// not-yet-merged delta runs, each merged across shards in ascending
     /// subject order — exactly the flat store's order.
     pub fn subjects(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
-        let mut slices: Vec<&[TermId]> = self
-            .shards
-            .iter()
-            .map(|sh| sh.pos.thirds_of_pair(p, o))
-            .collect();
         let pattern = TriplePattern::new(None, Some(p), Some(o));
         let mut delta: Vec<TermId> = Vec::new();
         self.for_each_delta_match(pattern, &mut |t| delta.push(t.s));
-        std::iter::from_fn(move || {
-            let mut best: Option<(usize, TermId)> = None;
-            for (i, sl) in slices.iter().enumerate() {
-                if let Some(&s) = sl.first() {
-                    if best.is_none_or(|(_, b)| s < b) {
-                        best = Some((i, s));
-                    }
-                }
-            }
-            let (i, s) = best?;
-            slices[i] = &slices[i][1..];
-            Some(s)
-        })
-        .chain(delta)
+        let shards = self.shards.iter();
+        let sorted = shards.map(move |sh| sh.pos.thirds_of_pair(p, o).iter().copied());
+        merge_sorted_runs(sorted).chain(delta)
     }
 
     /// Iterates every triple: the sorted SPO runs first, then the delta
     /// runs, each merged across shards in global SPO order.
     pub fn triples(&self) -> impl Iterator<Item = Triple> + '_ {
-        let mut runs: Vec<_> = self
-            .shards
-            .iter()
-            .map(|sh| sh.spo.tuples().peekable())
-            .collect();
         let mut delta: Vec<Triple> = Vec::new();
         self.for_each_delta_match(TriplePattern::default(), &mut |t| delta.push(t));
-        std::iter::from_fn(move || {
-            let mut best: Option<usize> = None;
-            let mut best_val = (TermId(0), TermId(0), TermId(0));
-            for (i, run) in runs.iter_mut().enumerate() {
-                if let Some(&t) = run.peek() {
-                    if best.is_none() || t < best_val {
-                        best = Some(i);
-                        best_val = t;
-                    }
-                }
-            }
-            let i = best?;
-            runs[i].next();
-            Some(Triple::new(best_val.0, best_val.1, best_val.2))
-        })
-        .chain(delta)
+        merge_sorted_runs(self.shards.iter().map(|sh| sh.spo.tuples()))
+            .map(|(s, p, o)| Triple::new(s, p, o))
+            .chain(delta)
     }
 
     /// Fires `f` for every pending triple matching `pattern`: the shards'
@@ -481,17 +442,12 @@ impl Graph {
             return;
         }
         let perm = Perm::serving(pattern);
-        let mut runs: Vec<_> = self
-            .shards
-            .iter()
-            .filter(|sh| !sh.delta.is_empty())
-            .map(|sh| sh.delta.run(pattern).1.copied().peekable())
-            .collect();
+        let pending = self.shards.iter().filter(|sh| !sh.delta.is_empty());
         let mut rows = 0;
-        merge_sorted_runs(&mut runs, |t| {
+        for t in merge_sorted_runs(pending.map(|sh| sh.delta.run(pattern).1.copied())) {
             f(perm.triple(t));
             rows += 1;
-        });
+        }
         count_delta_reads(rows);
     }
 
@@ -508,57 +464,37 @@ impl Graph {
             self.shards[0].for_each_match_local(pattern, &mut f);
             return;
         }
-        if let Some(s) = pattern.s {
-            self.shards[self.shard_of(s)].for_each_match_local(pattern, &mut f);
-            return;
+        match pattern.s {
+            Some(s) => self.shards[self.shard_of(s)].for_each_match_local(pattern, &mut f),
+            None => self.for_each_match_merged(pattern, &mut f),
         }
+    }
+
+    /// The subject-free read of a sharded graph. Kept out of
+    /// [`Self::for_each_match`] so that the routed reads there — the flat
+    /// store's only path — stay small enough to inline into the evaluator's
+    /// row kernel whatever the merge arms here grow into.
+    fn for_each_match_merged<F: FnMut(Triple)>(&self, pattern: TriplePattern, f: &mut F) {
+        let shards = self.shards.iter();
         match (pattern.p, pattern.o) {
             (Some(p), Some(o)) => {
-                let mut slices: Vec<&[TermId]> = self
-                    .shards
-                    .iter()
-                    .map(|sh| sh.pos.thirds_of_pair(p, o))
-                    .collect();
-                loop {
-                    let mut best: Option<(usize, TermId)> = None;
-                    for (i, sl) in slices.iter().enumerate() {
-                        if let Some(&s) = sl.first() {
-                            if best.is_none_or(|(_, b)| s < b) {
-                                best = Some((i, s));
-                            }
-                        }
-                    }
-                    let Some((i, s)) = best else { break };
-                    slices[i] = &slices[i][1..];
-                    f(Triple::new(s, p, o));
-                }
+                let runs = shards.map(|sh| sh.pos.thirds_of_pair(p, o).iter().copied());
+                merge_sorted_runs(runs).for_each(|s| f(Triple::new(s, p, o)));
             }
             (Some(p), None) => {
-                let mut runs: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|sh| sh.pos.pairs_of_first(p).peekable())
-                    .collect();
-                merge_sorted_runs(&mut runs, |(o, s)| f(Triple::new(s, p, o)));
+                let runs = shards.map(|sh| sh.pos.pairs_of_first(p));
+                merge_sorted_runs(runs).for_each(|(o, s)| f(Triple::new(s, p, o)));
             }
             (None, Some(o)) => {
-                let mut runs: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|sh| sh.osp.pairs_of_first(o).peekable())
-                    .collect();
-                merge_sorted_runs(&mut runs, |(s, p)| f(Triple::new(s, p, o)));
+                let runs = shards.map(|sh| sh.osp.pairs_of_first(o));
+                merge_sorted_runs(runs).for_each(|(s, p)| f(Triple::new(s, p, o)));
             }
             (None, None) => {
-                let mut runs: Vec<_> = self
-                    .shards
-                    .iter()
-                    .map(|sh| sh.spo.tuples().peekable())
-                    .collect();
-                merge_sorted_runs(&mut runs, |(s, p, o)| f(Triple::new(s, p, o)));
+                let runs = shards.map(|sh| sh.spo.tuples());
+                merge_sorted_runs(runs).for_each(|(s, p, o)| f(Triple::new(s, p, o)));
             }
         }
-        self.for_each_delta_match(pattern, &mut f);
+        self.for_each_delta_match(pattern, f);
     }
 
     /// Calls `f` for every triple of shard `shard` matching `pattern`, in
@@ -701,27 +637,25 @@ impl Graph {
     }
 }
 
-/// K-way merges per-shard sorted runs in ascending tuple order. Ties across
-/// runs are impossible for the call sites in this module (the runs' sort
-/// keys start with — or determine — the subject, and a subject lives in
-/// exactly one shard), so a plain minimum scan is exact.
+/// Lazily k-way merges per-shard sorted runs in ascending order — the one
+/// cross-shard merge behind every read of this module. Ties across runs are
+/// impossible for its call sites (the runs' sort keys start with — or
+/// determine — the subject, and a subject lives in exactly one shard), so a
+/// plain minimum scan is exact.
 fn merge_sorted_runs<T: Copy + Ord, I: Iterator<Item = T>>(
-    runs: &mut [std::iter::Peekable<I>],
-    mut f: impl FnMut(T),
-) {
-    loop {
-        let mut best: Option<(usize, T)> = None;
-        for (i, run) in runs.iter_mut().enumerate() {
-            if let Some(&x) = run.peek() {
-                if best.is_none_or(|(_, b)| x < b) {
-                    best = Some((i, x));
-                }
-            }
-        }
-        let Some((i, x)) = best else { break };
-        runs[i].next();
-        f(x);
-    }
+    runs: impl Iterator<Item = I>,
+) -> impl Iterator<Item = T> {
+    let mut runs: Vec<I> = runs.collect();
+    let mut heads: Vec<Option<T>> = runs.iter_mut().map(Iterator::next).collect();
+    std::iter::from_fn(move || {
+        let live = heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| Some((i, (*head)?)));
+        let (i, least) = live.min_by_key(|&(_, head)| head)?;
+        heads[i] = runs[i].next();
+        Some(least)
+    })
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ pub mod writer;
 
 pub use dictionary::{Dictionary, TermId};
 pub use error::ParseError;
-pub use graph::{Graph, ShardedGraph};
+pub use graph::Graph;
 pub use parser::{parse_into, parse_ntriples, parse_turtle};
 pub use reasoner::saturate;
 pub use term::{Literal, LiteralKind, Term};
