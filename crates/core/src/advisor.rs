@@ -21,14 +21,14 @@
 //!    already materialized and fresh are skipped (the planner can use them
 //!    today); evicted or stale twins become *rehydration* candidates with
 //!    exactly known statistics.
-//! 3. **Cost** — each candidate's statistics are estimated from its
+//! 3. **Cost** — each candidate's sizes are estimated from its
 //!    already-materialized family members (`pres` is head-dependent, so a
 //!    superset-dimension ancestor has at least the rows of any logged
-//!    subset; per-dimension distinct counts transfer by canonical name).
-//!    Its *benefit* is Σ over logged shapes of
-//!    `(current plan cost − plan cost via the candidate) × frequency`,
-//!    where the current cost comes from re-running the planner
-//!    (`pipeline::plan_in`) against the catalog as it stands.
+//!    subset). Its *benefit* is Σ over logged shapes of
+//!    `(current price − price via the candidate) × frequency`, both in
+//!    [`crate::cost`]'s nanoseconds; the current price comes from
+//!    re-running the planner (`pipeline::plan_in`) against the catalog as
+//!    it stands.
 //! 4. **Select** — greedy benefit-per-byte under the session's existing
 //!    memory budget: repeatedly take the candidate with the highest
 //!    `benefit / bytes` that still fits, then re-credit the shapes it
@@ -46,7 +46,7 @@ use crate::catalog::{classify_derivation, CubeCatalog, CubeStats, LoggedQuery};
 use crate::cost;
 use crate::error::CoreError;
 use crate::extended::{ExtendedQuery, Sigma};
-use crate::pipeline;
+use crate::pipeline::{self, Route};
 use crate::pres::PartialResult;
 use crate::signature::{ViewKey, ViewSignature};
 use rdfcube_rdf::fx::FxHashMap;
@@ -57,10 +57,6 @@ use std::sync::Arc;
 /// closure under pairwise merge is capped here; logged dimension lists
 /// come first, so the cap can only drop deep synthetic ancestors).
 const MAX_CANDIDATES_PER_FAMILY: usize = 32;
-
-/// Distinct-count estimate for a dimension no materialized family member
-/// has ever carried (rare: candidates are merges of logged heads).
-const DEFAULT_DIM_DISTINCT: usize = 16;
 
 /// What a view-selection run considered, chose, and materialized.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -74,8 +70,8 @@ pub struct AdvisorReport {
     pub selected: usize,
     /// Actual bytes of payload the selected views occupy.
     pub materialized_bytes: usize,
-    /// Total predicted benefit of the selection, in abstract row touches
-    /// weighted by logged frequency.
+    /// Total predicted benefit of the selection: nanoseconds saved per ask
+    /// ([`crate::cost`]), weighted by logged frequency.
     pub predicted_benefit: f64,
     /// Total logged queries at selection time.
     pub log_queries: u64,
@@ -123,17 +119,14 @@ pub(crate) fn advise_catalog(
         }
     }
 
-    // Current plan cost per logged shape, against the catalog as it
-    // stands (includes rehydration surcharges for evicted sources — that
-    // is precisely the pain the advisor can relieve).
-    let mut cur_cost: Vec<f64> = shapes
+    // Current price per logged shape, against the catalog as it stands
+    // (what an evicted or stale source must first pay included — that is
+    // precisely the pain the advisor can relieve).
+    let plans: Vec<_> = shapes
         .iter()
-        .map(|s| {
-            pipeline::plan_in(catalog, instance, s.query(), s.signature())
-                .1
-                .estimated_cost
-        })
+        .map(|s| pipeline::plan_in(catalog, instance, s.query(), s.signature()).1)
         .collect();
+    let mut cur_cost: Vec<f64> = plans.iter().map(|p| p.estimated_cost).collect();
 
     // Enumerate candidates and their per-shape derivation costs.
     let mut candidates: Vec<Candidate> = Vec::new();
@@ -185,14 +178,13 @@ pub(crate) fn advise_catalog(
                     &candidate.sig.body,
                 );
                 if let Some(d) = d {
-                    let via = cost::derivation_cost_with_stats(
-                        &d,
-                        &candidate.stats,
-                        &candidate.eq,
-                        s.query(),
-                        instance,
-                    );
-                    cov.push((si, via));
+                    let source = (&*candidate.eq, &candidate.stats, Some(0));
+                    let route = Route::Rewrite(d);
+                    let scratch = plans[si].scratch_cost;
+                    cov.push((
+                        si,
+                        cost::price(&route, source, s.query(), scratch, instance),
+                    ));
                 }
             }
             if !cov.is_empty() {
@@ -399,7 +391,8 @@ struct PatternEstimate<'a> {
     /// restricted-value combinations those rows cover in total.
     combos: usize,
     largest: usize,
-    bytes_per_row: f64,
+    /// Bytes and `ans` cells per `pres` row of the bucket's largest entry.
+    per_row: [f64; 2],
     /// Union of the finite values each restricted dimension was ever
     /// diced to (overlapping dices — e.g. a pair covering a logged
     /// single — are deduplicated here, not double-counted).
@@ -418,7 +411,7 @@ fn selector_width(sel: &crate::extended::ValueSelector) -> usize {
     }
 }
 
-/// Estimates a hypothetical candidate's statistics from its materialized
+/// Estimates a hypothetical candidate's sizes from its materialized
 /// family members: `pres(Q)` is head-dependent (set-semantics dedup on
 /// the head), so members whose dimensions are a subset of the candidate's
 /// lower-bound its row count. Members are bucketed by (dimension list,
@@ -427,18 +420,14 @@ fn selector_width(sel: &crate::extended::ValueSelector) -> usize {
 /// so `rows-per-restricted-combination × |union of combinations seen|`
 /// reconstructs the unrestricted ancestor along that bucket's axis — the
 /// candidate estimate is the max over buckets (each one under-counts,
-/// since logs only ever cover part of a domain).
+/// since logs only ever cover part of a domain). Bytes and cells follow
+/// the rows, at the winning bucket's largest member's ratios.
 fn estimate_stats(catalog: &CubeCatalog, key: &ViewKey, dims: &[String]) -> CubeStats {
     use crate::extended::ValueSelector;
-    let mut per_dim: FxHashMap<&str, usize> = FxHashMap::default();
     let mut patterns: FxHashMap<(&[String], u64), PatternEstimate> = FxHashMap::default();
     for &idx in catalog.family(key) {
         let e = catalog.entry(idx);
         let stats = e.stats();
-        for (name, &d) in e.signature().dims.iter().zip(&stats.dim_distinct) {
-            let slot = per_dim.entry(name.as_str()).or_insert(0);
-            *slot = (*slot).max(d);
-        }
         let edims = e.signature().dims.as_slice();
         if !edims.iter().all(|d| dims.contains(d)) {
             continue;
@@ -460,7 +449,7 @@ fn estimate_stats(catalog: &CubeCatalog, key: &ViewKey, dims: &[String]) -> Cube
         p.combos += combos;
         if stats.pres_rows > p.largest {
             p.largest = stats.pres_rows;
-            p.bytes_per_row = stats.bytes as f64 / stats.pres_rows.max(1) as f64;
+            p.per_row = [stats.bytes, stats.ans_cells].map(|n| n as f64 / p.largest as f64);
         }
         for (pos, name) in edims.iter().enumerate().take(64) {
             match selectors.get(pos) {
@@ -477,8 +466,7 @@ fn estimate_stats(catalog: &CubeCatalog, key: &ViewKey, dims: &[String]) -> Cube
         }
     }
     let mut pres_rows = 1usize;
-    let mut bytes_per_row = 64.0f64;
-    let mut union_dist: FxHashMap<&str, usize> = FxHashMap::default();
+    let mut per_row = [64.0f64, 1.0];
     for ((_, mask), p) in &patterns {
         let covered = |name: &str| {
             p.union.get(name).map_or(0, |s| s.len()) + p.range_extra.get(name).copied().unwrap_or(0)
@@ -501,36 +489,14 @@ fn estimate_stats(catalog: &CubeCatalog, key: &ViewKey, dims: &[String]) -> Cube
         };
         if est > pres_rows {
             pres_rows = est;
-            bytes_per_row = p.bytes_per_row.max(1.0);
-        }
-        for name in p.union.keys().chain(p.range_extra.keys()) {
-            let slot = union_dist.entry(name).or_insert(0);
-            *slot = (*slot).max(covered(name));
+            per_row = p.per_row;
         }
     }
-    let dim_distinct: Vec<usize> = dims
-        .iter()
-        .map(|d| {
-            let known = union_dist
-                .get(d.as_str())
-                .copied()
-                .unwrap_or(0)
-                .max(per_dim.get(d.as_str()).copied().unwrap_or(0));
-            if known == 0 {
-                DEFAULT_DIM_DISTINCT
-            } else {
-                known.min(pres_rows.max(1))
-            }
-        })
-        .collect();
-    let cells: usize = dim_distinct
-        .iter()
-        .fold(1usize, |acc, &n| acc.saturating_mul(n.max(1)));
+    let [bytes, ans_cells] = per_row.map(|per| (pres_rows as f64 * per) as usize);
     CubeStats {
-        ans_cells: cells.min(pres_rows),
+        ans_cells: ans_cells.clamp(1, pres_rows),
         pres_rows,
-        bytes: (pres_rows as f64 * bytes_per_row) as usize,
-        dim_distinct,
+        bytes,
     }
 }
 

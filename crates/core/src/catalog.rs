@@ -33,10 +33,9 @@
 //!    ([`Graph::inserted_since`]); otherwise, like an evicted one, it is
 //!    recomputed.
 //!
-//! The statistics cached on each entry (`ans` cells, `pres` rows, byte
-//! sizes, per-dimension distinct counts) are exactly what the cost model
-//! consumes; they survive eviction, so evicted entries still participate
-//! in planning (with a recompute surcharge).
+//! The sizes cached on each entry ([`CubeStats`]) survive eviction, so an
+//! evicted entry still takes part in planning; how they are priced is
+//! [`crate::cost`]'s business.
 
 use crate::answer::Cube;
 use crate::cost::ExplainedStrategy;
@@ -71,8 +70,8 @@ pub enum Derivation {
 
 /// Size statistics cached on a catalog entry at materialization time.
 ///
-/// These outlive eviction: the cost model keeps estimating with them while
-/// the payload itself is gone.
+/// These outlive eviction: [`crate::cost`] keeps pricing with them while the
+/// payload itself is gone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CubeStats {
     /// Number of cells in `ans(Q)`.
@@ -82,8 +81,6 @@ pub struct CubeStats {
     /// `ans.approx_bytes() + pres.approx_bytes()` — what the entry charges
     /// against the budget while resident.
     pub bytes: usize,
-    /// Distinct values per dimension column of `pres(Q)`, in head order.
-    pub dim_distinct: Vec<usize>,
 }
 
 /// The materialized payload of an entry; the catalog's reference is
@@ -194,6 +191,22 @@ impl CatalogEntry {
     /// The materialized answer and partial result, if resident.
     pub fn payload(&self) -> Option<(&Cube, &PartialResult)> {
         self.payload.as_deref().map(|p| (&p.ans, &p.pres))
+    }
+
+    /// This entry as the source of a route, for [`crate::cost::price`]: its
+    /// query, its sizes and its *backlog* — how many inserted triples the
+    /// payload has yet to absorb (0 when fresh), `None` when it is evicted
+    /// or the instance can no longer itemize them and it must be
+    /// recomputed ([`CubeCatalog::ensure_resident`] draws the same line).
+    pub(crate) fn as_source(
+        &self,
+        instance: &Graph,
+    ) -> (&ExtendedQuery, &CubeStats, Option<usize>) {
+        let missed = self
+            .payload
+            .as_ref()
+            .and(instance.inserted_since(self.watermark));
+        (&self.eq, &self.stats, missed.map(<[_]>::len))
     }
 
     /// Decides whether (and how) this entry can soundly answer a target
@@ -334,13 +347,12 @@ impl LoggedQuery {
         self.strategy
     }
 
-    /// The planner's cost estimate for that strategy (abstract row
-    /// touches).
+    /// The planner's prediction for that strategy, in nanoseconds.
     pub fn estimated_cost(&self) -> f64 {
         self.estimated_cost
     }
 
-    /// The from-scratch estimate the chosen strategy was compared against.
+    /// The from-scratch prediction the chosen strategy was compared against.
     pub fn scratch_cost(&self) -> f64 {
         self.scratch_cost
     }
@@ -697,7 +709,6 @@ impl CubeCatalog {
             ans_cells: ans.len(),
             pres_rows: pres.len(),
             bytes: ans.approx_bytes() + pres.approx_bytes(),
-            dim_distinct: pres.dim_distinct_counts(),
         };
         // Evict *before* attaching the new payload, so the accounted
         // resident set never overshoots the budget mid-insert.
@@ -793,7 +804,6 @@ impl CubeCatalog {
         e.stats.ans_cells = ans.len();
         e.stats.pres_rows = pres.len();
         e.stats.bytes = bytes;
-        e.stats.dim_distinct = pres.dim_distinct_counts();
         e.payload = Some(Arc::new(CubePayload { ans, pres }));
         e.watermark = watermark;
         if was_resident {
@@ -1026,7 +1036,6 @@ mod tests {
         let stats = cat.entry(idx).stats();
         assert_eq!(stats.ans_cells, 2);
         assert_eq!(stats.pres_rows, 5);
-        assert_eq!(stats.dim_distinct, vec![2, 2]);
         assert!(stats.bytes > 0);
         assert_eq!(cat.resident_bytes(), stats.bytes);
 

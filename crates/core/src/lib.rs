@@ -16,13 +16,13 @@
 //! * [`aux_query`] — auxiliary drill-in queries (Definition 6);
 //! * [`rewrite`] — the optimized operation evaluations: σ_dice
 //!   (Proposition 1), Algorithm 1 (Proposition 2), Algorithm 2
-//!   (Proposition 3), plus baselines and per-strategy cost hooks;
+//!   (Proposition 3), plus the from-scratch baselines;
 //! * [`catalog`] — the signature-indexed cube catalog: O(1) derivation-
 //!   family lookup, per-entry statistics, and memory-budgeted eviction
 //!   with on-demand recomputation;
-//! * [`cost`] — the cost model that picks the cheapest *applicable*
-//!   strategy from materialized sizes and instance statistics, explained
-//!   through [`ExplainedStrategy`];
+//! * [`cost`] — the cost model: one table of nanoseconds per row and one
+//!   function pricing every *applicable* route from materialized sizes
+//!   and instance statistics, explained through [`ExplainedStrategy`];
 //! * [`session`] — materialized-cube sessions tying it all together:
 //!   every query and OLAP operation is answered by the cheapest sound
 //!   strategy automatically;

@@ -27,14 +27,15 @@ use crate::answer::Cube;
 use crate::catalog::{CubeCatalog, CubeSnapshot, Derivation};
 use crate::cost::{self, ExplainedStrategy};
 use crate::error::CoreError;
-use crate::extended::ExtendedQuery;
+use crate::extended::{ExtendedQuery, Sigma, ValueSelector};
 use crate::olap::{apply, apply_roll_up_encoded, OlapOp};
 use crate::pres::PartialResult;
 use crate::rewrite;
 use crate::session::{CubeHandle, Strategy};
 use crate::signature::ViewSignature;
 use rdfcube_obs::{self as obs, QueryTrace};
-use rdfcube_rdf::{Graph, TermId};
+use rdfcube_rdf::{Dictionary, Graph, TermId};
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// What both serving entry points return.
@@ -121,8 +122,8 @@ pub(crate) fn transformed(
 /// entry of the family with the same canonical dimensions, the same Σ and
 /// the same user-facing dimension names would materialize cell-identically
 /// under identical names — reuse it, so repeated traffic cannot grow the
-/// catalog. Estimates in the explanation are plan-time figures from the
-/// entries' cached statistics.
+/// catalog. The explanation's figures are plan-time prices
+/// ([`cost::price`]) from the entries' cached sizes.
 pub(crate) fn route(
     cat: &CubeCatalog,
     instance: &Graph,
@@ -132,21 +133,20 @@ pub(crate) fn route(
     let start = Instant::now();
     let plan_span = obs::span("plan");
     let sig = ViewSignature::of(eq.query());
+    // A route the planner does not pick, explained like one it does.
+    let given = |route: Route, strategy, idx: usize| -> Result<_, CoreError> {
+        let source = cat.get_entry(idx).ok_or(CoreError::UnknownHandle(idx))?;
+        let scratch = cost::scratch_price(&eq, instance);
+        let cost = cost::price(&route, source.as_source(instance), &eq, scratch, instance);
+        Ok((
+            route,
+            ExplainedStrategy::hit(strategy, idx, cost, scratch, 1),
+        ))
+    };
     let (route, explained) = if let Some(idx) = find_duplicate(cat, &sig, &eq) {
-        // An identity dice over the existing entry's `ans`.
-        let cost = rewrite::dice_cost(cat.entry(idx).stats().ans_cells);
-        let scratch = rewrite::scratch_cost(&eq, instance);
-        let explained = ExplainedStrategy::hit(Strategy::SelectionOnAns, idx, cost, scratch, 1);
-        (Route::Duplicate, explained)
+        given(Route::Duplicate, Strategy::SelectionOnAns, idx)?
     } else if let Some(forced @ Route::RollUp(CubeHandle(idx), ..)) = forced {
-        let stats = cat
-            .get_entry(idx)
-            .ok_or(CoreError::UnknownHandle(idx))?
-            .stats();
-        let cost = rewrite::roll_up_cost(stats.pres_rows);
-        let scratch = rewrite::scratch_cost(&eq, instance);
-        let explained = ExplainedStrategy::hit(Strategy::RollUpComposition, idx, cost, scratch, 1);
-        (forced, explained)
+        given(forced, Strategy::RollUpComposition, idx)?
     } else {
         plan_in(cat, instance, &eq, &sig)
     };
@@ -341,20 +341,21 @@ pub(crate) fn find_duplicate(
     })
 }
 
-/// The planner: probes the catalog through the signature index and costs
-/// every applicable derivation of `eq`; returns the cheapest route (a
-/// rewriting only if it beats from-scratch) and its explanation. Also the
-/// advisor's view of what a logged query costs against the catalog as it
-/// stands. Family members come in ascending catalog-index order and the
-/// strict `<` keeps the first of equal-cost candidates.
+/// The planner: probes the catalog through the signature index and prices
+/// ([`cost::price`]) every applicable derivation of `eq`; returns the
+/// cheapest route (a rewriting only if it beats from-scratch) and its
+/// explanation. Also the advisor's view of what a logged query costs
+/// against the catalog as it stands. Family members come in ascending
+/// catalog-index order and the strict `<` keeps the first of equal-cost
+/// candidates.
 pub(crate) fn plan_in(
     catalog: &CubeCatalog,
     instance: &Graph,
     eq: &ExtendedQuery,
     sig: &ViewSignature,
 ) -> (Route, ExplainedStrategy) {
-    let scratch = rewrite::scratch_cost(eq, instance);
-    let mut best: Option<(usize, Derivation, f64)> = None;
+    let scratch = cost::scratch_price(eq, instance);
+    let mut best: Option<(usize, Route, f64)> = None;
     let mut candidates = 0;
     for &idx in catalog.family(&sig.key) {
         let entry = catalog.entry(idx);
@@ -362,25 +363,14 @@ pub(crate) fn plan_in(
             continue;
         };
         candidates += 1;
-        let mut cost = cost::derivation_cost(&d, entry, eq, instance);
-        if !entry.is_resident() || !entry.is_fresh(instance) {
-            // Using an evicted — or stale, which serving treats the same
-            // way — source first pays its recomputation. Family members
-            // share the target's body and measure, so the recompute
-            // estimate IS the target's scratch estimate (no per-candidate
-            // re-derivation needed). It is charged discounted: a full
-            // surcharge would always equal or exceed the target's own
-            // scratch cost and such sources could never win, whereas the
-            // recompute is an investment (the refreshed source serves
-            // future queries too), so half is billed to this query.
-            cost += cost::REHYDRATION_CHARGE * scratch;
-        }
+        let route = Route::Rewrite(d);
+        let cost = cost::price(&route, entry.as_source(instance), eq, scratch, instance);
         if best.as_ref().is_none_or(|(_, _, c)| cost < *c) {
-            best = Some((idx, d, cost));
+            best = Some((idx, route, cost));
         }
     }
     match best {
-        Some((idx, d, cost)) if cost < scratch => {
+        Some((idx, Route::Rewrite(d), cost)) if cost < scratch => {
             let strategy = cost::strategy_of(&d);
             let explained = ExplainedStrategy::hit(strategy, idx, cost, scratch, candidates);
             (Route::Rewrite(d), explained)
@@ -392,6 +382,32 @@ pub(crate) fn plan_in(
     }
 }
 
+/// The `pres` a DRILL-OUT (of `removed`) or DRILL-IN (`removed` empty) of
+/// `source` towards `target` starts from, and the Σ it obeys: the selectors
+/// `target` puts on the dimensions the source already has are applied
+/// *before* the algorithm, as from-scratch pushes them into the classifier.
+/// They commute with both (a removed dimension is unrestricted by
+/// Proposition 2, the drilled-in one is new), and the algorithm then sorts
+/// the diced rows only.
+fn diced_source<'a>(
+    source: &'a CubeSnapshot,
+    target: &ExtendedQuery,
+    removed: &[usize],
+    dict: &Dictionary,
+) -> (Cow<'a, PartialResult>, Sigma) {
+    let mut kept = target.sigma().selectors().iter().cloned();
+    let selector = |i| {
+        let carried = (!removed.contains(&i)).then(|| kept.next()).flatten();
+        carried.unwrap_or(ValueSelector::All)
+    };
+    let sigma = Sigma::from_selectors((0..source.pres().n_dims()).map(selector).collect());
+    if &sigma == source.query().sigma() {
+        return (Cow::Borrowed(source.pres()), sigma);
+    }
+    let diced = rewrite::dice_pres(source.pres(), &sigma, dict);
+    (Cow::Owned(diced), sigma)
+}
+
 /// Executes derivation `d` of `target` from a source snapshot.
 fn derive_with(
     instance: &Graph,
@@ -400,7 +416,6 @@ fn derive_with(
     d: &Derivation,
 ) -> Result<(Cube, PartialResult), CoreError> {
     let dict = instance.dict();
-    let source_eq = source.query();
     let (mut ans, mut pres, inherited_sigma) = match d {
         Derivation::Dice => (
             rewrite::dice_from_ans(source.answer(), target.sigma(), dict),
@@ -408,15 +423,18 @@ fn derive_with(
             target.sigma().clone(),
         ),
         Derivation::DrillOut(removed) => {
-            let (ans, pres) = rewrite::drill_out_from_pres(source.pres(), removed, dict)?;
-            (ans, pres, source_eq.sigma().without_dims(removed))
+            let (diced, sigma) = diced_source(source, target, removed, dict);
+            let (ans, pres) = rewrite::drill_out_from_pres(&diced, removed, dict)?;
+            (ans, pres, sigma.without_dims(removed))
         }
         Derivation::DrillIn(var) => {
-            let (ans, pres) =
-                rewrite::drill_in_from_pres(source_eq.query(), source.pres(), *var, instance)?;
-            (ans, pres, source_eq.sigma().with_new_dim())
+            let (diced, sigma) = diced_source(source, target, &[], dict);
+            let original = source.query().query();
+            let (ans, pres) = rewrite::drill_in_from_pres(original, &diced, *var, instance)?;
+            (ans, pres, sigma.with_new_dim())
         }
     };
+    // Only a restricted *new* dimension is left to apply.
     if target.sigma() != &inherited_sigma {
         ans = rewrite::dice_from_ans(&ans, target.sigma(), dict);
         pres = rewrite::dice_pres(&pres, target.sigma(), dict);

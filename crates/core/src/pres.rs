@@ -467,23 +467,6 @@ impl PartialResult {
             + self.values.len() * std::mem::size_of::<TermId>()
     }
 
-    /// Number of distinct values per dimension column. The cube catalog
-    /// caches these at registration time as the cardinality statistics its
-    /// cost model uses to estimate output sizes (e.g. the cell count of a
-    /// drill-out, or the selectivity of a dice).
-    pub fn dim_distinct_counts(&self) -> Vec<usize> {
-        let mut counts = Vec::with_capacity(self.n_dims);
-        let mut column: Vec<TermId> = Vec::with_capacity(self.len());
-        for d in 0..self.n_dims {
-            column.clear();
-            column.extend((0..self.len()).map(|i| self.dims[i * self.n_dims + d]));
-            column.sort_unstable();
-            column.dedup();
-            counts.push(column.len());
-        }
-        counts
-    }
-
     /// The end of the block of rows sharing row `start`'s first `shared`
     /// dimension values. The sort order makes the block a contiguous prefix
     /// of `start..`, so it is found by galloping: a block of `b` rows costs
@@ -754,18 +737,6 @@ mod tests {
         let (g, eq) = example_2_setup();
         let pres = PartialResult::compute(&eq, &g).unwrap();
         assert!(pres.approx_bytes() >= pres.len() * 16);
-    }
-
-    #[test]
-    fn dim_distinct_counts_match_data() {
-        let (g, eq) = example_2_setup();
-        let pres = PartialResult::compute(&eq, &g).unwrap();
-        // Ages {28, 35}; cities {Madrid, NY}.
-        assert_eq!(pres.dim_distinct_counts(), vec![2, 2]);
-        let empty = Records::new(1, 0)
-            .into_pres(vec!["d".into()], AggFunc::Count)
-            .unwrap();
-        assert_eq!(empty.dim_distinct_counts(), vec![0]);
     }
 
     /// The kernel on both record forms: fact runs pushed out of order, one

@@ -342,85 +342,6 @@ pub fn roll_up_from_pres(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Cost hooks — one per strategy, next to the algorithm they estimate.
-//
-// The catalog's planner ([`crate::cost`]) compares these to pick the
-// cheapest sound evaluation route, replacing the old fixed preference order
-// (dice < drill-out < drill-in < scratch). Estimates are in abstract "row
-// touches": what matters is their *relative* order, which `olapbench`'s
-// `planner.*` metrics and the soundness property suite exercise. Each
-// mirrors the dominant term of its algorithm:
-//
-// * σ_dice scans `ans(Q)` cells once;
-// * Algorithm 1 projects `pres(Q)`, sorts it once (δ) and scans it (γ);
-// * Algorithm 2 evaluates q_aux on the instance, then joins + sorts;
-// * from-scratch evaluates both BGPs on the instance, joins, and sorts.
-
-/// `n log n` with floors, the unit cost of sorting/grouping `n` rows.
-fn sort_cost(n: usize) -> f64 {
-    let n = n as f64 + 1.0;
-    n * n.log2().max(1.0)
-}
-
-/// Estimated cost of answering a dice via σ over `ans(Q)` (Proposition 1):
-/// one pass over the materialized cells.
-pub fn dice_cost(ans_cells: usize) -> f64 {
-    1.0 + ans_cells as f64
-}
-
-/// Estimated cost of Algorithm 1 over a `pres(Q)` of `pres_rows` rows:
-/// π is linear, δ is one sort and γ a run scan (the factor predates that
-/// and is the cost-model pass's to refit).
-pub fn drill_out_cost(pres_rows: usize) -> f64 {
-    2.0 * sort_cost(pres_rows)
-}
-
-/// Estimated cost of Algorithm 2: evaluate the auxiliary query (bounded by
-/// `aux_rows` instance rows), hash-join it with `pres(Q)`, and γ the result.
-pub fn drill_in_cost(pres_rows: usize, aux_rows: f64) -> f64 {
-    aux_rows + pres_rows as f64 + 2.0 * sort_cost(pres_rows)
-}
-
-/// Estimated cost of the roll-up composition: one mapping probe per pres
-/// row, δ, then γ.
-pub fn roll_up_cost(pres_rows: usize) -> f64 {
-    pres_rows as f64 + 2.0 * sort_cost(pres_rows)
-}
-
-/// Upper bound on the instance rows the drill-in auxiliary query touches:
-/// the classifier body's total pattern cardinality (q_aux is carved from a
-/// subset of those patterns). Cheap enough to recompute per candidate — it
-/// is one CSR offset probe per pattern.
-pub fn aux_rows_bound(classifier: &rdfcube_engine::Bgp, instance: &Graph) -> f64 {
-    bgp_pattern_rows(classifier, instance)
-}
-
-/// Estimated cost of from-scratch evaluation of `eq` on the instance: both
-/// BGPs' pattern cardinalities (the rows binding propagation touches), the
-/// classifier ⋈ measure join, and the final sort-based γ. The `3×` factor
-/// reflects that every matched row flows through binding arenas, the join,
-/// and materialization — it keeps the estimate honest against the
-/// single-pass rewritings without attempting per-join selectivity modeling.
-pub fn scratch_cost(eq: &ExtendedQuery, instance: &Graph) -> f64 {
-    let rows = bgp_pattern_rows(eq.query().classifier(), instance)
-        + bgp_pattern_rows(eq.query().measure(), instance);
-    3.0 * sort_cost(rows.round() as usize)
-}
-
-/// Sum of the store's exact per-pattern cardinalities for a BGP — the same
-/// `count_matching` statistic the engine's join planner orders patterns by.
-fn bgp_pattern_rows(bgp: &rdfcube_engine::Bgp, instance: &Graph) -> f64 {
-    bgp.body()
-        .iter()
-        .map(|p| {
-            let shape =
-                rdfcube_rdf::TriplePattern::new(p.s.as_const(), p.p.as_const(), p.o.as_const());
-            instance.count_matching(shape) as f64
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,31 +765,6 @@ mod tests {
         let eq = avg_words_query(&mut g);
         let pres = PartialResult::compute(&eq, &g).unwrap();
         assert!(drill_out_from_pres(&pres, &[7], g.dict()).is_err());
-    }
-
-    #[test]
-    fn cost_hooks_are_monotone_and_order_sanely() {
-        // More input rows never gets cheaper.
-        assert!(dice_cost(100) > dice_cost(10));
-        assert!(drill_out_cost(100) > drill_out_cost(10));
-        assert!(drill_in_cost(100, 50.0) > drill_in_cost(10, 50.0));
-        assert!(roll_up_cost(100) > roll_up_cost(10));
-        // σ over ans is the cheapest route for equal sizes; drill-in pays
-        // for its auxiliary query on top of Algorithm 1's sorts.
-        assert!(dice_cost(1000) < drill_out_cost(1000));
-        assert!(drill_out_cost(1000) < drill_in_cost(1000, 500.0));
-
-        // On a real instance, every rewriting must be estimated cheaper
-        // than re-evaluating from scratch when the materialization is no
-        // bigger than the data it came from.
-        let mut g = blog_instance();
-        let eq = avg_words_query(&mut g);
-        let pres = PartialResult::compute(&eq, &g).unwrap();
-        let scratch = scratch_cost(&eq, &g);
-        assert!(dice_cost(pres.len()) < scratch);
-        assert!(drill_out_cost(pres.len()) < scratch);
-        let aux = aux_rows_bound(eq.query().classifier(), &g);
-        assert!(drill_in_cost(pres.len(), aux) < scratch);
     }
 
     #[test]

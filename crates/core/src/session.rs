@@ -1027,7 +1027,7 @@ mod tests {
             .unwrap();
         assert!(!s.is_resident(h), "base should be the eviction victim");
         // A renamed identity query over the base's family: σ over ans(Q)
-        // plus the discounted rehydration charge still beats from-scratch,
+        // plus its share of the base's recomputation still beats from-scratch,
         // so the planner rehydrates the evicted base instead of falling
         // back.
         let eq = independent_query(

@@ -149,12 +149,15 @@ fn concurrent_answers_match_serial_under_eviction() {
         counters.rehydrations > 0,
         "racing readers must have rehydrated evicted payloads: {counters:?}"
     );
-    if let Some(b) = shared.budget() {
-        assert!(
-            shared.resident_bytes() <= b,
-            "budget violated after the run"
-        );
-    }
+    // The catalog keeps the newest result resident even when it alone
+    // exceeds the budget (`CubeCatalog::with_budget`), and this pool holds
+    // cubes of four times these 24 KiB.
+    let (resident, budget) = (shared.resident_bytes(), shared.budget());
+    let session = shared.into_session();
+    assert!(
+        budget.is_none_or(|b| resident <= b) || session.catalog().resident_len() == 1,
+        "budget violated after the run: {resident} bytes resident"
+    );
 }
 
 /// A subject-hash sharded instance must answer cell-identically to the

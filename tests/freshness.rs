@@ -257,7 +257,9 @@ fn random_workload(s: &mut OlapSession, seed: u64) -> Vec<ExtendedQuery> {
 
 /// On seeded random workloads — against the pristine catalog, against
 /// one the answers themselves have grown, and after inserts made every
-/// entry stale.
+/// entry stale: a stale source the instance can still itemize the missed
+/// triples of is priced at its refresh on top of the rewriting — dearer
+/// than fresh, cheaper than from-scratch — so it is still the one chosen.
 #[test]
 fn explain_predicts_serving_on_random_workloads() {
     for seed in [1u64, 7, 42] {
@@ -269,16 +271,27 @@ fn explain_predicts_serving_on_random_workloads() {
         for eq in &probes {
             assert_explain_predicts_serving(&mut s, eq, &format!("seed {seed}, repeated"));
         }
+        let fresh = s.explain_query(&probes[0]);
         s.insert_triples(growth_triples());
+        let stale = s.explain_query(&probes[0]);
+        assert!(fresh.catalog_hit && stale.catalog_hit, "seed {seed}");
+        assert_eq!(stale.source, fresh.source, "seed {seed}: source kept");
+        assert!(
+            fresh.estimated_cost < stale.estimated_cost
+                && stale.estimated_cost < stale.scratch_cost,
+            "seed {seed}: fresh {fresh}, stale {stale}"
+        );
         let again = random_workload(&mut blogger_session(4_000), seed + 100);
         for eq in probes.iter().chain(&again) {
             assert_explain_predicts_serving(&mut s, eq, &format!("seed {seed}, stale"));
         }
+        let counters = s.catalog().counters();
+        assert!(counters.incremental_refreshes > 0, "{counters:?}");
     }
 }
 
-/// The same under a tight budget, where eviction makes the rehydration
-/// surcharge part of every candidate's cost.
+/// The same under a tight budget, where eviction makes a share of the
+/// from-scratch price part of every candidate's.
 #[test]
 fn explain_predicts_serving_under_eviction() {
     let cfg = BloggerConfig::with_approx_triples(4_000);

@@ -18,7 +18,7 @@ use proptest::prelude::*;
 // Explicit import wins over the glob imports: `Strategy` here always
 // means proptest's trait, never the session's strategy enum.
 use proptest::strategy::Strategy;
-use rdfcube::core::CubeHandle;
+use rdfcube::core::{apply, CubeHandle};
 use rdfcube::datagen::{generate_instance, BloggerConfig};
 use rdfcube::prelude::*;
 
@@ -105,10 +105,11 @@ fn stages(trace: &QueryTrace) -> Vec<&'static str> {
     trace.children(0).map(|i| trace.spans()[i].name).collect()
 }
 
-/// Runs the operation list — the from-scratch base, a derived dice, the
-/// base again (a duplicate hit), a roll-up and the roll-up again — and
-/// checks every trace for soundness and the stages it must show. Returns
-/// each operation's full span-name sequence, for comparing planes.
+/// Runs the operation list — the from-scratch base, the dice of its
+/// drill-out (Algorithm 1 with Σ applied to the source first), a derived
+/// dice, the base again (a duplicate hit), a roll-up and the roll-up again
+/// — and checks every trace for soundness and the stages it must show.
+/// Returns each operation's full span-name sequence, for comparing planes.
 fn traced_operations(
     plane: &mut impl TracedPlane,
     eq: &ExtendedQuery,
@@ -120,8 +121,13 @@ fn traced_operations(
     };
     let base = plane.answer(eq.clone());
     let h = base.0;
+    let drop_city = OlapOp::DrillOut {
+        dims: vec!["dcity".into()],
+    };
+    let diced_out = apply(&apply(eq, dice).unwrap(), &drop_city).unwrap();
     let traced = [
         base,
+        plane.answer(diced_out),
         plane.transform(h, dice),
         plane.answer(eq.clone()),
         plane.transform(h, &roll_up),
@@ -130,11 +136,18 @@ fn traced_operations(
     for (_, explained, trace) in &traced {
         assert_trace_sound(explained, trace);
     }
-    let [base, _, again, rolled, rolled_again] = &traced;
+    let [base, diced_out, _, again, rolled, rolled_again] = &traced;
     assert_eq!(
         stages(&base.2),
         ["plan", "strategy", "from_scratch", "materialize"]
     );
+    // Σ goes first: Algorithm 1's π reads the diced rows, not the source's.
+    assert_eq!(diced_out.1, rdfcube::core::Strategy::Algorithm1);
+    let position = |name| diced_out.2.spans().iter().position(|s| s.name == name);
+    let (dice_pres, project) = (position("dice_pres").unwrap(), position("project").unwrap());
+    assert!(dice_pres < project, "dice_pres must precede project");
+    let spans = diced_out.2.spans();
+    assert_eq!(spans[project].rows_in, spans[dice_pres].rows_out);
     assert_eq!(stages(&again.2), ["plan", "strategy", "duplicate"]);
     assert_eq!(rolled.1, rdfcube::core::Strategy::RollUpComposition);
     assert_eq!(
