@@ -57,7 +57,6 @@ use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
 use rdfcube_engine::{evaluate_seeded, AggFunc, Bgp, Relation, Seed, Semantics};
 use rdfcube_obs as obs;
-use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
 use std::ops::Range;
 
@@ -126,7 +125,7 @@ pub(crate) struct Records {
     /// Flat records `[d₁…dₙ, root, start, len]`: a fact (as raw term ids)
     /// and where its run sits in `tuples`.
     heads: Vec<u32>,
-    /// `key‖value` of every pushed measure tuple, run after run.
+    /// `key‖value` of every pushed measure tuple, run after run (records may share a run).
     tuples: Vec<u64>,
 }
 
@@ -144,31 +143,52 @@ impl Records {
 
     /// Number of rows pushed so far.
     pub(crate) fn len(&self) -> usize {
-        self.tuples.len()
+        let n = self.n_dims;
+        let lens = self.heads.chunks_exact(n + 3).map(|h| h[n + 2] as usize);
+        lens.sum()
     }
 
     /// `c(I) ⋈ₓ m^k(I)`: keys every tuple of the measure result `m_rel`
     /// (`newk()` counts up from `keys_above + 1` in enumeration order) and
     /// pushes one fact run per classifier row of `c_rel` that has measure
-    /// tuples. `None` if the keys would not fit `u32`.
+    /// tuples, in `c_rel`'s order — a merge on the root, the order a root
+    /// scan gives (else a sort). `None` if the keys would not fit `u32`.
     fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation, keys_above: u32) -> Option<()> {
         let sp = obs::span("key_join");
-        let rows_before = self.len();
         u32::try_from(m_rel.len()).ok()?.checked_add(keys_above)?;
-        // m^k(I), grouped by fact for the join.
-        let mut by_fact: FxHashMap<TermId, Vec<(u32, TermId)>> = FxHashMap::default();
-        for (nth, row) in (1..).zip(m_rel.rows()) {
-            let tuple = (keys_above + nth, row[1]);
-            by_fact.entry(row[0]).or_default().push(tuple);
-        }
-        for c_row in c_rel.rows() {
-            if let Some(measures) = by_fact.get(&c_row[0]) {
-                let dims = c_row[1..].iter().copied();
-                self.push(dims, c_row[0], measures.iter().copied());
+        let by_root = |rel: &Relation| {
+            let pair = |(row, i): (&[TermId], u64)| u64::from(row[0].0) << 32 | i;
+            let mut pairs: Vec<u64> = rel.rows().zip(0..).map(pair).collect();
+            let sorted = pairs.is_sorted();
+            pairs.sort_unstable();
+            (pairs, !sorted)
+        };
+        let ((c_roots, c_sorted), (m_roots, m_sorted)) = (by_root(c_rel), by_root(m_rel));
+        let below = |from: usize, bound: u64| {
+            from + m_roots[from..].iter().take_while(|&&m| m < bound).count()
+        };
+        let keyed = |&m: &u64| {
+            let j = m as u32;
+            u64::from(keys_above + j + 1) << 32 | u64::from(m_rel.row(j as usize)[1].0)
+        };
+        let (mut runs, mut next, mut fact, mut run) = (vec![0..0; c_rel.len()], 0, None, 0..0);
+        for (root, i) in c_roots.iter().map(|&c| (c >> 32 << 32, c as u32 as usize)) {
+            if fact != Some(root) {
+                let from = below(next, root);
+                let to = below(from, root.saturating_add(1 << 32));
+                let start = self.tuples.len() as u32;
+                self.tuples.extend(m_roots[from..to].iter().map(keyed));
+                (next, fact, run) = (to, Some(root), start..start + (to - from) as u32);
             }
+            runs[i].clone_from(&run);
         }
-        let rows_in = (c_rel.len() + m_rel.len()) as u64;
-        sp.rows(rows_in, (self.len() - rows_before) as u64);
+        self.heads.reserve(c_rel.len() * (self.n_dims + 3));
+        for (c_row, run) in c_rel.rows().zip(runs).filter(|(_, run)| !run.is_empty()) {
+            self.heads.extend(c_row[1..].iter().map(|id| id.0));
+            self.heads.extend([c_row[0].0, run.start, run.len() as u32]);
+        }
+        sp.rows((c_rel.len() + m_rel.len()) as u64, self.len() as u64);
+        sp.attr("sorted_sides", u64::from(c_sorted) + u64::from(m_sorted));
         Some(())
     }
 
@@ -200,14 +220,14 @@ impl Records {
         dim_names: Vec<String>,
         agg: AggFunc,
     ) -> Result<PartialResult, CoreError> {
-        let (n, stride, rows_in) = (self.n_dims, self.n_dims + 3, self.tuples.len());
+        let (n, stride, rows_in) = (self.n_dims, self.n_dims + 3, self.len());
         if u32::try_from(rows_in).is_err() {
             return Err(CoreError::InvalidOperation(
                 "a partial result of more than 2^32 − 1 rows".into(),
             ));
         }
         let head = |i: u32| &self.heads[i as usize * stride..][..stride];
-        let run = |i: u32| &self.tuples[head(i)[n + 1] as usize..][..head(i)[n + 2] as usize];
+        let run = |h: &(u128, u32, u32, u32)| &self.tuples[h.2 as usize..][..h.3 as usize];
 
         // One sort, on a fixed-width packed key: the first four ids of
         // `(dims, root)` in a `u128` — the whole fact up to three
@@ -215,9 +235,9 @@ impl Records {
         let sp = obs::span("sort");
         let lanes = (n + 1).min(4);
         let pack = |k: u128, id: &u32| k << 32 | u128::from(*id);
-        let pack = |i| head(i)[..lanes].iter().fold(0, pack);
-        let n_heads = (self.heads.len() / stride) as u32;
-        let mut order: Vec<(u128, u32)> = (0..n_heads).map(|i| (pack(i), i)).collect();
+        let fact = |(i, h): (u32, &[u32])| (h[..lanes].iter().fold(0, pack), i, h[n + 1], h[n + 2]);
+        let facts = self.heads.chunks_exact(stride);
+        let mut order: Vec<(u128, u32, u32, u32)> = (0..).zip(facts).map(fact).collect();
         // Facts derived from a sorted table arrive with their leading key
         // bits still in order (a drill-in keeps all of the old key, a
         // drill-out the dimensions before the first removed one). `low` is
@@ -227,32 +247,35 @@ impl Records {
         let descents = order.windows(2).filter(|w| w[1].0 < w[0].0);
         let low = descents.map(|w| u128::BITS - (w[0].0 ^ w[1].0).leading_zeros());
         let low = low.max().unwrap_or(0);
-        let prefix = |h: &(u128, u32)| h.0.checked_shr(low).unwrap_or(0);
-        let rest = |h: &(u128, u32)| &head(h.1)[lanes..=n];
+        let prefix = |h: &(u128, u32, u32, u32)| h.0.checked_shr(low).unwrap_or(0);
+        let rest = |h: &(u128, u32, u32, u32)| &head(h.1)[lanes..=n];
         for segment in order.chunk_by_mut(|a, b| prefix(a) == prefix(b)) {
             segment.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a).cmp(rest(b))));
         }
-        sp.rows(u64::from(n_heads), u64::from(n_heads));
+        sp.rows(order.len() as u64, order.len() as u64);
         drop(sp);
 
         let sp = obs::span("dedup");
         let mut columns = Columns::with_capacity(rows_in, n);
-        let mut merged: Vec<u64> = Vec::new();
+        let (mut merged, mut ids): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
         for group in order.chunk_by(|a, b| a.0 == b.0 && rest(a) == rest(b)) {
-            let first = group[0].1;
-            let tuples = if group.iter().all(|h| run(h.1) == run(first)) {
+            let first = &group[0];
+            let tuples = if group.iter().all(|h| run(h) == run(first)) {
                 run(first)
             } else {
                 merged.clear();
-                merged.extend(group.iter().flat_map(|h| run(h.1)));
+                merged.extend(group.iter().flat_map(run));
                 merged.sort_unstable();
                 merged.dedup();
                 &merged
             };
+            let lane = |l: usize| (first.0 >> (32 * l)) as u32; // the fact's ids, in order
+            ids.clear();
+            ids.extend((0..lanes).rev().map(lane));
+            ids.extend_from_slice(rest(first));
             for &tuple in tuples {
-                let dims = head(first)[..n].iter().map(|&d| TermId(d));
-                columns.dims.extend(dims);
-                columns.roots.push(TermId(head(first)[n]));
+                columns.dims.extend(ids[..n].iter().map(|&d| TermId(d)));
+                columns.roots.push(TermId(ids[n]));
                 columns.keys.push((tuple >> 32) as u32);
                 columns.values.push(TermId(tuple as u32));
             }
@@ -309,7 +332,7 @@ impl PartialResult {
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
-        let mut records = Records::new(q.n_dims(), c_rel.len());
+        let mut records = Records::new(q.n_dims(), m_rel.len());
         records.key_join(&c_rel, &m_rel, 0).ok_or_else(|| {
             CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
         })?;
@@ -783,6 +806,55 @@ mod tests {
             }
             assert_eq!(again.into_pres(names, AggFunc::Count).unwrap(), pres);
         }
+    }
+
+    /// The merge's fallback: a side that arrives out of root order (a
+    /// pending delta's run after the CSR's) is sorted once, and the table is
+    /// every classifier × measure pair on one root, `newk()` still counting
+    /// in measure enumeration order.
+    #[test]
+    fn key_join_sorts_the_sides_that_arrive_out_of_root_order() {
+        // `c(x, d)` and `m(x, v)`: root 2 sits in two cells, root 3 has no
+        // measure and root 5 no classifier row.
+        let c_rows = [[4, 40], [2, 20], [1, 10], [2, 21], [3, 30]];
+        let m_rows = [[2, 200], [4, 400], [1, 100], [2, 201], [5, 500]];
+        let join = |c_rows: &[[u32; 2]], m_rows: &[[u32; 2]]| {
+            let rel = |rows: &[[u32; 2]]| {
+                let mut rel =
+                    Relation::new(vec![rdfcube_engine::VarId(0), rdfcube_engine::VarId(1)]);
+                rows.iter().for_each(|row| rel.push_row(&row.map(TermId)));
+                rel
+            };
+            let mut records = Records::new(1, 0);
+            assert!(obs::trace_begin("join"));
+            records.key_join(&rel(c_rows), &rel(m_rows), 7).unwrap();
+            let trace = obs::trace_end().unwrap();
+            let sorted = trace
+                .find("key_join")
+                .and_then(|join| join.attr("sorted_sides"));
+            let pres = records.into_pres(vec!["d".into()], AggFunc::Count).unwrap();
+            (pres, sorted.unwrap())
+        };
+        let (pres, sorted) = join(&c_rows, &m_rows);
+        assert_eq!(sorted, 2);
+        let mut in_order = c_rows;
+        in_order.sort_by_key(|row| row[0]);
+        assert_eq!(join(&in_order, &m_rows), (pres.clone(), 1));
+        let mut want = Vec::new();
+        for c in c_rows {
+            for (nth, m) in (8..).zip(m_rows).filter(|(_, m)| m[0] == c[0]) {
+                want.push((c[1], c[0], nth, m[1]));
+            }
+        }
+        want.sort();
+        let got = pres
+            .rows()
+            .map(|r| (r.dims[0].0, r.root.0, r.key, r.value.0));
+        assert_eq!(got.collect::<Vec<_>>(), want);
+        // Both sides in root order: nothing to sort.
+        let mut m_in_order = m_rows;
+        m_in_order.sort_by_key(|row| row[0]);
+        assert_eq!(join(&in_order, &m_in_order).1, 0);
     }
 
     #[test]

@@ -237,39 +237,44 @@ fn numeric_bag(
 /// Picks the minimal/maximal term of the bag: numerically when every value
 /// is numeric, otherwise lexicographically on the rendered term. Ties break
 /// on the rendered form then the id, so the result is deterministic across
-/// evaluation strategies.
+/// evaluation strategies. Each value is parsed once; text is rendered, into
+/// two reused buffers, only to order two distinct ids the numbers do not.
 fn extremum(values: &[TermId], dict: &Dictionary, want_max: bool) -> TermId {
-    let all_numeric = values
+    use std::cmp::Ordering;
+    use std::fmt::Write;
+    let numbers: Option<Vec<f64>> = values
         .iter()
-        .all(|&id| dict.get(id).and_then(Term::as_f64).is_some());
-    let key = |id: TermId| -> (Option<f64>, String, u32) {
-        let term = dict.get(id);
-        let num = if all_numeric {
-            term.and_then(Term::as_f64)
-        } else {
-            None
-        };
-        let text = term.map_or_else(|| id.to_string(), |t| t.to_string());
-        (num, text, id.0)
-    };
-    let cmp = |a: &TermId, b: &TermId| {
-        let (na, ta, ia) = key(*a);
-        let (nb, tb, ib) = key(*b);
-        match (na, nb) {
-            (Some(x), Some(y)) => x.total_cmp(&y).then_with(|| ta.cmp(&tb)).then(ia.cmp(&ib)),
-            _ => ta.cmp(&tb).then(ia.cmp(&ib)),
+        .map(|&id| dict.get(id).and_then(Term::as_f64))
+        .collect();
+    let (mut a, mut b) = (String::new(), String::new());
+    let mut by_text = |x: TermId, y: TermId| {
+        if x == y {
+            return Ordering::Equal;
         }
+        for (text, id) in [(&mut a, x), (&mut b, y)] {
+            text.clear();
+            let _ = match dict.get(id) {
+                Some(term) => write!(text, "{term}"),
+                None => write!(text, "{id}"),
+            };
+        }
+        a.cmp(&b).then(x.0.cmp(&y.0))
     };
-    let mut best = values[0];
-    for &v in &values[1..] {
-        let ord = cmp(&v, &best);
-        if (want_max && ord == std::cmp::Ordering::Greater)
-            || (!want_max && ord == std::cmp::Ordering::Less)
-        {
-            best = v;
+    let wanted = if want_max {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    };
+    let mut best = 0;
+    for i in 1..values.len() {
+        let by_number = numbers
+            .as_ref()
+            .map_or(Ordering::Equal, |n| n[i].total_cmp(&n[best]));
+        if by_number.then_with(|| by_text(values[i], values[best])) == wanted {
+            best = i;
         }
     }
-    best
+    values[best]
 }
 
 /// γ — grouped aggregation over a relation: groups rows by `group_cols`,
@@ -495,6 +500,71 @@ mod tests {
             AggFunc::Max.apply(&ids, &d).unwrap(),
             AggValue::Term(ids[2])
         );
+    }
+
+    /// `extremum` as it was before it stopped rendering every value twice
+    /// per comparison: one `(number?, text, id)` key per value.
+    fn extremum_by_keys(values: &[TermId], d: &Dictionary, want_max: bool) -> TermId {
+        use std::cmp::Ordering;
+        let all_numeric = values
+            .iter()
+            .all(|&id| d.get(id).and_then(Term::as_f64).is_some());
+        let key = |id: TermId| {
+            let term = d.get(id).unwrap();
+            (
+                term.as_f64().filter(|_| all_numeric),
+                term.to_string(),
+                id.0,
+            )
+        };
+        let wanted = if want_max {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+        let mut best = values[0];
+        for &v in &values[1..] {
+            let ((nv, tv, iv), (nb, tb, ib)) = (key(v), key(best));
+            let by_number = nv.zip(nb).map_or(Ordering::Equal, |(x, y)| x.total_cmp(&y));
+            if by_number.then(tv.cmp(&tb)).then(iv.cmp(&ib)) == wanted {
+                best = v;
+            }
+        }
+        best
+    }
+
+    #[test]
+    fn min_max_break_numeric_ties_on_text_then_id() {
+        let mut d = Dictionary::new();
+        let terms = [
+            Term::integer(7),
+            Term::literal("9.0"),
+            Term::double(3.0),
+            Term::literal(" 3"),
+            Term::integer(9),
+            Term::literal("3e0"),
+            Term::integer(3),
+            Term::integer(7),
+        ];
+        let tied: Vec<TermId> = terms.iter().map(|t| d.encode(t)).collect();
+        // Every 3 and every 9 ties on its number; the rendered text decides:
+        // `" 3"` sorts first and `"9.0"` after `"9"^^<…integer>`.
+        let min = AggFunc::Min.apply(&tied, &d).unwrap();
+        let max = AggFunc::Max.apply(&tied, &d).unwrap();
+        assert_eq!(
+            (min, max),
+            (AggValue::Term(tied[3]), AggValue::Term(tied[1]))
+        );
+        // Not all numeric: every value compares as text.
+        let words = ["NY", "Kyoto", "12", "Madrid", "Kyoto"].map(|w| d.encode(&Term::literal(w)));
+        let mut mixed = words.to_vec();
+        mixed.push(d.encode(&Term::iri("Kyoto")));
+        for bag in [&tied[..], &words[..], &mixed[..], &tied[6..], &words[1..2]] {
+            for (func, want_max) in [(AggFunc::Min, false), (AggFunc::Max, true)] {
+                let want = AggValue::Term(extremum_by_keys(bag, &d, want_max));
+                assert_eq!(func.apply(bag, &d).unwrap(), want, "{func:?} of {bag:?}");
+            }
+        }
     }
 
     #[test]

@@ -202,7 +202,9 @@ fn registry_is_consistent_under_concurrent_load() {
     std::thread::scope(|scope| {
         let reader = scope.spawn(|| {
             let mut observations = 0u64;
-            while !writers_done.load(Ordering::Acquire) {
+            // Snapshot first, then ask whether the writers are done: the
+            // writers may finish before this thread is first scheduled.
+            loop {
                 let snap = reg.snapshot();
                 let h = snap.histogram("test_latency_nanos").expect("registered");
                 let in_buckets: u64 = h.buckets.iter().sum();
@@ -221,8 +223,10 @@ fn registry_is_consistent_under_concurrent_load() {
                     h.count
                 );
                 observations += 1;
+                if writers_done.load(Ordering::Acquire) {
+                    break observations;
+                }
             }
-            observations
         });
         for k in 0..THREADS {
             let counter = counter.clone();

@@ -70,6 +70,11 @@ fn assert_trace_sound(explained: &ExplainedStrategy, trace: &QueryTrace) {
             matched
         );
     }
+    // Blogger classifiers and measures start from a root scan, so both
+    // sides of `pres`'s key join arrive in root order.
+    for join in trace.find_all("key_join") {
+        assert_eq!(join.attr("sorted_sides"), Some(0), "key_join sorted a side");
+    }
 }
 
 /// What a traced entry point returns.
