@@ -16,7 +16,7 @@
 //!    measured cost.
 //! 2. **Enumerate candidates** — per derivation family, the Σ-unrestricted
 //!    generalization of each logged dimension list, closed under
-//!    order-preserving merge ([`merge_dims`]): the drill-out ancestors in
+//!    order-preserving merge (`merge_dims`): the drill-out ancestors in
 //!    the dimension lattice, up to the family's apex. Candidates that are
 //!    already materialized and fresh are skipped (the planner can use them
 //!    today); evicted or stale twins become *rehydration* candidates with
@@ -596,7 +596,10 @@ mod tests {
         assert!(report.materialized_bytes > 0);
         assert_eq!(s.len(), before + 1);
 
-        // A never-seen slice is now served by σ over the advised apex.
+        // A never-seen slice is now served by σ over the advised apex. Its
+        // cube evicts the apex again, and the next fresh slice is faster
+        // from scratch (2.8 µs on this world) than by bringing the apex
+        // back and dicing it (3.5 µs).
         let eq = sliced_example(&mut s, "Lyon");
         let mut sigma = Sigma::all(2);
         sigma.set(1, ValueSelector::one(Term::literal("Madrid")));
@@ -604,10 +607,11 @@ mod tests {
         let mut sigma2 = Sigma::all(2);
         sigma2.set(0, ValueSelector::one(Term::integer(28)));
         let fresh2 = ExtendedQuery::with_sigma(eq.query().clone(), sigma2).unwrap();
-        for f in [fresh, fresh2] {
+        let served = [Strategy::SelectionOnAns, Strategy::FromScratch];
+        for (f, strategy) in [fresh, fresh2].into_iter().zip(served) {
             let (h, explained) = s.answer_query(f).unwrap();
-            assert_eq!(explained.strategy, Strategy::SelectionOnAns);
-            assert!(explained.catalog_hit);
+            assert_eq!(explained.strategy, strategy);
+            assert_eq!(explained.catalog_hit, strategy == served[0]);
             let scratch = s.cube(h).query().answer(s.instance()).unwrap();
             assert!(s.answer(h).same_cells(&scratch));
         }

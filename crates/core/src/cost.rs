@@ -21,16 +21,18 @@
 //! Algorithm 2's q_aux is carved from the classifier, so Algorithm 2
 //! undercuts re-evaluation by the patterns it skips, less the `pres` rows
 //! it sorts. Σ goes first on every route (from-scratch pushes it into the
-//! classifier, Algorithms 1 and 2 dice the source `pres`), so a restricted
-//! target reads a share of the rows an unrestricted one does — of an
-//! unrestricted source, that is; an already diced one has only those rows.
+//! classifier and evaluates the measure for the admitted facts only,
+//! Algorithms 1 and 2 dice the source `pres`), so a restricted target reads
+//! a share of the rows an unrestricted one does — of an unrestricted
+//! source, that is; an already diced one has only those rows.
 //!
 //! A route whose source is not ready pays for that first: a stale payload
 //! whose missed triples the instance can still itemize
 //! ([`Graph::inserted_since`]) is priced at its incremental refresh, an
-//! evicted one (or one whose insertion log is gone) at a share of what
-//! the query would pay from scratch. An exact duplicate touches no row and
-//! costs what every served query does.
+//! evicted one (or one whose insertion log is gone) at a share of its own
+//! recomputation from scratch — which, for an unrestricted source of a
+//! diced target, is many times the target's. An exact duplicate touches no
+//! row and costs what every served query does.
 //!
 //! The planner (`pipeline::plan_in`), the explanations of the routes it
 //! does not pick itself (duplicate, ROLL-UP) and the advisor's benefit all
@@ -97,11 +99,15 @@ mod ns {
     /// row from scratch on the blogger world and that `aux_eval`'s 82.
     pub const EVAL_ROW: f64 = 50.0;
     /// Share of those rows, and of an unrestricted source's `pres` rows,
-    /// that are read for a restricted target: Q3 under a 10 % dice takes
-    /// 1.7 ms from scratch for 6.4, the 70,325-row cubes 1.6 for 2.2–2.3
-    /// (`rewrite.scratch_dice_us`; PR 20 read the same shares);
-    /// Algorithm 1 over Q3's 85,433 rows 0.34–0.37 ms for 1.8–2.8.
-    pub const DICED_SHARE: f64 = 0.3;
+    /// that are read for a restricted target. From scratch only the
+    /// admitted facts' measure is evaluated (`pres` module docs): under a
+    /// 10 % dice Q3 takes 0.90 ms for 6.4, `dsite` out of its head 0.66–0.70
+    /// for 3.3, Example 1 0.56–0.62 for 2.3 (`rewrite.scratch_dice_us`;
+    /// 0.39–0.54× the unseeded times in alternating runs) — 0.14, 0.21 and
+    /// 0.24–0.27 of the whole; Algorithm 1 over Q3's 85,433 rows 0.34–0.37
+    /// ms for 1.8–2.8. Below 0.2 the conformance suite's toy slice would
+    /// take Algorithm 1 (1.2 µs) over σ (0.8 µs).
+    pub const DICED_SHARE: f64 = 0.21;
     /// The roll-up composition, per `pres` row: 0.91–0.98 ms for 21,606
     /// rows (`session.roll_up_p50_us`), 4.9 ms for 85,433.
     pub const ROLL_UP_ROW: f64 = 45.0;
@@ -113,22 +119,30 @@ mod ns {
     /// re-derived from: 0.72 and 1.05 ms for 21.8k rows behind ~700 and
     /// ~1,300 triples.
     pub const REFRESH_TRIPLE: f64 = 600.0;
-    /// Share of its own from-scratch price a query is billed for bringing
-    /// back an evicted source: the recomputation costs about that price
-    /// (family members share body and measure), billed in full no evicted
-    /// source could ever win, yet the payload stays to serve later
-    /// queries. dashboard-zipf brings a payload in 118 times an epoch (35
+    /// Share of the source's own from-scratch price a query is billed for
+    /// bringing it back once evicted: billed in full no evicted source
+    /// could ever win, yet the payload stays to serve later queries.
+    /// dashboard-zipf brings a payload in 118 times an epoch (35
     /// `catalog.rehydrations`, 83 misses) for 301 hits — 2.5 uses each, so
     /// a half is the cautious side of the trigger's fair share.
     pub const EVICTED_SHARE: f64 = 0.5;
 }
 
-/// The instance's exact `count_matching` total over the patterns of `bgp`.
-fn pattern_rows(bgp: &Bgp, instance: &Graph) -> f64 {
+/// The instance's exact `count_matching` of each pattern of `bgp`: the
+/// triples its constant shape matches.
+pub(crate) fn pattern_counts<'a>(
+    bgp: &'a Bgp,
+    instance: &'a Graph,
+) -> impl Iterator<Item = usize> + 'a {
     let shape =
         |p: &QueryPattern| TriplePattern::new(p.s.as_const(), p.p.as_const(), p.o.as_const());
-    let rows = bgp.body().iter().map(|p| instance.count_matching(shape(p)));
-    rows.sum::<usize>() as f64
+    let count = move |p| instance.count_matching(shape(p));
+    bgp.body().iter().map(count)
+}
+
+/// The instance's exact `count_matching` total over the patterns of `bgp`.
+fn pattern_rows(bgp: &Bgp, instance: &Graph) -> f64 {
+    pattern_counts(bgp, instance).sum::<usize>() as f64
 }
 
 /// The share of an unrestricted table's rows that is read for `eq`.
@@ -180,7 +194,7 @@ pub(crate) fn price(
     let upkeep = match backlog {
         Some(0) => 0.0,
         Some(new) => ns::REFRESH_ROW * rows + ns::REFRESH_TRIPLE * new as f64,
-        None => ns::EVICTED_SHARE * (scratch - ns::QUERY),
+        None => ns::EVICTED_SHARE * (scratch_price(source, instance) - ns::QUERY),
     };
     ns::QUERY + run + upkeep
 }
@@ -471,8 +485,9 @@ mod tests {
     /// (query, `ans` cells, `pres` rows) and the microseconds it took
     /// (`olapbench`'s planner battery and served log on the 100k-triple
     /// world, seed 1; medians, PR 20 — from-scratch times scaled by PR 25's
-    /// measured speed-up). The table must rank each probe's candidates in
-    /// that order and price each within 2× of its time.
+    /// measured speed-up and, for restricted targets, by the seeded
+    /// measure's). The table must rank each probe's candidates in that
+    /// order and price each within 2× of its time.
     #[test]
     fn table_ranks_the_probes() {
         // That world's pattern counts, one subject per triple.
@@ -526,7 +541,7 @@ mod tests {
                 &q3d,
                 vec![
                     (sigma, Some((&q3, 16_774, 85_433)), 377.),
-                    (scratch, None, 1_690.),
+                    (scratch, None, 905.),
                 ],
             ),
             // Q3 less a middle, then its trailing, dimension; with the
@@ -556,13 +571,14 @@ mod tests {
                 ],
             ),
             // Q3 less `dsite`, diced: σ over that drill-out before
-            // Algorithm 1 over the diced Q3.
+            // Algorithm 1 over the diced, then the whole, Q3.
             (
                 &q2d,
                 vec![
                     (sigma, Some((&q2, 2_363, 21_606)), 90.),
                     (alg1, Some((&q3d, 1_666, 8_655)), 210.),
-                    (scratch, None, 1_590.),
+                    (alg1, Some((&q3, 16_774, 85_433)), 355.),
+                    (scratch, None, 700.),
                 ],
             ),
             // A sliced Q3 less `dcity`: two cheap sources, 15 % apart.
@@ -578,7 +594,7 @@ mod tests {
                 &ex1d,
                 vec![
                     (sigma, Some((&ex1, 2_363, 21_606)), 71.),
-                    (scratch, None, 1_580.),
+                    (scratch, None, 620.),
                 ],
             ),
             // A diced Q3 when only its 2-dimension drill-out is held: q_aux
@@ -586,7 +602,7 @@ mod tests {
             (
                 &q3d,
                 vec![
-                    (scratch, None, 1_690.),
+                    (scratch, None, 905.),
                     (site_in, Some((&q2, 2_363, 21_606)), 4_130.),
                 ],
             ),
@@ -618,10 +634,14 @@ mod tests {
 
         // A source that is not ready pays for that first — least when the
         // instance can still name the triples it missed — and an evicted
-        // one, billed a share of the from-scratch price, can still win.
+        // one, billed a share of its own from-scratch price, can still win;
+        // not for a diced target, though, which costs a fraction of that.
         let (stats, from_scratch) = (sized(16_774, 85_433), scratch_price(&q2, &g));
         let with = |backlog| price(alg1, (&q3, &stats, backlog), &q2, from_scratch, &g);
         assert!(with(Some(0)) < with(Some(88)) && with(Some(88)) < with(Some(880)));
         assert!(with(Some(88)) < with(None) && with(None) < from_scratch);
+        let diced_scratch = scratch_price(&q2d, &g);
+        let evicted = price(alg1, (&q3, &stats, None), &q2d, diced_scratch, &g);
+        assert!(diced_scratch < evicted);
     }
 }

@@ -51,11 +51,37 @@
 //!
 //! Every derivation is therefore one sort plus one scan, over one record
 //! per fact run rather than per row, and no row ever owns a heap vector.
+//!
+//! # The measure of the admitted facts only
+//!
+//! `c(I) ⋈ₓ m^k(I)` keeps no measure tuple whose root the Σ-filtered
+//! classifier refused, so [`PartialResult::compute`] and a refresh's
+//! re-derivation (one function, `evaluate_parts`) evaluate the classifier
+//! first and then the measure with its root *seeded* to the classifier's
+//! distinct roots — a semi-join reduction on the fact, done at query time:
+//! a 10 % dice enumerates about a tenth of the measure, not all of it.
+//!
+//! * **Guard.** The measure stays unseeded when one of its patterns matches
+//!   fewer triples (its constant shape's exact `count_matching`) than there
+//!   are roots: its unseeded plan then reads fewer rows in its first step
+//!   than seeding would probe.
+//! * **Elision.** A seeded measure drops each pattern `?root p o` (`p`, `o`
+//!   constants) that the classifier also states on its own root: every
+//!   seeded root matches it, and exactly once, so the bag is unchanged. The
+//!   root's last pattern stays, as it must bind the seeded variable.
+//! * **Keys.** `newk()` numbers the tuples the measure enumerated, so a
+//!   table's keys are fresh but not canonical: a restricted `compute` keys
+//!   only its admitted facts' tuples, where a dice of the unrestricted table
+//!   keeps that table's keys. Two tables of one query are equal up to a
+//!   bijective renaming of keys, which is what every consumer relies on.
 
 use crate::answer::Cube;
+use crate::cost::pattern_counts;
 use crate::error::CoreError;
 use crate::extended::ExtendedQuery;
-use rdfcube_engine::{evaluate_seeded, AggFunc, Bgp, Relation, Seed, Semantics};
+use rdfcube_engine::{
+    evaluate_seeded, AggFunc, Bgp, PatternTerm, QueryPattern, Relation, Seed, Semantics,
+};
 use rdfcube_obs as obs;
 use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
 use std::ops::Range;
@@ -67,7 +93,9 @@ pub struct PresRow<'a> {
     pub root: TermId,
     /// The dimension values `d₁…dₙ`.
     pub dims: &'a [TermId],
-    /// The `newk()` key identifying one measure tuple.
+    /// The `newk()` key identifying one measure tuple within this table.
+    /// Keys are fresh, not canonical: two tables of the same query agree
+    /// up to a bijective renaming of keys.
     pub key: u32,
     /// The measure value `v`.
     pub value: TermId,
@@ -326,9 +354,10 @@ impl PartialResult {
     /// Computes `pres(Q, I)` for an extended query over `instance`.
     ///
     /// The classifier is evaluated under set semantics and filtered by Σ;
-    /// the measure under bag semantics with keys assigned in enumeration
-    /// order (the paper's illustrative `newk()` returning 1, 2, 3…). The
-    /// joined rows go through the same sort–scan kernel as every rewriting.
+    /// the measure under bag semantics for the facts it admits, with keys
+    /// assigned in enumeration order (the paper's illustrative `newk()`
+    /// returning 1, 2, 3…). The joined rows go through the same sort–scan
+    /// kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
@@ -566,37 +595,61 @@ impl PartialResult {
 }
 
 /// The two halves of `pres(Q, I)`: the Σ-filtered classifier relation (set
-/// semantics) and the measure relation (bag semantics), over all of
-/// `instance` or — given `roots` — for those facts only, each BGP seeded
-/// with its root variable bound to them.
+/// semantics), over all of `instance` or — given `roots` — for those facts
+/// only, and the measure relation (bag semantics) of the facts it admits —
+/// the measure's root seeded to the classifier's roots (see the
+/// [module docs](self) for the guard and the elided patterns).
 fn evaluate_parts(
     eq: &ExtendedQuery,
     instance: &Graph,
     roots: Option<&[TermId]>,
 ) -> Result<(Relation, Relation), CoreError> {
-    let q = eq.query();
-    let seed = |bgp: &Bgp| match roots {
-        None => Seed::unit(),
-        Some(roots) => {
-            let mut seed = Seed::new(vec![bgp.head()[0]]);
-            roots.iter().for_each(|&root| seed.push(&[root]));
-            seed
-        }
+    let (c, m) = (eq.query().classifier(), eq.query().measure());
+    let seed = |bgp: &Bgp, roots: &[TermId]| {
+        let mut seed = Seed::new(vec![bgp.head()[0]]);
+        roots.iter().for_each(|&root| seed.push(&[root]));
+        seed
     };
-    let rows_in = roots.map_or(instance.len(), <[TermId]>::len) as u64;
     let sp = obs::span("classifier");
-    let c_rel = eq.classifier_relation_from(instance, &seed(q.classifier()))?;
-    sp.rows(rows_in, c_rel.len() as u64);
+    let c_seed = roots.map_or_else(Seed::unit, |roots| seed(c, roots));
+    let c_rel = eq.classifier_relation_from(instance, &c_seed)?;
+    let rows_in = roots.map_or(instance.len(), <[TermId]>::len);
+    sp.rows(rows_in as u64, c_rel.len() as u64);
     drop(sp);
+
     let sp = obs::span("measure");
-    let m_rel = evaluate_seeded(
-        instance,
-        q.measure(),
-        &seed(q.measure()),
-        &[],
-        Semantics::Bag,
-    )?;
-    sp.rows(rows_in, m_rel.len() as u64);
+    let mut admitted: Vec<TermId> = c_rel.rows().map(|row| row[0]).collect();
+    admitted.sort_unstable();
+    admitted.dedup();
+    let seeded = pattern_counts(m, instance).min().unwrap_or(0) >= admitted.len();
+    let mut measure = m.clone();
+    let m_seed = if seeded {
+        // `?root p o` (`p`, `o` constants), stated by the classifier on its
+        // root: every admitted root matches it once. The root's last stays.
+        let (m_root, c_root) = (m.head()[0], PatternTerm::Var(c.head()[0]));
+        let stated = |p: &QueryPattern| {
+            let on_c_root = QueryPattern { s: c_root, ..*p };
+            p.s.as_var() == Some(m_root) && p.vars().count() == 1 && c.body().contains(&on_c_root)
+        };
+        let mut on_root = m.body().iter().filter(|p| p.mentions(m_root)).count();
+        measure.retain_body(|_, p| {
+            let elide = on_root > 1 && stated(p);
+            on_root -= usize::from(elide);
+            !elide
+        });
+        seed(m, &admitted)
+    } else {
+        Seed::unit()
+    };
+    let m_rel = evaluate_seeded(instance, &measure, &m_seed, &[], Semantics::Bag)?;
+    if sp.active() {
+        let seeded_roots = if seeded { admitted.len() } else { 0 };
+        let rows_in = if seeded { seeded_roots } else { instance.len() };
+        sp.rows(rows_in as u64, m_rel.len() as u64);
+        sp.attr("seeded_roots", seeded_roots as u64);
+        let elided = m.body().len() - measure.body().len();
+        sp.attr("elided_patterns", elided as u64);
+    }
     Ok((c_rel, m_rel))
 }
 
@@ -629,6 +682,24 @@ fn touched_roots(
     Ok(roots)
 }
 
+/// What each key of `pres` stands for: a measure tuple `(root, value)` and
+/// the cells it contributes to. Two tables are equal up to a bijective
+/// renaming of keys exactly when these multisets are equal.
+#[cfg(test)]
+pub(crate) fn key_classes(pres: &PartialResult) -> Vec<(TermId, TermId, Vec<Vec<TermId>>)> {
+    let mut by_key = std::collections::BTreeMap::<u32, (_, _, Vec<_>)>::new();
+    for row in pres.rows() {
+        let class = by_key
+            .entry(row.key)
+            .or_insert_with(|| (row.root, row.value, Vec::new()));
+        assert_eq!((class.0, class.1), (row.root, row.value), "one tuple a key");
+        class.2.push(row.dims.to_vec());
+    }
+    let mut classes: Vec<_> = by_key.into_values().collect();
+    classes.sort();
+    classes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,6 +707,93 @@ mod tests {
     use crate::answer::answer;
     use rdfcube_engine::AggValue;
     use rdfcube_rdf::{parse_turtle, Term};
+
+    /// `compute` under a trace, with its `measure` span's rows out and its
+    /// `seeded_roots` and `elided_patterns` attributes.
+    fn traced_compute(eq: &ExtendedQuery, g: &Graph) -> (PartialResult, [u64; 3]) {
+        assert!(obs::trace_begin("compute"));
+        let pres = PartialResult::compute(eq, g).unwrap();
+        let trace = obs::trace_end().unwrap();
+        let m = trace.find("measure").unwrap();
+        let attr = |name| m.attr(name).unwrap();
+        (
+            pres,
+            [m.rows_out, attr("seeded_roots"), attr("elided_patterns")],
+        )
+    }
+
+    #[test]
+    fn restricted_compute_enumerates_the_admitted_facts_only() {
+        use crate::extended::{Sigma, ValueSelector};
+        let (g, eq) = example_2_setup();
+        let whole = PartialResult::compute(&eq, &g).unwrap();
+        let mut sigma = Sigma::all(2);
+        sigma.set(1, ValueSelector::one(Term::literal("NY")));
+        let ny = ExtendedQuery::with_sigma(eq.query().clone(), sigma).unwrap();
+        // user3 and user4 wrote one post each; user1's three are never
+        // enumerated, and neither is the classifier's `rdf:type Blogger`.
+        let (pres, measure) = traced_compute(&ny, &g);
+        assert_eq!(measure, [2, 2, 1]);
+        let diced = crate::rewrite::dice_pres(&whole, ny.sigma(), g.dict());
+        assert_eq!(key_classes(&pres), key_classes(&diced));
+        // The keys are fresh, not the unrestricted table's.
+        assert_ne!(pres, diced);
+    }
+
+    #[test]
+    fn a_measure_rarer_than_the_roots_stays_unseeded() {
+        let (mut g, eq) = example_2_setup();
+        // `?p postedOn s1` matches two triples, against three roots.
+        let classifier = eq.query().classifier().to_text(g.dict());
+        let measure = "m(?x, ?p) :- ?x wrotePost ?p, ?p postedOn s1";
+        let q = AnalyticalQuery::parse(&classifier, measure, AggFunc::Count, g.dict_mut());
+        let eq = ExtendedQuery::from_query(q.unwrap());
+        let (pres, measure) = traced_compute(&eq, &g);
+        assert_eq!(measure, [2, 0, 0]);
+        // The table of the unseeded evaluation, keys and all.
+        let c_rel = eq.classifier_relation(&g).unwrap();
+        let m_rel = rdfcube_engine::evaluate(&g, eq.query().measure(), Semantics::Bag).unwrap();
+        let mut records = Records::new(2, m_rel.len());
+        records.key_join(&c_rel, &m_rel, 0).unwrap();
+        let unseeded = records.into_pres(pres.dim_names().to_vec(), AggFunc::Count);
+        assert_eq!(pres, unseeded.unwrap());
+    }
+
+    #[test]
+    fn elided_root_patterns_keep_the_relational_oracles_cells() {
+        // z is no `C`, so only x and y are admitted; x writes 7 twice.
+        let mut g = parse_turtle(
+            "<x> rdf:type <C> ; <kind> <K> ; <vip> <V> ; <dim> <a>, <b> ; <wrote> <p1>, <p2> .
+             <y> rdf:type <C> ; <kind> <K> ; <dim> <b> ; <wrote> <p3> .
+             <z> <kind> <K> ; <vip> <V> ; <dim> <a> ; <wrote> <p4> .
+             <p1> <val> 7 . <p2> <val> 7 . <p3> <val> 9 . <p4> <val> 5 .",
+        )
+        .unwrap();
+        let classifier = "c(?x, ?d) :- ?x rdf:type C, ?x kind K, ?x dim ?d";
+        // (measure, patterns elided): the root's last pattern always stays.
+        for (measure, elided) in [
+            ("m(?x, ?v) :- ?x rdf:type C, ?x wrote ?p, ?p val ?v", 1),
+            (
+                "m(?x, ?v) :- ?x kind K, ?x rdf:type C, ?x wrote ?p, ?p val ?v",
+                2,
+            ),
+            // The classifier does not state `?x vip V`: y has no measure.
+            (
+                "m(?x, ?v) :- ?x rdf:type C, ?x vip V, ?x wrote ?p, ?p val ?v",
+                1,
+            ),
+            ("m(?x, ?x) :- ?x rdf:type C, ?x kind K", 1),
+        ] {
+            for agg in [AggFunc::Count, AggFunc::CountDistinct] {
+                let q = AnalyticalQuery::parse(classifier, measure, agg, g.dict_mut());
+                let eq = ExtendedQuery::from_query(q.unwrap());
+                let (pres, [_, seeded, got]) = traced_compute(&eq, &g);
+                assert_eq!([seeded, got], [2, elided], "{measure}");
+                let cube = pres.to_cube(g.dict()).unwrap();
+                assert!(cube.same_cells(&eq.answer(&g).unwrap()), "{measure}");
+            }
+        }
+    }
 
     fn example_2_setup() -> (Graph, ExtendedQuery) {
         let mut g = parse_turtle(

@@ -435,10 +435,13 @@ mod tests {
         )
         .unwrap();
         let filtered = dice_pres(&pres, diced.sigma(), g.dict());
-        // Same rows as computing pres(Q_DICE) from the instance (keys are
-        // assigned identically because the measure is untouched).
+        // Same rows as computing pres(Q_DICE) from the instance, up to a
+        // bijective renaming of keys: `newk()` only promises fresh keys, and
+        // the recomputation keys the admitted facts' measure tuples alone.
         let recomputed = PartialResult::compute(&diced, &g).unwrap();
-        assert_eq!(filtered, recomputed);
+        assert_eq!(filtered.len(), recomputed.len());
+        let key_classes = crate::pres::key_classes;
+        assert_eq!(key_classes(&filtered), key_classes(&recomputed));
     }
 
     /// Example 5's scenario, concrete: x is multi-valued along the removed

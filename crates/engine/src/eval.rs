@@ -733,7 +733,7 @@ pub fn evaluate_seeded(
     let order = order_patterns(graph, bgp, &seed.vars, &pre_bound);
     let fanout = Fanout::of_process();
     let solutions = evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, fanout);
-    project_head(bgp, &solutions, semantics)
+    project_head(bgp, &solutions, seed, semantics)
 }
 
 /// Declared-order evaluator: index-backed binding propagation like
@@ -750,7 +750,7 @@ pub fn evaluate_in_order(
     let (seed, pre_bound) = (Seed::unit(), FxHashMap::default());
     let fanout = Fanout::of_process();
     let solutions = evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], fanout);
-    project_head(bgp, &solutions, semantics)
+    project_head(bgp, &solutions, &seed, semantics)
 }
 
 /// The one step driver: compiles `order` to step plans and runs them over
@@ -863,10 +863,14 @@ pub fn evaluate_nested_loop(
 
 /// Projects the arena's surviving rows onto the head. Every head variable is
 /// statically bound once all steps ran ([`Bgp::validate`] pins head ⊆ body
-/// variables), so slots are read unconditionally.
+/// variables), so slots are read unconditionally. Set semantics skips δ
+/// when no row can repeat: strictly ascending `seed` rows are distinct and
+/// extend to distinct solutions, which a head binding every body variable
+/// projects to distinct rows.
 fn project_head(
     bgp: &Bgp,
     solutions: &BindingTable,
+    seed: &Seed,
     semantics: Semantics,
 ) -> Result<Relation, EngineError> {
     let head = bgp.head().to_vec();
@@ -875,9 +879,11 @@ fn project_head(
         let row = solutions.row(i);
         rel.push_row_from(head.iter().map(|&v| row[v.index()]));
     }
+    let distinct_seed = (1..seed.rows).all(|i| seed.row(i - 1) < seed.row(i));
+    let injective = distinct_seed && bgp.existential_vars().is_empty();
     Ok(match semantics {
-        Semantics::Set => rel.distinct(),
-        Semantics::Bag => rel,
+        Semantics::Set if !injective => rel.distinct(),
+        Semantics::Set | Semantics::Bag => rel,
     })
 }
 
@@ -1445,7 +1451,7 @@ mod tests {
             false => order_patterns(g, q, &[], &none),
         };
         let solutions = evaluate_steps(g, q, &order, &seed, &none, &[], fanout);
-        let rel = project_head(q, &solutions, semantics);
+        let rel = project_head(q, &solutions, &seed, semantics);
         let trace = rdfcube_obs::trace_end().expect("trace begun above");
         let total = |attr: &str| -> u64 {
             let steps = trace.find_all("bgp_step");
@@ -1722,6 +1728,36 @@ mod tests {
         // A seed over another query's variable is refused.
         let foreign = Seed::new(vec![VarId(40)]);
         assert!(evaluate_seeded(&g, &q, &foreign, &[], Semantics::Bag).is_err());
+    }
+
+    /// Set semantics skips δ only when no row can repeat — the head binds
+    /// every body variable *and* no seed row is repeated; with either
+    /// condition gone, the repeats still collapse.
+    #[test]
+    fn set_semantics_collapses_whatever_can_repeat() {
+        let mut g = blog_graph();
+        let every_var = "q(?x, ?p, ?s) :- ?x wrotePost ?p, ?p postedOn ?s";
+        let existential = "q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s";
+        let [every_var, existential] =
+            [every_var, existential].map(|text| parse_query(text, g.dict_mut()).unwrap());
+        let id = |iri: &str| g.dict().iri_id(iri).unwrap();
+        let mut distinct = [id("user1"), id("user3")];
+        distinct.sort();
+        let repeated = [id("user1"), id("user1")];
+        // (query, seed roots, bag rows, set rows): user1 reaches s1 twice.
+        for (q, roots, bag, set) in [
+            (&every_var, distinct, 4, 4),
+            (&every_var, repeated, 6, 3),
+            (&existential, distinct, 4, 3),
+            (&existential, repeated, 6, 2),
+        ] {
+            let mut seed = Seed::new(vec![q.vars().id("x").unwrap()]);
+            roots.iter().for_each(|&root| seed.push(&[root]));
+            let all = evaluate_seeded(&g, q, &seed, &[], Semantics::Bag).unwrap();
+            let got = evaluate_seeded(&g, q, &seed, &[], Semantics::Set).unwrap();
+            assert_eq!((all.len(), got.len()), (bag, set), "{roots:?}");
+            assert!(got.rows().eq(all.distinct().rows()), "{roots:?}");
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! * the session's own pick, which must match from-scratch whatever
 //!   strategy it chose.
 
+mod common;
+
+use common::key_classes;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use rdfcube::core::rewrite;
@@ -372,9 +375,10 @@ fn assert_born_sorted(pres: &PartialResult, what: &str) {
     );
 }
 
-/// `derived` holds exactly the rows of `pres(target)` computed on the
-/// instance, in the same order (dimension names aside: ROLL-UP's callers
-/// name the coarse dimension themselves).
+/// `derived` holds the rows of `pres(target)` computed on the instance, up
+/// to a bijective renaming of keys — `newk()` promises fresh keys, not
+/// particular ones (dimension names aside: ROLL-UP's callers name the
+/// coarse dimension themselves).
 fn assert_is_pres_of(
     derived: &PartialResult,
     target: &ExtendedQuery,
@@ -387,8 +391,8 @@ fn assert_is_pres_of(
     assert_eq!(derived.agg(), recomputed.agg(), "{what}");
     assert_eq!(derived.len(), recomputed.len(), "{what}: row counts differ");
     assert!(
-        derived.rows().eq(recomputed.rows()),
-        "{what}: derived pres differs from pres(Q_T) computed on the instance"
+        key_classes(derived) == key_classes(&recomputed),
+        "{what}: derived pres differs from pres(Q_T) beyond a renaming of keys"
     );
 }
 
@@ -426,7 +430,8 @@ proptest! {
             let target = rdfcube::apply(&eq, op).unwrap();
             let diced = rewrite::dice_pres(&pres, target.sigma(), instance.dict());
             assert_is_pres_of(&diced, &target, &instance, &format!("{op:?}"));
-            prop_assert_eq!(diced, PartialResult::compute(&target, &instance).unwrap());
+            let recomputed = PartialResult::compute(&target, &instance).unwrap();
+            prop_assert_eq!(key_classes(&diced), key_classes(&recomputed));
         }
 
         for removed in [vec![0usize], vec![1], vec![2], vec![0, 2], vec![0, 1, 2]] {

@@ -21,6 +21,7 @@ use proptest::strategy::Strategy;
 use rdfcube::core::{apply, CubeHandle};
 use rdfcube::datagen::{generate_instance, BloggerConfig};
 use rdfcube::prelude::*;
+use std::collections::BTreeSet;
 
 const CLASSIFIER: &str = "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, \
      ?x livesIn ?dcity, ?x wrotePost ?p";
@@ -212,6 +213,44 @@ fn stage_times_cover_end_to_end_wall_time() {
         coverage * 100.0
     );
     assert!(coverage <= 1.0 + 1e-9, "stage spans exceed total time");
+}
+
+/// A register evaluates the measure for the facts its classifier admits:
+/// the `measure` span counts the roots that seeded it and the patterns the
+/// classifier already stated on the root (`?x rdf:type Blogger`), whether
+/// Σ restricts the cube or not.
+#[test]
+fn registers_seed_the_measure_with_the_admitted_roots() {
+    let cfg = BloggerConfig::with_approx_triples(5_000);
+    let mut instance = generate_instance(&cfg);
+    let q =
+        AnalyticalQuery::parse(CLASSIFIER, MEASURE, AggFunc::Count, instance.dict_mut()).unwrap();
+    let eq = ExtendedQuery::from_query(q);
+    let dice = OlapOp::Dice {
+        constraints: vec![("dage".into(), ValueSelector::IntRange { lo: 20, hi: 24 })],
+    };
+    let register = |eq: ExtendedQuery| {
+        let roots = eq.classifier_relation(&instance).unwrap();
+        let roots = roots.rows().map(|row| row[0]).collect::<BTreeSet<_>>();
+        let (_, explained, trace) = OlapSession::new(instance.clone())
+            .answer_traced(eq)
+            .unwrap();
+        assert_eq!(explained.strategy, rdfcube::core::Strategy::FromScratch);
+        let measure = trace.find("measure").unwrap();
+        assert_eq!(measure.attr("seeded_roots"), Some(roots.len() as u64));
+        assert_eq!(measure.attr("elided_patterns"), Some(1));
+        (roots.len(), measure.rows_out)
+    };
+    let (all_roots, all_tuples) = register(eq.clone());
+    let (roots, tuples) = register(apply(&eq, &dice).unwrap());
+    assert!(
+        0 < roots && roots < all_roots,
+        "{roots} of {all_roots} roots"
+    );
+    assert!(
+        tuples < all_tuples,
+        "{tuples} of {all_tuples} measure tuples"
+    );
 }
 
 /// The shared plane's traces carry the same shape as the serial plane's.
