@@ -74,17 +74,18 @@ mod ns {
     /// on top of the kernel's time at the first ask of a shape.
     pub const QUERY: f64 = 25_000.0;
     /// σ over `ans(Q)` and its `dice_pres` half, per source cell: Q3's
-    /// 16,774 cells take 134–160 µs for a 2 % slice and 365–377 µs for a
-    /// 10 % dice (`session.slice_p50_us`, `session.dice_p50_us`), the 2,363
-    /// of its drill-out 71–91 µs. The `pres` filter gallops and pays for
-    /// the rows it keeps, which follow the cells kept.
-    pub const SIGMA_CELL: f64 = 12.0;
+    /// 16,774 cells take 145–172 µs for a 2 % slice and 321–348 µs for a
+    /// 10 % dice (`session.slice_p50_us`, `session.dice_p50_us`); the
+    /// served log's σ row ran at 0.6–0.7 of a 12 ns rate. The `pres` filter
+    /// gallops and pays for the facts it keeps, which follow the cells kept.
+    pub const SIGMA_CELL: f64 = 10.0;
     /// The sort–scan kernel under Algorithms 1 and 2, per source `pres`
-    /// row: 85,433 rows take 1.7–1.8 ms when the trailing dimension goes
-    /// and 2.7–3.6 ms when an earlier one does (no sorted prefix is left),
-    /// 8,655 rows 0.14–0.21 ms (`session.drill_out_p50_us`,
-    /// `rewrite.drill_out_us`).
-    pub const KERNEL_ROW: f64 = 28.0;
+    /// row: 85,433 rows in 19,661 heads take 0.95–1.1 ms when a trailing or
+    /// middle dimension goes, 1.6 ms when the leading one does (no sorted
+    /// prefix is left; `session.drill_out_p50_us`, `rewrite.drill_out_us`).
+    /// Above those 11–19 ns: below 22.3 the conformance suite's toy slice
+    /// (7 cells against 15 rows) would take Algorithm 1 over σ.
+    pub const KERNEL_ROW: f64 = 23.0;
     /// Evaluating a basic graph pattern, per instance row its patterns
     /// match — the classifier and the measure from scratch, joined and
     /// sorted (`session.register_p50_us`, `rewrite.scratch_*_us`; PR 25's
@@ -430,10 +431,10 @@ impl fmt::Display for CostModelReport {
 /// ```text
 /// EXPLAIN ANALYZE
 /// plan: selection-on-ans [est 253.2µs, scratch est 4.25ms, 2 candidate(s)]
-/// answer_query 1.2ms
-/// ├─ plan 80µs [candidates=2]
-/// └─ derive 1.0ms rows 840→120
-/// stage coverage: 96% of 1.2ms
+/// answer_query  [1.20ms]
+/// ├─ plan  [80.0µs, candidates=2]
+/// └─ derive: selection over ans(Q)  [1.05ms, rows 840→120]
+/// (unattributed)  [70.0µs]
 /// ```
 pub fn explain_analyze(explained: &ExplainedStrategy, trace: &rdfcube_obs::QueryTrace) -> String {
     let mut out = String::new();

@@ -17,40 +17,36 @@
 //!
 //! # The invariant
 //!
-//! A [`PartialResult`] is immutable columnar data (`roots / dims / keys /
-//! values`) whose rows are **strictly ascending on `(d₁…dₙ, root, key)`**
-//! from the moment it exists — group-major and duplicate-free, written
-//! once and only ever scanned. Three things follow:
+//! `pres` is a join on the fact: a fact brings the same keyed measure
+//! tuples to every cell it sits in. A [`PartialResult`] stores the join's
+//! two sides, never its expansion: **cell heads** `(d₁…dₙ, fact)`, strictly
+//! ascending on `(d₁…dₙ, root)`, over a root-ascending **fact table** that
+//! holds each fact's `(key, value)` tuples once, key-ascending — the run
+//! every head of the fact points at. A row `⟨root, d₁…dₙ, k, v⟩` is a head
+//! with one tuple of its run ([`PartialResult::rows`], in `(d₁…dₙ, root,
+//! k)` order). The layout is canonical (every fact referenced, every run
+//! non-empty), so:
 //!
-//! * every cube cell is one contiguous run of rows, so
-//!   [`PartialResult::to_cube`] is a run scan with no sort, and `ans(Q)` is
-//!   the run-length summary of `pres(Q)`;
-//! * a SLICE/DICE keeps or drops whole runs: it tests Σ once per cell (or
-//!   once per refused prefix of cells) and copies the admitted runs, order
-//!   intact;
-//! * two tables holding the same rows are equal column for column, which
-//!   is what the derived `PartialEq` compares.
+//! * every cube cell is one block of heads, and [`PartialResult::to_cube`]
+//!   is a scan with no sort that gathers a cell's bag from their runs;
+//! * a SLICE/DICE tests Σ once per cell (or per refused prefix of cells)
+//!   and keeps the admitted heads and the facts they reference;
+//! * tables holding the same rows are equal buffer for buffer, which is
+//!   what the derived `PartialEq` compares.
 //!
 //! # One sort, one scan
 //!
-//! Rows enter a table in one way only. Whoever produces them — the
-//! classifier ⋈ measure join of [`PartialResult::compute`], or the π / ⋈ of
-//! a rewriting in [`crate::rewrite`] — pushes them into the crate-private
-//! `Records` buffer one *fact run* at a time: a fixed-width record
-//! `(d₁…dₙ, root)` plus the `(key, value)` tuples that fact carries in that
-//! cell (`pres` is a join on the root, so a fact brings the same tuples to
-//! every cell it belongs to, and a table has one run per fact and cell,
-//! not one per row). The kernel, `Records::into_pres`, then
-//!
-//! 1. sorts the records once, on a packed `u128` key — the first four ids
-//!    of `(dims, root)`, which is the whole key up to three dimensions —
-//!    and only within the segments that are not in order already: records
-//!    derived from a sorted table keep a sorted key prefix;
-//! 2. in one scan merges adjacent records of the same fact (δ) and appends
-//!    the surviving rows column-wise.
-//!
-//! Every derivation is therefore one sort plus one scan, over one record
-//! per fact run rather than per row, and no row ever owns a heap vector.
+//! Whoever builds a table — the classifier ⋈ measure join of
+//! [`PartialResult::compute`], or the π / ⋈ of a rewriting in
+//! [`crate::rewrite`] — fills the crate-private `Records` buffer, which has
+//! the same two sides: `key_join` builds a fresh fact table, a rewriting
+//! borrows its source's and pushes heads that copy a fact's reference,
+//! never its tuples. The kernel, `Records::into_pres`, sorts the heads
+//! once on a packed `u128` key (the first four ids of `(dims, fact)` — the
+//! whole head up to three dimensions; facts are in root order, so this is
+//! `(dims, root)` order), only within the segments that are not in order
+//! already, then in one scan drops adjacent equal heads (δ) and keeps the
+//! facts the survivors reference. No tuple is copied but to be kept.
 //!
 //! # The measure of the admitted facts only
 //!
@@ -84,6 +80,7 @@ use rdfcube_engine::{
 };
 use rdfcube_obs as obs;
 use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// One row of a partial result, viewed by reference.
@@ -101,86 +98,105 @@ pub struct PresRow<'a> {
     pub value: TermId,
 }
 
-/// The materialized `pres(Q, I)` table. Its rows are strictly ascending on
-/// `(d₁…dₙ, root, key)` — see the [module docs](self).
+/// The materialized `pres(Q, I)` table: cell heads over a fact table (see
+/// the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialResult {
     dim_names: Vec<String>,
     agg: AggFunc,
     n_dims: usize,
+    /// Flat heads `[d₁…dₙ, f]`, strictly ascending: a cell and the index
+    /// `f` (not a term) of a fact of `facts` that sits in it.
+    heads: Vec<TermId>,
+    facts: Facts,
+    /// The rows the heads stand for (see [`Self::len`]).
+    rows: usize,
+}
+
+/// The fact side of a table: facts in root order, each with its run of
+/// `key‖value` tuples, keys ascending.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Facts {
     roots: Vec<TermId>,
-    /// Row-major, `n_dims` entries per row.
-    dims: Vec<TermId>,
-    keys: Vec<u32>,
-    values: Vec<TermId>,
-}
-
-/// The four columns of a table under construction.
-#[derive(Debug)]
-struct Columns {
-    roots: Vec<TermId>,
-    dims: Vec<TermId>,
-    keys: Vec<u32>,
-    values: Vec<TermId>,
-}
-
-impl Columns {
-    fn with_capacity(rows: usize, n_dims: usize) -> Self {
-        Columns {
-            roots: Vec::with_capacity(rows),
-            dims: Vec::with_capacity(rows * n_dims),
-            keys: Vec::with_capacity(rows),
-            values: Vec::with_capacity(rows),
-        }
-    }
-
-    /// Appends the rows `rows` of `table`, column by column.
-    fn extend_from(&mut self, table: &PartialResult, rows: Range<usize>) {
-        let n = table.n_dims;
-        self.roots.extend_from_slice(&table.roots[rows.clone()]);
-        self.dims
-            .extend_from_slice(&table.dims[rows.start * n..rows.end * n]);
-        self.keys.extend_from_slice(&table.keys[rows.clone()]);
-        self.values.extend_from_slice(&table.values[rows]);
-    }
-}
-
-/// Rows on their way into a [`PartialResult`], one record per pushed fact
-/// run, for [`Records::into_pres`] to sort and scan.
-#[derive(Debug)]
-pub(crate) struct Records {
-    n_dims: usize,
-    /// Flat records `[d₁…dₙ, root, start, len]`: a fact (as raw term ids)
-    /// and where its run sits in `tuples`.
-    heads: Vec<u32>,
-    /// `key‖value` of every pushed measure tuple, run after run (records may share a run).
+    /// Where each fact's run ends in `tuples` (and the next one starts).
+    ends: Vec<u32>,
     tuples: Vec<u64>,
 }
 
-impl Records {
-    /// An empty buffer for facts of `n_dims` dimensions, sized for `rows`
-    /// measure tuples.
-    pub(crate) fn new(n_dims: usize, rows: usize) -> Self {
-        let (heads, tuples) = (Vec::new(), Vec::with_capacity(rows));
+impl Facts {
+    fn len(&self) -> usize {
+        self.roots.len()
+    }
+
+    /// Appends a fact after every fact of a smaller root.
+    fn push(&mut self, root: TermId, run: impl IntoIterator<Item = u64>) {
+        self.roots.push(root);
+        self.tuples.extend(run);
+        // Fits: a table's tuples carry distinct `u32` keys.
+        self.ends.push(self.tuples.len() as u32);
+    }
+
+    /// Appends the facts `fs` of `other`, whose roots follow this table's.
+    fn extend_from(&mut self, other: &Facts, fs: Range<usize>) {
+        let (from, to) = (other.start(fs.start), other.start(fs.end));
+        let shift = |&end: &u32| end - from as u32 + self.tuples.len() as u32;
+        self.ends.extend(other.ends[fs.clone()].iter().map(shift));
+        self.roots.extend_from_slice(&other.roots[fs]);
+        self.tuples.extend_from_slice(&other.tuples[from..to]);
+    }
+
+    /// Where the run of fact `f` starts in `tuples`.
+    fn start(&self, f: usize) -> usize {
+        f.checked_sub(1).map_or(0, |e| self.ends[e] as usize)
+    }
+
+    /// The run of fact `f`.
+    fn run(&self, f: usize) -> &[u64] {
+        &self.tuples[self.start(f)..self.start(f + 1)]
+    }
+}
+
+/// The rows `heads` (of `n` dimensions) stand for over `facts`.
+fn row_count(heads: &[TermId], n: usize, facts: &Facts) -> usize {
+    let runs = heads.chunks_exact(n + 1).map(|h| facts.run(h[n].index()));
+    runs.map(<[u64]>::len).sum()
+}
+
+/// A table on its way into a [`PartialResult`]: heads in any order, some
+/// perhaps repeated, over a fact table that is built fresh or borrowed
+/// from the table they derive from. [`Records::into_pres`] sorts it.
+#[derive(Debug)]
+pub(crate) struct Records<'a> {
+    n_dims: usize,
+    /// Flat heads `[d₁…dₙ, f]`, as in [`PartialResult`].
+    heads: Vec<TermId>,
+    facts: Cow<'a, Facts>,
+}
+
+impl<'a> Records<'a> {
+    /// An empty buffer for heads of `n_dims` dimensions over the facts of
+    /// `source`, or over a fact table of its own that `key_join` fills.
+    pub(crate) fn new(n_dims: usize, source: Option<&'a PartialResult>) -> Self {
+        let facts = source.map_or_else(Cow::default, |pres| Cow::Borrowed(&pres.facts));
+        let heads = Vec::new();
         Records {
             n_dims,
             heads,
-            tuples,
+            facts,
         }
     }
 
     /// Number of rows pushed so far.
     pub(crate) fn len(&self) -> usize {
-        let n = self.n_dims;
-        let lens = self.heads.chunks_exact(n + 3).map(|h| h[n + 2] as usize);
-        lens.sum()
+        row_count(&self.heads, self.n_dims, &self.facts)
     }
 
-    /// `c(I) ⋈ₓ m^k(I)`: keys every tuple of the measure result `m_rel`
-    /// (`newk()` counts up from `keys_above + 1` in enumeration order) and
-    /// pushes one fact run per classifier row of `c_rel` that has measure
-    /// tuples, in `c_rel`'s order — a merge on the root, the order a root
-    /// scan gives (else a sort). `None` if the keys would not fit `u32`.
+    /// `c(I) ⋈ₓ m^k(I)` into an empty buffer: keys every tuple of the
+    /// measure result `m_rel` (`newk()` counts up from `keys_above + 1` in
+    /// enumeration order), stores each fact's tuples once, and pushes one
+    /// head per classifier row of `c_rel` that has measure tuples — a merge
+    /// on the root, in the order a root scan gives (else a sort). `None` if
+    /// the keys would not fit `u32`.
     fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation, keys_above: u32) -> Option<()> {
         let sp = obs::span("key_join");
         u32::try_from(m_rel.len()).ok()?.checked_add(keys_above)?;
@@ -199,74 +215,52 @@ impl Records {
             let j = m as u32;
             u64::from(keys_above + j + 1) << 32 | u64::from(m_rel.row(j as usize)[1].0)
         };
-        let (mut runs, mut next, mut fact, mut run) = (vec![0..0; c_rel.len()], 0, None, 0..0);
-        for (root, i) in c_roots.iter().map(|&c| (c >> 32 << 32, c as u32 as usize)) {
-            if fact != Some(root) {
-                let from = below(next, root);
-                let to = below(from, root.saturating_add(1 << 32));
-                let start = self.tuples.len() as u32;
-                self.tuples.extend(m_roots[from..to].iter().map(keyed));
-                (next, fact, run) = (to, Some(root), start..start + (to - from) as u32);
+        let (mut next, mut last, mut fact) = (0, None, None);
+        self.heads.reserve(c_rel.len() * (self.n_dims + 1));
+        for (root, i) in c_roots.iter().map(|&c| (c >> 32, c as u32 as usize)) {
+            if last != Some(root) {
+                let from = below(next, root << 32);
+                let to = below(from, (root + 1) << 32);
+                fact = (from < to).then(|| {
+                    let facts = self.facts.to_mut();
+                    facts.push(TermId(root as u32), m_roots[from..to].iter().map(keyed));
+                    facts.len() - 1
+                });
+                (next, last) = (to, Some(root));
             }
-            runs[i].clone_from(&run);
+            if let Some(fact) = fact {
+                self.push(c_rel.row(i)[1..].iter().copied(), fact);
+            }
         }
-        self.heads.reserve(c_rel.len() * (self.n_dims + 3));
-        for (c_row, run) in c_rel.rows().zip(runs).filter(|(_, run)| !run.is_empty()) {
-            self.heads.extend(c_row[1..].iter().map(|id| id.0));
-            self.heads.extend([c_row[0].0, run.start, run.len() as u32]);
+        if sp.active() {
+            sp.rows((c_rel.len() + m_rel.len()) as u64, self.len() as u64);
         }
-        sp.rows((c_rel.len() + m_rel.len()) as u64, self.len() as u64);
         sp.attr("sorted_sides", u64::from(c_sorted) + u64::from(m_sorted));
         Some(())
     }
 
-    /// Appends one fact run: its `(key, value)` tuples, keys ascending,
-    /// under `dims` (the `n_dims` values this buffer was created for).
-    pub(crate) fn push(
-        &mut self,
-        dims: impl IntoIterator<Item = TermId>,
-        root: TermId,
-        measures: impl IntoIterator<Item = (u32, TermId)>,
-    ) {
-        // Offsets wrap past 2³² rows; `into_pres` refuses such a buffer
-        // before it reads any of them.
-        let start = self.tuples.len() as u32;
-        let tuples = measures.into_iter();
-        let tuples = tuples.map(|(k, v)| u64::from(k) << 32 | u64::from(v.0));
-        self.tuples.extend(tuples);
-        let len = (self.tuples.len() as u32).wrapping_sub(start);
-        self.heads.extend(dims.into_iter().map(|d| d.0));
-        self.heads.extend([root.0, start, len]);
+    /// Pushes a head: fact `fact` of this buffer sits in the cell `dims`.
+    pub(crate) fn push(&mut self, dims: impl IntoIterator<Item = TermId>, fact: usize) {
+        self.heads.extend(dims);
+        self.heads.push(TermId(fact as u32));
     }
 
-    /// The sort–scan kernel: sorts the records on `(dims, root)` and in one
-    /// scan merges the runs of adjacent equal facts (δ — a key determines
-    /// its measure value, so whole tuples compare) and appends the
-    /// surviving rows column-wise as a table that is born sorted.
-    pub(crate) fn into_pres(
-        self,
-        dim_names: Vec<String>,
-        agg: AggFunc,
-    ) -> Result<PartialResult, CoreError> {
-        let (n, stride, rows_in) = (self.n_dims, self.n_dims + 3, self.len());
-        if u32::try_from(rows_in).is_err() {
-            return Err(CoreError::InvalidOperation(
-                "a partial result of more than 2^32 − 1 rows".into(),
-            ));
-        }
+    /// The sort–scan kernel: sorts the heads on `(dims, fact)` and in one
+    /// scan drops adjacent equal ones (δ) — a table that is born sorted.
+    pub(crate) fn into_pres(self, dim_names: Vec<String>, agg: AggFunc) -> PartialResult {
+        let stride = self.n_dims + 1;
         let head = |i: u32| &self.heads[i as usize * stride..][..stride];
-        let run = |h: &(u128, u32, u32, u32)| &self.tuples[h.2 as usize..][..h.3 as usize];
 
         // One sort, on a fixed-width packed key: the first four ids of
-        // `(dims, root)` in a `u128` — the whole fact up to three
-        // dimensions — with the rest of a wider fact breaking ties.
+        // `(dims, fact)` in a `u128` — the whole head up to three
+        // dimensions — with the rest of a wider head breaking ties.
         let sp = obs::span("sort");
-        let lanes = (n + 1).min(4);
-        let pack = |k: u128, id: &u32| k << 32 | u128::from(*id);
-        let fact = |(i, h): (u32, &[u32])| (h[..lanes].iter().fold(0, pack), i, h[n + 1], h[n + 2]);
-        let facts = self.heads.chunks_exact(stride);
-        let mut order: Vec<(u128, u32, u32, u32)> = (0..).zip(facts).map(fact).collect();
-        // Facts derived from a sorted table arrive with their leading key
+        let lanes = stride.min(4);
+        let pack = |k: u128, id: &TermId| k << 32 | u128::from(id.0);
+        let packed = |(i, h): (u32, &[TermId])| (h[..lanes].iter().fold(0, pack), i);
+        let heads = self.heads.chunks_exact(stride);
+        let mut order: Vec<(u128, u32)> = (0..).zip(heads).map(packed).collect();
+        // Heads derived from a sorted table arrive with their leading key
         // bits still in order (a drill-in keeps all of the old key, a
         // drill-out the dimensions before the first removed one). `low` is
         // the key width below the widest such prefix: equal prefixes are
@@ -275,8 +269,8 @@ impl Records {
         let descents = order.windows(2).filter(|w| w[1].0 < w[0].0);
         let low = descents.map(|w| u128::BITS - (w[0].0 ^ w[1].0).leading_zeros());
         let low = low.max().unwrap_or(0);
-        let prefix = |h: &(u128, u32, u32, u32)| h.0.checked_shr(low).unwrap_or(0);
-        let rest = |h: &(u128, u32, u32, u32)| &head(h.1)[lanes..=n];
+        let prefix = |h: &(u128, u32)| h.0.checked_shr(low).unwrap_or(0);
+        let rest = |h: &(u128, u32)| &head(h.1)[lanes..];
         for segment in order.chunk_by_mut(|a, b| prefix(a) == prefix(b)) {
             segment.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a).cmp(rest(b))));
         }
@@ -284,71 +278,67 @@ impl Records {
         drop(sp);
 
         let sp = obs::span("dedup");
-        let mut columns = Columns::with_capacity(rows_in, n);
-        let (mut merged, mut ids): (Vec<u64>, Vec<u32>) = (Vec::new(), Vec::new());
-        for group in order.chunk_by(|a, b| a.0 == b.0 && rest(a) == rest(b)) {
-            let first = &group[0];
-            let tuples = if group.iter().all(|h| run(h) == run(first)) {
-                run(first)
-            } else {
-                merged.clear();
-                merged.extend(group.iter().flat_map(run));
-                merged.sort_unstable();
-                merged.dedup();
-                &merged
-            };
-            let lane = |l: usize| (first.0 >> (32 * l)) as u32; // the fact's ids, in order
-            ids.clear();
-            ids.extend((0..lanes).rev().map(lane));
-            ids.extend_from_slice(rest(first));
-            for &tuple in tuples {
-                columns.dims.extend(ids[..n].iter().map(|&d| TermId(d)));
-                columns.roots.push(TermId(ids[n]));
-                columns.keys.push((tuple >> 32) as u32);
-                columns.values.push(TermId(tuple as u32));
-            }
-        }
-        let pres = PartialResult::from_columns(dim_names, agg, columns);
+        let rows_in = if sp.active() { self.len() } else { 0 };
+        order.dedup_by(|b, a| a.0 == b.0 && rest(a) == rest(b));
+        let heads = order.iter().flat_map(|h| head(h.1)).copied().collect();
+        let pres = Records { heads, ..self }.finish(dim_names, agg);
         if sp.active() {
             sp.rows(rows_in as u64, pres.len() as u64);
             sp.bytes(pres.approx_bytes() as u64);
         }
-        Ok(pres)
+        pres
+    }
+
+    /// The one way a table comes to be, from sorted and distinct heads: keeps
+    /// the facts they reference (renumbered in order, so the heads stay
+    /// sorted), drops spare capacity and, in debug builds, checks the layout.
+    fn finish(self, dim_names: Vec<String>, agg: AggFunc) -> PartialResult {
+        let (n, mut heads, facts) = (self.n_dims, self.heads, self.facts);
+        let mut renumbered = vec![u32::MAX; facts.len()];
+        let referenced = heads.chunks_exact(n + 1).map(|h| h[n].index());
+        referenced.for_each(|f| renumbered[f] = 0);
+        let mut facts = if !renumbered.contains(&u32::MAX) {
+            facts.into_owned()
+        } else {
+            let (mut kept, referenced) = (Facts::default(), renumbered.iter_mut().enumerate());
+            for (f, at) in referenced.filter(|(_, at)| **at == 0) {
+                *at = kept.len() as u32;
+                kept.extend_from(&facts, f..f + 1);
+            }
+            let heads = heads.chunks_exact_mut(n + 1);
+            heads.for_each(|h| h[n] = TermId(renumbered[h[n].index()]));
+            kept
+        };
+        heads.shrink_to_fit();
+        facts.roots.shrink_to_fit();
+        facts.ends.shrink_to_fit();
+        facts.tuples.shrink_to_fit();
+        let pres = PartialResult {
+            n_dims: n,
+            dim_names,
+            agg,
+            rows: row_count(&heads, n, &facts),
+            heads,
+            facts,
+        };
+        debug_assert!(pres.is_canonical(), "pres layout must be canonical");
+        pres
     }
 }
 
 impl PartialResult {
-    /// The one constructor: takes the four columns as they are (less any
-    /// spare capacity — a table is never appended to) and checks, in debug
-    /// builds, that they satisfy the sort invariant.
-    fn from_columns(dim_names: Vec<String>, agg: AggFunc, columns: Columns) -> Self {
-        let Columns {
-            mut roots,
-            mut dims,
-            mut keys,
-            mut values,
-        } = columns;
-        roots.shrink_to_fit();
-        dims.shrink_to_fit();
-        keys.shrink_to_fit();
-        values.shrink_to_fit();
-        let pres = PartialResult {
-            n_dims: dim_names.len(),
-            dim_names,
-            agg,
-            roots,
-            dims,
-            keys,
-            values,
-        };
-        debug_assert_eq!(pres.dims.len(), pres.len() * pres.n_dims);
-        debug_assert!(pres.keys.len() == pres.len() && pres.values.len() == pres.len());
-        let order = |i| (pres.dims_of(i), pres.roots[i], pres.keys[i]);
-        debug_assert!(
-            (1..pres.len()).all(|i| order(i - 1) < order(i)),
-            "pres rows must be strictly ascending on (dims, root, key)"
-        );
-        pres
+    /// Heads strictly ascending, every fact referenced, facts strictly
+    /// root-ascending, and runs non-empty and strictly key-ascending.
+    fn is_canonical(&self) -> bool {
+        let facts = &self.facts;
+        let mut referenced = vec![false; facts.len()];
+        self.heads().for_each(|(_, _, f)| referenced[f] = true);
+        let keys = |f| facts.run(f).iter().map(|t| t >> 32);
+        let heads = self.heads.chunks_exact(self.n_dims + 1);
+        heads.is_sorted_by(|a, b| a < b)
+            && referenced.iter().all(|&r| r)
+            && facts.roots.is_sorted_by(|a, b| a < b)
+            && (0..facts.len()).all(|f| keys(f).len() > 0 && keys(f).is_sorted_by(|a, b| a < b))
     }
 
     /// Computes `pres(Q, I)` for an extended query over `instance`.
@@ -356,32 +346,30 @@ impl PartialResult {
     /// The classifier is evaluated under set semantics and filtered by Σ;
     /// the measure under bag semantics for the facts it admits, with keys
     /// assigned in enumeration order (the paper's illustrative `newk()`
-    /// returning 1, 2, 3…). The joined rows go through the same sort–scan
+    /// returning 1, 2, 3…). The joined heads go through the same sort–scan
     /// kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
-        let mut records = Records::new(q.n_dims(), m_rel.len());
+        let mut records = Records::new(q.n_dims(), None);
         records.key_join(&c_rel, &m_rel, 0).ok_or_else(|| {
             CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
         })?;
         let dim_names = q.dim_names().iter().map(|s| s.to_string()).collect();
-        records.into_pres(dim_names, q.agg())
+        Ok(records.into_pres(dim_names, q.agg()))
     }
 
     /// `pres(Q, I)` from `self = pres(Q, I ∖ Δ)` and the inserted triples
     /// `new = Δ`, without re-evaluating the untouched part of `I`.
     ///
-    /// `pres` is partitioned by fact: a fact's rows are its classifier rows
-    /// joined with its measure tuples, and both are found from the root by
-    /// the rooted BGPs of `Q`. So only the facts some embedding of which
-    /// uses a triple of `Δ` — the *touched roots*, found semi-naively —
-    /// can have different rows now. Theirs are re-derived on `instance` (Σ
-    /// applied as in [`Self::compute`], measure tuples keyed above every key
-    /// of `self`) and sorted by the kernel; one pass over `self` then drops
-    /// their old rows and merges the new fact runs in where they sort.
-    /// Whatever ⊕ is, [`Self::to_cube`] of the result is `ans(Q, I)`, and
-    /// the table equals [`Self::compute`]'s up to a renaming of keys.
+    /// `pres` is partitioned by fact, and a fact's heads and run are found
+    /// from its root by the rooted BGPs of `Q`. So only the facts some
+    /// embedding of which uses a triple of `Δ` — the *touched roots*, found
+    /// semi-naively — can have changed. Theirs are re-derived on `instance`
+    /// (Σ as in [`Self::compute`], keys above every key of `self`) and one
+    /// merge of each side replaces their heads and runs whole. Whatever ⊕
+    /// is, [`Self::to_cube`] of the result is `ans(Q, I)`, and the table
+    /// equals [`Self::compute`]'s up to a renaming of keys.
     ///
     /// Returns the table and the number of touched roots, or `None` if the
     /// key space is exhausted (recompute: `compute` restarts keys at 1).
@@ -393,44 +381,55 @@ impl PartialResult {
     ) -> Result<Option<(Self, usize)>, CoreError> {
         let touched = touched_roots(eq, instance, new)?;
         let (c_rel, m_rel) = evaluate_parts(eq, instance, Some(&touched))?;
-        let mut records = Records::new(self.n_dims, m_rel.len());
-        let keys_above = self.keys.iter().copied().max().unwrap_or(0);
-        if records.key_join(&c_rel, &m_rel, keys_above).is_none() {
+        let mut records = Records::new(self.n_dims, None);
+        let keys_above = self.facts.tuples.iter().map(|&t| (t >> 32) as u32).max();
+        let Some(()) = records.key_join(&c_rel, &m_rel, keys_above.unwrap_or(0)) else {
             return Ok(None);
-        }
-        let fresh = records.into_pres(self.dim_names.clone(), self.agg)?;
-
-        let sp = obs::span("merge");
-        let mut columns = Columns::with_capacity(self.len() + fresh.len(), self.n_dims);
-        // Copies the rows `rows` of `self` less those of touched roots.
-        let carry_over = |columns: &mut Columns, rows: Range<usize>| {
-            let mut kept = rows.start;
-            for i in rows.clone() {
-                if touched.binary_search(&self.roots[i]).is_ok() {
-                    columns.extend_from(self, kept..i);
-                    kept = i + 1;
-                }
-            }
-            columns.extend_from(self, kept..rows.end);
         };
-        let mut done = 0;
-        for run in fresh.facts() {
-            // The new fact run goes before the first old row not below it.
-            let fact = (fresh.dims_of(run.start), fresh.roots[run.start]);
-            let (mut cut, mut end) = (done, self.len());
-            while cut < end {
-                let mid = cut + (end - cut) / 2;
-                if (self.dims_of(mid), self.roots[mid]) < fact {
-                    cut = mid + 1;
-                } else {
-                    end = mid;
+        let fresh = records.into_pres(self.dim_names.clone(), self.agg);
+
+        // Facts by root: the untouched old ones copied in ranges between the
+        // touched roots, fresh ones in their place; `*_at`: merged indices.
+        let sp = obs::span("merge");
+        let (old, new, mut merged) = (&self.facts, &fresh.facts, Records::new(self.n_dims, None));
+        let facts = merged.facts.to_mut();
+        let (mut old_at, mut new_at) = (vec![None; old.len()], vec![0; new.len()]);
+        let mut carry = |facts: &mut Facts, fs: Range<usize>| {
+            let ats = old_at[fs.clone()].iter_mut();
+            ats.zip(facts.len()..).for_each(|(at, i)| *at = Some(i));
+            facts.extend_from(old, fs);
+        };
+        let mut next = 0;
+        for &root in &touched {
+            let cut = next + old.roots[next..].partition_point(|&r| r < root);
+            carry(facts, next..cut);
+            next = cut + usize::from(old.roots.get(cut) == Some(&root));
+            if let Ok(f) = new.roots.binary_search(&root) {
+                new_at[f] = facts.len();
+                facts.extend_from(new, f..f + 1);
+            }
+        }
+        carry(facts, next..old.len());
+        // Heads by `(dims, root)`: each fresh one before the first old head
+        // not below it, the old ones of untouched facts renumbered.
+        let (s, mut next) = (self.n_dims + 1, 0);
+        let carry = |merged: &mut Records, hs: &[TermId]| {
+            for h in hs.chunks_exact(s) {
+                if let Some(at) = old_at[h[s - 1].index()] {
+                    merged.push(h[..s - 1].iter().copied(), at);
                 }
             }
-            carry_over(&mut columns, std::mem::replace(&mut done, cut)..cut);
-            columns.extend_from(&fresh, run);
+        };
+        let fact = |h: usize| self.heads[h * s + s - 1].index();
+        let old_head = |h: usize| (self.dims_of(h), old.roots[fact(h)]);
+        for (dims, root, f) in fresh.heads() {
+            let cut = gallop(next, self.n_heads(), |h| old_head(h) < (dims, root));
+            carry(&mut merged, &self.heads[next * s..cut * s]);
+            merged.push(dims.iter().copied(), new_at[f]);
+            next = cut;
         }
-        carry_over(&mut columns, done..self.len());
-        let pres = Self::from_columns(self.dim_names.clone(), self.agg, columns);
+        carry(&mut merged, &self.heads[next * s..]);
+        let pres = merged.finish(self.dim_names.clone(), self.agg);
         sp.rows((self.len() + fresh.len()) as u64, pres.len() as u64);
         Ok(Some((pres, touched.len())))
     }
@@ -458,128 +457,107 @@ impl PartialResult {
         self.agg
     }
 
-    /// Number of rows.
+    /// Number of rows: each head counts its fact's measure tuples.
     pub fn len(&self) -> usize {
-        self.roots.len()
+        self.rows
     }
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
+        self.heads.is_empty()
     }
 
-    fn dims_of(&self, i: usize) -> &[TermId] {
-        &self.dims[i * self.n_dims..(i + 1) * self.n_dims]
+    /// Number of cell heads: one per fact and cell it sits in.
+    pub fn n_heads(&self) -> usize {
+        self.heads.len() / (self.n_dims + 1)
     }
 
-    /// The `i`-th row, in `(dims, root, key)` order.
-    pub fn row(&self, i: usize) -> PresRow<'_> {
-        PresRow {
-            root: self.roots[i],
-            dims: self.dims_of(i),
-            key: self.keys[i],
-            value: self.values[i],
-        }
+    /// Number of facts, each stored once with its measure tuples.
+    pub fn n_facts(&self) -> usize {
+        self.facts.len()
+    }
+
+    fn dims_of(&self, h: usize) -> &[TermId] {
+        &self.heads[h * (self.n_dims + 1)..][..self.n_dims]
+    }
+
+    /// The heads as `(dims, root, fact)`, in `(dims, root)` order.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = (&[TermId], TermId, usize)> + '_ {
+        let n = self.n_dims;
+        let fact = move |h: &[TermId]| h[n].index();
+        let heads = self.heads.chunks_exact(n + 1);
+        heads.map(move |h| (&h[..n], self.facts.roots[fact(h)], fact(h)))
     }
 
     /// Iterates all rows, in `(dims, root, key)` order.
     pub fn rows(&self) -> impl Iterator<Item = PresRow<'_>> {
-        (0..self.len()).map(|i| self.row(i))
-    }
-
-    /// The table's fact runs — the consecutive rows sharing `(dims, root)`:
-    /// one fact in one cell — as row ranges, in `(dims, root)` order.
-    pub(crate) fn facts(&self) -> impl Iterator<Item = Range<usize>> + '_ {
-        let mut start = 0;
-        std::iter::from_fn(move || {
-            let root = *self.roots.get(start)?;
-            let same_root = self.roots[start..].iter().take_while(|&&r| r == root);
-            let mut end = start + same_root.count();
-            // Dimension vectors only ascend, so the rows under this root
-            // are one run iff the two ends agree on theirs.
-            if self.dims_of(end - 1) != self.dims_of(start) {
-                end = self.block_end(start, self.n_dims);
-            }
-            Some(std::mem::replace(&mut start, end)..end)
+        self.heads().flat_map(|(dims, root, f)| {
+            let row = move |&t: &u64| PresRow {
+                root,
+                dims,
+                key: (t >> 32) as u32,
+                value: TermId(t as u32),
+            };
+            self.facts.run(f).iter().map(row)
         })
-    }
-
-    /// The `(key, value)` tuples of the rows in `run`.
-    pub(crate) fn measures(&self, run: Range<usize>) -> impl Iterator<Item = (u32, TermId)> + '_ {
-        let (keys, values) = (&self.keys[run.clone()], &self.values[run]);
-        keys.iter().copied().zip(values.iter().copied())
     }
 
     /// Approximate memory footprint in bytes (reported by the benchmarks
     /// comparing pres size against instance size).
     pub fn approx_bytes(&self) -> usize {
-        self.roots.len() * std::mem::size_of::<TermId>()
-            + self.dims.len() * std::mem::size_of::<TermId>()
-            + self.keys.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<TermId>()
+        let ids = self.heads.len() + self.facts.roots.len() + self.facts.ends.len();
+        ids * std::mem::size_of::<u32>() + self.facts.tuples.len() * std::mem::size_of::<u64>()
     }
 
-    /// The end of the block of rows sharing row `start`'s first `shared`
+    /// The end of the block of heads sharing head `start`'s first `shared`
     /// dimension values. The sort order makes the block a contiguous prefix
-    /// of `start..`, so it is found by galloping: a block of `b` rows costs
+    /// of `start..`, so it is found by galloping: a block of `b` heads costs
     /// `O(log b)` probes, however many cells it spans.
     fn block_end(&self, start: usize, shared: usize) -> usize {
         let key = &self.dims_of(start)[..shared];
-        let same = |i: usize| self.dims_of(i)[..shared] == *key;
-        let mut step = 1;
-        while start + step < self.len() && same(start + step) {
-            step *= 2;
-        }
-        let (mut inside, mut end) = (start + step / 2, self.len().min(start + step));
-        while inside + 1 < end {
-            let mid = inside + (end - inside) / 2;
-            if same(mid) {
-                inside = mid;
-            } else {
-                end = mid;
-            }
-        }
-        end
+        let same = |h: usize| self.dims_of(h)[..shared] == *key;
+        gallop(start + 1, self.n_heads(), same)
     }
 
     /// The Σ-selection of the table. `refused_at` names the first dimension
     /// whose value Σ refuses in a dimension vector, or `None` to admit it:
-    /// an admitted cell is copied column by column, a refused one is
-    /// skipped together with every cell that shares the refused prefix. The
-    /// result is sorted because `self` is.
+    /// an admitted cell's heads are kept, a refused one is skipped together
+    /// with every cell that shares the refused prefix. The result is sorted
+    /// because `self` is.
     pub(crate) fn select_cells(
         &self,
         mut refused_at: impl FnMut(&[TermId]) -> Option<usize>,
     ) -> Self {
-        let n = self.n_dims;
-        let mut columns = Columns::with_capacity(0, n);
-        let mut start = 0;
-        while start < self.len() {
+        let (n, mut start, mut kept) = (self.n_dims, 0, Records::new(self.n_dims, Some(self)));
+        while start < self.n_heads() {
             let refused = refused_at(self.dims_of(start));
             let end = self.block_end(start, refused.map_or(n, |d| d + 1));
             if refused.is_none() {
-                columns.extend_from(self, start..end);
+                kept.heads
+                    .extend_from_slice(&self.heads[start * (n + 1)..end * (n + 1)]);
             }
             start = end;
         }
-        Self::from_columns(self.dim_names.clone(), self.agg, columns)
+        kept.finish(self.dim_names.clone(), self.agg)
     }
 
     /// Equation 3: recovers `ans(Q)` from the partial result by grouping on
     /// the dimension columns (the projection keeps duplicates — bag
     /// semantics — so repeated measure values aggregate correctly).
     ///
-    /// A run scan, with no sort: the invariant already clusters each cell's
-    /// rows, its bag is a slice of the value column, and cells emerge in
-    /// canonical key order.
+    /// A scan with no sort: the invariant clusters each cell's heads, their
+    /// runs fill one reused bag, and cells emerge in canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
-        let mut cells = Vec::new();
-        let mut start = 0;
-        while start < self.len() {
-            let end = self.block_end(start, self.n_dims);
-            let bag = &self.values[start..end];
-            cells.push((self.dims_of(start).to_vec(), self.agg.apply(bag, dict)?));
+        let (n, mut cells, mut bag, mut start) = (self.n_dims, vec![], vec![], 0);
+        while start < self.n_heads() {
+            let end = self.block_end(start, n);
+            bag.clear();
+            for h in self.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
+                let run = self.facts.run(h[n].index());
+                bag.extend(run.iter().map(|&t| TermId(t as u32)));
+            }
+            cells.push((self.dims_of(start).to_vec(), self.agg.apply(&bag, dict)?));
             start = end;
         }
         sp.rows(self.len() as u64, cells.len() as u64);
@@ -592,6 +570,20 @@ impl PartialResult {
         }
         Ok(cube)
     }
+}
+
+/// The first index of `from..len` at which `holds`, true on a prefix of
+/// the range and false after it, fails (or `len`): `O(log d)` probes away.
+fn gallop(from: usize, len: usize, holds: impl Fn(usize) -> bool) -> usize {
+    let (mut at, mut step) = (from, 1);
+    while step > 0 {
+        if at + step <= len && holds(at + step - 1) {
+            (at, step) = (at + step, step * 2);
+        } else {
+            step /= 2;
+        }
+    }
+    at
 }
 
 /// The two halves of `pres(Q, I)`: the Σ-filtered classifier relation (set
@@ -753,10 +745,10 @@ mod tests {
         // The table of the unseeded evaluation, keys and all.
         let c_rel = eq.classifier_relation(&g).unwrap();
         let m_rel = rdfcube_engine::evaluate(&g, eq.query().measure(), Semantics::Bag).unwrap();
-        let mut records = Records::new(2, m_rel.len());
+        let mut records = Records::new(2, None);
         records.key_join(&c_rel, &m_rel, 0).unwrap();
         let unseeded = records.into_pres(pres.dim_names().to_vec(), AggFunc::Count);
-        assert_eq!(pres, unseeded.unwrap());
+        assert_eq!(pres, unseeded);
     }
 
     #[test]
@@ -874,6 +866,9 @@ mod tests {
         let x_keys: Vec<u32> = pres.rows().filter(|r| r.root == x).map(|r| r.key).collect();
         assert_eq!(x_keys.len(), 2);
         assert_eq!(x_keys[0], x_keys[1], "same measure tuple ⇒ same key");
+        // Stored once: x heads two cells, and both point at its one tuple.
+        assert_eq!((pres.n_heads(), pres.n_facts()), (3, 2));
+        assert_eq!(pres.facts.tuples.len(), 2);
         // Equation 3 still sums x's value once per cell.
         let cube = pres.to_cube(g.dict()).unwrap();
         let a = g.dict().iri_id("a").unwrap();
@@ -913,6 +908,34 @@ mod tests {
         assert!(pres.rows().all(|r| r.root != x));
     }
 
+    /// A refresh replaces a touched fact's heads and run whole: the table
+    /// holds what recomputation holds, up to keys, and no more bytes.
+    #[test]
+    fn refreshed_tables_hold_what_recomputation_holds() {
+        let (mut g, eq) = example_2_setup();
+        let old = PartialResult::compute(&eq, &g).unwrap();
+        let watermark = g.len();
+        // A new fact, a second city for one old fact, a post for another.
+        for (s, p, o) in [
+            ("user5", rdfcube_rdf::vocab::RDF_TYPE, Term::iri("Blogger")),
+            ("user5", "hasAge", Term::integer(35)),
+            ("user5", "livesIn", Term::literal("NY")),
+            ("user5", "wrotePost", Term::iri("p6")),
+            ("p6", "postedOn", Term::iri("s1")),
+            ("user3", "livesIn", Term::literal("Madrid")),
+            ("user4", "wrotePost", Term::iri("p7")),
+            ("p7", "postedOn", Term::iri("s2")),
+        ] {
+            g.insert(&Term::iri(s), &Term::iri(p), &o);
+        }
+        let new = g.inserted_since(watermark).unwrap().to_vec();
+        let (fresh, touched) = old.refreshed(&eq, &g, &new).unwrap().unwrap();
+        assert_eq!(touched, 3);
+        let recomputed = PartialResult::compute(&eq, &g).unwrap();
+        assert_eq!(key_classes(&fresh), key_classes(&recomputed));
+        assert_eq!(fresh.approx_bytes(), recomputed.approx_bytes());
+    }
+
     #[test]
     fn approx_bytes_grows_with_rows() {
         let (g, eq) = example_2_setup();
@@ -920,23 +943,32 @@ mod tests {
         assert!(pres.approx_bytes() >= pres.len() * 16);
     }
 
-    /// The kernel on both record forms: fact runs pushed out of order, one
-    /// of them twice and one split in two overlapping halves, come out
-    /// strictly ascending on `(dims, root, key)`, every row once.
+    /// The kernel on both head forms: heads pushed out of order, one of
+    /// them twice, come out strictly ascending on `(dims, root, key)`,
+    /// every row once.
     #[test]
     fn kernel_sorts_and_deduplicates_packed_and_wide_records() {
         for n_dims in [0usize, 1, 3, 4, 6] {
             let names: Vec<String> = (0..n_dims).map(|d| format!("d{d}")).collect();
             let dims = |first: u32| (0..n_dims as u32).map(move |d| TermId(first + d));
-            let mut records = Records::new(n_dims, 8);
-            records.push(dims(9), TermId(2), [(6, TermId(60)), (7, TermId(70))]);
-            records.push(dims(9), TermId(1), [(8, TermId(80))]);
-            records.push(dims(5), TermId(3), [(9, TermId(90))]);
-            records.push(dims(9), TermId(2), [(6, TermId(60)), (7, TermId(70))]);
-            records.push(dims(9), TermId(4), [(1, TermId(10)), (3, TermId(30))]);
-            records.push(dims(9), TermId(4), [(2, TermId(20)), (3, TermId(30))]);
-            assert_eq!(records.len(), 10);
-            let pres = records.into_pres(names.clone(), AggFunc::Count).unwrap();
+            let mut records = Records::new(n_dims, None);
+            let tuples = |run: &[(u32, u32)]| -> Vec<u64> {
+                run.iter()
+                    .map(|&(k, v)| u64::from(k) << 32 | u64::from(v))
+                    .collect()
+            };
+            let facts = records.facts.to_mut();
+            facts.push(TermId(1), tuples(&[(8, 80)]));
+            facts.push(TermId(2), tuples(&[(6, 60), (7, 70)]));
+            facts.push(TermId(3), tuples(&[(9, 90)]));
+            facts.push(TermId(4), tuples(&[(1, 10), (2, 20), (3, 30)]));
+            records.push(dims(9), 1);
+            records.push(dims(9), 0);
+            records.push(dims(5), 2);
+            records.push(dims(9), 1);
+            records.push(dims(9), 3);
+            assert_eq!(records.len(), 9);
+            let pres = records.into_pres(names.clone(), AggFunc::Count);
             let got: Vec<(Vec<TermId>, u32, u32, u32)> = pres
                 .rows()
                 .map(|r| (r.dims.to_vec(), r.root.0, r.key, r.value.0))
@@ -955,14 +987,16 @@ mod tests {
             assert_eq!(got, want, "{n_dims} dims");
 
             // Arrival order is not part of a table's identity, and the
-            // table's own fact runs rebuild it.
-            let mut again = Records::new(n_dims, pres.len());
-            let facts: Vec<_> = pres.facts().collect();
-            for run in facts.into_iter().rev() {
-                let f = pres.row(run.start);
-                again.push(f.dims.iter().copied(), f.root, pres.measures(run));
+            // table's own heads rebuild it.
+            let mut again = Records::new(n_dims, Some(&pres));
+            let heads: Vec<_> = pres
+                .heads()
+                .map(|(dims, _, f)| (dims.to_vec(), f))
+                .collect();
+            for (dims, f) in heads.into_iter().rev() {
+                again.push(dims, f);
             }
-            assert_eq!(again.into_pres(names, AggFunc::Count).unwrap(), pres);
+            assert_eq!(again.into_pres(names, AggFunc::Count), pres);
         }
     }
 
@@ -983,14 +1017,14 @@ mod tests {
                 rows.iter().for_each(|row| rel.push_row(&row.map(TermId)));
                 rel
             };
-            let mut records = Records::new(1, 0);
+            let mut records = Records::new(1, None);
             assert!(obs::trace_begin("join"));
             records.key_join(&rel(c_rows), &rel(m_rows), 7).unwrap();
             let trace = obs::trace_end().unwrap();
             let sorted = trace
                 .find("key_join")
                 .and_then(|join| join.attr("sorted_sides"));
-            let pres = records.into_pres(vec!["d".into()], AggFunc::Count).unwrap();
+            let pres = records.into_pres(vec!["d".into()], AggFunc::Count);
             (pres, sorted.unwrap())
         };
         let (pres, sorted) = join(&c_rows, &m_rows);

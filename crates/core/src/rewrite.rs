@@ -14,15 +14,16 @@
 //! a byproduct, so chains of OLAP operations never touch the instance again
 //! (except for the drill-in auxiliary query, by necessity).
 //!
-//! Every `pres(Q)` is born sorted on `(d₁…dₙ, root, key)` (the invariant
-//! documented in [`crate::pres`]), and every rewriting over it has the same
-//! shape: **one sort plus one scan**. The algorithm's π or ⋈ pushes what
-//! it makes of each fact run — the rows one fact contributes to one cell —
-//! as a fixed-width record, the kernel in `pres.rs` sorts those records
-//! once and merges adjacent duplicates (δ) while appending the new,
-//! already sorted `pres(Q_T)`, and γ is the run scan of
-//! [`PartialResult::to_cube`]. SLICE/DICE needs no sort at all: it keeps
-//! or drops whole runs of cells.
+//! Every `pres(Q)` is cell heads `(d₁…dₙ, fact)` sorted on `(d₁…dₙ, root)`
+//! over a fact table that stores each fact's keyed measure tuples once (the
+//! invariant documented in [`crate::pres`]), and every rewriting over it
+//! has the same shape: **one sort plus one scan**. The algorithm's π or ⋈
+//! pushes what it makes of each head — one fact in one cell — as new heads
+//! over the same facts, the kernel in `pres.rs` sorts those heads once and
+//! drops adjacent duplicates (δ) into the new, already sorted
+//! `pres(Q_T)`, and γ is the cell scan of [`PartialResult::to_cube`].
+//! SLICE/DICE needs no sort at all: it keeps or drops whole blocks of
+//! cells.
 //!
 //! [`drill_out_from_ans`] implements the *incorrect* shortcut the paper
 //! warns against in Example 5 — re-aggregating already-aggregated cells —
@@ -35,7 +36,7 @@ use crate::answer::Cube;
 use crate::aux_query::build_aux_query;
 use crate::error::CoreError;
 use crate::extended::{CompiledSelector, ExtendedQuery, Sigma};
-use crate::pres::{PartialResult, PresRow, Records};
+use crate::pres::{PartialResult, Records};
 use rdfcube_engine::{evaluate, AggFunc, AggValue, Semantics, VarId};
 use rdfcube_obs as obs;
 use rdfcube_rdf::fx::FxHashMap;
@@ -75,8 +76,8 @@ pub fn dice_from_ans(ans: &Cube, new_sigma: &Sigma, dict: &Dictionary) -> Cube {
 
 /// The SLICE/DICE counterpart on partial results: `pres(Q_DICE)` is the
 /// Σ-selected subset of `pres(Q)` (same keys), letting a session keep the
-/// pres cache warm across slice/dice chains. An order-preserving columnar
-/// filter: Σ is tested once per cell, admitted runs are copied whole, and a
+/// pres cache warm across slice/dice chains. An order-preserving filter: Σ
+/// is tested once per cell, admitted heads are kept with their facts, and a
 /// refused value takes every cell under the same prefix with it.
 pub fn dice_pres(pres: &PartialResult, new_sigma: &Sigma, dict: &Dictionary) -> PartialResult {
     let sp = obs::span("dice_pres");
@@ -92,23 +93,25 @@ pub fn dice_pres(pres: &PartialResult, new_sigma: &Sigma, dict: &Dictionary) -> 
 }
 
 /// The shape every `pres`-based rewriting shares: `emit` pushes what the
-/// algorithm's π or ⋈ makes of each fact run of `pres(Q)`, the kernel sorts
-/// and deduplicates those records into `pres(Q_T)`, and the run-length
-/// summary of that table is `ans(Q_T)`.
+/// algorithm's π or ⋈ makes of each head `(dims, root, fact)` of `pres(Q)`
+/// as heads over the same facts, the kernel sorts and deduplicates them
+/// into `pres(Q_T)`, and the cell scan of that table is `ans(Q_T)`.
 fn sort_scan(
     pres: &PartialResult,
     dim_names: Vec<String>,
     dict: &Dictionary,
-    mut emit: impl FnMut(&mut Records, PresRow<'_>, Range<usize>),
+    mut emit: impl FnMut(&mut Records, &[TermId], TermId, usize),
 ) -> Result<(Cube, PartialResult), CoreError> {
     let sp = obs::span("project");
-    let mut records = Records::new(dim_names.len(), pres.len());
-    for run in pres.facts() {
-        emit(&mut records, pres.row(run.start), run);
+    let mut records = Records::new(dim_names.len(), Some(pres));
+    for (dims, root, fact) in pres.heads() {
+        emit(&mut records, dims, root, fact);
     }
-    sp.rows(pres.len() as u64, records.len() as u64);
+    if sp.active() {
+        sp.rows(pres.len() as u64, records.len() as u64);
+    }
     drop(sp);
-    let new_pres = records.into_pres(dim_names, pres.agg())?;
+    let new_pres = records.into_pres(dim_names, pres.agg());
     let cube = new_pres.to_cube(dict)?;
     Ok((cube, new_pres))
 }
@@ -123,8 +126,8 @@ fn sort_scan(
 /// 3. γ — group by the surviving dimensions and re-aggregate.
 ///
 /// Returns `(ans(Q_DRILL-OUT), pres(Q_DRILL-OUT))` — the deduplicated table
-/// *is* the new partial result. π pushes one record per fact run, δ is the
-/// kernel's sort + adjacent-duplicate scan, γ the run scan over its output.
+/// *is* the new partial result. π pushes one head per source head, δ is the
+/// kernel's sort + adjacent-duplicate scan, γ the cell scan over its output.
 pub fn drill_out_from_pres(
     pres: &PartialResult,
     removed: &[usize],
@@ -143,8 +146,8 @@ pub fn drill_out_from_pres(
 
     // π: the kept columns of every fact; the kernel's δ then collapses the
     // facts a removed multi-valued dimension had kept apart.
-    sort_scan(pres, dim_names, dict, |records, f, run| {
-        records.push(kept.iter().map(|&i| f.dims[i]), f.root, pres.measures(run));
+    sort_scan(pres, dim_names, dict, |out, dims, _, fact| {
+        out.push(kept.iter().map(|&i| dims[i]), fact);
     })
 }
 
@@ -279,19 +282,18 @@ pub fn drill_in_from_pres(
     let mut dim_names: Vec<String> = pres.dim_names().to_vec();
     dim_names.push(c.vars().name(new_var).to_string());
 
-    // One output fact per (pres fact, matching new-dimension value); the
-    // chains are probed once per fact, through one reused key buffer.
+    // One output head per (pres head, matching new-dimension value); the
+    // chains are probed once per head, through one reused key buffer.
     let mut key: Vec<TermId> = Vec::with_capacity(k);
-    sort_scan(pres, dim_names, instance.dict(), |records, f, run| {
+    sort_scan(pres, dim_names, instance.dict(), |out, dims, root, fact| {
         key.clear();
         key.extend(pres_cols.iter().map(|&pos| match pos {
-            0 => f.root,
-            _ => f.dims[pos - 1],
+            0 => root,
+            _ => dims[pos - 1],
         }));
         let mut at = first.get(key.as_slice()).copied();
         while let Some(i) = at {
-            let dims = f.dims.iter().copied().chain([aux_rel.row(i)[k]]);
-            records.push(dims, f.root, pres.measures(run.clone()));
+            out.push(dims.iter().copied().chain([aux_rel.row(i)[k]]), fact);
             at = next[i];
         }
     })
@@ -324,20 +326,20 @@ pub fn roll_up_from_pres(
     // Join each fact's fine value with its coarse parents, probing the
     // instance once per distinct fine value. Two fine values with the same
     // parent must not make the fact count twice in the coarse cell: the
-    // kernel's δ on (dims, root, k) sees to that.
+    // kernel's δ on (dims, fact) sees to that.
     let mut parents: FxHashMap<TermId, Range<usize>> = FxHashMap::default();
     let mut coarse: Vec<TermId> = Vec::new();
-    sort_scan(pres, dim_names, instance.dict(), |records, f, run| {
-        let fine = f.dims[dim_idx];
+    sort_scan(pres, dim_names, instance.dict(), |out, dims, _, fact| {
+        let fine = dims[dim_idx];
         let range = parents.entry(fine).or_insert_with(|| {
             let start = coarse.len();
             coarse.extend(instance.objects(fine, via));
             start..coarse.len()
         });
         for &parent in &coarse[range.clone()] {
-            let dims = f.dims.iter().enumerate();
-            let dims = dims.map(|(i, &d)| if i == dim_idx { parent } else { d });
-            records.push(dims, f.root, pres.measures(run.clone()));
+            let coarsened = dims.iter().enumerate();
+            let coarsened = coarsened.map(|(i, &d)| if i == dim_idx { parent } else { d });
+            out.push(coarsened, fact);
         }
     })
 }
@@ -442,6 +444,8 @@ mod tests {
         assert_eq!(filtered.len(), recomputed.len());
         let key_classes = crate::pres::key_classes;
         assert_eq!(key_classes(&filtered), key_classes(&recomputed));
+        // Keys may differ, sizes may not: no refused fact's tuples linger.
+        assert_eq!(filtered.approx_bytes(), recomputed.approx_bytes());
     }
 
     /// Example 5's scenario, concrete: x is multi-valued along the removed
@@ -481,6 +485,8 @@ mod tests {
         let a1 = g.dict().iri_id("a1").unwrap();
         assert_eq!(alg1.get(&[a1]), Some(&AggValue::Int(12)));
         assert_eq!(new_pres.len(), 2, "δ collapsed x's duplicated key");
+        let recomputed = PartialResult::compute(&drilled, &g).unwrap();
+        assert_eq!(new_pres.approx_bytes(), recomputed.approx_bytes());
 
         // Naive ans-based method: ⊕({5, 5+7}) = 17 — x counted twice.
         let ans_q = eq.answer(&g).unwrap();
@@ -604,6 +610,8 @@ mod tests {
         let drilled = apply(&eq, &OlapOp::DrillIn { var: "d3".into() }).unwrap();
         let scratch = from_scratch(&drilled, &g).unwrap();
         assert!(cube.same_cells(&scratch));
+        let recomputed = PartialResult::compute(&drilled, &g).unwrap();
+        assert_eq!(new_pres.approx_bytes(), recomputed.approx_bytes());
     }
 
     #[test]
@@ -626,9 +634,11 @@ mod tests {
         );
         let pres = PartialResult::compute(&eq, &g).unwrap();
         let t = eq.query().classifier().vars().id("t").unwrap();
-        let (cube, _) = drill_in_from_pres(eq.query(), &pres, t, &g).unwrap();
+        let (cube, new_pres) = drill_in_from_pres(eq.query(), &pres, t, &g).unwrap();
         let drilled = apply(&eq, &OlapOp::DrillIn { var: "t".into() }).unwrap();
         assert!(cube.same_cells(&from_scratch(&drilled, &g).unwrap()));
+        let recomputed = PartialResult::compute(&drilled, &g).unwrap();
+        assert_eq!(new_pres.approx_bytes(), recomputed.approx_bytes());
         // t1 cell sums both users; t2 only u1.
         let d1 = g.dict().iri_id("d1").unwrap();
         let t1 = g.dict().iri_id("t1").unwrap();
@@ -681,6 +691,9 @@ mod tests {
         // Dim names differ (generated vs given); compare cells only.
         assert_eq!(cube.cells(), scratch.cells());
         assert_eq!(new_pres.len(), 2);
+        // y's fact, which has no coarse cell, takes its tuple with it.
+        let recomputed = PartialResult::compute(&rolled, &g).unwrap();
+        assert_eq!(new_pres.approx_bytes(), recomputed.approx_bytes());
     }
 
     #[test]

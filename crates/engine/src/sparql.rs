@@ -197,9 +197,11 @@ impl<'a> SparqlParser<'a> {
     /// Consumes `keyword` case-insensitively if present.
     fn eat_keyword(&mut self, keyword: &str) -> bool {
         self.skip_ws();
+        // Compared as bytes: an ASCII keyword's length need not be a char
+        // boundary of the input, but it is one wherever the keyword matches.
         let rest = &self.input[self.pos..];
-        if rest.len() >= keyword.len()
-            && rest[..keyword.len()].eq_ignore_ascii_case(keyword)
+        let head = rest.as_bytes().get(..keyword.len());
+        if head.is_some_and(|head| head.eq_ignore_ascii_case(keyword.as_bytes()))
             && !rest[keyword.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
         {
             self.pos += keyword.len();

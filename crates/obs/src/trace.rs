@@ -327,22 +327,17 @@ impl QueryTrace {
     }
 
     /// Render the span tree as human-readable indented text: one line
-    /// per span with wall time, rows in→out, bytes and attributes.
+    /// per span with wall time, rows in→out, bytes and attributes, then
+    /// the root's time no stage span accounts for.
     pub fn render(&self) -> String {
-        use std::fmt::Write;
         let mut out = String::new();
         if self.spans.is_empty() {
             out.push_str("(empty trace)\n");
             return out;
         }
         self.render_node(0, "", "", &mut out);
-        let _ = write!(
-            out,
-            "stage coverage: {:.1}% of {}",
-            self.stage_coverage() * 100.0,
-            fmt_nanos(self.total_nanos())
-        );
-        out.push('\n');
+        let unattributed = self.total_nanos().saturating_sub(self.stage_nanos());
+        out.push_str(&format!("(unattributed)  [{}]\n", fmt_nanos(unattributed)));
         out
     }
 
@@ -437,7 +432,9 @@ mod tests {
         assert!(trace.total_nanos() >= trace.stage_nanos());
         let rendered = trace.render();
         assert!(rendered.contains("bgp_step: p0"), "render:\n{rendered}");
-        assert!(rendered.contains("stage coverage"), "render:\n{rendered}");
+        let unattributed = trace.total_nanos() - trace.stage_nanos();
+        let last = format!("(unattributed)  [{}]\n", fmt_nanos(unattributed));
+        assert!(rendered.ends_with(&last), "render:\n{rendered}");
     }
 
     #[test]

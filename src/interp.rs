@@ -387,9 +387,10 @@ impl Interpreter {
         let session = self.session()?;
         let pres = session.cube(handle).pres();
         Ok(format!(
-            "pres({name}): {} rows × ({} dims + root + k + v), ≈{} bytes\n",
+            "pres({name}): {} rows, {} heads, {} facts, ≈{} bytes\n",
             pres.len(),
-            pres.n_dims(),
+            pres.n_heads(),
+            pres.n_facts(),
             pres.approx_bytes()
         ))
     }

@@ -4,6 +4,7 @@
 
 use proptest::prelude::*;
 use rdfcube::engine::{evaluate, evaluate_in_order, evaluate_nested_loop, Bgp, Semantics};
+use rdfcube::engine::{parse_query, parse_sparql};
 use rdfcube::engine::{PatternTerm, QueryPattern};
 use rdfcube::{Graph, Term};
 
@@ -114,5 +115,38 @@ proptest! {
         let bag = evaluate(&g, &q, Semantics::Bag).unwrap();
         prop_assert!(set.same_bag(&bag.distinct()));
         prop_assert!(set.len() <= bag.len());
+    }
+}
+
+/// Tokens of the paper's query notation and of the SPARQL subset, and
+/// characters of two to four bytes.
+const TOKENS: &[&str] = &[
+    "SELECT", "select", "WHERE", "PREFIX", "GROUP", "BY", "AS", "COUNT", "DISTINCT", "{", "}", "(",
+    ")", ".", "*", "?x", "?y", "<a>", "ex:", "ex:p", "\"v\"", "42", "1.5e3", "q", ":-", ",",
+    "rdf:type", " ", "\n", "é", "日本", "😀", "\u{301}",
+];
+
+/// Arbitrary bytes read as lossy UTF-8, or tokens run together.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..48)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        proptest::collection::vec(0..TOKENS.len(), 0..16)
+            .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Outside input never panics a query parser: what it cannot read is an
+    /// error.
+    #[test]
+    fn query_parsers_never_panic(text in arb_text()) {
+        let dict = || rdfcube::Dictionary::new();
+        let paper = std::panic::catch_unwind(|| parse_query(&text, &mut dict()).is_ok());
+        prop_assert!(paper.is_ok(), "parse_query panicked on {:?}", text);
+        let sparql = std::panic::catch_unwind(|| parse_sparql(&text, &mut dict()).is_ok());
+        prop_assert!(sparql.is_ok(), "parse_sparql panicked on {:?}", text);
     }
 }

@@ -200,3 +200,42 @@ fn blank_node_turtle_through_the_console() {
         .unwrap();
     assert!(out.contains("Madrid"), "out: {out}");
 }
+
+/// Console words, after a script that leaves a cube `Q` to work on, and
+/// characters of two to four bytes.
+const TOKENS: &[&str] = &[
+    "loadstr", "instance", "stats", "cube", "slice", "dice", "drillout", "drillin", "rollup",
+    "show", "pres", "help", "node", "edge", "saturate", "from", "Q", "R", "count", "sum", "d", "v",
+    "a", "2", "1..3", "<u>", "rdf:type", "c(?x,", "?d)", "?x", "?d", ":-", "|", "m(?x,", "?v)",
+    ".", "\\", " ", "\n", "é", "日本", "😀", "\u{301}",
+];
+const PRELUDE: &str = "loadstr <u> rdf:type <C> ; <d> <a> ; <v> 2 .\ninstance\n\
+    cube Q count c(?x, ?d) :- ?x rdf:type C, ?x d ?d | m(?x, ?v) :- ?x v ?v\n";
+
+mod never_panics {
+    use super::{Interpreter, PRELUDE, TOKENS};
+    use proptest::prelude::*;
+
+    /// Arbitrary bytes read as lossy UTF-8, or tokens run together after
+    /// the prelude.
+    fn arb_script() -> impl Strategy<Value = String> {
+        let tokens = proptest::collection::vec(0..TOKENS.len(), 0..16);
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..48)
+                .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+            tokens.prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect()),
+        ]
+        .prop_map(|soup: String| format!("{PRELUDE}{soup}"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        /// A script of any text runs to its end or to a typed error.
+        #[test]
+        fn scripts_never_panic(script in arb_script()) {
+            let run = std::panic::catch_unwind(|| Interpreter::new().run_script(&script).is_ok());
+            prop_assert!(run.is_ok(), "run_script panicked on {:?}", script);
+        }
+    }
+}

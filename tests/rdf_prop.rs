@@ -133,3 +133,33 @@ proptest! {
         prop_assert_eq!(g.count_matching(pat), via_scan.len());
     }
 }
+
+/// Turtle and N-Triples tokens, and characters of two to four bytes.
+const TOKENS: &[&str] = &[
+    "<a>", "<p>", "_:b", "\"v\"", "\"\"\"", "@prefix", "@base", "ex:", "ex:a", ".", ";", ",", "[",
+    "]", "(", ")", "a", "42", "-1.5e3", "^^", "@en", "#", "\\", " ", "\n", "é", "日本", "😀",
+    "\u{301}",
+];
+
+/// Arbitrary bytes read as lossy UTF-8, or tokens run together.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop_oneof![
+        proptest::collection::vec(any::<u8>(), 0..48)
+            .prop_map(|bytes| String::from_utf8_lossy(&bytes).into_owned()),
+        proptest::collection::vec(0..TOKENS.len(), 0..16)
+            .prop_map(|picks| picks.into_iter().map(|i| TOKENS[i]).collect()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+    /// Outside input never panics a parser: what it cannot read is an error.
+    #[test]
+    fn parsers_never_panic(text in arb_text()) {
+        let turtle = std::panic::catch_unwind(|| rdfcube::parse_turtle(&text).is_ok());
+        prop_assert!(turtle.is_ok(), "parse_turtle panicked on {:?}", text);
+        let ntriples = std::panic::catch_unwind(|| parse_ntriples(&text).is_ok());
+        prop_assert!(ntriples.is_ok(), "parse_ntriples panicked on {:?}", text);
+    }
+}
