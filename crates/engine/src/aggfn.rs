@@ -629,6 +629,61 @@ mod tests {
     }
 
     #[test]
+    fn group_aggregate_agrees_with_a_map_of_bags_at_every_arity() {
+        use std::collections::BTreeMap;
+        let (d, ids) = dict_with_ints(&[3, 1, 4, 1, 5, 9, 2, 6]);
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::CountDistinct,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ];
+        for n in 0u16..=4 {
+            // The value column sits among the grouping columns, which are
+            // grouped on in reverse schema order; keys draw from three ids,
+            // so groups repeat and hold several values.
+            let value = VarId(n / 2);
+            let schema: Vec<VarId> = (0..=n).map(VarId).collect();
+            let group: Vec<VarId> = schema
+                .iter()
+                .rev()
+                .copied()
+                .filter(|&c| c != value)
+                .collect();
+            let mut rel = Relation::new(schema.clone());
+            for i in 0..60usize {
+                let row: Vec<TermId> = schema
+                    .iter()
+                    .map(|&c| match c == value {
+                        true => ids[(i * 5 + 1) % ids.len()],
+                        false => ids[(i * (c.0 as usize + 2) / 3) % 3],
+                    })
+                    .collect();
+                rel.push_row(&row);
+            }
+            let mut bags: BTreeMap<Vec<TermId>, Vec<TermId>> = BTreeMap::new();
+            for row in rel.rows() {
+                let key = group.iter().map(|&c| row[c.0 as usize]).collect();
+                bags.entry(key).or_default().push(row[value.0 as usize]);
+            }
+            for func in funcs {
+                let got = group_aggregate(&rel, &group, value, func, &d).unwrap();
+                let want: Vec<(Vec<TermId>, AggValue)> = bags
+                    .iter()
+                    .map(|(key, bag)| (key.clone(), func.apply(bag, &d).unwrap()))
+                    .collect();
+                assert_eq!(got, want, "{n} grouping columns, {func}");
+                let empty = Relation::new(schema.clone());
+                assert!(group_aggregate(&empty, &group, value, func, &d)
+                    .unwrap()
+                    .is_empty());
+            }
+        }
+    }
+
+    #[test]
     fn agg_value_display_and_approx_eq() {
         let mut d = Dictionary::new();
         let id = d.encode(&Term::literal("NY"));

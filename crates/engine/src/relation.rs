@@ -622,6 +622,49 @@ mod tests {
     }
 
     #[test]
+    fn natural_join_agrees_with_a_nested_loop_join() {
+        // Bag semantics, in left-major order with each left row's matches
+        // in right order. Row i holds the base-3 digits of i · step, so
+        // keys repeat on both sides and narrow rows repeat whole.
+        let fill = |schema: &[u16], rows: u32, step: u32| {
+            let mut r = Relation::new(schema.iter().map(|&n| v(n)).collect());
+            for i in 0..rows {
+                let digits = (0..schema.len() as u32).map(|c| t(i * step / 3u32.pow(c) % 3));
+                r.push_row(&digits.collect::<Vec<_>>());
+            }
+            r
+        };
+        for shared in 0u16..4 {
+            for extra in 0u16..3 {
+                // The right side lists its shared columns in reverse order,
+                // after its extra ones.
+                let left_schema: Vec<u16> = (0..shared).chain([10]).collect();
+                let right_schema: Vec<u16> = (20..20 + extra).chain((0..shared).rev()).collect();
+                let (l, r) = (fill(&left_schema, 30, 1), fill(&right_schema, 20, 2));
+                let mut schema = l.schema().to_vec();
+                schema.extend((20..20 + extra).map(v));
+                let mut expect = Relation::new(schema);
+                for left in l.rows() {
+                    for right in r.rows() {
+                        let (sh, ex) = (shared as usize, extra as usize);
+                        if (0..sh).all(|c| left[c] == right[ex + sh - 1 - c]) {
+                            let row: Vec<TermId> =
+                                left.iter().chain(&right[..ex]).copied().collect();
+                            expect.push_row(&row);
+                        }
+                    }
+                }
+                let j = l.natural_join(&r);
+                let ctx = format!("{shared} shared, {extra} extra");
+                assert!(!expect.is_empty(), "{ctx}: vacuous case");
+                assert_eq!(j.schema(), expect.schema(), "{ctx}");
+                assert_eq!(j.len(), expect.len(), "{ctx}");
+                assert!(j.rows().eq(expect.rows()), "{ctx}: rows differ");
+            }
+        }
+    }
+
+    #[test]
     fn rename_aligns_columns_for_joins() {
         let mut l = rel(&[0], &[&[1]]);
         let r = rel(&[5], &[&[1]]);
