@@ -205,8 +205,9 @@ fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
 /// on the fact variable and aggregated per dimension vector (sort-based γ).
 ///
 /// This is the reference ("from scratch") evaluation every rewriting in
-/// [`crate::rewrite`] is benchmarked and tested against (`olapbench`'s
-/// `cold-scratch` workload runs nothing else).
+/// [`crate::rewrite`] is tested against. Sessions answer from scratch
+/// through [`crate::PartialResult::compute`] instead, which evaluates the
+/// same two BGPs and builds `pres(Q)` on the way to the same cells.
 pub fn answer(q: &AnalyticalQuery, instance: &Graph) -> Result<Cube, CoreError> {
     let c_rel = evaluate(instance, q.classifier(), Semantics::Set)?;
     answer_with_classifier_relation(q, c_rel, instance)
@@ -219,8 +220,12 @@ pub fn answer_with_classifier_relation(
     c_rel: Relation,
     instance: &Graph,
 ) -> Result<Cube, CoreError> {
-    let joined = join_classifier_measure(q, c_rel, instance)?;
+    // The measure `[x, v]`, rebased onto the classifier's variable space,
+    // meets the classifier on the fact variable: `[x, d₁…dₙ, v]`.
     let v_col = measure_value_col(q);
+    let mut m_rel = evaluate(instance, q.measure(), Semantics::Bag)?;
+    m_rel.set_schema(vec![q.root(), v_col])?;
+    let joined = c_rel.natural_join(&m_rel);
     let cells = group_aggregate(&joined, q.dim_vars(), v_col, q.agg(), instance.dict())?;
     Ok(Cube::from_cells(
         q.dim_names().iter().map(|s| s.to_string()).collect(),
@@ -234,24 +239,6 @@ pub fn answer_with_classifier_relation(
 /// classifier registry, hence guaranteed collision-free.
 pub(crate) fn measure_value_col(q: &AnalyticalQuery) -> VarId {
     VarId(u16::try_from(q.classifier().vars().len()).expect("classifier variable overflow"))
-}
-
-/// Evaluates the measure (bag semantics), rebases its schema onto the
-/// classifier's variable space, and joins with the classifier relation on
-/// the fact variable. The result has schema `[x, d₁…dₙ, v]`.
-///
-/// Both inputs come out of the engine's flat-buffer evaluator, and the
-/// single shared column means [`Relation::natural_join`] takes its packed
-/// `u64`-key path — the whole classifier ⋈ measure step allocates no
-/// per-row keys.
-pub(crate) fn join_classifier_measure(
-    q: &AnalyticalQuery,
-    c_rel: Relation,
-    instance: &Graph,
-) -> Result<Relation, CoreError> {
-    let mut m_rel = evaluate(instance, q.measure(), Semantics::Bag)?;
-    m_rel.set_schema(vec![q.root(), measure_value_col(q)])?;
-    Ok(c_rel.natural_join(&m_rel))
 }
 
 #[cfg(test)]

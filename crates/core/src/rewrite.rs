@@ -27,9 +27,9 @@
 //!
 //! [`drill_out_from_ans`] implements the *incorrect* shortcut the paper
 //! warns against in Example 5 — re-aggregating already-aggregated cells —
-//! kept (clearly labeled) so the benchmarks can quantify how wrong it gets
-//! as multi-valuedness grows, and because it *is* sound for the idempotent
-//! functions min/max.
+//! kept (clearly labeled) so that the `example_5_*` tests, a soundness
+//! property and the `blogger_analytics` example can show where it goes
+//! wrong, and because it *is* sound for the idempotent functions min/max.
 
 use crate::anq::AnalyticalQuery;
 use crate::answer::Cube;

@@ -93,9 +93,7 @@ impl SharedSession {
 
     /// Number of subject-hash shards in the shared instance (chosen at
     /// session construction, [`OlapSession::with_shards`]). The shards
-    /// travel behind the instance's `Arc` like everything else — each
-    /// serving thread's BGP steps can fan out one worker per shard without
-    /// any copying or coordination beyond the scoped spawn.
+    /// travel behind the instance's `Arc` like everything else.
     pub fn shard_count(&self) -> usize {
         self.instance.shard_count()
     }
@@ -572,6 +570,51 @@ mod tests {
         assert!(shared.counters().refreshes >= 1);
         let scratch = after.query().answer(shared.instance()).unwrap();
         assert!(after.answer().same_cells(&scratch));
+    }
+
+    #[test]
+    fn a_poisoned_catalog_lock_keeps_serving_correct_cells() {
+        use crate::rewrite::from_scratch;
+        let mut s = session();
+        let base = example_1(&mut s);
+        // Only a diced cube is registered, so drilling out the diced
+        // dimension has no sound source and runs from scratch.
+        let mut sigma = crate::extended::Sigma::all(2);
+        sigma.set(0, ValueSelector::one(Term::integer(35)));
+        let diced = ExtendedQuery::with_sigma(base.query().clone(), sigma).unwrap();
+        let shared = s.into_shared();
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = shared.write();
+                    panic!("a writer dies holding the catalog lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(shared.catalog.is_poisoned());
+
+        let checked = |(h, e): (CubeHandle, ExplainedStrategy), strategy: Strategy| {
+            assert_eq!(e.strategy, strategy);
+            let snap = shared.snapshot(h).unwrap();
+            let scratch = from_scratch(snap.query(), shared.instance()).unwrap();
+            assert!(snap.answer().same_cells(&scratch), "{strategy}");
+            h
+        };
+        let h = checked(shared.answer_query(diced).unwrap(), Strategy::FromScratch);
+        let drill_out = |dim: &str| OlapOp::DrillOut {
+            dims: vec![dim.into()],
+        };
+        checked(
+            shared.transform(h, &drill_out("dcity")).unwrap(),
+            Strategy::Algorithm1,
+        );
+        checked(
+            shared.transform(h, &drill_out("dage")).unwrap(),
+            Strategy::FromScratch,
+        );
+        assert_eq!(shared.len(), 3);
+        assert_eq!(shared.into_session().len(), 3);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //! same multiset of values always aggregates to bit-identical results no
 //! matter which evaluation strategy produced it — a requirement for testing
 //! the paper's equivalence propositions exactly. Grouped aggregation
-//! ([`group_aggregate`]) is sort-based: records are clustered by sorting a
-//! flat `(key, value)` scratch buffer (1-/2-column keys packed into `u64`s)
-//! and scanned run by run, so the deterministic input order to each fold —
-//! and the canonical sorted output order — fall out of the sort itself.
+//! ([`group_aggregate`]) stably sorts `(key, value)` records on the key and
+//! scans them run by run, so each fold sees its values in row order and the
+//! output comes out in canonical key order.
 
 use crate::error::EngineError;
 use crate::relation::Relation;
@@ -281,14 +280,9 @@ fn extremum(values: &[TermId], dict: &Dictionary, want_max: bool) -> TermId {
 /// aggregates the `value_col` column of each group with `func`.
 ///
 /// Returns `(group key, aggregate)` pairs sorted by key, a canonical order
-/// that makes results directly comparable across strategies.
-///
-/// The implementation is **sort-based** over flat buffers rather than a
-/// `HashMap<Vec<TermId>, Vec<TermId>>` of per-group bags: the `(key, value)`
-/// records are projected into one flat scratch buffer, sorted by key (1- and
-/// 2-column keys packed into `u64`s), and the runs scanned with a single
-/// reusable bag buffer — no per-row heap allocation, and the output falls
-/// out already in canonical key order.
+/// that makes results directly comparable across strategies. One stable
+/// sort of the `(key…, value)` records on the key clusters each group, its
+/// bag in row order, and one scan aggregates the runs.
 pub fn group_aggregate(
     rel: &Relation,
     group_cols: &[VarId],
@@ -301,106 +295,22 @@ pub fn group_aggregate(
         .map(|&v| rel.col_required(v))
         .collect::<Result<_, _>>()?;
     let value_idx = rel.col_required(value_col)?;
-    if rel.is_empty() {
-        return Ok(Vec::new());
+    let n = group_idx.len();
+    let mut flat: Vec<TermId> = Vec::with_capacity(rel.len() * (n + 1));
+    for row in rel.rows() {
+        flat.extend(group_idx.iter().map(|&i| row[i]));
+        flat.push(row[value_idx]);
     }
-
-    match group_idx.as_slice() {
-        // Global aggregate: one group holding every value.
-        [] => {
-            let bag: Vec<TermId> = rel.rows().map(|row| row[value_idx]).collect();
-            Ok(vec![(Vec::new(), func.apply(&bag, dict)?)])
-        }
-        // One dimension column: pack (key, value) into a u64 per record;
-        // sorting the packed records clusters keys in ascending order.
-        &[g] => {
-            let mut records: Vec<u64> = rel
-                .rows()
-                .map(|row| crate::relation::pack2(row[g], row[value_idx]))
-                .collect();
-            records.sort_unstable();
-            let mut out = Vec::new();
-            let mut bag: Vec<TermId> = Vec::new();
-            let mut start = 0;
-            while start < records.len() {
-                let key = records[start] >> 32;
-                bag.clear();
-                let mut end = start;
-                while end < records.len() && records[end] >> 32 == key {
-                    bag.push(TermId(records[end] as u32));
-                    end += 1;
-                }
-                out.push((vec![TermId(key as u32)], func.apply(&bag, dict)?));
-                start = end;
-            }
-            Ok(out)
-        }
-        // Two dimension columns: all three ids packed into one u128 record
-        // (key in the high 64 bits), sorted with a single wide compare.
-        &[g0, g1] => {
-            let mut records: Vec<u128> = rel
-                .rows()
-                .map(|row| {
-                    (u128::from(crate::relation::pack2(row[g0], row[g1])) << 32)
-                        | u128::from(row[value_idx].0)
-                })
-                .collect();
-            records.sort_unstable();
-            let mut out = Vec::new();
-            let mut bag: Vec<TermId> = Vec::new();
-            let mut start = 0;
-            while start < records.len() {
-                let key = (records[start] >> 32) as u64;
-                bag.clear();
-                let mut end = start;
-                while end < records.len() && (records[end] >> 32) as u64 == key {
-                    bag.push(TermId(records[end] as u32));
-                    end += 1;
-                }
-                out.push((
-                    vec![TermId((key >> 32) as u32), TermId(key as u32)],
-                    func.apply(&bag, dict)?,
-                ));
-                start = end;
-            }
-            Ok(out)
-        }
-        // General path: project the `(key…, value)` columns into a scratch
-        // relation and order it with [`Relation::sort_by_cols`] over every
-        // column (key first, then value — fully deterministic), then scan
-        // the runs.
-        _ => {
-            let stride = group_idx.len() + 1;
-            let mut schema: Vec<VarId> = group_cols.to_vec();
-            schema.push(value_col);
-            let mut records = Relation::with_capacity(schema, rel.len());
-            for row in rel.rows() {
-                records.push_row_from(
-                    group_idx
-                        .iter()
-                        .map(|&i| row[i])
-                        .chain(std::iter::once(row[value_idx])),
-                );
-            }
-            let all_cols: Vec<usize> = (0..stride).collect();
-            records.sort_by_cols(&all_cols);
-            let mut out = Vec::new();
-            let mut bag: Vec<TermId> = Vec::new();
-            let mut start = 0;
-            while start < records.len() {
-                let key = &records.row(start)[..stride - 1];
-                bag.clear();
-                let mut end = start;
-                while end < records.len() && &records.row(end)[..stride - 1] == key {
-                    bag.push(records.row(end)[stride - 1]);
-                    end += 1;
-                }
-                out.push((key.to_vec(), func.apply(&bag, dict)?));
-                start = end;
-            }
-            Ok(out)
-        }
+    let mut records: Vec<&[TermId]> = flat.chunks_exact(n + 1).collect();
+    records.sort_by(|a, b| a[..n].cmp(&b[..n]));
+    let mut out = Vec::new();
+    let mut bag: Vec<TermId> = Vec::new();
+    for run in records.chunk_by(|a, b| a[..n] == b[..n]) {
+        bag.clear();
+        bag.extend(run.iter().map(|record| record[n]));
+        out.push((run[0][..n].to_vec(), func.apply(&bag, dict)?));
     }
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -23,6 +23,9 @@ pub enum EngineError {
     /// Relational operands are incompatible (schema mismatch on union,
     /// unknown column in a projection, …).
     Schema(String),
+    /// A worker thread of a parallel BGP step panicked; the payload's
+    /// message. The query fails, the process goes on.
+    WorkerPanicked(String),
 }
 
 impl EngineError {
@@ -48,6 +51,7 @@ impl fmt::Display for EngineError {
             EngineError::Validation(m) => write!(f, "invalid query: {m}"),
             EngineError::NonNumericAggregate(m) => write!(f, "non-numeric aggregate: {m}"),
             EngineError::Schema(m) => write!(f, "schema error: {m}"),
+            EngineError::WorkerPanicked(m) => write!(f, "BGP evaluation worker panicked: {m}"),
         }
     }
 }
@@ -70,5 +74,8 @@ mod tests {
         assert!(EngineError::Schema("s".into())
             .to_string()
             .contains("schema"));
+        assert!(EngineError::WorkerPanicked("w".into())
+            .to_string()
+            .contains("worker panicked: w"));
     }
 }

@@ -25,31 +25,14 @@
 //!
 //! The pipeline parallelizes by data, through one step runner. When
 //! [`set_eval_threads`] raises the worker count and an intermediate table is
-//! large enough, a step's work is *partitioned*, and the partitioning — which
-//! share of the store each worker probes, which worker takes each row — is
-//! all that varies:
-//!
-//! * over a compacted sharded store ([`Graph::with_shards`]) a step whose
-//!   subject is a variable gets one worker per storage shard. A subject bound
-//!   by an earlier step lives in exactly one shard, so its row is *routed* to
-//!   that shard's worker; a free subject can match in any shard, so every
-//!   worker takes every row;
-//! * shards whose [`Graph::count_matching_in_shard`] is zero for the step's
-//!   constant shape get no worker — constants pushed down by
-//!   [`evaluate_filtered`]'s equality pre-binding (slice/dice Σ constraints)
-//!   prune whole shards here before any probe runs;
-//! * on a flat graph, while unmerged delta triples are pending, or when the
-//!   subject is a constant (one shard serves every probe anyway), the rows
-//!   are cut into contiguous chunks, one per thread, against the whole graph.
-//!
-//! Every worker runs the same row kernel and returns its partial table with
-//! a match count per input row; one merge walks the input rows and pulls each
-//! row's matches back in input-row order. Matches from a single worker — all
-//! a chunked or routed row can have — are copied by cursor arithmetic; a row
-//! that matched in several shards has its per-shard runs k-way merged by the
-//! index sort key, which cannot tie across shards (it determines the subject,
-//! and a subject lives in one shard). The merged table, and so every
-//! downstream aggregation, is **bit-identical** to the serial evaluation.
+//! large enough, a step's input rows are cut into contiguous chunks, one per
+//! thread. Each worker runs the serial row kernel over its chunk into a table
+//! of its own, against the whole graph, and the tables are concatenated in
+//! chunk order. [`Graph::for_each_match`] enumerates a probe's matches in the
+//! flat store's order at any shard count, so the concatenation *is* the
+//! serial table, and every downstream aggregation is **bit-identical** to the
+//! serial evaluation. A worker that panics fails the query with
+//! [`EngineError::WorkerPanicked`].
 //!
 //! Evaluation starts from a [`Seed`]: a table of initial bindings, one row
 //! per partial solution to extend. Plain evaluation is the unit seed (one
@@ -108,7 +91,7 @@ impl Fanout {
 /// Sets the number of worker threads BGP evaluation may use (clamped to at
 /// least 1; 1 disables fan-out). Process-wide: the evaluator is a shared
 /// resource, like the thread pool this stands in for. Results are
-/// identical at any setting — partitions merge in input order.
+/// identical at any setting — row chunks concatenate in input order.
 pub fn set_eval_threads(n: usize) {
     EVAL_THREADS.store(n.max(1), Ordering::Relaxed);
 }
@@ -324,9 +307,9 @@ enum Probe {
     /// A variable bound by an earlier step: its current value joins the
     /// index probe (an index nested-loop join key).
     Bound(usize),
-    /// A variable first bound here, into this arena slot: left free in the
-    /// probe.
-    Free(usize),
+    /// A variable first bound here (its slot is in [`StepPlan::writes`]):
+    /// left free in the probe.
+    Free,
 }
 
 /// The compiled form of one evaluation step over one body pattern.
@@ -347,8 +330,8 @@ struct StepPlan {
 /// plus `pre_bound`. Variables in `pre_bound` (Σ equality constants) compile
 /// to [`Probe::Const`] rather than [`Probe::Bound`]: semantically identical
 /// (the arena slot is seeded with the same value), but a constant
-/// participates in the steps' constant shapes — so shard skipping and
-/// base-count estimation see the pushed-down selection.
+/// participates in the steps' constant shapes — so base-count estimation
+/// sees the pushed-down selection.
 fn build_plans(
     bgp: &Bgp,
     order: &[usize],
@@ -360,7 +343,7 @@ fn build_plans(
     for &pi in order {
         let pattern = bgp.body()[pi];
         let mut plan = StepPlan {
-            probe: [Probe::Free(0); 3],
+            probe: [Probe::Free; 3],
             writes: Vec::new(),
             eq_checks: Vec::new(),
             newly_bound: Vec::new(),
@@ -380,7 +363,7 @@ fn build_plans(
                             plan.newly_bound.push(v);
                         }
                     }
-                    Probe::Free(v.index())
+                    Probe::Free
                 }
             };
         }
@@ -392,155 +375,89 @@ fn build_plans(
     plans
 }
 
-/// Shard-level execution statistics one step reports back to the
-/// coordinating thread: worker threads never touch the tracer's
-/// thread-local state, so these counts travel by return value and the
-/// coordinator attaches them to its own span / the global sink. Both stay
-/// 0 unless the step was partitioned by shard.
-#[derive(Debug, Clone, Copy, Default)]
-struct StepExec {
-    /// Shards whose indexes this step actually probed.
-    shards_probed: u32,
-    /// Shards skipped because the step's constant shape matches nothing
-    /// there.
-    shards_skipped: u32,
-}
-
-/// What a worker hands back: a match count for each input row it took, and
-/// the extended rows in input-row order.
-type PartResult = (Vec<u32>, BindingTable);
-
-/// [`run_step`]'s `owner` entry of a row no worker takes: its subject's shard
-/// holds nothing for the step.
-const NO_WORKER: u32 = u32::MAX;
-
 /// Runs one compiled step: probes the index under every current row and
-/// appends the extended rows to `next`. All that is decided here is how the
-/// step's work is **partitioned**:
-///
-/// * the whole table on the calling thread, straight into `next` — `fanout`
-///   allows one thread, or the table is below its row floor;
-/// * one worker per storage shard whose statistics admit the step's constant
-///   shape (`shards`) — on a compacted sharded store, unless the subject is a
-///   constant (one shard serves every probe anyway). A bound subject routes
-///   its row to the one worker of its shard (`owner`); under a free subject
-///   every worker takes every row;
-/// * otherwise contiguous row chunks against the whole graph, one worker per
-///   thread.
-///
-/// The workers run [`extend_rows`] on scoped threads and meet in
-/// [`merge_parts`]; the table is bit-identical to the serial one.
+/// appends the extended rows to `next`, in input-row order. On the calling
+/// thread when `fanout` allows one thread or the table is below its row
+/// floor; otherwise the rows are cut into contiguous chunks, one scoped
+/// worker per thread, each extending its chunk into a table of its own, and
+/// the tables are concatenated in chunk order — the serial table, since
+/// [`Graph::for_each_match`] enumerates in one order at any shard count. A
+/// worker that panics fails the step with [`EngineError::WorkerPanicked`].
 fn run_step(
     graph: &Graph,
     plan: &StepPlan,
     current: &BindingTable,
     fanout: Fanout,
     next: &mut BindingTable,
-) -> StepExec {
+) -> Result<(), EngineError> {
     next.clear();
     let rows = current.rows;
-    let mut exec = StepExec::default();
     if fanout.threads <= 1 || rows < fanout.min_rows {
         // Most steps keep or grow the row count; pre-sizing to the current
         // arena avoids repeated doubling in the match closure.
         next.data.reserve(current.data.len());
-        extend_rows(graph, plan, current, None, 0..rows, next, None);
-        return exec;
+        extend_rows(graph, plan, current, 0..rows, next);
+        return Ok(());
     }
-    let (shards, owner): (Vec<Option<usize>>, Option<Vec<u32>>) = if graph.shard_count() > 1
-        && !graph.has_pending_delta()
-        && !matches!(plan.probe[0], Probe::Const(_))
-    {
-        let shape = probe_of(plan, |_| None);
-        let mut worker_of = vec![NO_WORKER; graph.shard_count()];
-        let mut shards = Vec::new();
-        for (w, worker) in worker_of.iter_mut().enumerate() {
-            if graph.count_matching_in_shard(w, shape) > 0 {
-                *worker = shards.len() as u32;
-                shards.push(Some(w));
-            }
-        }
-        exec.shards_probed = shards.len() as u32;
-        exec.shards_skipped = (worker_of.len() - shards.len()) as u32;
-        let owner = match plan.probe[0] {
-            Probe::Bound(slot) => {
-                let owner = |i| worker_of[graph.shard_of(current.row(i)[slot])];
-                Some((0..rows).map(owner).collect())
-            }
-            _ => None,
-        };
-        (shards, owner)
-    } else {
-        let chunk = rows.div_ceil(fanout.threads);
-        let workers = rows.div_ceil(chunk);
-        let mut owner = Vec::with_capacity(rows);
-        for k in 1..=workers {
-            owner.resize((k * chunk).min(rows), k as u32 - 1);
-        }
-        (vec![None; workers], Some(owner))
-    };
-    let owner = owner.as_deref();
-    let results: Vec<PartResult> = std::thread::scope(|scope| {
-        let spawn = |(k, &shard)| {
+    #[cfg(test)]
+    let panic_in = tests::PANIC_IN_CHUNK.get();
+    let chunk = rows.div_ceil(fanout.threads);
+    let parts: Vec<std::thread::Result<BindingTable>> = std::thread::scope(|scope| {
+        let spawn = |start: usize| {
             scope.spawn(move || {
-                let (mut counts, mut table) = (Vec::new(), BindingTable::new(current.stride));
-                let (rows, counted) = (rows_of(owner, k, rows), Some(&mut counts));
-                extend_rows(graph, plan, current, shard, rows, &mut table, counted);
-                (counts, table)
+                #[cfg(test)]
+                assert_ne!(panic_in, Some(start / chunk), "injected worker panic");
+                let (mut table, end) = (BindingTable::new(current.stride), rows.min(start + chunk));
+                extend_rows(graph, plan, current, start..end, &mut table);
+                table
             })
         };
-        let workers: Vec<_> = shards.iter().enumerate().map(spawn).collect();
-        workers
-            .into_iter()
-            .map(|worker| worker.join().expect("BGP evaluation worker panicked"))
-            .collect()
+        let workers: Vec<_> = (0..rows).step_by(chunk).map(spawn).collect();
+        workers.into_iter().map(|worker| worker.join()).collect()
     });
-    merge_parts(plan, current, owner, &results, next);
-    exec
+    next.data
+        .reserve(parts.iter().flatten().map(|t| t.data.len()).sum());
+    for part in parts {
+        let table = part.map_err(worker_panicked)?;
+        next.data.extend_from_slice(&table.data);
+        next.rows += table.rows;
+    }
+    Ok(())
 }
 
-/// The index probe of `plan`: constants (including Σ constants pre-bound by
-/// [`evaluate_filtered`]) resolved, fresh variables free, and each variable an
-/// earlier step bound whatever `bound` makes of its arena slot — a row's value
-/// there for that row's probe; nothing for the step's constant-only *shape*,
-/// which every row's probe specializes, so that a shard where the shape
-/// matches nothing can be skipped outright.
-#[inline]
-fn probe_of(plan: &StepPlan, bound: impl Fn(usize) -> Option<TermId>) -> TriplePattern {
-    let [s, p, o] = plan.probe.map(|probe| match probe {
-        Probe::Const(c) => Some(c),
-        Probe::Bound(slot) => bound(slot),
-        Probe::Free(_) => None,
-    });
-    TriplePattern::new(s, p, o)
-}
-
-/// The input rows worker `k` takes, ascending: the ones `owner` gives it, or
-/// all `rows` of them.
-fn rows_of(owner: Option<&[u32]>, k: usize, rows: usize) -> impl Iterator<Item = usize> + '_ {
-    (0..rows).filter(move |&i| owner.is_none_or(|o| o[i] == k as u32))
+/// The error a panicked BGP worker's payload becomes.
+fn worker_panicked(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+    let message = match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .unwrap_or(&"no message")
+            .to_string(),
+    };
+    EngineError::WorkerPanicked(message)
 }
 
 /// The row kernel every worker runs, serial or not: extends each of its
-/// `rows` with every match of the step's probe in its share of the store —
-/// storage shard `shard`, or the whole graph — appending to `out` in the
-/// order given, and pushes each row's match count to `counts` (the serial
-/// path keeps none).
+/// `rows` with every match of the step's probe — constants (including Σ
+/// constants pre-bound by [`evaluate_filtered`]) resolved, each variable an
+/// earlier step bound at the row's value, fresh variables free — appending
+/// to `out` in the order given.
 fn extend_rows(
     graph: &Graph,
     plan: &StepPlan,
     current: &BindingTable,
-    shard: Option<usize>,
-    rows: impl Iterator<Item = usize>,
+    rows: std::ops::Range<usize>,
     out: &mut BindingTable,
-    mut counts: Option<&mut Vec<u32>>,
 ) {
     let stride = current.stride;
     for i in rows {
         let row = current.row(i);
-        let before = out.rows;
-        let tp = probe_of(plan, |slot| Some(row[slot]));
-        let emit = |t: Triple| {
+        let [s, p, o] = plan.probe.map(|probe| match probe {
+            Probe::Const(c) => Some(c),
+            Probe::Bound(slot) => Some(row[slot]),
+            Probe::Free => None,
+        });
+        graph.for_each_match(TriplePattern::new(s, p, o), |t: Triple| {
             let vals = t.as_array();
             for &(a, b) in &plan.eq_checks {
                 if vals[a] != vals[b] {
@@ -553,99 +470,7 @@ fn extend_rows(
                 out.data[base + slot] = vals[pos];
             }
             out.rows += 1;
-        };
-        match shard {
-            None => graph.for_each_match(tp, emit),
-            Some(w) => graph.for_each_match_in_shard(w, tp, emit),
-        }
-        if let Some(counts) = &mut counts {
-            counts.push((out.rows - before) as u32);
-        }
-    }
-}
-
-/// Stitches the workers' partial tables into `next`, reproducing the serial
-/// enumeration: walks the input rows and, for each, gathers the run of
-/// matches held by its `owner` — or, with no `owner`, by every worker. One
-/// run — all a chunked or routed row can have — is copied by cursor
-/// arithmetic. Several runs arise only when a free subject matched in several
-/// shards; they are k-way merged by the sort key of the index that serves the
-/// probe's shape, as the flat store would have enumerated them. That key
-/// always determines the subject and a subject lives in one shard, so runs
-/// never tie.
-fn merge_parts(
-    plan: &StepPlan,
-    current: &BindingTable,
-    owner: Option<&[u32]>,
-    results: &[PartResult],
-    next: &mut BindingTable,
-) {
-    let stride = current.stride;
-    next.data
-        .reserve(results.iter().map(|(_, t)| t.data.len()).sum::<usize>());
-    // The key as arena slots of an extended row. Only runs of a free subject
-    // are ever compared, and their key positions are all free.
-    let slot = |pos: usize| match plan.probe[pos] {
-        Probe::Free(slot) => slot,
-        Probe::Const(_) | Probe::Bound(_) => usize::MAX,
-    };
-    let free = |pos: usize| matches!(plan.probe[pos], Probe::Free(_));
-    let key: &[usize] = match (free(1), free(2)) {
-        (false, false) => &[slot(0)],                 // POS pair: by s
-        (false, true) => &[slot(2), slot(0)],         // POS group: by (o, s)
-        (true, false) => &[slot(0), slot(1)],         // OSP group: by (s, p)
-        (true, true) => &[slot(0), slot(1), slot(2)], // SPO scan
-    };
-    let less = |a: &[TermId], b: &[TermId]| {
-        let (a, b) = (key.iter().map(|&s| a[s]), key.iter().map(|&s| b[s]));
-        a.lt(b)
-    };
-    // Per result: its next unread count entry and table row.
-    let mut cursor = vec![(0usize, 0usize); results.len()];
-    // `(result index, next row, end row)` runs for the input row in flight.
-    let mut runs: Vec<(usize, usize, usize)> = Vec::with_capacity(results.len());
-    let mut copy = |k: usize, lo: usize, hi: usize| {
-        let table: &BindingTable = &results[k].1;
-        next.data
-            .extend_from_slice(&table.data[lo * stride..hi * stride]);
-        next.rows += hi - lo;
-    };
-    for i in 0..current.rows {
-        runs.clear();
-        let holders = match owner.map(|owner| owner[i]) {
-            Some(NO_WORKER) => 0..0,
-            Some(k) => k as usize..k as usize + 1,
-            None => 0..results.len(),
-        };
-        for k in holders {
-            let (entry, row) = &mut cursor[k];
-            let produced = results[k].0[*entry] as usize;
-            *entry += 1;
-            if produced > 0 {
-                runs.push((k, *row, *row + produced));
-                *row += produced;
-            }
-        }
-        if let [(k, lo, hi)] = runs[..] {
-            copy(k, lo, hi);
-            continue;
-        }
-        while !runs.is_empty() {
-            let mut best = 0;
-            for r in 1..runs.len() {
-                let (rk, rrow, _) = runs[r];
-                let (bk, brow, _) = runs[best];
-                if less(results[rk].1.row(rrow), results[bk].1.row(brow)) {
-                    best = r;
-                }
-            }
-            let (k, row, end) = &mut runs[best];
-            copy(*k, *row, *row + 1);
-            *row += 1;
-            if *row == *end {
-                runs.swap_remove(best);
-            }
-        }
+        });
     }
 }
 
@@ -662,8 +487,8 @@ pub fn evaluate(graph: &Graph, bgp: &Bgp, semantics: Semantics) -> Result<Relati
 /// Filters that pin a variable to one constant (`Eq`, singleton `OneOf` —
 /// the shape slice/dice Σ constraints take) go further: the variable is
 /// **pre-bound** before any pattern runs, so the constant participates in
-/// index probes, join ordering, and — on a sharded store — shard skipping,
-/// instead of post-filtering rows the indexes already produced. Filters on
+/// index probes and join ordering, instead of post-filtering rows the
+/// indexes already produced. Filters on
 /// a pre-bound variable are decided at compile time: a contradiction
 /// returns the empty relation without touching the store.
 ///
@@ -732,7 +557,7 @@ pub fn evaluate_seeded(
     }
     let order = order_patterns(graph, bgp, &seed.vars, &pre_bound);
     let fanout = Fanout::of_process();
-    let solutions = evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, fanout);
+    let solutions = evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, fanout)?;
     project_head(bgp, &solutions, seed, semantics)
 }
 
@@ -749,7 +574,7 @@ pub fn evaluate_in_order(
     let order: Vec<usize> = (0..bgp.body().len()).collect();
     let (seed, pre_bound) = (Seed::unit(), FxHashMap::default());
     let fanout = Fanout::of_process();
-    let solutions = evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], fanout);
+    let solutions = evaluate_steps(graph, bgp, &order, &seed, &pre_bound, &[], fanout)?;
     project_head(bgp, &solutions, &seed, semantics)
 }
 
@@ -767,7 +592,7 @@ fn evaluate_steps(
     pre_bound: &FxHashMap<VarId, TermId>,
     filters: &[crate::filter::FilterExpr],
     fanout: Fanout,
-) -> BindingTable {
+) -> Result<BindingTable, EngineError> {
     let stride = bgp.vars().len();
     let plans = build_plans(bgp, order, &seed.vars, pre_bound);
     let dict = graph.dict();
@@ -787,7 +612,7 @@ fn evaluate_steps(
         }
         let sp = rdfcube_obs::span("bgp_step");
         let rows_in = current.rows as u64;
-        let exec = run_step(graph, plan, &current, fanout, &mut next);
+        run_step(graph, plan, &current, fanout, &mut next)?;
         let rows_matched = next.rows as u64;
         // Filters whose variable binds at this step fire right after it.
         if !filters.is_empty() {
@@ -802,19 +627,15 @@ fn evaluate_steps(
         let rows_out = next.rows as u64;
         sink.bgp_steps.inc();
         sink.step_rows.add(rows_out);
-        sink.shard_probes.add(exec.shards_probed as u64);
-        sink.shards_skipped.add(exec.shards_skipped as u64);
         if sp.active() {
             sp.rows(rows_in, rows_out);
             sp.attr("rows_matched", rows_matched);
-            sp.attr("shards_probed", exec.shards_probed as u64);
-            sp.attr("shards_skipped", exec.shards_skipped as u64);
             sp.detail(|| format!("pattern #{}", order[step]));
         }
         drop(sp);
         std::mem::swap(&mut current, &mut next);
     }
-    current
+    Ok(current)
 }
 
 /// Oracle evaluator: declaration order, full scans, no indexes. Produces the
@@ -1396,8 +1217,7 @@ mod tests {
     }
 
     /// 240 users with ages, a `knows` ring and two posts each, plus a tiny
-    /// badge relation that shares nothing with them (cartesian shapes, and
-    /// shards that hold none of it).
+    /// badge relation that shares nothing with them (cartesian shapes).
     fn big_graph() -> Graph {
         let mut g = Graph::new();
         for u in 0..240i64 {
@@ -1429,74 +1249,68 @@ mod tests {
         g
     }
 
+    thread_local! {
+        /// Fault injection: while set on a thread, the worker of this chunk
+        /// index panics in every step that thread fans out.
+        pub(super) static PANIC_IN_CHUNK: std::cell::Cell<Option<usize>> =
+            const { std::cell::Cell::new(None) };
+    }
+
     const SERIAL: Fanout = Fanout {
         threads: 1,
         min_rows: 0,
     };
 
     /// Runs `q` through the step driver under `fanout`, in greedy or declared
-    /// pattern order; also returns how many shards its
-    /// steps probed and skipped, read off this thread's trace.
+    /// pattern order.
     fn solve(
         g: &Graph,
         q: &Bgp,
         declared: bool,
         semantics: Semantics,
         fanout: Fanout,
-    ) -> (Relation, u64, u64) {
-        assert!(rdfcube_obs::trace_begin("solve"));
+    ) -> Result<Relation, EngineError> {
         let (seed, none) = (Seed::unit(), FxHashMap::default());
         let order: Vec<usize> = match declared {
             true => (0..q.body().len()).collect(),
             false => order_patterns(g, q, &[], &none),
         };
-        let solutions = evaluate_steps(g, q, &order, &seed, &none, &[], fanout);
-        let rel = project_head(q, &solutions, &seed, semantics);
-        let trace = rdfcube_obs::trace_end().expect("trace begun above");
-        let total = |attr: &str| -> u64 {
-            let steps = trace.find_all("bgp_step");
-            steps.filter_map(|step| step.attr(attr)).sum()
-        };
-        (
-            rel.unwrap(),
-            total("shards_probed"),
-            total("shards_skipped"),
-        )
+        let solutions = evaluate_steps(g, q, &order, &seed, &none, &[], fanout)?;
+        project_head(q, &solutions, &seed, semantics)
     }
 
     #[test]
     fn every_partitioning_is_identical_to_serial_flat() {
-        // (what the last step exercises, query, declared order?). At one
-        // shard every case is the chunked partitioning; at more, the shard
-        // partitioning named here.
+        // (the last step's probe shape, query, declared order?), each run
+        // in row chunks over a store of 1, 2, 7 and 16 shards.
         let cases = [
             (
-                "subject-routed: (Bound, Const, Free)",
+                "(Bound, Const, Free)",
                 "q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s",
                 false,
             ),
             (
-                "all shards, merge key [s]: (Free, Const, Bound)",
+                "(Free, Const, Bound)",
                 "q(?x, ?y, ?a) :- ?x hasAge ?a, ?y hasAge ?a",
                 false,
             ),
             (
-                "all shards, merge key [o,s]: (Free, Const, Free)",
+                "(Free, Const, Free)",
                 "q(?b, ?y, ?a) :- ?b awardedFor ?c, ?y hasAge ?a",
                 true,
             ),
             (
-                "all shards, merge key [s,p]: (Free, Free, Bound)",
+                "(Free, Free, Bound)",
                 "q(?x, ?a, ?y, ?r) :- ?x hasAge ?a, ?y ?r ?x",
                 false,
             ),
             (
-                "all shards, merge key [s,p,o]: (Free, Free, Free)",
+                "(Free, Free, Free)",
                 "q(?b, ?y, ?r, ?z) :- ?b awardedFor ?c, ?y ?r ?z",
                 true,
             ),
             (
-                "cartesian scan of a relation most shards lack",
+                "cartesian scan of a tiny relation",
                 "q(?x, ?a, ?y, ?b) :- ?x hasAge ?a, ?y awardedFor ?b",
                 true,
             ),
@@ -1526,29 +1340,44 @@ mod tests {
                 with_delta.insert_triple(*t);
             }
             assert!(with_delta.has_pending_delta());
-            for (((name, text, declared), q), semantics) in cases
+            for (((name, _, declared), q), semantics) in cases
                 .iter()
                 .zip(&queries)
                 .flat_map(|case| [Semantics::Set, Semantics::Bag].map(|s| (case, s)))
             {
                 let ctx = format!("{name}, {n} shards, {semantics:?}");
-                let (serial, ..) = solve(&flat, q, *declared, semantics, SERIAL);
+                let serial = solve(&flat, q, *declared, semantics, SERIAL).unwrap();
                 assert!(!serial.is_empty(), "{ctx}: vacuous case");
-                let (par, probed, skipped) = solve(&compacted, q, *declared, semantics, fanout);
+                let par = solve(&compacted, q, *declared, semantics, fanout).unwrap();
                 assert!(serial.rows().eq(par.rows()), "{ctx}: rows diverged");
-                // Shard partitioning ran exactly when there are shards.
-                assert_eq!(probed > 0, n > 1, "{ctx}: {probed} shards probed");
-                if text.contains("awardedFor") && n > 3 {
-                    // Three badges have at most three subject shards.
-                    assert!(skipped > 0, "{ctx}: no shard skipped");
-                }
-                // A pending delta falls back to row chunks at any count.
-                let (serial, ..) = solve(&pending, q, *declared, semantics, SERIAL);
-                let (par, probed, _) = solve(&with_delta, q, *declared, semantics, fanout);
+                let serial = solve(&pending, q, *declared, semantics, SERIAL).unwrap();
+                let par = solve(&with_delta, q, *declared, semantics, fanout).unwrap();
                 assert!(serial.rows().eq(par.rows()), "{ctx}: delta rows diverged");
-                assert_eq!(probed, 0, "{ctx}: shard partitioning over a delta");
             }
         }
+    }
+
+    #[test]
+    fn a_panicking_worker_fails_the_query_with_a_typed_error() {
+        let mut g = big_graph();
+        let q = parse_query("q(?x, ?s) :- ?x wrotePost ?p, ?p postedOn ?s", g.dict_mut()).unwrap();
+        let fanout = Fanout {
+            threads: 4,
+            min_rows: 0,
+        };
+        // Chunk 2 exists from the second step on (480 rows in 4 chunks).
+        PANIC_IN_CHUNK.set(Some(2));
+        let failed = solve(&g, &q, false, Semantics::Bag, fanout);
+        PANIC_IN_CHUNK.set(None);
+        match failed {
+            Err(EngineError::WorkerPanicked(message)) => {
+                assert!(message.contains("injected worker panic"), "{message}")
+            }
+            other => panic!("expected a worker error, got {other:?}"),
+        }
+        let serial = solve(&g, &q, false, Semantics::Bag, SERIAL).unwrap();
+        let par = solve(&g, &q, false, Semantics::Bag, fanout).unwrap();
+        assert!(serial.rows().eq(par.rows()));
     }
 
     /// One pattern position, in the style of `tests/bgp_eval_prop.rs`: kinds
@@ -1568,7 +1397,7 @@ mod tests {
         })]
 
         /// Random graph × random BGP × shard count × thread count, every
-        /// step fanned out (row floor 0): the partitioned runner returns the
+        /// step fanned out (row floor 0): the chunked runner returns the
         /// nested-loop oracle's bag, and serial evaluation's rows in serial
         /// evaluation's order.
         #[test]
@@ -1606,11 +1435,11 @@ mod tests {
 
             for semantics in [Semantics::Set, Semantics::Bag] {
                 let oracle = evaluate_nested_loop(&flat, &q, semantics).unwrap();
-                let (serial, ..) = solve(&flat, &q, false, semantics, SERIAL);
+                let serial = solve(&flat, &q, false, semantics, SERIAL).unwrap();
                 for (n, threads) in [(1, 2), (1, 4), (2, 2), (2, 4), (7, 2), (7, 4)] {
                     let sharded = Graph::from_triples_sharded(flat.dict().clone(), flat.triples(), n);
                     let fanout = Fanout { threads, min_rows: 0 };
-                    let (par, ..) = solve(&sharded, &q, false, semantics, fanout);
+                    let par = solve(&sharded, &q, false, semantics, fanout).unwrap();
                     let ctx = format!("{n} shards, {threads} threads, {semantics:?}");
                     proptest::prop_assert!(par.same_bag(&oracle), "oracle's bag, {}", ctx);
                     proptest::prop_assert!(serial.rows().eq(par.rows()), "serial rows, {}", ctx);

@@ -10,12 +10,10 @@
 //! algebra operators are assumed to have bag semantics"), with an explicit
 //! [`Relation::distinct`] for δ.
 //!
-//! The hot operators avoid per-row heap traffic: δ and ⋈ specialize 1- and
-//! 2-column keys by packing the `u32` term ids into a single `u64` (falling
-//! back to slice/`Vec` keys at higher arities), and [`Relation::sort_by_cols`]
-//! reorders the flat buffer through a row permutation — the primitive behind
-//! the general (3+ dimension) path of sort-based grouped aggregation in
-//! [`crate::aggfn`] (the 1-/2-column paths sort packed integers directly).
+//! δ runs on the served classifier path, so it avoids per-row heap traffic:
+//! up to three columns it hashes the ids packed into one integer, beyond
+//! that row slices. ⋈ backs only from-scratch answering, the reference the
+//! served path is checked against, so it is the plain hash join.
 
 use crate::error::EngineError;
 use crate::var::VarId;
@@ -25,7 +23,7 @@ use rdfcube_rdf::TermId;
 /// Packs two 32-bit term ids into one order-preserving `u64` key
 /// (lexicographic `(a, b)` order equals numeric order of the packed value).
 #[inline]
-pub(crate) fn pack2(a: TermId, b: TermId) -> u64 {
+fn pack2(a: TermId, b: TermId) -> u64 {
     (u64::from(a.0) << 32) | u64::from(b.0)
 }
 
@@ -253,11 +251,9 @@ impl Relation {
 
     /// ⋈ — natural hash join on all shared columns. The output schema is
     /// `self.schema` followed by the non-shared columns of `other`.
-    /// Bag semantics: each matching pair of rows produces one output row.
-    ///
-    /// Joins on one or two shared columns (the common shapes: classifier ⋈
-    /// measure on the root, pres-style joins on root + one dimension) pack
-    /// the key into a `u64` instead of allocating a `Vec<TermId>` per row.
+    /// Bag semantics: each matching pair of rows produces one output row,
+    /// left-major, a left row's matches in `other`'s order. With no shared
+    /// column every pair matches: the cartesian product.
     pub fn natural_join(&self, other: &Relation) -> Relation {
         let shared: Vec<(usize, usize)> = self
             .schema
@@ -271,150 +267,36 @@ impl Relation {
         let mut schema = self.schema.clone();
         schema.extend(other_extra.iter().map(|&j| other.schema[j]));
 
-        let mut out = Relation::new(schema);
-        match shared.as_slice() {
-            [] => {
-                // Degenerates to a cartesian product.
-                for left in self.rows() {
-                    for right in other.rows() {
-                        out.data.extend_from_slice(left);
-                        out.data.extend(other_extra.iter().map(|&j| right[j]));
-                        out.rows += 1;
-                    }
-                }
+        // Build on `other`: each row's key is its shared values, all keys in
+        // one buffer; the rows of one key are chained in row order through
+        // `next`, so the build allocates nothing per key.
+        let k = shared.len();
+        let keys: Vec<TermId> = other
+            .rows()
+            .flat_map(|right| shared.iter().map(move |&(_, j)| right[j]))
+            .collect();
+        let mut first: FxHashMap<&[TermId], usize> = FxHashMap::default();
+        let mut next = vec![usize::MAX; other.len()];
+        for ri in (0..other.len()).rev() {
+            if let Some(later) = first.insert(&keys[ri * k..][..k], ri) {
+                next[ri] = later;
             }
-            &[(i, j)] => self.join_probe(
-                other,
-                &other_extra,
-                &mut out,
-                |right| u64::from(right[j].0),
-                |left| u64::from(left[i].0),
-            ),
-            &[(i0, j0), (i1, j1)] => self.join_probe(
-                other,
-                &other_extra,
-                &mut out,
-                |right| pack2(right[j0], right[j1]),
-                |left| pack2(left[i0], left[i1]),
-            ),
-            _ => {
-                // General path: build on the right side, probe with the
-                // left, so output order follows the left relation
-                // (deterministic given its order). The probe key reuses one
-                // buffer; only build-side keys allocate.
-                let mut table: FxHashMap<Vec<TermId>, Vec<u32>> = FxHashMap::default();
-                for (ri, right) in other.rows().enumerate() {
-                    let key: Vec<TermId> = shared.iter().map(|&(_, j)| right[j]).collect();
-                    table.entry(key).or_default().push(ri as u32);
-                }
-                let mut key = Vec::with_capacity(shared.len());
-                for left in self.rows() {
-                    key.clear();
-                    key.extend(shared.iter().map(|&(i, _)| left[i]));
-                    if let Some(matches) = table.get(&key) {
-                        for &ri in matches {
-                            let right = other.row(ri as usize);
-                            out.data.extend_from_slice(left);
-                            out.data.extend(other_extra.iter().map(|&j| right[j]));
-                            out.rows += 1;
-                        }
-                    }
-                }
+        }
+        let mut out = Relation::new(schema);
+        let mut key = Vec::with_capacity(k);
+        for left in self.rows() {
+            key.clear();
+            key.extend(shared.iter().map(|&(i, _)| left[i]));
+            let mut ri = first.get(&key[..]).copied().unwrap_or(usize::MAX);
+            while ri != usize::MAX {
+                let right = other.row(ri);
+                out.data.extend_from_slice(left);
+                out.data.extend(other_extra.iter().map(|&j| right[j]));
+                out.rows += 1;
+                ri = next[ri];
             }
         }
         out
-    }
-
-    /// Shared body of the packed-key join specializations: hash the right
-    /// side under `right_key`, probe with `left_key`.
-    ///
-    /// Rows sharing a key are chained through one flat `next` array instead
-    /// of a `Vec<row>` per hash entry, so building the table allocates
-    /// exactly twice (map + chain) no matter how skewed the key
-    /// distribution is. The chain is built in reverse so traversal visits
-    /// right rows in their original order, keeping the output deterministic
-    /// (left-major, right order within a left row).
-    fn join_probe(
-        &self,
-        other: &Relation,
-        other_extra: &[usize],
-        out: &mut Relation,
-        right_key: impl Fn(&[TermId]) -> u64,
-        left_key: impl Fn(&[TermId]) -> u64,
-    ) {
-        const NONE: u32 = u32::MAX;
-        let n = other.len();
-        debug_assert!(n < NONE as usize, "relation too large for u32 row links");
-        let mut first: FxHashMap<u64, u32> = FxHashMap::default();
-        first.reserve(n);
-        let mut next_link: Vec<u32> = vec![NONE; n];
-        for ri in (0..n).rev() {
-            match first.entry(right_key(other.row(ri))) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    next_link[ri] = *e.get();
-                    e.insert(ri as u32);
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(ri as u32);
-                }
-            }
-        }
-        out.data.reserve(self.data.len());
-        // The dominant join shape appends exactly one non-shared right
-        // column (the measure value); a direct push skips the iterator
-        // plumbing in the innermost loop.
-        if let &[j] = other_extra {
-            for left in self.rows() {
-                if let Some(&start) = first.get(&left_key(left)) {
-                    let mut ri = start;
-                    while ri != NONE {
-                        out.data.extend_from_slice(left);
-                        out.data.push(other.row(ri as usize)[j]);
-                        out.rows += 1;
-                        ri = next_link[ri as usize];
-                    }
-                }
-            }
-            return;
-        }
-        for left in self.rows() {
-            if let Some(&start) = first.get(&left_key(left)) {
-                let mut ri = start;
-                while ri != NONE {
-                    let right = other.row(ri as usize);
-                    out.data.extend_from_slice(left);
-                    out.data.extend(other_extra.iter().map(|&j| right[j]));
-                    out.rows += 1;
-                    ri = next_link[ri as usize];
-                }
-            }
-        }
-    }
-
-    /// Sorts rows in place, lexicographically by the column *positions* in
-    /// `cols` (ties broken by original row order, so the sort is stable and
-    /// deterministic). The flat buffer is permuted once, after sorting a
-    /// row-index permutation.
-    pub fn sort_by_cols(&mut self, cols: &[usize]) {
-        let a = self.arity();
-        if a == 0 || self.rows <= 1 {
-            return;
-        }
-        let mut perm: Vec<u32> = (0..self.rows as u32).collect();
-        let data = &self.data;
-        perm.sort_unstable_by(|&x, &y| {
-            let rx = &data[x as usize * a..x as usize * a + a];
-            let ry = &data[y as usize * a..y as usize * a + a];
-            cols.iter()
-                .map(|&c| rx[c])
-                .cmp(cols.iter().map(|&c| ry[c]))
-                .then(x.cmp(&y))
-        });
-        let mut sorted = Vec::with_capacity(self.data.len());
-        for &i in &perm {
-            sorted.extend_from_slice(&self.data[i as usize * a..i as usize * a + a]);
-        }
-        self.data = sorted;
     }
 
     /// Rows sorted lexicographically — canonical form for comparisons in
@@ -671,26 +553,6 @@ mod tests {
         l.rename(v(0), v(5)).unwrap();
         assert_eq!(l.natural_join(&r).len(), 1);
         assert!(l.rename(v(7), v(8)).is_err());
-    }
-
-    #[test]
-    fn sort_by_cols_orders_and_is_stable() {
-        let mut r = rel(&[0, 1], &[&[2, 10], &[1, 30], &[2, 5], &[1, 20], &[1, 30]]);
-        r.sort_by_cols(&[0]);
-        // Sorted by column 0; ties keep original order (stable).
-        assert_eq!(
-            r.rows().map(|x| x.to_vec()).collect::<Vec<_>>(),
-            vec![
-                vec![t(1), t(30)],
-                vec![t(1), t(20)],
-                vec![t(1), t(30)],
-                vec![t(2), t(10)],
-                vec![t(2), t(5)],
-            ]
-        );
-        r.sort_by_cols(&[0, 1]);
-        assert_eq!(r.row(0), &[t(1), t(20)]);
-        assert_eq!(r.row(4), &[t(2), t(10)]);
     }
 
     #[test]

@@ -101,23 +101,13 @@ pub fn evaluate_sparql(
     // Evaluate each aggregate independently over the same grouping, then
     // zip the per-aggregate results together.
     for (i, agg) in query.aggregates.iter().enumerate() {
-        let groups = if agg.func == AggFunc::CountDistinct {
-            group_aggregate(
-                &solutions,
-                &query.group_vars,
-                agg.var,
-                AggFunc::CountDistinct,
-                graph.dict(),
-            )?
-        } else {
-            group_aggregate(
-                &solutions,
-                &query.group_vars,
-                agg.var,
-                agg.func,
-                graph.dict(),
-            )?
-        };
+        let groups = group_aggregate(
+            &solutions,
+            &query.group_vars,
+            agg.var,
+            agg.func,
+            graph.dict(),
+        )?;
         for (key, value) in groups {
             let entry = rows
                 .entry(key)

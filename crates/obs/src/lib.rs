@@ -55,12 +55,6 @@ pub struct ObsSink {
     pub bgp_steps: Counter,
     /// Rows produced by BGP steps (`rdfcube_engine_step_rows_total`).
     pub step_rows: Counter,
-    /// Shards probed by sharded BGP steps
-    /// (`rdfcube_engine_shard_probes_total`).
-    pub shard_probes: Counter,
-    /// Shards skipped by the per-step active-shard filter
-    /// (`rdfcube_engine_shards_skipped_total`).
-    pub shards_skipped: Counter,
     /// Query traces completed (`rdfcube_traces_total`).
     pub traces: Counter,
 }
@@ -74,8 +68,6 @@ impl ObsSink {
             delta_rows_read: registry.counter("rdfcube_graph_delta_rows_read_total"),
             bgp_steps: registry.counter("rdfcube_engine_bgp_steps_total"),
             step_rows: registry.counter("rdfcube_engine_step_rows_total"),
-            shard_probes: registry.counter("rdfcube_engine_shard_probes_total"),
-            shards_skipped: registry.counter("rdfcube_engine_shards_skipped_total"),
             traces: registry.counter("rdfcube_traces_total"),
             registry,
         }

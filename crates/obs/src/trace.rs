@@ -68,7 +68,7 @@ pub struct SpanNode {
     pub rows_out: u64,
     /// Bytes touched or produced by the stage.
     pub bytes: u64,
-    /// Additional named measurements (e.g. `shards_probed`).
+    /// Additional named measurements (e.g. `rows_matched`).
     pub attrs: Vec<(&'static str, u64)>,
 }
 
@@ -409,8 +409,8 @@ mod tests {
             plan.rows(10, 4);
             {
                 let inner = span("bgp_step");
-                inner.attr("shards_probed", 3);
-                inner.attr("shards_probed", 2);
+                inner.attr("rows_matched", 3);
+                inner.attr("rows_matched", 2);
                 inner.detail(|| "p0".to_string());
             }
         }
@@ -425,7 +425,7 @@ mod tests {
         assert_eq!(spans[1].parent, Some(0));
         assert_eq!(spans[2].name, "bgp_step");
         assert_eq!(spans[2].parent, Some(1));
-        assert_eq!(spans[2].attr("shards_probed"), Some(5));
+        assert_eq!(spans[2].attr("rows_matched"), Some(5));
         assert_eq!(spans[2].detail, "p0");
         assert_eq!(spans[3].parent, Some(0));
         assert_eq!(trace.children(0).count(), 2);

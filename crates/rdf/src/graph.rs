@@ -42,11 +42,8 @@
 //!
 //! Every read of a sharded graph is therefore **bit-identical** to the same
 //! read of a flat graph holding the same triples in the same state (merged
-//! or pending) — sharding changes the cost model (per-shard parallel loading
-//! and evaluation, shard skipping), never the answer. The query engine
-//! additionally probes shards directly through
-//! [`Graph::for_each_match_in_shard`] / [`Graph::count_matching_in_shard`]
-//! to run BGP steps shard-parallel.
+//! or pending) — sharding changes the cost of loading (shards merge in
+//! parallel) and of subject-free reads (a k-way merge), never the answer.
 //!
 //! ## Bulk loading vs incremental inserts
 //!
@@ -119,8 +116,8 @@ impl Graph {
 
     /// Creates an empty graph partitioned into `n_shards` subject-hash
     /// shards (clamped to at least 1). Reads are bit-identical at any shard
-    /// count; more shards buy parallel bulk loading and per-shard BGP
-    /// evaluation at the cost of a k-way merge on subject-free scans.
+    /// count; more shards buy parallel bulk loading at the cost of a k-way
+    /// merge on subject-free scans.
     pub fn with_shards(n_shards: usize) -> Self {
         Graph {
             dict: Dictionary::new(),
@@ -159,7 +156,7 @@ impl Graph {
 
     /// The shard owning subject `s`.
     #[inline]
-    pub fn shard_of(&self, s: TermId) -> usize {
+    fn shard_of(&self, s: TermId) -> usize {
         shard_of_subject(s, self.shards.len())
     }
 
@@ -228,9 +225,7 @@ impl Graph {
         self.shards.iter().map(Shard::pending_delta_len).sum()
     }
 
-    /// True if any shard holds unmerged delta triples. The engine's
-    /// per-shard parallel paths require fully sorted shards and fall back to
-    /// row partitioning while this holds.
+    /// True if any shard holds unmerged delta triples.
     pub fn has_pending_delta(&self) -> bool {
         self.shards.iter().any(|sh| sh.pending_delta_len() > 0)
     }
@@ -497,22 +492,6 @@ impl Graph {
         self.for_each_delta_match(pattern, f);
     }
 
-    /// Calls `f` for every triple of shard `shard` matching `pattern`, in
-    /// the shard's local order (CSR run, then delta run). The engine's
-    /// per-shard evaluation workers use this to probe shards directly;
-    /// patterns whose subject routes elsewhere simply match nothing here.
-    ///
-    /// # Panics
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn for_each_match_in_shard<F: FnMut(Triple)>(
-        &self,
-        shard: usize,
-        pattern: TriplePattern,
-        mut f: F,
-    ) {
-        self.shards[shard].for_each_match_local(pattern, &mut f);
-    }
-
     /// Collects the triples matching `pattern`.
     pub fn matching(&self, pattern: TriplePattern) -> Vec<Triple> {
         let mut out = Vec::new();
@@ -539,16 +518,6 @@ impl Graph {
             .iter()
             .map(|sh| sh.count_matching_local(pattern))
             .sum()
-    }
-
-    /// Exact number of triples of shard `shard` matching `pattern` — the
-    /// shard-level statistic the engine uses to skip shards that cannot
-    /// contribute to a probe (predicate/constant pushdown).
-    ///
-    /// # Panics
-    /// Panics if `shard >= self.shard_count()`.
-    pub fn count_matching_in_shard(&self, shard: usize, pattern: TriplePattern) -> usize {
-        self.shards[shard].count_matching_local(pattern)
     }
 
     /// Decodes a triple back to its terms.
@@ -817,22 +786,6 @@ mod tests {
         assert_eq!(total, g.len());
         let subjects: usize = (0..7).map(|w| g.shard_subject_count(w)).sum();
         assert_eq!(subjects, g.subject_count());
-        // Per-shard counts of a subject-free shape sum to the global count.
-        let p = g.dict().iri_id("hasAge").unwrap();
-        let pat = TriplePattern::new(None, Some(p), None);
-        let per_shard: usize = (0..7).map(|w| g.count_matching_in_shard(w, pat)).sum();
-        assert_eq!(per_shard, g.count_matching(pat));
-        // A subject-bound probe is served entirely by its owner shard.
-        let s = g.dict().iri_id("user1").unwrap();
-        let own = g.shard_of(s);
-        let bound = TriplePattern::new(Some(s), None, None);
-        assert_eq!(
-            g.count_matching_in_shard(own, bound),
-            g.count_matching(bound)
-        );
-        let mut routed = Vec::new();
-        g.for_each_match_in_shard(own, bound, |t| routed.push(t));
-        assert_eq!(routed, g.matching(bound));
     }
 
     #[test]
