@@ -43,7 +43,7 @@ use crate::error::CoreError;
 use crate::extended::{ExtendedQuery, Sigma};
 use crate::pres::PartialResult;
 use crate::session::Strategy;
-use crate::signature::{BodySignature, ViewKey, ViewSignature};
+use crate::signature::{ViewKey, ViewSignature};
 use rdfcube_engine::VarId;
 use rdfcube_obs as obs;
 use rdfcube_rdf::fx::FxHashMap;
@@ -212,16 +212,67 @@ impl CatalogEntry {
     /// Decides whether (and how) this entry can soundly answer a target
     /// query with signature `target_sig` and restriction `target_sigma`,
     /// assuming the family key already matched (same canonical body, root,
-    /// measure and ⊕).
+    /// measure and ⊕; the caller probed the [`ViewKey`] index).
     pub fn classify(&self, target_sig: &ViewSignature, target_sigma: &Sigma) -> Option<Derivation> {
-        classify_derivation(
-            &self.sig.dims,
-            self.eq.sigma(),
-            &target_sig.dims,
-            target_sigma,
-            self.eq.query().classifier().head(),
-            &self.sig.body,
-        )
+        let (s_dims, s_sigma) = (&self.sig.dims, self.eq.sigma());
+        let (t_dims, t_sigma) = (&target_sig.dims, target_sigma);
+        if s_dims == t_dims {
+            return t_sigma.refines(s_sigma).then_some(Derivation::Dice);
+        }
+
+        // DrillOut: t_dims is a strict, order-preserving subset of s_dims.
+        if t_dims.len() < s_dims.len() {
+            let mut removed = Vec::new();
+            let mut kept_sigma_ok = true;
+            let mut ti = 0usize;
+            for (si, s_dim) in s_dims.iter().enumerate() {
+                if ti < t_dims.len() && &t_dims[ti] == s_dim {
+                    // Kept dimension: the target's restriction must refine the
+                    // source's (equal or narrower — a trailing dice fixes up
+                    // strict refinement).
+                    if !t_sigma.selector(ti).refines(s_sigma.selector(si)) {
+                        kept_sigma_ok = false;
+                        break;
+                    }
+                    ti += 1;
+                } else {
+                    // Dropped dimension: Algorithm 1 needs it unrestricted.
+                    if !s_sigma.selector(si).is_all() {
+                        kept_sigma_ok = false;
+                        break;
+                    }
+                    removed.push(si);
+                }
+            }
+            if kept_sigma_ok && ti == t_dims.len() && !removed.is_empty() {
+                return Some(Derivation::DrillOut(removed));
+            }
+            return None;
+        }
+
+        // DrillIn: t_dims = s_dims + one extra at the end.
+        if t_dims.len() == s_dims.len() + 1 && t_dims[..s_dims.len()] == s_dims[..] {
+            for ti in 0..s_dims.len() {
+                if !t_sigma.selector(ti).refines(s_sigma.selector(ti)) {
+                    return None;
+                }
+            }
+            let extra = &t_dims[s_dims.len()];
+            // Find the source classifier variable with that canonical name; it
+            // must be existential there (not in the head).
+            let var = self
+                .sig
+                .body
+                .var_names
+                .iter()
+                .find(|(_, name)| *name == extra)
+                .map(|(&v, _)| v)?;
+            if self.eq.query().classifier().head().contains(&var) {
+                return None;
+            }
+            return Some(Derivation::DrillIn(var));
+        }
+        None
     }
 }
 
@@ -320,21 +371,14 @@ pub struct LoggedQuery {
     sig: ViewSignature,
     strategy: Strategy,
     estimated_cost: f64,
-    scratch_cost: f64,
     measured_nanos: u64,
     count: u64,
-    last_seen: u64,
 }
 
 impl LoggedQuery {
     /// The logged extended query (a representative of the shape).
     pub fn query(&self) -> &ExtendedQuery {
         &self.eq
-    }
-
-    /// The logged query behind its shared pointer.
-    pub fn query_arc(&self) -> Arc<ExtendedQuery> {
-        Arc::clone(&self.eq)
     }
 
     /// The shape's view signature (family key + canonical dimensions).
@@ -352,14 +396,8 @@ impl LoggedQuery {
         self.estimated_cost
     }
 
-    /// The from-scratch prediction the chosen strategy was compared against.
-    pub fn scratch_cost(&self) -> f64 {
-        self.scratch_cost
-    }
-
     /// Wall-clock nanoseconds the last answer of this shape took,
-    /// end to end (the cheap measured cost the advisor can sanity-check
-    /// estimates against).
+    /// end to end.
     pub fn measured_nanos(&self) -> u64 {
         self.measured_nanos
     }
@@ -368,18 +406,13 @@ impl LoggedQuery {
     pub fn count(&self) -> u64 {
         self.count
     }
-
-    /// Catalog clock value of the most recent ask.
-    pub fn last_seen(&self) -> u64 {
-        self.last_seen
-    }
 }
 
 /// Distinct shapes the query log retains full queries for. Past the cap,
 /// new shapes still count toward [`KeyStats`] (frequency feeds eviction)
-/// but are not remembered individually — the advisor works from a bounded
-/// sample of the head of the workload, which is exactly where Zipf-skewed
-/// benefit lives.
+/// but are not remembered individually — the advisor builds its apexes
+/// and ranks its families from the shapes seen first, and under a skewed
+/// workload the hot families are among them.
 const MAX_LOGGED_SHAPES: usize = 1024;
 
 /// The query log: every `answer_query`/`transform` probe lands here.
@@ -576,10 +609,8 @@ impl CubeCatalog {
             Some(i) => {
                 let s = &mut log.shapes[i];
                 s.count += 1;
-                s.last_seen = now;
                 s.strategy = explained.strategy;
                 s.estimated_cost = explained.estimated_cost;
-                s.scratch_cost = explained.scratch_cost;
                 s.measured_nanos = measured_nanos;
             }
             None if log.shapes.len() < MAX_LOGGED_SHAPES => {
@@ -590,10 +621,8 @@ impl CubeCatalog {
                     sig: sig.clone(),
                     strategy: explained.strategy,
                     estimated_cost: explained.estimated_cost,
-                    scratch_cost: explained.scratch_cost,
                     measured_nanos,
                     count: 1,
-                    last_seen: now,
                 });
             }
             None => {}
@@ -912,77 +941,6 @@ impl CubeCatalog {
             self.sync_size_gauges();
         }
     }
-}
-
-/// Decides whether (and how) a cube with canonical dimensions `s_dims` and
-/// restriction `s_sigma` can answer a query with `t_dims`/`t_sigma`, given
-/// that classifier bodies, measures, aggregates and roots already match
-/// (the caller probed the [`ViewKey`] index). `pub(crate)` so the advisor
-/// can classify derivations from *hypothetical* (not yet materialized)
-/// candidate views the same way the planner would.
-pub(crate) fn classify_derivation(
-    s_dims: &[String],
-    s_sigma: &Sigma,
-    t_dims: &[String],
-    t_sigma: &Sigma,
-    source_head: &[VarId],
-    s_body: &BodySignature,
-) -> Option<Derivation> {
-    if s_dims == t_dims {
-        return t_sigma.refines(s_sigma).then_some(Derivation::Dice);
-    }
-
-    // DrillOut: t_dims is a strict, order-preserving subset of s_dims.
-    if t_dims.len() < s_dims.len() {
-        let mut removed = Vec::new();
-        let mut kept_sigma_ok = true;
-        let mut ti = 0usize;
-        for (si, s_dim) in s_dims.iter().enumerate() {
-            if ti < t_dims.len() && &t_dims[ti] == s_dim {
-                // Kept dimension: the target's restriction must refine the
-                // source's (equal or narrower — a trailing dice fixes up
-                // strict refinement).
-                if !t_sigma.selector(ti).refines(s_sigma.selector(si)) {
-                    kept_sigma_ok = false;
-                    break;
-                }
-                ti += 1;
-            } else {
-                // Dropped dimension: Algorithm 1 needs it unrestricted.
-                if !s_sigma.selector(si).is_all() {
-                    kept_sigma_ok = false;
-                    break;
-                }
-                removed.push(si);
-            }
-        }
-        if kept_sigma_ok && ti == t_dims.len() && !removed.is_empty() {
-            return Some(Derivation::DrillOut(removed));
-        }
-        return None;
-    }
-
-    // DrillIn: t_dims = s_dims + one extra at the end.
-    if t_dims.len() == s_dims.len() + 1 && t_dims[..s_dims.len()] == *s_dims {
-        for ti in 0..s_dims.len() {
-            if !t_sigma.selector(ti).refines(s_sigma.selector(ti)) {
-                return None;
-            }
-        }
-        let extra = &t_dims[s_dims.len()];
-        // Find the source classifier variable with that canonical name; it
-        // must be existential there (not in the head).
-        let var = s_body
-            .var_names
-            .iter()
-            .find(|(_, name)| name.as_str() == extra)
-            .map(|(&v, _)| v)?;
-        if source_head.contains(&var) {
-            return None;
-        }
-        return Some(Derivation::DrillIn(var));
-    }
-    None
 }
 
 #[cfg(test)]

@@ -34,9 +34,9 @@
 //! diced target, is many times the target's. An exact duplicate touches no
 //! row and costs what every served query does.
 //!
-//! The planner (`pipeline::plan_in`), the explanations of the routes it
-//! does not pick itself (duplicate, ROLL-UP) and the advisor's benefit all
-//! call these two and nothing else, so a prediction means the same thing
+//! The planner (`pipeline::plan_in`) and the explanations of the routes it
+//! does not pick itself (duplicate, ROLL-UP) call these two and nothing
+//! else, so a prediction means the same thing
 //! everywhere: [`ExplainedStrategy`] prints it as a time, and
 //! [`CostModelReport`] divides the wall time a session observed by it —
 //! 1.0 is a calibrated row.

@@ -30,10 +30,9 @@
 //!   [`SharedSession`] serving `answer_query`/`transform` to any number
 //!   of threads over the same `Arc`-shared instance and catalog;
 //! * [`advisor`] — workload-driven view selection: mines the catalog's
-//!   query log, enumerates candidate lattice ancestors, and greedily
-//!   pre-materializes the best benefit-per-byte set under the memory
-//!   budget ([`OlapSession::advise`] /
-//!   [`SharedSession::advise_if_stale`]).
+//!   query log and pre-materializes each logged family's unrestricted
+//!   apex, hottest family first, while the memory budget holds
+//!   ([`OlapSession::advise`] / [`SharedSession::advise_if_stale`]).
 //!
 //! ## Quick example — the paper's Example 1 cube, sliced
 //!

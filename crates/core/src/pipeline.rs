@@ -344,10 +344,8 @@ pub(crate) fn find_duplicate(
 /// The planner: probes the catalog through the signature index and prices
 /// ([`cost::price`]) every applicable derivation of `eq`; returns the
 /// cheapest route (a rewriting only if it beats from-scratch) and its
-/// explanation. Also the advisor's view of what a logged query costs
-/// against the catalog as it stands. Family members come in ascending
-/// catalog-index order and the strict `<` keeps the first of equal-cost
-/// candidates.
+/// explanation. Family members come in ascending catalog-index order and
+/// the strict `<` keeps the first of equal-cost candidates.
 pub(crate) fn plan_in(
     catalog: &CubeCatalog,
     instance: &Graph,

@@ -142,13 +142,14 @@ impl OlapSession {
     }
 
     /// Opens a session over the instance repartitioned into `shards`
-    /// subject-hash shards (see [`Graph::with_shards`]): bulk loads and BGP
-    /// steps then run one worker per shard (raise
-    /// [`rdfcube_engine::set_eval_threads`] to enable fan-out), with shards
-    /// skipped outright when a step's pushed-down constants cannot match
-    /// them. Answers are bit-identical at any shard count. Like
-    /// [`Self::new`], the instance is compacted up front — resharding folds
-    /// the delta in as a side effect.
+    /// subject-hash shards (see [`Graph::with_shards`]): a large bulk load
+    /// then sorts and merges the shards' slices in parallel. Reads
+    /// enumerate the flat store's order at any shard count, so BGP
+    /// evaluation does not work per shard and answers are bit-identical;
+    /// its only fan-out is by row chunks, raised with
+    /// [`rdfcube_engine::set_eval_threads`]. Like [`Self::new`], the
+    /// instance is compacted up front — resharding folds the delta in as a
+    /// side effect.
     pub fn with_shards(mut instance: Graph, shards: usize) -> Self {
         instance.set_shard_count(shards);
         Self::new(instance)
@@ -256,11 +257,11 @@ impl OlapSession {
 
     /// Folds any pending insert delta into the store's sorted CSR runs.
     /// Reads do not need it — they range over the delta's sorted runs at
-    /// the cost of their matches — but the engine's shard-parallel step
-    /// paths require a compacted store, so it is worth calling before
-    /// [`Self::into_shared`] on a sharded, multi-threaded session. Stale
-    /// cubes still refresh incrementally afterwards: compacting adds no
-    /// triple, so the insertion log stays valid.
+    /// the cost of their matches, serial or in row chunks — so it only
+    /// turns those range merges into pure index scans, e.g. before
+    /// [`Self::into_shared`] hands the instance to read-heavy serving.
+    /// Stale cubes still refresh incrementally afterwards: compacting adds
+    /// no triple, so the insertion log stays valid.
     pub fn compact_instance(&mut self) {
         Arc::make_mut(&mut self.instance).compact();
     }
@@ -442,11 +443,10 @@ impl OlapSession {
     }
 
     /// Runs one workload-driven view-selection cycle (see
-    /// [`crate::advisor`]): mines the catalog's query log, enumerates
-    /// candidate lattice ancestors of the logged shapes, and greedily
-    /// materializes the best benefit-per-byte set under the session's
-    /// memory budget. A no-op when the log has not grown since the last
-    /// run, so calling it repeatedly is idempotent.
+    /// [`crate::advisor`]): mines the catalog's query log and materializes
+    /// the unrestricted apex of each logged family, hottest first, while
+    /// the session's memory budget holds. A no-op when the log has not
+    /// grown since the last run, so calling it repeatedly is idempotent.
     pub fn advise(&mut self) -> Result<crate::advisor::AdvisorReport, CoreError> {
         crate::advisor::advise_catalog(&mut self.catalog, &self.instance)
     }

@@ -92,7 +92,8 @@ impl SharedSession {
     }
 
     /// Number of subject-hash shards in the shared instance (chosen at
-    /// session construction, [`OlapSession::with_shards`]). The shards
+    /// session construction, [`OlapSession::with_shards`]). A storage
+    /// layout only: queries read the same order at any count. The shards
     /// travel behind the instance's `Arc` like everything else.
     pub fn shard_count(&self) -> usize {
         self.instance.shard_count()

@@ -4,8 +4,8 @@
 //! The view-selection advisor (`rdfcube_core::advisor`) pays off exactly
 //! when a workload keeps posing *distinct but derivable* queries: each
 //! variant is new to the catalog (the reactive plane cannot serve it as a
-//! duplicate), yet all of them hang below a handful of lattice ancestors
-//! the advisor can pre-materialize. This module generates such workloads
+//! duplicate), yet all of them hang below one unrestricted apex the
+//! advisor can pre-materialize. This module generates such workloads
 //! reproducibly:
 //!
 //! * [`variant_pool`] enumerates distinct *restricted* slice / dice /

@@ -13,8 +13,8 @@
 //!   algorithms behind an [`OlapSession`] whose signature-indexed,
 //!   cost-based cube catalog picks the cheapest sound strategy
 //!   automatically (optionally under a memory budget), and whose
-//!   view-selection advisor mines the query log to pre-materialize the
-//!   best lattice ancestors per byte;
+//!   view-selection advisor mines the query log to pre-materialize each
+//!   hot family's unrestricted apex;
 //! * [`datagen`] — seeded workload generators for the paper's blogger and
 //!   video worlds.
 //!
