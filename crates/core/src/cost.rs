@@ -79,20 +79,25 @@ mod ns {
     /// served log's σ row ran at 0.6–0.7 of a 12 ns rate. The `pres` filter
     /// gallops and pays for the facts it keeps, which follow the cells kept.
     pub const SIGMA_CELL: f64 = 10.0;
-    /// The sort–scan kernel under Algorithms 1 and 2, per source `pres`
-    /// row: 85,433 rows in 19,661 heads take 0.95–1.1 ms when a trailing or
-    /// middle dimension goes, 1.6 ms when the leading one does (no sorted
-    /// prefix is left; `session.drill_out_p50_us`, `rewrite.drill_out_us`).
-    /// Above those 11–19 ns: below 22.3 the conformance suite's toy slice
-    /// (7 cells against 15 rows) would take Algorithm 1 over σ.
+    /// The counting kernel under Algorithms 1 and 2, per source `pres`
+    /// row: 85,433 rows in 19,661 heads take 1.3–1.8 ms whichever dimension
+    /// goes (`rewrite.drill_out_us`, `session.drill_out_p50_us`), in an hour
+    /// of the 2-core box that ran about 1.5× slow: there the comparison sort
+    /// it replaced took 1.6 ms for the trailing dimension and 2.9 for the
+    /// leading one, so the kernel costs 0.62–0.83× in alternating runs. It
+    /// and `EVAL_ROW` fell alike, so the rate stays; below 22.3 the
+    /// conformance suite's toy slice (7 cells against 15 rows) would take
+    /// Algorithm 1 over σ.
     pub const KERNEL_ROW: f64 = 23.0;
     /// Evaluating a basic graph pattern, per instance row its patterns
     /// match — the classifier and the measure from scratch, joined and
     /// sorted (`session.register_p50_us`, `rewrite.scratch_*_us`; PR 25's
     /// root-ordered evaluation, 0.69–0.87× PR 20's times in alternating
     /// runs): Q3's 111,759 take 6.4 ms, 3.3 with `dsite` out of the head,
-    /// the 70,325 of a one- or two-dimension cube 2.2–2.3 ms; the video
-    /// world's Example 6, whose plan starts from no root scan, kept its
+    /// the 70,325 of a one- or two-dimension cube 2.2–2.3 ms (the counting
+    /// kernel and the bag classifier have since taken Q3 to 0.77–0.82× and
+    /// the others to 0.6–1.0× in alternating runs); the video world's
+    /// Example 6, whose plan starts from no root scan, kept its
     /// 10.1–11.2 ms for 101,053 — and so did Algorithm 2's q_aux
     /// (`session.drill_in_p50_us`): 1.5–1.6 ms for a one-triple q_aux of
     /// 7,831 over 19,687 `pres` rows, 3.4 ms in `aux_eval` for the two-hop

@@ -297,16 +297,18 @@ impl ExtendedQuery {
     /// are pruned — compacted out of the evaluator's flat binding arena in
     /// place — the moment the dimension variable binds.
     pub fn classifier_relation(&self, instance: &Graph) -> Result<Relation, CoreError> {
-        self.classifier_relation_from(instance, &Seed::unit())
+        self.classifier_relation_from(instance, &Seed::unit(), Semantics::Set)
     }
 
     /// [`Self::classifier_relation`] started from `seed` (bindings of
-    /// classifier variables, see [`evaluate_seeded`]): the Σ-filtered
-    /// classifier rows of, say, a given set of facts.
+    /// classifier variables, see [`evaluate_seeded`]) under `semantics`:
+    /// the Σ-filtered classifier rows of, say, a given set of facts. Bag
+    /// semantics skips δ, for a caller that drops repeated rows itself.
     pub fn classifier_relation_from(
         &self,
         instance: &Graph,
         seed: &Seed,
+        semantics: Semantics,
     ) -> Result<Relation, CoreError> {
         // An unrestricted Σ compiles to no filter at all.
         let filters = self
@@ -314,11 +316,7 @@ impl ExtendedQuery {
             .to_filters(self.query.dim_vars(), instance.dict());
         let classifier = self.query.classifier();
         Ok(evaluate_seeded(
-            instance,
-            classifier,
-            seed,
-            &filters,
-            Semantics::Set,
+            instance, classifier, seed, &filters, semantics,
         )?)
     }
 

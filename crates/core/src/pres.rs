@@ -34,19 +34,23 @@
 //! * tables holding the same rows are equal buffer for buffer, which is
 //!   what the derived `PartialEq` compares.
 //!
-//! # One sort, one scan
+//! # Counting passes, one scan
 //!
 //! Whoever builds a table — the classifier ⋈ measure join of
 //! [`PartialResult::compute`], or the π / ⋈ of a rewriting in
 //! [`crate::rewrite`] — fills the crate-private `Records` buffer, which has
 //! the same two sides: `key_join` builds a fresh fact table, a rewriting
 //! borrows its source's and pushes heads that copy a fact's reference,
-//! never its tuples. The kernel, `Records::into_pres`, sorts the heads
-//! once on a packed `u128` key (the first four ids of `(dims, fact)` — the
-//! whole head up to three dimensions; facts are in root order, so this is
-//! `(dims, root)` order), only within the segments that are not in order
-//! already, then in one scan drops adjacent equal heads (δ) and keeps the
-//! facts the survivors reference. No tuple is copied but to be kept.
+//! never its tuples. The kernel, `Records::into_pres`, puts the heads in
+//! `(dims, fact)` order — which is `(dims, root)` order, as facts are in
+//! root order — without comparing two heads: stable LSD counting passes
+//! over an index array, first on the fact (skipped when the heads arrive
+//! in fact order, as a join's do; a rewriting's do not), then on each
+//! dimension from the last to the first, keyed by the dense rank of the
+//! value among that column's distinct values. The only sort is of those
+//! values, `c log c` for `c` of them, and the kernel works at any width.
+//! One scan then drops adjacent equal heads (δ) and keeps the facts the
+//! survivors reference. No tuple is copied but to be kept.
 //!
 //! # The measure of the admitted facts only
 //!
@@ -56,6 +60,15 @@
 //! first and then the measure with its root *seeded* to the classifier's
 //! distinct roots — a semi-join reduction on the fact, done at query time:
 //! a 10 % dice enumerates about a tenth of the measure, not all of it.
+//!
+//! * **Bag classifier.** The classifier is evaluated without δ: a root that
+//!   reaches one cell along two embeddings (two posts on one site) gives
+//!   that row twice, and the kernel's δ drops the repeated head, so the
+//!   table is the one set semantics gives. This pays off while repeats are
+//!   rare, as the heads, and the memory and passes they cost, grow with
+//!   the embeddings rather than the distinct rows. Over each of
+//!   olapbench's workloads at most 9 % of the classifier rows repeat one
+//!   (Q3's `dsite`), and no single query exceeds 16 %.
 //!
 //! * **Guard.** The measure stays unseeded when one of its patterns matches
 //!   fewer triples (its constant shape's exact `count_matching`) than there
@@ -79,6 +92,7 @@ use rdfcube_engine::{
     evaluate_seeded, AggFunc, Bgp, PatternTerm, QueryPattern, Relation, Seed, Semantics,
 };
 use rdfcube_obs as obs;
+use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -200,30 +214,34 @@ impl<'a> Records<'a> {
     fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation, keys_above: u32) -> Option<()> {
         let sp = obs::span("key_join");
         u32::try_from(m_rel.len()).ok()?.checked_add(keys_above)?;
+        // A side's row indices in root order: `None` when its rows arrive in
+        // it (the side is walked as it is), else sorted once by `(root, row)`.
         let by_root = |rel: &Relation| {
             let pair = |(row, i): (&[TermId], u64)| u64::from(row[0].0) << 32 | i;
-            let mut pairs: Vec<u64> = rel.rows().zip(0..).map(pair).collect();
-            let sorted = pairs.is_sorted();
-            pairs.sort_unstable();
-            (pairs, !sorted)
+            (!rel.rows().map(|row| row[0]).is_sorted()).then(|| {
+                let mut pairs: Vec<u64> = rel.rows().zip(0..).map(pair).collect();
+                pairs.sort_unstable();
+                pairs.into_iter().map(|p| p as u32).collect::<Vec<u32>>()
+            })
         };
-        let ((c_roots, c_sorted), (m_roots, m_sorted)) = (by_root(c_rel), by_root(m_rel));
-        let below = |from: usize, bound: u64| {
-            from + m_roots[from..].iter().take_while(|&&m| m < bound).count()
-        };
-        let keyed = |&m: &u64| {
-            let j = m as u32;
+        let (c_order, m_order) = (by_root(c_rel), by_root(m_rel));
+        let nth = |o: &Option<Vec<u32>>, at| o.as_ref().map_or(at, |o| o[at] as usize);
+        let m_root = |at| u64::from(m_rel.row(nth(&m_order, at))[0].0);
+        let below = |from, bound| (from..m_rel.len()).find(|&at| m_root(at) >= bound);
+        let keyed = |at: usize| {
+            let j = nth(&m_order, at) as u32;
             u64::from(keys_above + j + 1) << 32 | u64::from(m_rel.row(j as usize)[1].0)
         };
         let (mut next, mut last, mut fact) = (0, None, None);
         self.heads.reserve(c_rel.len() * (self.n_dims + 1));
-        for (root, i) in c_roots.iter().map(|&c| (c >> 32, c as u32 as usize)) {
+        for i in (0..c_rel.len()).map(|at| nth(&c_order, at)) {
+            let root = c_rel.row(i)[0];
             if last != Some(root) {
-                let from = below(next, root << 32);
-                let to = below(from, (root + 1) << 32);
+                let from = below(next, u64::from(root.0)).unwrap_or(m_rel.len());
+                let to = below(from, u64::from(root.0) + 1).unwrap_or(m_rel.len());
                 fact = (from < to).then(|| {
                     let facts = self.facts.to_mut();
-                    facts.push(TermId(root as u32), m_roots[from..to].iter().map(keyed));
+                    facts.push(root, (from..to).map(keyed));
                     facts.len() - 1
                 });
                 (next, last) = (to, Some(root));
@@ -235,7 +253,8 @@ impl<'a> Records<'a> {
         if sp.active() {
             sp.rows((c_rel.len() + m_rel.len()) as u64, self.len() as u64);
         }
-        sp.attr("sorted_sides", u64::from(c_sorted) + u64::from(m_sorted));
+        let sorted = u64::from(c_order.is_some()) + u64::from(m_order.is_some());
+        sp.attr("sorted_sides", sorted);
         Some(())
     }
 
@@ -245,42 +264,38 @@ impl<'a> Records<'a> {
         self.heads.push(TermId(fact as u32));
     }
 
-    /// The sort–scan kernel: sorts the heads on `(dims, fact)` and in one
-    /// scan drops adjacent equal ones (δ) — a table that is born sorted.
+    /// The counting kernel: orders the heads on `(dims, fact)` by stable
+    /// counting passes — on the fact unless they arrive in fact order, then
+    /// on each dimension's value rank, the last dimension first — and in one
+    /// scan drops adjacent equal ones (δ): a table that is born sorted.
     pub(crate) fn into_pres(self, dim_names: Vec<String>, agg: AggFunc) -> PartialResult {
-        let stride = self.n_dims + 1;
+        let (n, stride) = (self.n_dims, self.n_dims + 1);
         let head = |i: u32| &self.heads[i as usize * stride..][..stride];
-
-        // One sort, on a fixed-width packed key: the first four ids of
-        // `(dims, fact)` in a `u128` — the whole head up to three
-        // dimensions — with the rest of a wider head breaking ties.
         let sp = obs::span("sort");
-        let lanes = stride.min(4);
-        let pack = |k: u128, id: &TermId| k << 32 | u128::from(id.0);
-        let packed = |(i, h): (u32, &[TermId])| (h[..lanes].iter().fold(0, pack), i);
-        let heads = self.heads.chunks_exact(stride);
-        let mut order: Vec<(u128, u32)> = (0..).zip(heads).map(packed).collect();
-        // Heads derived from a sorted table arrive with their leading key
-        // bits still in order (a drill-in keeps all of the old key, a
-        // drill-out the dimensions before the first removed one). `low` is
-        // the key width below the widest such prefix: equal prefixes are
-        // contiguous and ascending, so sorting each of those segments alone
-        // sorts the buffer.
-        let descents = order.windows(2).filter(|w| w[1].0 < w[0].0);
-        let low = descents.map(|w| u128::BITS - (w[0].0 ^ w[1].0).leading_zeros());
-        let low = low.max().unwrap_or(0);
-        let prefix = |h: &(u128, u32)| h.0.checked_shr(low).unwrap_or(0);
-        let rest = |h: &(u128, u32)| &head(h.1)[lanes..];
-        for segment in order.chunk_by_mut(|a, b| prefix(a) == prefix(b)) {
-            segment.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| rest(a).cmp(rest(b))));
+        let mut order: Vec<u32> = (0..(self.heads.len() / stride) as u32).collect();
+        for d in (0..=n).rev() {
+            let column = self.heads.iter().skip(d).step_by(stride);
+            let (keys, buckets) = if d < n {
+                distinct(column)
+            } else if column.clone().is_sorted() {
+                continue;
+            } else {
+                let facts = 0..self.facts.len() as u32;
+                (column.map(|f| f.0).collect(), facts.collect())
+            };
+            counting_pass(&mut order, &keys, &buckets);
         }
         sp.rows(order.len() as u64, order.len() as u64);
         drop(sp);
 
         let sp = obs::span("dedup");
         let rows_in = if sp.active() { self.len() } else { 0 };
-        order.dedup_by(|b, a| a.0 == b.0 && rest(a) == rest(b));
-        let heads = order.iter().flat_map(|h| head(h.1)).copied().collect();
+        let mut heads = Vec::with_capacity(self.heads.len());
+        for h in order.into_iter().map(head) {
+            if !heads.ends_with(h) {
+                heads.extend_from_slice(h);
+            }
+        }
         let pres = Records { heads, ..self }.finish(dim_names, agg);
         if sp.active() {
             sp.rows(rows_in as u64, pres.len() as u64);
@@ -343,11 +358,11 @@ impl PartialResult {
 
     /// Computes `pres(Q, I)` for an extended query over `instance`.
     ///
-    /// The classifier is evaluated under set semantics and filtered by Σ;
-    /// the measure under bag semantics for the facts it admits, with keys
-    /// assigned in enumeration order (the paper's illustrative `newk()`
-    /// returning 1, 2, 3…). The joined heads go through the same sort–scan
-    /// kernel as every rewriting.
+    /// The classifier is filtered by Σ and evaluated as a bag, its repeated
+    /// rows left to the kernel's δ; the measure under bag semantics for the
+    /// facts it admits, with keys assigned in enumeration order (the paper's
+    /// illustrative `newk()` returning 1, 2, 3…). The joined heads go
+    /// through the same counting kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
@@ -550,6 +565,7 @@ impl PartialResult {
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
         let (n, mut cells, mut bag, mut start) = (self.n_dims, vec![], vec![], 0);
+        let mut memo = FxHashMap::default();
         while start < self.n_heads() {
             let end = self.block_end(start, n);
             bag.clear();
@@ -557,7 +573,8 @@ impl PartialResult {
                 let run = self.facts.run(h[n].index());
                 bag.extend(run.iter().map(|&t| TermId(t as u32)));
             }
-            cells.push((self.dims_of(start).to_vec(), self.agg.apply(&bag, dict)?));
+            let value = self.agg.apply_memo(&bag, dict, &mut memo)?;
+            cells.push((self.dims_of(start).to_vec(), value));
             start = end;
         }
         sp.rows(self.len() as u64, cells.len() as u64);
@@ -586,11 +603,46 @@ fn gallop(from: usize, len: usize, holds: impl Fn(usize) -> bool) -> usize {
     at
 }
 
-/// The two halves of `pres(Q, I)`: the Σ-filtered classifier relation (set
-/// semantics), over all of `instance` or — given `roots` — for those facts
-/// only, and the measure relation (bag semantics) of the facts it admits —
-/// the measure's root seeded to the classifier's roots (see the
-/// [module docs](self) for the guard and the elided patterns).
+/// Numbers the distinct values of `column` in order of first sight: each
+/// value's number, and the numbers by ascending value. Only the distinct
+/// values are sorted.
+fn distinct<'a>(column: impl Iterator<Item = &'a TermId>) -> (Vec<u32>, Vec<u32>) {
+    let mut seen = FxHashMap::default();
+    let number = |&v: &TermId| {
+        let next = seen.len() as u32;
+        *seen.entry(v).or_insert(next)
+    };
+    let ids = column.map(number).collect();
+    let mut values: Vec<(TermId, u32)> = seen.into_iter().collect();
+    values.sort_unstable();
+    (ids, values.into_iter().map(|(_, id)| id).collect())
+}
+
+/// One stable counting pass: reorders the head indices `order` by `keys`
+/// (one per head), laying the keys' buckets out in the order `buckets`.
+fn counting_pass(order: &mut Vec<u32>, keys: &[u32], buckets: &[u32]) {
+    let mut at = vec![0u32; buckets.len()];
+    keys.iter().for_each(|&k| at[k as usize] += 1);
+    // Each bucket's count becomes its start: sums in bucket order.
+    let start = |sum, &b: &u32| sum + std::mem::replace(&mut at[b as usize], sum);
+    buckets.iter().fold(0, start);
+    let mut sorted = vec![0; order.len()];
+    for &i in order.iter() {
+        let at = &mut at[keys[i as usize] as usize];
+        (sorted[*at as usize], *at) = (i, *at + 1);
+    }
+    *order = sorted;
+}
+
+/// The two halves of `pres(Q, I)`: the Σ-filtered classifier relation, over
+/// all of `instance` or — given `roots` — for those facts only, and the
+/// measure relation of the facts it admits — the measure's root seeded to
+/// the classifier's roots (see the [module docs](self) for the guard and
+/// the elided patterns). Both are bags: a classifier row repeats once per
+/// embedding, and the kernel's δ, not the evaluator's, drops the repeats.
+/// That assumes a root reaches a cell along few embeddings: a classifier
+/// whose rows mostly repeat would hand the kernel many times its distinct
+/// heads (see "Bag classifier" in the module docs).
 fn evaluate_parts(
     eq: &ExtendedQuery,
     instance: &Graph,
@@ -604,7 +656,7 @@ fn evaluate_parts(
     };
     let sp = obs::span("classifier");
     let c_seed = roots.map_or_else(Seed::unit, |roots| seed(c, roots));
-    let c_rel = eq.classifier_relation_from(instance, &c_seed)?;
+    let c_rel = eq.classifier_relation_from(instance, &c_seed, Semantics::Bag)?;
     let rows_in = roots.map_or(instance.len(), <[TermId]>::len);
     sp.rows(rows_in as u64, c_rel.len() as u64);
     drop(sp);
@@ -943,11 +995,11 @@ mod tests {
         assert!(pres.approx_bytes() >= pres.len() * 16);
     }
 
-    /// The kernel on both head forms: heads pushed out of order, one of
+    /// The kernel at several widths: heads pushed out of order, one of
     /// them twice, come out strictly ascending on `(dims, root, key)`,
     /// every row once.
     #[test]
-    fn kernel_sorts_and_deduplicates_packed_and_wide_records() {
+    fn kernel_sorts_and_deduplicates_at_every_width() {
         for n_dims in [0usize, 1, 3, 4, 6] {
             let names: Vec<String> = (0..n_dims).map(|d| format!("d{d}")).collect();
             let dims = |first: u32| (0..n_dims as u32).map(move |d| TermId(first + d));
@@ -997,6 +1049,225 @@ mod tests {
                 again.push(dims, f);
             }
             assert_eq!(again.into_pres(names, AggFunc::Count), pres);
+        }
+    }
+
+    /// The kernel against a `BTreeSet` of its heads, on random heads: up to
+    /// five dimensions, dimension values that repeat (so every counting pass
+    /// has ties to keep in order), and the
+    /// facts are pushed in fact order or out of it, over a fact table of the
+    /// buffer's own and over one borrowed from a table. An unstable pass, or
+    /// a fact pass skipped on out-of-order heads, breaks the sort.
+    #[test]
+    fn kernel_equals_a_sorted_set_of_random_heads() {
+        use std::collections::BTreeSet;
+        // A splitmix64 stream, shared by the closures below.
+        let state = std::cell::Cell::new(0x243F_6A88_85A3_08D3_u64);
+        let below = |bound: u32| {
+            state.set(state.get().wrapping_add(0x9E37_79B9_7F4A_7C15));
+            let z = (state.get() ^ (state.get() >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            ((z ^ (z >> 29)) % u64::from(bound)) as u32
+        };
+        // Rows `(dims, root, key, value)` of the distinct heads, in order.
+        let reference = |heads: &[(Vec<TermId>, usize)], facts: &Facts| {
+            let set: BTreeSet<_> = heads.iter().map(|(d, f)| (d.clone(), *f)).collect();
+            let rows = set.into_iter().flat_map(|(dims, f)| {
+                let row =
+                    move |&t: &u64| (dims.clone(), facts.roots[f], (t >> 32) as u32, t as u32);
+                facts.run(f).iter().map(row).collect::<Vec<_>>()
+            });
+            rows.collect::<Vec<_>>()
+        };
+        let rows = |pres: &PartialResult| -> Vec<_> {
+            let row = |r: PresRow| (r.dims.to_vec(), r.root, r.key, r.value.0);
+            pres.rows().map(row).collect()
+        };
+        for n_dims in [0usize, 1, 2, 3, 5] {
+            let names: Vec<String> = (0..n_dims).map(|d| format!("d{d}")).collect();
+            for case in 0..200 {
+                let random_heads = |n_facts: u32| {
+                    let mut heads: Vec<(Vec<TermId>, usize)> = (0..below(40))
+                        .map(|_| {
+                            // Large, spread ids: a value's rank is not its id.
+                            let dims = (0..n_dims).map(|_| TermId(below(4) * 7_919 + 3));
+                            (dims.collect(), below(n_facts) as usize)
+                        })
+                        .collect();
+                    if case % 3 == 0 {
+                        heads.sort_by_key(|&(_, f)| f);
+                    }
+                    heads
+                };
+                let mut records = Records::new(n_dims, None);
+                let n_facts = 1 + below(12);
+                let (mut root, mut key) = (0, 0u32);
+                for _ in 0..n_facts {
+                    root += 1 + below(50);
+                    let run: Vec<u64> = (0..1 + below(3))
+                        .map(|_| {
+                            key += 1;
+                            u64::from(key) << 32 | u64::from(below(5))
+                        })
+                        .collect();
+                    records.facts.to_mut().push(TermId(root), run);
+                }
+                let heads = random_heads(n_facts);
+                let want = reference(&heads, &records.facts);
+                heads
+                    .iter()
+                    .for_each(|(d, f)| records.push(d.iter().copied(), *f));
+                let pres = records.into_pres(names.clone(), AggFunc::Count);
+                assert_eq!(rows(&pres), want, "{n_dims} dims, case {case}, own facts");
+                if pres.n_facts() == 0 {
+                    continue;
+                }
+
+                let mut borrowed = Records::new(n_dims, Some(&pres));
+                let heads = random_heads(pres.n_facts() as u32);
+                let want = reference(&heads, &pres.facts);
+                heads
+                    .iter()
+                    .for_each(|(d, f)| borrowed.push(d.iter().copied(), *f));
+                let derived = borrowed.into_pres(names.clone(), AggFunc::Count);
+                assert_eq!(rows(&derived), want, "{n_dims} dims, case {case}, borrowed");
+            }
+        }
+    }
+
+    /// Q3's shape with one blogger reaching the same site through two posts:
+    /// the classifier is evaluated as a bag, so its row repeats, and the
+    /// kernel's δ keeps one head per (cell, root).
+    #[test]
+    fn the_kernel_drops_the_bag_classifiers_repeated_rows() {
+        let turtle = "<u1> rdf:type <Blogger> ; <hasAge> 28 ; <livesIn> \"Madrid\" ;
+                          <wrotePost> <p1>, <p2> .
+             <p1> <postedOn> <s1> ; <words> 10 . <p2> <postedOn> <s1> ; <words> 20 .
+             <u2> rdf:type <Blogger> ; <hasAge> 35 ; <livesIn> \"NY\" ; <wrotePost> <p3> .
+             <p3> <postedOn> <s2> ; <words> 5 .";
+        let mut g = parse_turtle(turtle).unwrap();
+        let classifier = "c(?x, ?dage, ?dcity, ?dsite) :- ?x rdf:type Blogger, \
+             ?x hasAge ?dage, ?x livesIn ?dcity, ?x wrotePost ?p, ?p postedOn ?dsite";
+        let sites = "m(?x, ?vsite) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?vsite";
+        let words = "m(?x, ?w) :- ?x wrotePost ?p, ?p words ?w";
+        for (measure, agg) in [
+            (sites, AggFunc::Count),
+            (words, AggFunc::Sum),
+            (sites, AggFunc::CountDistinct),
+        ] {
+            let q = AnalyticalQuery::parse(classifier, measure, agg, g.dict_mut()).unwrap();
+            let eq = ExtendedQuery::from_query(q);
+            assert!(obs::trace_begin("compute"));
+            let pres = PartialResult::compute(&eq, &g).unwrap();
+            let trace = obs::trace_end().unwrap();
+            // u1's (28, Madrid, s1) row twice, u2's once; one head each.
+            assert_eq!(trace.find("classifier").unwrap().rows_out, 3);
+            assert_eq!(pres.n_heads(), 2);
+            let cube = pres.to_cube(g.dict()).unwrap();
+            assert!(cube.same_cells(&eq.answer(&g).unwrap()), "{agg}");
+
+            // A third post of u1's on the same site.
+            let mut g2 = g.clone();
+            let watermark = g2.len();
+            for (s, p, o) in [
+                ("u1", "wrotePost", Term::iri("p4")),
+                ("p4", "postedOn", Term::iri("s1")),
+                ("p4", "words", Term::integer(7)),
+            ] {
+                g2.insert(&Term::iri(s), &Term::iri(p), &o);
+            }
+            let new = g2.inserted_since(watermark).unwrap().to_vec();
+            let (fresh, _) = pres.refreshed(&eq, &g2, &new).unwrap().unwrap();
+            let recomputed = PartialResult::compute(&eq, &g2).unwrap();
+            assert_eq!(key_classes(&fresh), key_classes(&recomputed), "{agg}");
+            assert_eq!(fresh.n_heads(), 2);
+        }
+    }
+
+    /// γ through one decode memo for the whole table gives, cell for cell,
+    /// exactly what `AggFunc::apply` gives each cell's bag alone: cells share
+    /// values, one bag mixes ints and floats (sum falls back to floats),
+    /// one overflows `i64`, and one holds text (min and max order it).
+    #[test]
+    fn memoized_gamma_equals_apply_on_every_cell() {
+        let mut dict = Dictionary::new();
+        let terms = [
+            Term::integer(1),
+            Term::integer(2),
+            Term::double(2.5),
+            Term::integer(i64::MAX),
+            Term::literal("Madrid"),
+            Term::literal("Kyoto"),
+            Term::double(0.1),
+        ];
+        let ids: Vec<u32> = terms.iter().map(|t| dict.encode(t).0).collect();
+        // Each fact's values, by index into `ids`.
+        let numeric: &[&[usize]] = &[&[0, 2], &[3, 3], &[0, 1], &[1, 6, 6]];
+        let textual: &[&[usize]] = &[&[4, 0], &[5, 4], &[0, 1]];
+        // (cell, fact) heads: cells share facts, and facts share values.
+        // Over `numeric`, cells 1, 3 and 4 mix ints and floats, cell 2's
+        // ints overflow and cell 5's do not.
+        let heads = [
+            (1, 0),
+            (1, 2),
+            (2, 1),
+            (2, 2),
+            (3, 2),
+            (3, 3),
+            (4, 3),
+            (4, 0),
+            (5, 2),
+        ];
+        for runs in [numeric, textual] {
+            let mut records = Records::new(1, None);
+            let mut key = 0u32;
+            for (f, run) in runs.iter().enumerate() {
+                let tuples = run.iter().map(|&v| {
+                    key += 1;
+                    u64::from(key) << 32 | u64::from(ids[v])
+                });
+                records
+                    .facts
+                    .to_mut()
+                    .push(TermId(f as u32 + 1), tuples.collect::<Vec<_>>());
+            }
+            for &(cell, f) in heads.iter().filter(|&&(_, f)| f < runs.len()) {
+                records.push([TermId(cell)], f);
+            }
+            let pres = records.into_pres(vec!["d".into()], AggFunc::Count);
+            let mut bags = std::collections::BTreeMap::<TermId, Vec<TermId>>::new();
+            pres.rows()
+                .for_each(|r| bags.entry(r.dims[0]).or_default().push(r.value));
+            for agg in [
+                AggFunc::Count,
+                AggFunc::CountDistinct,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ] {
+                let table = PartialResult {
+                    agg,
+                    ..pres.clone()
+                };
+                let each: Result<Vec<_>, rdfcube_engine::EngineError> = bags
+                    .iter()
+                    .map(|(&cell, bag)| Ok((vec![cell], agg.apply(bag, &dict)?)))
+                    .collect();
+                match (table.to_cube(&dict), each) {
+                    (Ok(cube), Ok(each)) => {
+                        assert_eq!(cube.cells(), &each[..], "{agg}");
+                        if agg == AggFunc::Sum {
+                            let sum = |cell| cube.get(&[TermId(cell)]).copied();
+                            assert!(matches!(sum(2), Some(AggValue::Float(_))), "overflow");
+                            assert_eq!(sum(5), Some(AggValue::Int(3)));
+                        }
+                    }
+                    (Err(_), Err(_)) => {
+                        assert!(runs == textual && matches!(agg, AggFunc::Sum | AggFunc::Avg))
+                    }
+                    (got, want) => panic!("{agg}: {got:?} against {want:?}"),
+                }
+            }
         }
     }
 

@@ -18,8 +18,9 @@
 use crate::error::EngineError;
 use crate::relation::Relation;
 use crate::var::VarId;
-use rdfcube_rdf::fx::FxHashSet;
+use rdfcube_rdf::fx::{FxHashMap, FxHashSet};
 use rdfcube_rdf::{Dictionary, Term, TermId};
+use std::cmp::Ordering::{self, Greater, Less};
 use std::fmt;
 
 /// An aggregation function applicable to a bag of measure values.
@@ -80,6 +81,19 @@ impl AggFunc {
     /// cube cell at all, so calling this with an empty bag is a logic error
     /// reported as a validation failure rather than a panic.
     pub fn apply(&self, values: &[TermId], dict: &Dictionary) -> Result<AggValue, EngineError> {
+        self.apply_memo(values, dict, &mut FxHashMap::default())
+    }
+
+    /// [`Self::apply`] through `memo`, the numeric views (`Term::as_i64`,
+    /// `Term::as_f64`) of every value decoded so far: a γ that folds many
+    /// bags through one memo parses each distinct value once, with the same
+    /// results as `apply`.
+    pub fn apply_memo(
+        &self,
+        values: &[TermId],
+        dict: &Dictionary,
+        memo: &mut Memo,
+    ) -> Result<AggValue, EngineError> {
         if values.is_empty() {
             return Err(EngineError::Validation(
                 "aggregate applied to an empty measure bag (the fact should not contribute)".into(),
@@ -91,12 +105,31 @@ impl AggFunc {
                 let distinct: FxHashSet<TermId> = values.iter().copied().collect();
                 Ok(AggValue::Int(distinct.len() as i64))
             }
-            AggFunc::Sum => numeric_bag(values, dict, self.name()).map(|bag| bag.sum()),
-            AggFunc::Avg => numeric_bag(values, dict, self.name()).map(|bag| bag.avg()),
-            AggFunc::Min => Ok(AggValue::Term(extremum(values, dict, false))),
-            AggFunc::Max => Ok(AggValue::Term(extremum(values, dict, true))),
+            AggFunc::Sum => numeric_bag(values, dict, memo, self.name()).map(|bag| bag.sum()),
+            AggFunc::Avg => match numeric_bag(values, dict, memo, self.name())?.sum() {
+                AggValue::Int(s) => Ok(AggValue::Float(s as f64 / values.len() as f64)),
+                AggValue::Float(s) => Ok(AggValue::Float(s / values.len() as f64)),
+                AggValue::Term(_) => unreachable!("sum never yields Term"),
+            },
+            AggFunc::Min => Ok(AggValue::Term(extremum(values, dict, memo, Less))),
+            AggFunc::Max => Ok(AggValue::Term(extremum(values, dict, memo, Greater))),
         }
     }
+}
+
+/// A term's numeric views, `Term::as_i64` and `Term::as_f64`.
+type Views = (Option<i64>, Option<f64>);
+/// The views of every term a γ has decoded so far (see [`AggFunc::apply_memo`]).
+type Memo = FxHashMap<TermId, Views>;
+
+/// The views of `id`, decoded on its first sight by `memo`.
+fn decode(id: TermId, dict: &Dictionary, memo: &mut Memo) -> Result<Views, EngineError> {
+    if let Some(&views) = memo.get(&id) {
+        return Ok(views);
+    }
+    let unknown = || EngineError::Schema(format!("unknown term id {id} in aggregate"));
+    let term = dict.get(id).ok_or_else(unknown)?;
+    Ok(*memo.entry(id).or_insert((term.as_i64(), term.as_f64())))
 }
 
 impl fmt::Display for AggFunc {
@@ -163,69 +196,40 @@ enum NumericBag {
 impl NumericBag {
     fn sum(self) -> AggValue {
         match self {
-            NumericBag::Ints(ints) => {
+            NumericBag::Ints(ints) => match ints.iter().try_fold(0i64, |s, &i| s.checked_add(i)) {
+                Some(sum) => AggValue::Int(sum),
                 // Fall back to floats on overflow instead of wrapping.
-                let mut acc: i64 = 0;
-                for &i in &ints {
-                    match acc.checked_add(i) {
-                        Some(next) => acc = next,
-                        None => return NumericBag::Floats(to_sorted_floats(&ints)).sum(),
-                    }
-                }
-                AggValue::Int(acc)
-            }
+                None => NumericBag::Floats(ints.iter().map(|&i| i as f64).collect()).sum(),
+            },
             NumericBag::Floats(mut floats) => {
                 floats.sort_unstable_by(f64::total_cmp);
                 AggValue::Float(floats.iter().sum())
             }
         }
     }
-
-    fn avg(self) -> AggValue {
-        let n = match &self {
-            NumericBag::Ints(v) => v.len(),
-            NumericBag::Floats(v) => v.len(),
-        };
-        match self.sum() {
-            AggValue::Int(s) => AggValue::Float(s as f64 / n as f64),
-            AggValue::Float(s) => AggValue::Float(s / n as f64),
-            AggValue::Term(_) => unreachable!("sum never yields Term"),
-        }
-    }
-}
-
-fn to_sorted_floats(ints: &[i64]) -> Vec<f64> {
-    let mut f: Vec<f64> = ints.iter().map(|&i| i as f64).collect();
-    f.sort_unstable_by(f64::total_cmp);
-    f
 }
 
 fn numeric_bag(
     values: &[TermId],
     dict: &Dictionary,
+    memo: &mut Memo,
     func: &str,
 ) -> Result<NumericBag, EngineError> {
+    let non_numeric = |id| {
+        let term = dict.get(id).map(Term::to_string).unwrap_or_default();
+        EngineError::NonNumericAggregate(format!("{func} over non-numeric value {term}"))
+    };
     let mut ints = Vec::with_capacity(values.len());
     for &id in values {
-        let term = dict
-            .get(id)
-            .ok_or_else(|| EngineError::Schema(format!("unknown term id {id} in aggregate")))?;
-        match term.as_i64() {
+        match decode(id, dict, memo)?.0 {
             Some(i) => ints.push(i),
             None => {
                 // Mixed bag: re-read everything as floats.
-                let mut floats = Vec::with_capacity(values.len());
-                for &id2 in values {
-                    let t2 = dict.get(id2).ok_or_else(|| {
-                        EngineError::Schema(format!("unknown term id {id2} in aggregate"))
-                    })?;
-                    let f = t2.as_f64().filter(|f| !f.is_nan()).ok_or_else(|| {
-                        EngineError::NonNumericAggregate(format!(
-                            "{func} over non-numeric value {t2}"
-                        ))
-                    })?;
-                    floats.push(f);
-                }
+                let float = |&id: &TermId| {
+                    let f = decode(id, dict, memo)?.1.filter(|f| !f.is_nan());
+                    f.ok_or_else(|| non_numeric(id))
+                };
+                let floats = values.iter().map(float).collect::<Result<_, _>>()?;
                 return Ok(NumericBag::Floats(floats));
             }
         }
@@ -233,17 +237,18 @@ fn numeric_bag(
     Ok(NumericBag::Ints(ints))
 }
 
-/// Picks the minimal/maximal term of the bag: numerically when every value
+/// Picks the minimal (`wanted` is `Less`) or maximal (`Greater`) term of
+/// the bag: numerically when every value
 /// is numeric, otherwise lexicographically on the rendered term. Ties break
 /// on the rendered form then the id, so the result is deterministic across
-/// evaluation strategies. Each value is parsed once; text is rendered, into
-/// two reused buffers, only to order two distinct ids the numbers do not.
-fn extremum(values: &[TermId], dict: &Dictionary, want_max: bool) -> TermId {
-    use std::cmp::Ordering;
+/// evaluation strategies. Each value is decoded once per memo; text is
+/// rendered, into two reused buffers, only to order two distinct ids the
+/// numbers do not.
+fn extremum(values: &[TermId], dict: &Dictionary, memo: &mut Memo, wanted: Ordering) -> TermId {
     use std::fmt::Write;
     let numbers: Option<Vec<f64>> = values
         .iter()
-        .map(|&id| dict.get(id).and_then(Term::as_f64))
+        .map(|&id| decode(id, dict, memo).ok().and_then(|views| views.1))
         .collect();
     let (mut a, mut b) = (String::new(), String::new());
     let mut by_text = |x: TermId, y: TermId| {
@@ -258,11 +263,6 @@ fn extremum(values: &[TermId], dict: &Dictionary, want_max: bool) -> TermId {
             };
         }
         a.cmp(&b).then(x.0.cmp(&y.0))
-    };
-    let wanted = if want_max {
-        Ordering::Greater
-    } else {
-        Ordering::Less
     };
     let mut best = 0;
     for i in 1..values.len() {
@@ -282,7 +282,8 @@ fn extremum(values: &[TermId], dict: &Dictionary, want_max: bool) -> TermId {
 /// Returns `(group key, aggregate)` pairs sorted by key, a canonical order
 /// that makes results directly comparable across strategies. One stable
 /// sort of the `(key…, value)` records on the key clusters each group, its
-/// bag in row order, and one scan aggregates the runs.
+/// bag in row order, and one scan aggregates the runs through one decode
+/// memo ([`AggFunc::apply_memo`]).
 pub fn group_aggregate(
     rel: &Relation,
     group_cols: &[VarId],
@@ -303,12 +304,14 @@ pub fn group_aggregate(
     }
     let mut records: Vec<&[TermId]> = flat.chunks_exact(n + 1).collect();
     records.sort_by(|a, b| a[..n].cmp(&b[..n]));
-    let mut out = Vec::new();
-    let mut bag: Vec<TermId> = Vec::new();
+    let (mut out, mut bag, mut memo) = (Vec::new(), Vec::new(), FxHashMap::default());
     for run in records.chunk_by(|a, b| a[..n] == b[..n]) {
         bag.clear();
         bag.extend(run.iter().map(|record| record[n]));
-        out.push((run[0][..n].to_vec(), func.apply(&bag, dict)?));
+        out.push((
+            run[0][..n].to_vec(),
+            func.apply_memo(&bag, dict, &mut memo)?,
+        ));
     }
     Ok(out)
 }
