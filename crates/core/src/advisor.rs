@@ -364,8 +364,13 @@ mod tests {
         // Room for every warm-up slice but for one apex only (two would
         // not fit). No slice is evicted, so every logged shape is already
         // served at its cheapest; the apex pays off for what no slice
-        // can serve.
-        let mut s = OlapSession::with_budget(world(), one_slice_bytes() * 4);
+        // can serve. A fifth blogger, in a city no slice asks for, widens
+        // both apexes and no slice, so that two apexes outweigh the budget.
+        let mut world = world();
+        let rome = "<user5> rdf:type <Blogger> ; <hasAge> 41 ; <livesIn> \"Rome\" .
+                    <user5> <wrotePost> <p7> . <p7> <postedOn> <s1> .";
+        rdfcube_rdf::parse_into(rome, &mut world).unwrap();
+        let mut s = OlapSession::with_budget(world, one_slice_bytes() * 4);
         // A colder family first: ranking by asks, not first-seen order,
         // picks the family whose apex the budget holds.
         let cold = sliced(&mut s, "Lyon", AggFunc::CountDistinct);

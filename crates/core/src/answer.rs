@@ -5,34 +5,79 @@
 //! aggregate of the *bag union* of the measure values of every fact with
 //! those dimension values. Facts whose measure bag is empty contribute no
 //! cell (the aggregated measure is undefined).
+//!
+//! # Layout
+//!
+//! A [`Cube`] is two columns: a flat **key column** of `n` term ids a cell,
+//! strictly ascending — the layout of `pres(Q)`'s cell heads
+//! ([`crate::pres`]) without the fact — and one [`AggValue`] per cell, in
+//! the same order. Both are exact-size boxed slices, as a cube never
+//! changes once built. A cell costs `4n + 16` bytes and no allocation of its
+//! own, and every read is a read of the columns: [`Cube::get`] gallops over
+//! the keys, [`Cube::cells`] pairs them with the values, and σ
+//! ([`crate::rewrite::dice_from_ans`]) walks the key column in blocks the
+//! way a SLICE/DICE walks `pres`'s heads, copying admitted cells in ranges.
+//! `pres`'s cell scan and σ emit cells in key order and fill the columns
+//! directly; [`Cube::from_cells`] sorts anything else.
 
 use crate::anq::AnalyticalQuery;
 use crate::error::CoreError;
+use crate::extended::CompiledSigma;
+use crate::pres::{gallop, select_rows};
 use rdfcube_engine::{evaluate, group_aggregate, AggFunc, AggValue, Relation, Semantics, VarId};
 use rdfcube_rdf::{Dictionary, Graph, TermId};
 
-/// The materialized answer of an analytical query: an n-dimensional cube.
+/// The materialized answer of an analytical query: an n-dimensional cube
+/// (see the [module docs](self) for its layout).
 #[derive(Debug, Clone)]
 pub struct Cube {
-    dim_names: Vec<String>,
+    dim_names: Box<[String]>,
     agg: AggFunc,
-    /// `(dimension vector, aggregate)` pairs, sorted by dimension vector.
-    cells: Vec<(Vec<TermId>, AggValue)>,
+    /// The cells' dimension vectors, `n_dims` ids each, strictly ascending.
+    keys: Box<[TermId]>,
+    /// One aggregate per cell, in key order.
+    values: Box<[AggValue]>,
 }
 
 impl Cube {
-    /// Builds a cube from raw parts. `cells` are sorted internally.
+    /// Builds a cube from `(dimension vector, aggregate)` pairs, one per
+    /// cell, in any order.
+    ///
+    /// # Panics
+    ///
+    /// If a dimension vector does not hold one value per dimension name
+    /// (and, in debug builds, if two pairs share a dimension vector).
     pub fn from_cells(
         dim_names: Vec<String>,
         agg: AggFunc,
         mut cells: Vec<(Vec<TermId>, AggValue)>,
     ) -> Self {
+        let n = dim_names.len();
+        let width = cells.iter().all(|(key, _)| key.len() == n);
+        assert!(width, "every key of the cube holds {n} values");
         cells.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Cube {
-            dim_names,
+        let keys = cells.iter().flat_map(|(key, _)| key).copied().collect();
+        let values = cells.into_iter().map(|(_, value)| value).collect();
+        Cube::from_columns(dim_names, agg, keys, values)
+    }
+
+    /// The one way a cube comes to be: a key column of `dim_names.len()` ids
+    /// a cell, strictly ascending, and the cells' aggregates in that order.
+    pub(crate) fn from_columns(
+        dim_names: Vec<String>,
+        agg: AggFunc,
+        keys: Vec<TermId>,
+        values: Vec<AggValue>,
+    ) -> Self {
+        let cube = Cube {
+            dim_names: dim_names.into(),
             agg,
-            cells,
-        }
+            keys: keys.into(),
+            values: values.into(),
+        };
+        let ascending = cube.cells().map(|(key, _)| key).is_sorted_by(|a, b| a < b);
+        debug_assert!(cube.keys.len() == cube.len() * cube.n_dims() && ascending);
+        cube
     }
 
     /// The dimension names, in classifier-head order.
@@ -51,97 +96,91 @@ impl Cube {
     }
 
     /// The cells, sorted by dimension vector.
-    pub fn cells(&self) -> &[(Vec<TermId>, AggValue)] {
-        &self.cells
+    pub fn cells(&self) -> Cells<'_> {
+        Cells(self.n_dims(), &self.keys, &self.values)
     }
 
     /// The same cube under different (user-facing) dimension names — used
     /// when a cube derived from another query's materialization is stored
     /// under the new query's own naming.
+    ///
+    /// # Panics
+    ///
+    /// If `dim_names` does not name as many dimensions as the cube has.
     pub fn with_dim_names(mut self, dim_names: Vec<String>) -> Self {
-        debug_assert_eq!(dim_names.len(), self.dim_names.len());
-        self.dim_names = dim_names;
+        assert_eq!(dim_names.len(), self.n_dims());
+        self.dim_names = dim_names.into();
         self
     }
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.values.len()
     }
 
     /// True if the cube has no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.values.is_empty()
     }
 
     /// Approximate memory footprint in bytes, mirroring
-    /// [`crate::PartialResult::approx_bytes`]: per cell, the dimension key
-    /// vector (header + `n_dims` term ids) plus the aggregate value. The
-    /// cube catalog charges both `ans(Q)` and `pres(Q)` against the
-    /// session's memory budget with these estimates.
+    /// [`crate::PartialResult::approx_bytes`]: per cell, its `n_dims` term
+    /// ids in the key column plus its aggregate value. The cube catalog
+    /// charges both `ans(Q)` and `pres(Q)` against the session's memory
+    /// budget with these estimates.
     pub fn approx_bytes(&self) -> usize {
-        let per_cell = std::mem::size_of::<(Vec<TermId>, AggValue)>()
-            + self.n_dims() * std::mem::size_of::<TermId>();
-        std::mem::size_of::<Self>() + self.cells.len() * per_cell
+        let ids = self.keys.len() * std::mem::size_of::<TermId>();
+        std::mem::size_of::<Self>() + ids + self.len() * std::mem::size_of::<AggValue>()
     }
 
     /// The aggregate for an exact dimension vector, if that cell exists.
     pub fn get(&self, key: &[TermId]) -> Option<&AggValue> {
-        self.cells
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .ok()
-            .map(|i| &self.cells[i].1)
+        let n = self.n_dims();
+        let key_of = |c: usize| &self.keys[c * n..][..n];
+        let at = gallop(0, self.len(), |c| key_of(c) < key);
+        (at < self.len() && key_of(at) == key).then(|| &self.values[at])
+    }
+
+    /// σ over the cube: the cells `sigma` admits, copied in ranges.
+    pub(crate) fn select_cells(&self, sigma: &CompiledSigma, dict: &Dictionary) -> Cube {
+        let (n, mut keys, mut values) = (self.n_dims(), vec![], vec![]);
+        select_rows(&self.keys, n, self.len(), sigma, dict, |cells| {
+            keys.extend_from_slice(&self.keys[cells.start * n..cells.end * n]);
+            values.extend_from_slice(&self.values[cells]);
+        });
+        Cube::from_columns(self.dim_names.to_vec(), self.agg, keys, values)
     }
 
     /// Exact equality of cells (integer/term aggregates compare exactly;
     /// float aggregates must be bit-identical — our aggregation folds floats
     /// in sorted order precisely so that this holds across strategies).
     pub fn same_cells(&self, other: &Cube) -> bool {
-        self.cells == other.cells
+        self.cells() == other.cells()
     }
 
     /// ε-tolerant comparison for floating-point workloads.
     pub fn approx_same(&self, other: &Cube, eps: f64) -> bool {
-        self.cells.len() == other.cells.len()
-            && self
-                .cells
-                .iter()
-                .zip(&other.cells)
-                .all(|((ka, va), (kb, vb))| ka == kb && va.approx_eq(vb, eps))
+        let close = |(a, b): (&AggValue, &AggValue)| a.approx_eq(b, eps);
+        self.keys == other.keys
+            && self.len() == other.len()
+            && self.values.iter().zip(&other.values).all(close)
     }
 
     /// Exports the cube as CSV (RFC-4180-style quoting), one row per cell,
     /// header = dimension names + the aggregate column.
     pub fn to_csv(&self, dict: &Dictionary) -> String {
-        fn field(s: &str) -> String {
+        fn field(s: &String) -> String {
             if s.contains([',', '"', '\n']) {
                 format!("\"{}\"", s.replace('"', "\"\""))
             } else {
                 s.to_string()
             }
         }
+        let mut header = self.dim_names.to_vec();
+        header.push(format!("{}_v", self.agg));
         let mut out = String::new();
-        let header: Vec<String> = self
-            .dim_names
-            .iter()
-            .map(|d| field(d))
-            .chain(std::iter::once(field(&format!("{}_v", self.agg))))
-            .collect();
-        out.push_str(&header.join(","));
-        out.push('\n');
-        for (key, value) in &self.cells {
-            let row: Vec<String> = key
-                .iter()
-                .map(|&id| {
-                    field(
-                        &dict
-                            .get(id)
-                            .map_or_else(|| id.to_string(), |t| t.display_compact()),
-                    )
-                })
-                .chain(std::iter::once(field(&value.display(dict))))
-                .collect();
-            out.push_str(&row.join(","));
+        for row in std::iter::once(header).chain(self.decoded(dict)) {
+            out.push_str(&row.iter().map(field).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -150,24 +189,37 @@ impl Cube {
     /// Renders the cube as an aligned text table, decoding terms against
     /// `dict` (for examples and reports).
     pub fn to_table(&self, dict: &Dictionary) -> String {
-        let mut header: Vec<String> = self.dim_names.clone();
+        let mut header = self.dim_names.to_vec();
         header.push(format!("{}(v)", self.agg));
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|(key, value)| {
-                let mut row: Vec<String> = key
-                    .iter()
-                    .map(|&id| {
-                        dict.get(id)
-                            .map_or_else(|| id.to_string(), |t| t.display_compact())
-                    })
-                    .collect();
-                row.push(value.display(dict));
-                row
-            })
-            .collect();
-        render_table(&header, &rows)
+        render_table(&header, &self.decoded(dict).collect::<Vec<_>>())
+    }
+
+    /// The cells decoded against `dict`: the dimension values, then the
+    /// aggregate.
+    fn decoded<'a>(&'a self, dict: &'a Dictionary) -> impl Iterator<Item = Vec<String>> + 'a {
+        // A dimension value renders as a term-valued aggregate does.
+        let term = |&id: &TermId| AggValue::Term(id).display(dict);
+        let row = move |(key, value): (&[TermId], &AggValue)| {
+            key.iter().map(term).chain([value.display(dict)]).collect()
+        };
+        self.cells().map(row)
+    }
+}
+
+/// The cells of a [`Cube`] in key order, as `(dimension vector, aggregate)`
+/// pairs read off its two columns: the number of dimensions, then the keys
+/// and the values not yet read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cells<'a>(usize, &'a [TermId], &'a [AggValue]);
+
+impl<'a> Iterator for Cells<'a> {
+    type Item = (&'a [TermId], &'a AggValue);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (value, values) = self.2.split_first()?;
+        let (key, keys) = self.1.split_at(self.0);
+        (self.1, self.2) = (keys, values);
+        Some((key, value))
     }
 }
 
@@ -453,6 +505,77 @@ mod tests {
             one_dim(0).approx_bytes() > 0,
             "empty cubes still have a header"
         );
+    }
+
+    /// The narrow ends of the layout: a key column of one id a cell, and of
+    /// none (stride 0), through every producer and every read.
+    #[test]
+    fn zero_and_one_dimensional_cubes_through_every_producer() {
+        use crate::extended::{ExtendedQuery, Sigma, ValueSelector};
+        use crate::pres::PartialResult;
+        use crate::rewrite::dice_from_ans;
+        let mut g = example_2_instance();
+        let mut parse = |c| {
+            let m = "m(?x, ?v) :- ?x wrotePost ?v";
+            AnalyticalQuery::parse(c, m, AggFunc::Count, g.dict_mut()).unwrap()
+        };
+        let one = parse("c(?x, ?dage) :- ?x rdf:type Blogger, ?x hasAge ?dage");
+        let zero = parse("c(?x) :- ?x rdf:type Blogger");
+        let (d, int) = (g.dict(), AggValue::Int);
+        let age28 = d.id(&Term::integer(28)).unwrap();
+        let age35 = d.id(&Term::integer(35)).unwrap();
+        let scanned = |q: &AnalyticalQuery| {
+            let pres = PartialResult::compute(&ExtendedQuery::from_query(q.clone()), &g);
+            pres.unwrap().to_cube(d).unwrap()
+        };
+
+        // Unsorted input to `from_cells`; the oracle and `pres`'s scan agree.
+        let cells = vec![(vec![age35], int(2)), (vec![age28], int(3))];
+        let by_age = Cube::from_cells(vec!["dage".into()], AggFunc::Count, cells);
+        assert!(by_age.same_cells(&answer(&one, &g).unwrap()));
+        assert!(by_age.same_cells(&scanned(&one)));
+        let read: Vec<_> = by_age.cells().collect();
+        assert_eq!(read, [(&[age28][..], &int(3)), (&[age35][..], &int(2))]);
+        assert_eq!(by_age.get(&[age35]), Some(&int(2)));
+        assert_eq!(by_age.get(&[age28, age35]), None);
+        assert_eq!(by_age.to_csv(d), "dage,count_v\n28,3\n35,2\n");
+        let mut sigma = Sigma::all(1);
+        sigma.set(0, ValueSelector::one(Term::integer(35)));
+        let diced = dice_from_ans(&by_age, &sigma, d);
+        assert_eq!(diced.cells().collect::<Vec<_>>(), [(&[age35][..], &int(2))]);
+        assert_eq!(diced.to_csv(d), "dage,count_v\n35,2\n");
+
+        let all = Cube::from_cells(vec![], AggFunc::Count, vec![(vec![], int(5))]);
+        assert!(all.same_cells(&answer(&zero, &g).unwrap()));
+        assert!(all.same_cells(&scanned(&zero)));
+        assert_eq!(all.cells().collect::<Vec<_>>(), [(&[][..], &int(5))]);
+        assert_eq!(all.get(&[]), Some(&int(5)));
+        assert_eq!(all.get(&[age28]), None);
+        assert_eq!(all.to_csv(d), "count_v\n5\n");
+        let diced = dice_from_ans(&all, &Sigma::all(0), d);
+        assert_eq!(diced.cells(), all.cells());
+        assert_eq!(diced.approx_bytes(), all.approx_bytes());
+        let empty = Cube::from_cells(vec![], AggFunc::Count, vec![]);
+        assert_eq!(empty.cells().next(), None);
+        assert_eq!(empty.to_csv(d), "count_v\n");
+    }
+
+    #[test]
+    #[should_panic(expected = "every key of the cube holds 2 values")]
+    fn from_cells_rejects_a_key_of_another_width() {
+        let cells = vec![(vec![TermId(1), TermId(2)]), (vec![TermId(3)])];
+        let cells = cells
+            .into_iter()
+            .map(|key| (key, AggValue::Int(1)))
+            .collect();
+        Cube::from_cells(vec!["a".into(), "b".into()], AggFunc::Count, cells);
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn with_dim_names_rejects_another_width() {
+        let cube = Cube::from_cells(vec!["d".into()], AggFunc::Count, vec![]);
+        cube.with_dim_names(vec!["a".into(), "b".into()]);
     }
 
     #[test]

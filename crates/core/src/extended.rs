@@ -236,20 +236,17 @@ pub struct CompiledSigma {
 }
 
 impl CompiledSigma {
-    /// True if the dimension vector `dims` satisfies every selector.
-    pub fn admits(&self, dims: &[TermId], dict: &Dictionary) -> bool {
+    /// The first dimension whose value in `dims` Σ refuses, or `None` if Σ
+    /// admits the dimension vector.
+    pub fn refused_at(&self, dims: &[TermId], dict: &Dictionary) -> Option<usize> {
         debug_assert_eq!(dims.len(), self.selectors.len());
-        self.selectors
-            .iter()
-            .zip(dims)
-            .all(|(sel, &id)| sel.admits(id, dict))
+        let refuses = |(sel, &id): (&CompiledSelector, &TermId)| !sel.admits(id, dict);
+        self.selectors.iter().zip(dims).position(refuses)
     }
 
-    /// True if no selector restricts anything.
-    pub fn is_all(&self) -> bool {
-        self.selectors
-            .iter()
-            .all(|s| matches!(s, CompiledSelector::All))
+    /// Number of dimensions covered.
+    pub fn n_dims(&self) -> usize {
+        self.selectors.len()
     }
 }
 
@@ -334,7 +331,7 @@ impl ExtendedQuery {
             return rel;
         }
         let compiled = self.sigma.compile(dict);
-        rel.select(|row| compiled.admits(&row[1..], dict))
+        rel.select(|row| compiled.refused_at(&row[1..], dict).is_none())
     }
 
     /// `ans(Q, I)` for the extended query: Definition 1 semantics over the

@@ -87,7 +87,7 @@
 use crate::answer::Cube;
 use crate::cost::pattern_counts;
 use crate::error::CoreError;
-use crate::extended::ExtendedQuery;
+use crate::extended::{CompiledSigma, ExtendedQuery};
 use rdfcube_engine::{
     evaluate_seeded, AggFunc, Bgp, PatternTerm, QueryPattern, Relation, Seed, Semantics,
 };
@@ -456,8 +456,12 @@ impl PartialResult {
 
     /// The same table under different dimension names (see
     /// [`crate::Cube::with_dim_names`]).
+    ///
+    /// # Panics
+    ///
+    /// If `dim_names` does not name as many dimensions as the table has.
     pub fn with_dim_names(mut self, dim_names: Vec<String>) -> Self {
-        debug_assert_eq!(dim_names.len(), self.dim_names.len());
+        assert_eq!(dim_names.len(), self.n_dims);
         self.dim_names = dim_names;
         self
     }
@@ -524,35 +528,14 @@ impl PartialResult {
         ids * std::mem::size_of::<u32>() + self.facts.tuples.len() * std::mem::size_of::<u64>()
     }
 
-    /// The end of the block of heads sharing head `start`'s first `shared`
-    /// dimension values. The sort order makes the block a contiguous prefix
-    /// of `start..`, so it is found by galloping: a block of `b` heads costs
-    /// `O(log b)` probes, however many cells it spans.
-    fn block_end(&self, start: usize, shared: usize) -> usize {
-        let key = &self.dims_of(start)[..shared];
-        let same = |h: usize| self.dims_of(h)[..shared] == *key;
-        gallop(start + 1, self.n_heads(), same)
-    }
-
-    /// The Σ-selection of the table. `refused_at` names the first dimension
-    /// whose value Σ refuses in a dimension vector, or `None` to admit it:
-    /// an admitted cell's heads are kept, a refused one is skipped together
-    /// with every cell that shares the refused prefix. The result is sorted
-    /// because `self` is.
-    pub(crate) fn select_cells(
-        &self,
-        mut refused_at: impl FnMut(&[TermId]) -> Option<usize>,
-    ) -> Self {
-        let (n, mut start, mut kept) = (self.n_dims, 0, Records::new(self.n_dims, Some(self)));
-        while start < self.n_heads() {
-            let refused = refused_at(self.dims_of(start));
-            let end = self.block_end(start, refused.map_or(n, |d| d + 1));
-            if refused.is_none() {
-                kept.heads
-                    .extend_from_slice(&self.heads[start * (n + 1)..end * (n + 1)]);
-            }
-            start = end;
-        }
+    /// The Σ-selection of the table: the heads of the cells `sigma` admits,
+    /// with the facts they reference; sorted because `self` is.
+    pub(crate) fn select_cells(&self, sigma: &CompiledSigma, dict: &Dictionary) -> Self {
+        let (s, mut kept) = (self.n_dims + 1, Records::new(self.n_dims, Some(self)));
+        select_rows(&self.heads, s, self.n_heads(), sigma, dict, |hs| {
+            kept.heads
+                .extend_from_slice(&self.heads[hs.start * s..hs.end * s]);
+        });
         kept.finish(self.dim_names.clone(), self.agg)
     }
 
@@ -564,34 +547,63 @@ impl PartialResult {
     /// runs fill one reused bag, and cells emerge in canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
-        let (n, mut cells, mut bag, mut start) = (self.n_dims, vec![], vec![], 0);
-        let mut memo = FxHashMap::default();
+        let (n, mut start) = (self.n_dims, 0);
+        let (mut keys, mut values, mut bag, mut memo) =
+            (vec![], vec![], vec![], FxHashMap::default());
         while start < self.n_heads() {
-            let end = self.block_end(start, n);
+            let end = block_end(&self.heads, n + 1, self.n_heads(), start, n);
             bag.clear();
             for h in self.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
                 let run = self.facts.run(h[n].index());
                 bag.extend(run.iter().map(|&t| TermId(t as u32)));
             }
-            let value = self.agg.apply_memo(&bag, dict, &mut memo)?;
-            cells.push((self.dims_of(start).to_vec(), value));
+            values.push(self.agg.apply_memo(&bag, dict, &mut memo)?);
+            keys.extend_from_slice(self.dims_of(start));
             start = end;
         }
-        sp.rows(self.len() as u64, cells.len() as u64);
-        drop(sp);
-        let sp = obs::span("cube_build");
-        let cube = Cube::from_cells(self.dim_names.clone(), self.agg, cells);
-        if sp.active() {
-            sp.rows(cube.len() as u64, cube.len() as u64);
-            sp.bytes(cube.approx_bytes() as u64);
-        }
+        sp.rows(self.len() as u64, values.len() as u64);
+        let cube = Cube::from_columns(self.dim_names.clone(), self.agg, keys, values);
         Ok(cube)
+    }
+}
+
+/// The end of the block of rows of the sorted key column `column` (`rows`
+/// rows of `s` ids) that share row `start`'s first `shared` ids. The sort
+/// order makes the block a contiguous prefix of `start..`, so it is found by
+/// galloping: a block of `b` rows costs `O(log b)` probes, however many
+/// cells it spans.
+fn block_end(column: &[TermId], s: usize, rows: usize, start: usize, shared: usize) -> usize {
+    let prefix = |r: usize| &column[r * s..][..shared];
+    gallop(start + 1, rows, |r| prefix(r) == prefix(start))
+}
+
+/// Σ's selection over a sorted key column (`rows` rows of `s` ids, each
+/// starting with a dimension vector): `pres`'s heads, the fact last, or a
+/// cube's keys. `keep` gets each block of rows whose cell `sigma` admits, in
+/// order. Σ is tested once per cell, and a value it refuses skips every
+/// cell that shares the refused prefix.
+pub(crate) fn select_rows(
+    column: &[TermId],
+    s: usize,
+    rows: usize,
+    sigma: &CompiledSigma,
+    dict: &Dictionary,
+    mut keep: impl FnMut(Range<usize>),
+) {
+    let (n, mut start) = (sigma.n_dims(), 0);
+    while start < rows {
+        let refused = sigma.refused_at(&column[start * s..][..n], dict);
+        let end = block_end(column, s, rows, start, refused.map_or(n, |d| d + 1));
+        if refused.is_none() {
+            keep(start..end);
+        }
+        start = end;
     }
 }
 
 /// The first index of `from..len` at which `holds`, true on a prefix of
 /// the range and false after it, fails (or `len`): `O(log d)` probes away.
-fn gallop(from: usize, len: usize, holds: impl Fn(usize) -> bool) -> usize {
+pub(crate) fn gallop(from: usize, len: usize, holds: impl Fn(usize) -> bool) -> usize {
     let (mut at, mut step) = (from, 1);
     while step > 0 {
         if at + step <= len && holds(at + step - 1) {
@@ -764,6 +776,14 @@ mod tests {
             pres,
             [m.rows_out, attr("seeded_roots"), attr("elided_patterns")],
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "left == right")]
+    fn with_dim_names_rejects_another_width() {
+        let (g, eq) = example_2_setup();
+        let pres = PartialResult::compute(&eq, &g).unwrap();
+        pres.with_dim_names(vec!["only_one".into()]);
     }
 
     #[test]
@@ -1255,7 +1275,8 @@ mod tests {
                     .collect();
                 match (table.to_cube(&dict), each) {
                     (Ok(cube), Ok(each)) => {
-                        assert_eq!(cube.cells(), &each[..], "{agg}");
+                        let each = Cube::from_cells(vec!["d".into()], agg, each);
+                        assert_eq!(cube.cells(), each.cells(), "{agg}");
                         if agg == AggFunc::Sum {
                             let sum = |cell| cube.get(&[TermId(cell)]).copied();
                             assert!(matches!(sum(2), Some(AggValue::Float(_))), "overflow");

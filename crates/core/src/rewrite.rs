@@ -23,7 +23,8 @@
 //! drops adjacent duplicates (δ) into the new, already sorted
 //! `pres(Q_T)`, and γ is the cell scan of [`PartialResult::to_cube`].
 //! SLICE/DICE needs no sort at all: it keeps or drops whole blocks of
-//! cells.
+//! cells, by one Σ block walk that serves both `ans(Q)`'s sorted key column
+//! ([`dice_from_ans`]) and `pres(Q)`'s heads ([`dice_pres`]).
 //!
 //! [`drill_out_from_ans`] implements the *incorrect* shortcut the paper
 //! warns against in Example 5 — re-aggregating already-aggregated cells —
@@ -35,7 +36,7 @@ use crate::anq::AnalyticalQuery;
 use crate::answer::Cube;
 use crate::aux_query::build_aux_query;
 use crate::error::CoreError;
-use crate::extended::{CompiledSelector, ExtendedQuery, Sigma};
+use crate::extended::{ExtendedQuery, Sigma};
 use crate::pres::{PartialResult, Records};
 use rdfcube_engine::{evaluate, AggFunc, AggValue, Semantics, VarId};
 use rdfcube_obs as obs;
@@ -62,32 +63,21 @@ pub fn from_scratch_with_pres(
 
 /// σ_dice (Definition 5): answers a SLICE/DICE from the materialized
 /// `ans(Q)` by plain row selection — Proposition 1 guarantees
-/// `σ_dice(ans(Q)) = ans(Q_DICE)` provided the new Σ refines the old.
+/// `σ_dice(ans(Q)) = ans(Q_DICE)` provided the new Σ refines the old. The
+/// same block walk as [`dice_pres`], over the cube's key column: Σ is tested
+/// once per cell, a refused value skips every cell under the same prefix,
+/// and admitted cells are copied in ranges.
 pub fn dice_from_ans(ans: &Cube, new_sigma: &Sigma, dict: &Dictionary) -> Cube {
-    let compiled = new_sigma.compile(dict);
-    let cells = ans
-        .cells()
-        .iter()
-        .filter(|(dims, _)| compiled.admits(dims, dict))
-        .cloned()
-        .collect();
-    Cube::from_cells(ans.dim_names().to_vec(), ans.agg(), cells)
+    ans.select_cells(&new_sigma.compile(dict), dict)
 }
 
 /// The SLICE/DICE counterpart on partial results: `pres(Q_DICE)` is the
 /// Σ-selected subset of `pres(Q)` (same keys), letting a session keep the
-/// pres cache warm across slice/dice chains. An order-preserving filter: Σ
-/// is tested once per cell, admitted heads are kept with their facts, and a
-/// refused value takes every cell under the same prefix with it.
+/// pres cache warm across slice/dice chains. The walk of [`dice_from_ans`]
+/// over the cell heads: admitted heads are kept with their facts.
 pub fn dice_pres(pres: &PartialResult, new_sigma: &Sigma, dict: &Dictionary) -> PartialResult {
     let sp = obs::span("dice_pres");
-    let selectors: Vec<_> = new_sigma
-        .selectors()
-        .iter()
-        .map(|s| s.compile(dict))
-        .collect();
-    let refused = |(sel, &id): (&CompiledSelector, &TermId)| !sel.admits(id, dict);
-    let diced = pres.select_cells(|dims| selectors.iter().zip(dims).position(refused));
+    let diced = pres.select_cells(&new_sigma.compile(dict), dict);
     sp.rows(pres.len() as u64, diced.len() as u64);
     diced
 }
@@ -134,13 +124,7 @@ pub fn drill_out_from_pres(
     dict: &Dictionary,
 ) -> Result<(Cube, PartialResult), CoreError> {
     let n = pres.n_dims();
-    for &i in removed {
-        if i >= n {
-            return Err(CoreError::InvalidOperation(format!(
-                "dimension index {i} out of range for a {n}-dimensional pres"
-            )));
-        }
-    }
+    in_range(removed, n)?;
     let kept: Vec<usize> = (0..n).filter(|i| !removed.contains(i)).collect();
     let dim_names: Vec<String> = kept.iter().map(|&i| pres.dim_names()[i].clone()).collect();
 
@@ -166,6 +150,7 @@ pub fn drill_out_from_ans(
     dict: &Dictionary,
 ) -> Result<Cube, CoreError> {
     let n = ans.n_dims();
+    in_range(removed, n)?;
     let kept: Vec<usize> = (0..n).filter(|i| !removed.contains(i)).collect();
     let dim_names: Vec<String> = kept.iter().map(|&i| ans.dim_names()[i].clone()).collect();
 
@@ -181,6 +166,16 @@ pub fn drill_out_from_ans(
         cells.push((key, merged));
     }
     Ok(Cube::from_cells(dim_names, ans.agg(), cells))
+}
+
+/// An error unless every index of `dims` names one of `n` dimensions.
+fn in_range(dims: &[usize], n: usize) -> Result<(), CoreError> {
+    match dims.iter().find(|&&i| i >= n) {
+        Some(i) => Err(CoreError::InvalidOperation(format!(
+            "dimension index {i} out of range for {n} dimensions"
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Merges already-aggregated values under a distributive ⊕.
@@ -314,12 +309,7 @@ pub fn roll_up_from_pres(
     coarse_dim_name: &str,
     instance: &Graph,
 ) -> Result<(Cube, PartialResult), CoreError> {
-    let n = pres.n_dims();
-    if dim_idx >= n {
-        return Err(CoreError::InvalidOperation(format!(
-            "dimension index {dim_idx} out of range for a {n}-dimensional pres"
-        )));
-    }
+    in_range(&[dim_idx], pres.n_dims())?;
     let mut dim_names = pres.dim_names().to_vec();
     dim_names[dim_idx] = coarse_dim_name.to_string();
 
@@ -446,6 +436,73 @@ mod tests {
         assert_eq!(key_classes(&filtered), key_classes(&recomputed));
         // Keys may differ, sizes may not: no refused fact's tuples linger.
         assert_eq!(filtered.approx_bytes(), recomputed.approx_bytes());
+    }
+
+    /// σ over `ans(Q)` and over `pres(Q)` leave cubes of one size: the
+    /// same cells, in the same two columns.
+    #[test]
+    fn dice_from_ans_weighs_what_the_diced_pres_scan_weighs() {
+        let mut g = blog_instance();
+        let eq = avg_words_query(&mut g);
+        let (ans, pres) = from_scratch_with_pres(&eq, &g).unwrap();
+        let mut sigma = Sigma::all(2);
+        sigma.set(1, ValueSelector::one(Term::literal("Madrid")));
+        let from_ans = dice_from_ans(&ans, &sigma, g.dict());
+        let from_pres = dice_pres(&pres, &sigma, g.dict())
+            .to_cube(g.dict())
+            .unwrap();
+        assert!(from_ans.same_cells(&from_pres));
+        assert_eq!(from_ans.len(), 1);
+        assert_eq!(from_ans.approx_bytes(), from_pres.approx_bytes());
+    }
+
+    /// A refused leading value skips every cell under it in one gallop; what
+    /// is left equals testing Σ on each cell.
+    #[test]
+    fn dice_from_ans_skips_refused_prefixes_like_a_per_cell_filter() {
+        let mut dict = Dictionary::new();
+        let ids: Vec<TermId> = (0..40).map(|i| dict.encode(&Term::integer(i))).collect();
+        // Three leading values, each spanning 40 cells, over 120 cells.
+        let ids = &ids;
+        let cells = (0..3).flat_map(|a| ids.iter().map(move |&b| (vec![ids[a], b], a)));
+        let cells = cells
+            .map(|(key, a)| (key, AggValue::Int(a as i64)))
+            .collect();
+        let ans = Cube::from_cells(vec!["a".into(), "b".into()], AggFunc::Sum, cells);
+        let range = |lo, hi| ValueSelector::IntRange { lo, hi };
+        let one = |i| ValueSelector::one(Term::integer(i));
+        let leading = [ValueSelector::All, one(1), range(0, 0), range(1, 2), one(7)];
+        let trailing = [ValueSelector::All, range(5, 30), one(39), range(50, 60)];
+        for a in &leading {
+            for b in &trailing {
+                let sigma = Sigma::from_selectors(vec![a.clone(), b.clone()]);
+                let compiled = sigma.compile(&dict);
+                let admitted =
+                    |(key, _): &(&[TermId], &AggValue)| compiled.refused_at(key, &dict).is_none();
+                let want: Vec<_> = ans.cells().filter(admitted).collect();
+                let diced = dice_from_ans(&ans, &sigma, &dict);
+                assert_eq!(diced.cells().collect::<Vec<_>>(), want, "{a:?} {b:?}");
+            }
+        }
+    }
+
+    /// An index past the cube's dimensions is an error, as it is for
+    /// Algorithm 1, not a re-aggregation that drops nothing.
+    #[test]
+    fn naive_drill_out_rejects_an_index_out_of_range() {
+        let mut g = blog_instance();
+        let eq = avg_words_query(&mut g);
+        let q = eq.query();
+        let count =
+            AnalyticalQuery::new(q.classifier().clone(), q.measure().clone(), AggFunc::Count);
+        let ans = ExtendedQuery::from_query(count.unwrap())
+            .answer(&g)
+            .unwrap();
+        assert!(drill_out_from_ans(&ans, &[0], g.dict()).is_ok());
+        assert!(matches!(
+            drill_out_from_ans(&ans, &[2], g.dict()),
+            Err(CoreError::InvalidOperation(_))
+        ));
     }
 
     /// Example 5's scenario, concrete: x is multi-valued along the removed

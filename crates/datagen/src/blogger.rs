@@ -361,7 +361,6 @@ mod tests {
             let mut cells: Vec<(Vec<String>, String)> = s
                 .answer(h)
                 .cells()
-                .iter()
                 .map(|(k, v)| {
                     (
                         k.iter().map(|&id| dict.term(id).to_string()).collect(),

@@ -126,8 +126,7 @@ fn main() {
         .expect("count is distributive, so the naive method *runs* — wrongly");
     let wrong = naive
         .cells()
-        .iter()
-        .filter(|(k, v)| correct.get(k).is_none_or(|c| c != v))
+        .filter(|(k, v)| correct.get(k).is_none_or(|c| c != *v))
         .count();
     println!(
         "\nNaive ans-based drill-out of dcity (Example 5's trap): {wrong}/{} cells wrong \

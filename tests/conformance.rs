@@ -139,7 +139,7 @@ fn slice_uses_selection_on_ans() {
     assert_eq!(strategy, Strategy::SelectionOnAns, "Proposition 1");
     let ans = f.session.answer(sliced);
     assert_eq!(ans.len(), 1, "only (28, Madrid) survives the slice");
-    assert_eq!(ans.cells()[0].1, AggValue::Int(3));
+    assert_eq!(*ans.cells().next().unwrap().1, AggValue::Int(3));
     assert_matches_from_scratch(&f.session, sliced);
 }
 
@@ -242,13 +242,9 @@ fn drill_in_uses_algorithm_2() {
     // measure bag — 2 posted-on sites.
     let dict = f.session.instance().dict();
     let p1 = dict.id(&Term::iri("p1")).expect("p1 interned");
-    let p1_cells: Vec<_> = ans
-        .cells()
-        .iter()
-        .filter(|(key, _)| key.contains(&p1))
-        .collect();
+    let p1_cells: Vec<_> = ans.cells().filter(|(key, _)| key.contains(&p1)).collect();
     assert_eq!(p1_cells.len(), 1);
-    assert_eq!(p1_cells[0].1, AggValue::Int(2));
+    assert_eq!(*p1_cells[0].1, AggValue::Int(2));
 }
 
 #[test]
@@ -316,5 +312,5 @@ fn operation_chain_keeps_strategies_and_answers_sound() {
     // cell aggregates user3's full measure bag (its 3 posted-on sites).
     let ans = f.session.answer(step3);
     assert_eq!(ans.len(), 3);
-    assert!(ans.cells().iter().all(|(_, v)| *v == AggValue::Int(3)));
+    assert!(ans.cells().all(|(_, v)| *v == AggValue::Int(3)));
 }

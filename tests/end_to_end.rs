@@ -99,7 +99,6 @@ fn instance_round_trip_preserves_cubes() {
         let mut cells: Vec<(Vec<String>, String)> = s
             .answer(h)
             .cells()
-            .iter()
             .map(|(k, v)| {
                 (
                     k.iter().map(|&id| dict.term(id).to_string()).collect(),
