@@ -63,6 +63,20 @@ impl AggFunc {
         }
     }
 
+    /// Looks a function up by name, in any case: `count`, `count_distinct`,
+    /// `sum`, `avg` (or `average`), `min` or `max`.
+    pub fn from_name(name: &str) -> Option<AggFunc> {
+        match name.to_ascii_lowercase().as_str() {
+            "count" => Some(AggFunc::Count),
+            "count_distinct" => Some(AggFunc::CountDistinct),
+            "sum" => Some(AggFunc::Sum),
+            "avg" | "average" => Some(AggFunc::Avg),
+            "min" => Some(AggFunc::Min),
+            "max" => Some(AggFunc::Max),
+            _ => None,
+        }
+    }
+
     /// The paper's name for the function.
     pub fn name(&self) -> &'static str {
         match self {
@@ -507,6 +521,23 @@ mod tests {
             AggFunc::CountDistinct.distributivity(),
             Distributivity::Holistic
         );
+    }
+
+    #[test]
+    fn names_look_up_in_any_case() {
+        for func in [
+            AggFunc::Count,
+            AggFunc::CountDistinct,
+            AggFunc::Sum,
+            AggFunc::Avg,
+            AggFunc::Min,
+            AggFunc::Max,
+        ] {
+            assert_eq!(AggFunc::from_name(func.name()), Some(func));
+            assert_eq!(AggFunc::from_name(&func.name().to_uppercase()), Some(func));
+        }
+        assert_eq!(AggFunc::from_name("Avg"), Some(AggFunc::Avg));
+        assert_eq!(AggFunc::from_name("median"), None);
     }
 
     #[test]

@@ -38,6 +38,12 @@ impl EngineError {
     }
 }
 
+impl From<rdfcube_rdf::ParseError> for EngineError {
+    fn from(e: rdfcube_rdf::ParseError) -> Self {
+        EngineError::parse(e.line, e.column, e.message)
+    }
+}
+
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -8,270 +8,76 @@
 //!
 //! We adopt the same shape with one deviation: variables carry the SPARQL
 //! `?` sigil (`?x`, `?dage`) because the paper distinguishes variables
-//! typographically (italics), which plain text cannot. Everything else
-//! matches: bare identifiers are IRIs (`Blogger`, `hasAge`), `prefix:local`
-//! names expand against the default `rdf:`/`rdfs:`/`xsd:` prefixes,
-//! `<...>` is an explicit IRI, quoted strings and bare numbers are literals,
-//! and `a` abbreviates `rdf:type`.
-//!
-//! Both `:-` and `<-` are accepted as the body separator.
+//! typographically (italics), which plain text cannot. Terms follow the
+//! shared term syntax of `rdfcube_rdf::parser`, where this notation reads a
+//! bare name (`Blogger`, `hasAge`) as an IRI.
 
 use crate::bgp::Bgp;
 use crate::error::EngineError;
 use crate::pattern::{PatternTerm, QueryPattern};
-use rdfcube_rdf::{vocab, Dictionary, Literal, Term};
+use rdfcube_rdf::parser::lexer::Token;
+use rdfcube_rdf::parser::{TermSyntax, Tokens};
+use rdfcube_rdf::Dictionary;
 
 /// Parses a query in the paper's notation, interning constant terms into
 /// `dict` (typically the dictionary of the graph the query will run on).
 pub fn parse_query(text: &str, dict: &mut Dictionary) -> Result<Bgp, EngineError> {
-    Parser {
-        input: text,
-        pos: 0,
-        line: 1,
-        col: 1,
-    }
-    .query(dict)
-}
-
-struct Parser<'a> {
-    input: &'a str,
-    pos: usize,
-    line: usize,
-    col: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn error(&self, msg: impl Into<String>) -> EngineError {
-        EngineError::parse(self.line, self.col, msg)
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.input[self.pos..].chars().next()
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        if c == '\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
-        }
-        Some(c)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|c| c.is_whitespace()) {
-            self.bump();
-        }
-    }
-
-    fn eat(&mut self, expected: char) -> Result<(), EngineError> {
-        self.skip_ws();
-        if self.peek() == Some(expected) {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.error(format!(
-                "expected '{expected}', found {}",
-                self.peek()
-                    .map_or("end of input".to_string(), |c| format!("'{c}'"))
-            )))
-        }
-    }
-
-    fn ident(&mut self) -> String {
-        let mut s = String::new();
-        while self
-            .peek()
-            .is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '-')
-        {
-            s.push(self.bump().expect("peeked"));
-        }
-        s
-    }
-
-    fn query(mut self, dict: &mut Dictionary) -> Result<Bgp, EngineError> {
-        self.skip_ws();
-        let name = self.ident();
-        if name.is_empty() {
-            return Err(self.error("expected query name"));
-        }
-        let mut bgp = Bgp::new(name);
-
-        self.eat('(')?;
-        self.skip_ws();
-        if self.peek() != Some(')') {
-            loop {
-                self.skip_ws();
-                if self.peek() != Some('?') {
-                    return Err(self.error("head terms must be variables (?name)"));
-                }
-                self.bump();
-                let var_name = self.ident();
-                if var_name.is_empty() {
-                    return Err(self.error("expected variable name after '?'"));
-                }
-                let v = bgp.var(&var_name);
-                bgp.push_head(v);
-                self.skip_ws();
-                match self.peek() {
-                    Some(',') => {
-                        self.bump();
-                    }
-                    _ => break,
-                }
-            }
-        }
-        self.eat(')')?;
-
-        // ':-' or '<-'
-        self.skip_ws();
-        match (self.bump(), self.bump()) {
-            (Some(':'), Some('-')) | (Some('<'), Some('-')) => {}
-            _ => return Err(self.error("expected ':-' or '<-' before query body")),
-        }
-
+    let mut tokens = Tokens::new(text)?;
+    let syntax = TermSyntax::rules();
+    let name = tokens
+        .name()
+        .ok_or_else(|| tokens.error("expected query name"))?;
+    let mut bgp = Bgp::new(name);
+    tokens.expect(&Token::LParen, "'('")?;
+    if !tokens.eat(&Token::RParen) {
         loop {
-            let s = self.term(&mut bgp, dict, false)?;
-            let p = self.term(&mut bgp, dict, true)?;
-            let o = self.term(&mut bgp, dict, false)?;
-            bgp.push_pattern(QueryPattern::new(s, p, o));
-            self.skip_ws();
-            match self.peek() {
-                Some(',') => {
-                    self.bump();
-                }
-                None => break,
-                Some('.') => {
-                    // Allow an optional trailing period, datalog-style.
-                    self.bump();
-                    self.skip_ws();
-                    if self.peek().is_none() {
-                        break;
-                    }
-                    return Err(self.error("unexpected input after trailing '.'"));
-                }
-                Some(c) => {
-                    return Err(self.error(format!("expected ',' between triples, found '{c}'")))
-                }
+            let var = tokens
+                .var()
+                .ok_or_else(|| tokens.error("head terms must be variables (?name)"))?;
+            let v = bgp.var(&var);
+            bgp.push_head(v);
+            if !tokens.eat(&Token::Comma) {
+                break;
             }
         }
-
-        bgp.validate()?;
-        Ok(bgp)
+        tokens.expect(&Token::RParen, "')'")?;
     }
-
-    fn term(
-        &mut self,
-        bgp: &mut Bgp,
-        dict: &mut Dictionary,
-        is_predicate: bool,
-    ) -> Result<PatternTerm, EngineError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('?') => {
-                self.bump();
-                let name = self.ident();
-                if name.is_empty() {
-                    return Err(self.error("expected variable name after '?'"));
-                }
-                Ok(PatternTerm::Var(bgp.var(&name)))
-            }
-            Some('<') => {
-                self.bump();
-                let mut iri = String::new();
-                loop {
-                    match self.bump() {
-                        Some('>') => break,
-                        Some(c) => iri.push(c),
-                        None => return Err(self.error("unterminated IRI")),
-                    }
-                }
-                Ok(PatternTerm::Const(dict.encode_owned(Term::iri(iri))))
-            }
-            Some('"') => {
-                self.bump();
-                let mut s = String::new();
-                loop {
-                    match self.bump() {
-                        Some('"') => break,
-                        Some('\\') => match self.bump() {
-                            Some('n') => s.push('\n'),
-                            Some('t') => s.push('\t'),
-                            Some('"') => s.push('"'),
-                            Some('\\') => s.push('\\'),
-                            Some(c) => return Err(self.error(format!("bad escape '\\{c}'"))),
-                            None => return Err(self.error("unterminated string")),
-                        },
-                        Some(c) => s.push(c),
-                        None => return Err(self.error("unterminated string")),
-                    }
-                }
-                // Optional ^^datatype suffix.
-                if self.input[self.pos..].starts_with("^^") {
-                    self.bump();
-                    self.bump();
-                    let dt = match self.term(bgp, dict, false)? {
-                        PatternTerm::Const(id) => match dict.get(id).and_then(Term::as_iri) {
-                            Some(iri) => iri.to_string(),
-                            None => return Err(self.error("datatype must be an IRI")),
-                        },
-                        PatternTerm::Var(_) => {
-                            return Err(self.error("datatype cannot be a variable"))
-                        }
-                    };
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::Literal(Literal::typed(s, dt))),
-                    ));
-                }
-                Ok(PatternTerm::Const(
-                    dict.encode_owned(Term::Literal(Literal::plain(s))),
-                ))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                let mut n = String::new();
-                while self
-                    .peek()
-                    .is_some_and(|c| c.is_ascii_digit() || "+-.eE".contains(c))
-                {
-                    n.push(self.bump().expect("peeked"));
-                }
-                let term = if n.contains(['.', 'e', 'E']) {
-                    Term::Literal(Literal::typed(n, vocab::XSD_DECIMAL))
-                } else {
-                    Term::Literal(Literal::typed(n, vocab::XSD_INTEGER))
-                };
-                Ok(PatternTerm::Const(dict.encode_owned(term)))
-            }
-            Some(c) if c.is_alphabetic() || c == '_' => {
-                let name = self.ident();
-                if self.peek() == Some(':') {
-                    self.bump();
-                    let local = self.ident();
-                    let iri = vocab::expand_default(&name, &local)
-                        .ok_or_else(|| self.error(format!("unknown prefix '{name}:'")))?;
-                    return Ok(PatternTerm::Const(dict.encode_owned(Term::iri(iri))));
-                }
-                // As in Turtle, `a` means rdf:type only in predicate position.
-                if name == "a" && is_predicate {
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::iri(vocab::RDF_TYPE)),
-                    ));
-                }
-                if name == "true" || name == "false" {
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::Literal(Literal::boolean(name == "true"))),
-                    ));
-                }
-                Ok(PatternTerm::Const(dict.encode_owned(Term::iri(name))))
-            }
-            Some(c) => Err(self.error(format!("unexpected character '{c}' in term"))),
-            None => Err(self.error("unexpected end of input in term")),
+    tokens.expect(&Token::Arrow, "':-' or '<-' before query body")?;
+    loop {
+        let s = term(&mut tokens, &syntax, &mut bgp, dict, false)?;
+        let p = term(&mut tokens, &syntax, &mut bgp, dict, true)?;
+        let o = term(&mut tokens, &syntax, &mut bgp, dict, false)?;
+        bgp.push_pattern(QueryPattern::new(s, p, o));
+        if !tokens.eat(&Token::Comma) {
+            break;
         }
     }
+    // An optional trailing period, datalog-style.
+    tokens.eat(&Token::Dot);
+    if !tokens.at_end() {
+        return Err(tokens.error("expected ',' between triples").into());
+    }
+    bgp.validate()?;
+    Ok(bgp)
 }
+
+/// A variable or a constant of a triple pattern.
+pub(crate) fn term(
+    tokens: &mut Tokens,
+    syntax: &TermSyntax,
+    bgp: &mut Bgp,
+    dict: &mut Dictionary,
+    predicate: bool,
+) -> Result<PatternTerm, EngineError> {
+    Ok(match tokens.var() {
+        Some(name) => PatternTerm::Var(bgp.var(&name)),
+        None => PatternTerm::Const(dict.encode_owned(tokens.term(syntax, predicate)?)),
+    })
+}
+
+// The tests below name terms and the vocabulary through `super::*`.
+#[cfg(test)]
+use rdfcube_rdf::{vocab, Literal, Term};
 
 #[cfg(test)]
 mod tests {

@@ -14,11 +14,12 @@
 //! ```
 //!
 //! Supported: `PREFIX`, `SELECT` with variables and one or more
-//! `(AGG(?v) AS ?alias)` projections (`COUNT`, `SUM`, `AVG`, `MIN`, `MAX`,
-//! and `COUNT(DISTINCT ?v)`), a `WHERE` block of triple patterns separated
-//! by `.`, and `GROUP BY`. `SELECT *`, `FILTER`, `OPTIONAL` and property
-//! paths are out of scope — the comparison only needs the aggregation
-//! fragment.
+//! `(AGG(?v) AS ?alias)` projections (any name [`AggFunc::from_name`] knows,
+//! such as `COUNT` or `AVG`, and `COUNT(DISTINCT ?v)`), a `WHERE` block of
+//! triple patterns separated by `.`, and `GROUP BY`. Terms follow the term
+//! syntax of `rdfcube_rdf::parser`; a blank node in a pattern is refused.
+//! `SELECT *`, `FILTER`, `OPTIONAL` and property paths are out of scope —
+//! the comparison only needs the aggregation fragment.
 //!
 //! The key semantic difference from AnQs, preserved faithfully here: SPARQL
 //! aggregates over the *joined solution multiset* of one BGP, so a fact
@@ -30,11 +31,14 @@ use crate::aggfn::{group_aggregate, AggFunc, AggValue};
 use crate::bgp::Bgp;
 use crate::error::EngineError;
 use crate::eval::{evaluate, Semantics};
+use crate::parser::term;
 use crate::pattern::{PatternTerm, QueryPattern};
 use crate::relation::Relation;
 use crate::var::VarId;
 use rdfcube_rdf::fx::FxHashMap;
-use rdfcube_rdf::{vocab, Dictionary, Literal, Term, TermId};
+use rdfcube_rdf::parser::lexer::Token;
+use rdfcube_rdf::parser::{TermSyntax, Tokens};
+use rdfcube_rdf::{Dictionary, TermId};
 
 /// One aggregate projection `(AGG(?var) AS ?alias)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -125,312 +129,143 @@ pub fn evaluate_sparql(
 
 /// Parses the SPARQL SELECT dialect described in the module docs.
 pub fn parse_sparql(text: &str, dict: &mut Dictionary) -> Result<SparqlQuery, EngineError> {
-    SparqlParser::new(text).parse(dict)
-}
-
-struct SparqlParser<'a> {
-    input: &'a str,
-    pos: usize,
-    prefixes: FxHashMap<String, String>,
-}
-
-impl<'a> SparqlParser<'a> {
-    fn new(input: &'a str) -> Self {
-        let mut prefixes = FxHashMap::default();
-        for (p, ns) in vocab::DEFAULT_PREFIXES {
-            prefixes.insert((*p).to_string(), (*ns).to_string());
-        }
-        SparqlParser {
-            input,
-            pos: 0,
-            prefixes,
-        }
+    let mut tokens = Tokens::new(text)?;
+    let mut syntax = TermSyntax::turtle();
+    while tokens.eat_keyword("PREFIX") {
+        tokens.prefix_declaration(&mut syntax)?;
     }
-
-    fn error(&self, msg: impl Into<String>) -> EngineError {
-        let consumed = &self.input[..self.pos];
-        let line = consumed.lines().count().max(1);
-        let column = consumed.lines().last().map_or(1, |l| l.len() + 1);
-        EngineError::parse(line, column, msg)
+    if !tokens.eat_keyword("SELECT") {
+        return Err(tokens.error("expected SELECT").into());
     }
-
-    fn skip_ws(&mut self) {
-        loop {
-            let rest = &self.input[self.pos..];
-            let trimmed = rest.trim_start();
-            self.pos += rest.len() - trimmed.len();
-            if trimmed.starts_with('#') {
-                match trimmed.find('\n') {
-                    Some(nl) => self.pos += nl + 1,
-                    None => self.pos = self.input.len(),
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek_char(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.input[self.pos..].chars().next()
-    }
-
-    fn eat_char(&mut self, c: char) -> Result<(), EngineError> {
-        if self.peek_char() == Some(c) {
-            self.pos += c.len_utf8();
-            Ok(())
+    let mut bgp = Bgp::new("sparql");
+    let mut group_vars: Vec<VarId> = Vec::new();
+    let mut aggregates: Vec<AggProjection> = Vec::new();
+    loop {
+        if let Some(name) = tokens.var() {
+            group_vars.push(bgp.var(&name));
+        } else if tokens.eat(&Token::LParen) {
+            aggregates.push(aggregate(&mut tokens, &mut bgp)?);
         } else {
-            Err(self.error(format!("expected '{c}'")))
+            break;
         }
     }
-
-    /// Consumes `keyword` case-insensitively if present.
-    fn eat_keyword(&mut self, keyword: &str) -> bool {
-        self.skip_ws();
-        // Compared as bytes: an ASCII keyword's length need not be a char
-        // boundary of the input, but it is one wherever the keyword matches.
-        let rest = &self.input[self.pos..];
-        let head = rest.as_bytes().get(..keyword.len());
-        if head.is_some_and(|head| head.eq_ignore_ascii_case(keyword.as_bytes()))
-            && !rest[keyword.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '_')
-        {
-            self.pos += keyword.len();
-            true
-        } else {
-            false
-        }
+    if group_vars.is_empty() && aggregates.is_empty() {
+        return Err(tokens.error("SELECT needs at least one projection").into());
     }
 
-    fn word(&mut self) -> String {
-        self.skip_ws();
-        let rest = &self.input[self.pos..];
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !(c.is_alphanumeric() || *c == '_' || *c == '-'))
-            .map_or(rest.len(), |(i, _)| i);
-        self.pos += end;
-        rest[..end].to_string()
+    if !tokens.eat_keyword("WHERE") {
+        return Err(tokens.error("expected WHERE").into());
+    }
+    tokens.expect(&Token::LBrace, "'{'")?;
+    while !tokens.eat(&Token::RBrace) {
+        let s = pattern_term(&mut tokens, &syntax, &mut bgp, dict, false)?;
+        let p = pattern_term(&mut tokens, &syntax, &mut bgp, dict, true)?;
+        let o = pattern_term(&mut tokens, &syntax, &mut bgp, dict, false)?;
+        bgp.push_pattern(QueryPattern::new(s, p, o));
+        // '.' separates; it is optional before '}'.
+        tokens.eat(&Token::Dot);
     }
 
-    fn variable(&mut self, bgp: &mut Bgp) -> Result<VarId, EngineError> {
-        self.eat_char('?')?;
-        let name = self.word();
-        if name.is_empty() {
-            return Err(self.error("expected variable name after '?'"));
+    let mut declared_groups: Vec<VarId> = Vec::new();
+    if tokens.eat_keyword("GROUP") {
+        if !tokens.eat_keyword("BY") {
+            return Err(tokens.error("expected BY after GROUP").into());
         }
-        Ok(bgp.var(&name))
-    }
-
-    fn parse(mut self, dict: &mut Dictionary) -> Result<SparqlQuery, EngineError> {
-        while self.eat_keyword("PREFIX") {
-            let prefix = self.word();
-            self.eat_char(':')?;
-            self.eat_char('<')?;
-            let ns = self.until('>')?;
-            self.prefixes.insert(prefix, ns);
-        }
-
-        if !self.eat_keyword("SELECT") {
-            return Err(self.error("expected SELECT"));
-        }
-        let mut bgp = Bgp::new("sparql");
-        let mut group_vars: Vec<VarId> = Vec::new();
-        let mut aggregates: Vec<AggProjection> = Vec::new();
-
-        loop {
-            match self.peek_char() {
-                Some('?') => group_vars.push(self.variable(&mut bgp)?),
-                Some('(') => {
-                    self.eat_char('(')?;
-                    let func_name = self.word().to_ascii_uppercase();
-                    self.eat_char('(')?;
-                    let distinct = self.eat_keyword("DISTINCT");
-                    let var = self.variable(&mut bgp)?;
-                    self.eat_char(')')?;
-                    if !self.eat_keyword("AS") {
-                        return Err(self.error("expected AS in aggregate projection"));
-                    }
-                    self.eat_char('?')?;
-                    let alias = self.word();
-                    self.eat_char(')')?;
-                    let func = match (func_name.as_str(), distinct) {
-                        ("COUNT", false) => AggFunc::Count,
-                        ("COUNT", true) => AggFunc::CountDistinct,
-                        ("SUM", false) => AggFunc::Sum,
-                        ("AVG", false) => AggFunc::Avg,
-                        ("MIN", false) => AggFunc::Min,
-                        ("MAX", false) => AggFunc::Max,
-                        (other, true) => {
-                            return Err(self.error(format!(
-                                "DISTINCT is only supported for COUNT, not {other}"
-                            )))
-                        }
-                        (other, _) => {
-                            return Err(self.error(format!("unsupported aggregate {other}")))
-                        }
-                    };
-                    aggregates.push(AggProjection { func, var, alias });
-                }
-                _ => break,
-            }
-        }
-        if group_vars.is_empty() && aggregates.is_empty() {
-            return Err(self.error("SELECT needs at least one projection"));
-        }
-
-        if !self.eat_keyword("WHERE") {
-            return Err(self.error("expected WHERE"));
-        }
-        self.eat_char('{')?;
-        loop {
-            if self.peek_char() == Some('}') {
-                break;
-            }
-            let s = self.term(&mut bgp, dict, false)?;
-            let p = self.term(&mut bgp, dict, true)?;
-            let o = self.term(&mut bgp, dict, false)?;
-            bgp.push_pattern(QueryPattern::new(s, p, o));
-            // '.' separates; it is optional before '}'.
-            if self.peek_char() == Some('.') {
-                self.eat_char('.')?;
-            }
-        }
-        self.eat_char('}')?;
-
-        let mut declared_groups: Vec<VarId> = Vec::new();
-        if self.eat_keyword("GROUP") {
-            if !self.eat_keyword("BY") {
-                return Err(self.error("expected BY after GROUP"));
-            }
-            while self.peek_char() == Some('?') {
-                declared_groups.push(self.variable(&mut bgp)?);
-            }
-        }
-        self.skip_ws();
-        if self.pos != self.input.len() {
-            return Err(self.error("unexpected trailing input"));
-        }
-
-        if !aggregates.is_empty() {
-            // SPARQL 1.1: every plain projected variable must be grouped.
-            if declared_groups.is_empty() && !group_vars.is_empty() {
-                return Err(self.error("aggregates mixed with plain variables require GROUP BY"));
-            }
-            for v in &group_vars {
-                if !declared_groups.contains(v) {
-                    return Err(self.error(format!(
-                        "projected variable ?{} is not in GROUP BY",
-                        bgp.vars().name(*v)
-                    )));
-                }
-            }
-        } else if !declared_groups.is_empty() {
-            return Err(self.error("GROUP BY without aggregates"));
-        }
-
-        // The BGP head: grouped variables plus every aggregated variable
-        // (so bag evaluation materializes exactly what grouping needs).
-        let mut head = group_vars.clone();
-        for agg in &aggregates {
-            if !head.contains(&agg.var) {
-                head.push(agg.var);
-            }
-        }
-        bgp.set_head(head);
-        bgp.validate()?;
-        Ok(SparqlQuery {
-            bgp,
-            group_vars,
-            aggregates,
-        })
-    }
-
-    fn until(&mut self, stop: char) -> Result<String, EngineError> {
-        let rest = &self.input[self.pos..];
-        match rest.find(stop) {
-            Some(i) => {
-                let out = rest[..i].to_string();
-                self.pos += i + stop.len_utf8();
-                Ok(out)
-            }
-            None => Err(self.error(format!("expected '{stop}'"))),
+        while let Some(name) = tokens.var() {
+            declared_groups.push(bgp.var(&name));
         }
     }
+    if !tokens.at_end() {
+        return Err(tokens.error("unexpected trailing input").into());
+    }
+    let error = |message: String| EngineError::from(tokens.error(message));
 
-    fn term(
-        &mut self,
-        bgp: &mut Bgp,
-        dict: &mut Dictionary,
-        is_predicate: bool,
-    ) -> Result<PatternTerm, EngineError> {
-        match self.peek_char() {
-            Some('?') => Ok(PatternTerm::Var(self.variable(bgp)?)),
-            Some('<') => {
-                self.eat_char('<')?;
-                let iri = self.until('>')?;
-                Ok(PatternTerm::Const(dict.encode_owned(Term::iri(iri))))
+    if !aggregates.is_empty() {
+        // SPARQL 1.1: every plain projected variable must be grouped.
+        if declared_groups.is_empty() && !group_vars.is_empty() {
+            return Err(error(
+                "aggregates mixed with plain variables require GROUP BY".into(),
+            ));
+        }
+        for v in &group_vars {
+            if !declared_groups.contains(v) {
+                return Err(error(format!(
+                    "projected variable ?{} is not in GROUP BY",
+                    bgp.vars().name(*v)
+                )));
             }
-            Some('"') => {
-                self.eat_char('"')?;
-                let body = self.until('"')?;
-                if self.input[self.pos..].starts_with("^^") {
-                    self.pos += 2;
-                    let dt = match self.term(bgp, dict, false)? {
-                        PatternTerm::Const(id) => match dict.get(id).and_then(Term::as_iri) {
-                            Some(iri) => iri.to_string(),
-                            None => return Err(self.error("datatype must be an IRI")),
-                        },
-                        PatternTerm::Var(_) => {
-                            return Err(self.error("datatype cannot be a variable"))
-                        }
-                    };
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::Literal(Literal::typed(body, dt))),
-                    ));
-                }
-                Ok(PatternTerm::Const(dict.encode_owned(Term::literal(body))))
-            }
-            Some(c) if c.is_ascii_digit() || c == '-' || c == '+' => {
-                let rest = &self.input[self.pos..];
-                let end = rest
-                    .char_indices()
-                    .find(|(_, ch)| !(ch.is_ascii_digit() || "+-.eE".contains(*ch)))
-                    .map_or(rest.len(), |(i, _)| i);
-                let n = rest[..end].to_string();
-                self.pos += end;
-                let term = if n.contains(['.', 'e', 'E']) {
-                    Term::Literal(Literal::typed(n, vocab::XSD_DECIMAL))
-                } else {
-                    Term::Literal(Literal::typed(n, vocab::XSD_INTEGER))
-                };
-                Ok(PatternTerm::Const(dict.encode_owned(term)))
-            }
-            Some(c) if c.is_alphabetic() => {
-                let name = self.word();
-                if name == "a" && is_predicate {
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::iri(vocab::RDF_TYPE)),
-                    ));
-                }
-                if self.input[self.pos..].starts_with(':') {
-                    self.pos += 1;
-                    let local = self.word();
-                    let ns = self
-                        .prefixes
-                        .get(&name)
-                        .ok_or_else(|| self.error(format!("unknown prefix '{name}:'")))?;
-                    return Ok(PatternTerm::Const(
-                        dict.encode_owned(Term::iri(format!("{ns}{local}"))),
-                    ));
-                }
-                Err(self.error(format!(
-                    "bare name '{name}' is not valid SPARQL; use a prefixed name or <IRI>"
-                )))
-            }
-            other => Err(self.error(format!("unexpected {other:?} in triple pattern"))),
+        }
+    } else if !declared_groups.is_empty() {
+        return Err(error("GROUP BY without aggregates".into()));
+    }
+
+    // The BGP head: grouped variables plus every aggregated variable
+    // (so bag evaluation materializes exactly what grouping needs).
+    let mut head = group_vars.clone();
+    for agg in &aggregates {
+        if !head.contains(&agg.var) {
+            head.push(agg.var);
         }
     }
+    bgp.set_head(head);
+    bgp.validate()?;
+    Ok(SparqlQuery {
+        bgp,
+        group_vars,
+        aggregates,
+    })
 }
+
+/// `AGG([DISTINCT] ?var) AS ?alias)`, after the projection's `(`.
+fn aggregate(tokens: &mut Tokens, bgp: &mut Bgp) -> Result<AggProjection, EngineError> {
+    let at = tokens.position();
+    let name = tokens
+        .name()
+        .ok_or_else(|| tokens.error("expected an aggregate name"))?;
+    tokens.expect(&Token::LParen, "'('")?;
+    let distinct = tokens.eat_keyword("DISTINCT");
+    let var = tokens
+        .var()
+        .ok_or_else(|| tokens.error("expected ?variable"))?;
+    let var = bgp.var(&var);
+    tokens.expect(&Token::RParen, "')'")?;
+    if !tokens.eat_keyword("AS") {
+        return Err(tokens.error("expected AS in aggregate projection").into());
+    }
+    let alias = tokens
+        .var()
+        .ok_or_else(|| tokens.error("expected ?alias"))?;
+    tokens.expect(&Token::RParen, "')'")?;
+    let func = match (AggFunc::from_name(&name), distinct) {
+        (Some(AggFunc::Count), true) => Ok(AggFunc::CountDistinct),
+        (Some(func), false) => Ok(func),
+        (Some(_), true) => Err(format!("DISTINCT is only supported for COUNT, not {name}")),
+        (None, _) => Err(format!("unsupported aggregate {name}")),
+    };
+    let func = func.map_err(|message| EngineError::parse(at.0, at.1, message))?;
+    Ok(AggProjection { func, var, alias })
+}
+
+/// A term of a triple pattern. SPARQL reads a blank node there as a
+/// variable no one projects, which this dialect does not support.
+fn pattern_term(
+    tokens: &mut Tokens,
+    syntax: &TermSyntax,
+    bgp: &mut Bgp,
+    dict: &mut Dictionary,
+    predicate: bool,
+) -> Result<PatternTerm, EngineError> {
+    if let Some(Token::BlankNode(_)) = tokens.peek() {
+        return Err(tokens
+            .error("blank nodes in patterns are not supported")
+            .into());
+    }
+    term(tokens, syntax, bgp, dict, predicate)
+}
+
+// The tests below name terms through `super::*`.
+#[cfg(test)]
+use rdfcube_rdf::Term;
 
 #[cfg(test)]
 mod tests {

@@ -13,7 +13,8 @@
 //!   cheap — all eight triple-pattern shapes are index-backed, and reads are
 //!   bit-identical at any shard count;
 //! * [`parser`] / [`writer`] — N-Triples and a practical Turtle subset, plus
-//!   deterministic N-Triples output;
+//!   deterministic N-Triples output; [`parser`] also holds the one term
+//!   syntax every textual input shares (queries, rules, console values);
 //! * [`reasoner`] — RDFS (ρdf) saturation, required by the analytical-schema
 //!   framework which operates over entailed graphs;
 //! * [`fx`] — the Fx-style hasher used by every map in the workspace.

@@ -1,8 +1,11 @@
-//! Tokenizer shared by the N-Triples and Turtle parsers.
+//! The tokenizer behind every textual input: N-Triples, Turtle, the paper's
+//! rule notation, the SPARQL subset and the console's values. It is the only
+//! code that reads the characters of a term (see the module docs of
+//! [`crate::parser`] for the syntax they share).
 
 use crate::error::ParseError;
 
-/// A lexical token of the Turtle/N-Triples grammar subset we support.
+/// A lexical token.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Token {
     /// `<iri>`
@@ -14,7 +17,7 @@ pub enum Token {
         /// The local part (after the colon).
         local: String,
     },
-    /// A bare name such as `a` (only legal in Turtle, where `a` = rdf:type)
+    /// A bare name: `a`, `true`, a SPARQL keyword, or a rule's IRI.
     Keyword(String),
     /// `_:label`
     BlankNode(String),
@@ -24,8 +27,11 @@ pub enum Token {
     At(String),
     /// `^^` datatype marker.
     Carets,
-    /// Bare numeric token, e.g. `28`, `-3.5`, `1e6`.
+    /// A numeral in Turtle's INTEGER, DECIMAL or DOUBLE form, e.g. `28`,
+    /// `-3.5`, `1e6`.
     Numeric(String),
+    /// `?name`, a query variable.
+    Var(String),
     /// `.`
     Dot,
     /// `;`
@@ -36,6 +42,16 @@ pub enum Token {
     LBracket,
     /// `]`
     RBracket,
+    /// `(`
+    LParen,
+    /// `)`
+    RParen,
+    /// `{`
+    LBrace,
+    /// `}`
+    RBrace,
+    /// `:-` or `<-`, between a rule's head and its body.
+    Arrow,
 }
 
 /// A token with its source position (for error messages).
@@ -51,7 +67,8 @@ pub struct Spanned {
 
 /// Streaming tokenizer over the input text.
 pub struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    input: &'a str,
+    pos: usize,
     line: usize,
     column: usize,
 }
@@ -60,14 +77,16 @@ impl<'a> Lexer<'a> {
     /// Creates a lexer over `input`.
     pub fn new(input: &'a str) -> Self {
         Lexer {
-            chars: input.chars().peekable(),
+            input,
+            pos: 0,
             line: 1,
             column: 1,
         }
     }
 
     fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next()?;
+        let c = self.peek()?;
+        self.pos += c.len_utf8();
         if c == '\n' {
             self.line += 1;
             self.column = 1;
@@ -77,8 +96,13 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.chars.peek().copied()
+    fn peek(&self) -> Option<char> {
+        self.input[self.pos..].chars().next()
+    }
+
+    /// The character after the next one.
+    fn peek_second(&self) -> Option<char> {
+        self.input[self.pos..].chars().nth(1)
     }
 
     fn error(&self, msg: impl Into<String>) -> ParseError {
@@ -108,14 +132,28 @@ impl<'a> Lexer<'a> {
         let Some(c) = self.peek() else {
             return Ok(None);
         };
+        let second = self.peek_second();
         let token = match c {
+            // An IRI admits no whitespace, so `<-` followed by whitespace or
+            // the end of the input is the arrow.
+            '<' if second == Some('-')
+                && self.input[self.pos + 2..]
+                    .chars()
+                    .next()
+                    .is_none_or(char::is_whitespace) =>
+            {
+                self.punct(2, Token::Arrow)
+            }
+            ':' if second == Some('-') => self.punct(2, Token::Arrow),
             '<' => {
                 self.bump();
                 let mut iri = String::new();
                 loop {
                     match self.bump() {
                         Some('>') => break,
-                        Some('\n') => return Err(self.error("newline inside IRI")),
+                        Some(ch) if ch.is_whitespace() => {
+                            return Err(self.error("whitespace inside IRI"))
+                        }
                         Some(ch) => iri.push(ch),
                         None => return Err(self.error("unterminated IRI")),
                     }
@@ -132,6 +170,14 @@ impl<'a> Lexer<'a> {
                     return Err(self.error("blank node label must not be empty"));
                 }
                 Token::BlankNode(label)
+            }
+            '?' => {
+                self.bump();
+                let name = self.take_name();
+                if name.is_empty() {
+                    return Err(self.error("expected variable name after '?'"));
+                }
+                Token::Var(name)
             }
             '"' => {
                 self.bump();
@@ -173,55 +219,16 @@ impl<'a> Lexer<'a> {
                 }
                 Token::Carets
             }
-            '.' => {
-                self.bump();
-                Token::Dot
-            }
-            ';' => {
-                self.bump();
-                Token::Semicolon
-            }
-            ',' => {
-                self.bump();
-                Token::Comma
-            }
-            '[' => {
-                self.bump();
-                Token::LBracket
-            }
-            ']' => {
-                self.bump();
-                Token::RBracket
-            }
-            c if c.is_ascii_digit() || c == '-' || c == '+' => {
-                let mut n = String::new();
-                while let Some(ch) = self.peek() {
-                    if ch.is_ascii_digit()
-                        || ch == '.'
-                        || ch == '-'
-                        || ch == '+'
-                        || ch == 'e'
-                        || ch == 'E'
-                    {
-                        // A '.' followed by non-digit is the statement dot.
-                        if ch == '.' {
-                            let mut look = self.chars.clone();
-                            look.next();
-                            if !look.peek().is_some_and(|d| d.is_ascii_digit()) {
-                                break;
-                            }
-                        }
-                        n.push(ch);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                if n.is_empty() {
-                    return Err(self.error("expected number"));
-                }
-                Token::Numeric(n)
-            }
+            '.' if !second.is_some_and(|d| d.is_ascii_digit()) => self.punct(1, Token::Dot),
+            ';' => self.punct(1, Token::Semicolon),
+            ',' => self.punct(1, Token::Comma),
+            '[' => self.punct(1, Token::LBracket),
+            ']' => self.punct(1, Token::RBracket),
+            '(' => self.punct(1, Token::LParen),
+            ')' => self.punct(1, Token::RParen),
+            '{' => self.punct(1, Token::LBrace),
+            '}' => self.punct(1, Token::RBrace),
+            c if c.is_ascii_digit() || matches!(c, '-' | '+' | '.') => self.numeral()?,
             c if is_name_start(c) => {
                 let name = self.take_name();
                 if self.peek() == Some(':') {
@@ -250,6 +257,55 @@ impl<'a> Lexer<'a> {
             line,
             column,
         }))
+    }
+
+    /// Consumes the `len` ASCII characters of a punctuation token.
+    fn punct(&mut self, len: usize, token: Token) -> Token {
+        for _ in 0..len {
+            self.bump();
+        }
+        token
+    }
+
+    /// Turtle's `[+-]? ( [0-9]+ | [0-9]* '.' [0-9]+ ) ( [eE] [+-]? [0-9]+ )?`.
+    /// A `.` belongs to the numeral only when a digit follows it, so `28.`
+    /// is the integer 28 and a statement's end.
+    fn numeral(&mut self) -> Result<Token, ParseError> {
+        let start = self.pos;
+        if matches!(self.peek(), Some('-' | '+')) {
+            self.bump();
+        }
+        let mut digits = self.digits();
+        if self.peek() == Some('.') && self.peek_second().is_some_and(|d| d.is_ascii_digit()) {
+            self.bump();
+            digits += self.digits();
+        }
+        if digits == 0 {
+            return Err(self.error("expected digits in a number"));
+        }
+        if matches!(self.peek(), Some('e' | 'E')) {
+            self.bump();
+            if matches!(self.peek(), Some('-' | '+')) {
+                self.bump();
+            }
+            if self.digits() == 0 {
+                return Err(self.error("expected digits in an exponent"));
+            }
+        }
+        if self.peek().is_some_and(|c| is_name_char(c) || c == '+') {
+            return Err(self.error("malformed number"));
+        }
+        Ok(Token::Numeric(self.input[start..self.pos].to_string()))
+    }
+
+    /// Consumes a run of ASCII digits; returns its length.
+    fn digits(&mut self) -> usize {
+        let mut n = 0;
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.bump();
+            n += 1;
+        }
+        n
     }
 
     fn unicode_escape(&mut self, digits: usize) -> Result<char, ParseError> {
@@ -414,5 +470,55 @@ mod tests {
     #[test]
     fn punctuation() {
         assert_eq!(toks("; ,"), vec![Token::Semicolon, Token::Comma]);
+    }
+
+    #[test]
+    fn rule_and_query_tokens() {
+        assert_eq!(
+            toks("c(?x) :- ?x a B . { }"),
+            vec![
+                Token::Keyword("c".into()),
+                Token::LParen,
+                Token::Var("x".into()),
+                Token::RParen,
+                Token::Arrow,
+                Token::Var("x".into()),
+                Token::Keyword("a".into()),
+                Token::Keyword("B".into()),
+                Token::Dot,
+                Token::LBrace,
+                Token::RBrace,
+            ]
+        );
+        assert!(tokenize("? x").is_err());
+    }
+
+    #[test]
+    fn arrow_is_never_an_iri() {
+        // No IRI holds whitespace, so `<-` before whitespace is the arrow.
+        assert_eq!(toks("<- ?x"), vec![Token::Arrow, Token::Var("x".into())]);
+        assert_eq!(toks("<-"), vec![Token::Arrow]);
+        assert_eq!(toks("<-x>"), vec![Token::Iri("-x".into())]);
+        assert!(tokenize("<a b>").is_err());
+    }
+
+    #[test]
+    fn numerals_take_turtle_forms_only() {
+        for numeral in [
+            "28", "-7", "+7", "3.5", ".5", "-0.5", "1e3", "1.5E-3", "-.5e+2",
+        ] {
+            assert_eq!(toks(numeral), vec![Token::Numeric(numeral.into())]);
+        }
+        assert_eq!(
+            toks("1,2"),
+            vec![
+                Token::Numeric("1".into()),
+                Token::Comma,
+                Token::Numeric("2".into())
+            ]
+        );
+        for bad in ["-", "+", "-.", "1-2", "1+2", "1e", "1e+", "28x", "1.5.3e"] {
+            assert!(tokenize(bad).is_err(), "lexed {bad:?}");
+        }
     }
 }

@@ -1,12 +1,11 @@
 //! Grammar engine for the Turtle subset and strict N-Triples.
 
-use super::lexer::{tokenize, Spanned, Token};
+use super::lexer::Token;
+use super::{TermSyntax, Tokens};
 use crate::error::ParseError;
-use crate::fx::FxHashMap;
 use crate::graph::Graph;
-use crate::term::{Literal, Term};
+use crate::term::Term;
 use crate::triple::Triple;
-use crate::vocab;
 
 /// Parses strict N-Triples into a fresh graph.
 pub fn parse_ntriples(input: &str) -> Result<Graph, ParseError> {
@@ -34,27 +33,21 @@ enum Mode {
 }
 
 struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+    tokens: Tokens,
     mode: Mode,
-    prefixes: FxHashMap<String, String>,
+    syntax: TermSyntax,
     anon_counter: usize,
 }
 
 impl Parser {
     fn new(input: &str, mode: Mode) -> Result<Self, ParseError> {
-        let tokens = tokenize(input)?;
-        let mut prefixes = FxHashMap::default();
-        if mode == Mode::Turtle {
-            for (p, ns) in vocab::DEFAULT_PREFIXES {
-                prefixes.insert((*p).to_string(), (*ns).to_string());
-            }
-        }
         Ok(Parser {
-            tokens,
-            pos: 0,
+            tokens: Tokens::new(input)?,
             mode,
-            prefixes,
+            syntax: match mode {
+                Mode::NTriples => TermSyntax::ntriples(),
+                Mode::Turtle => TermSyntax::turtle(),
+            },
             anon_counter: 0,
         })
     }
@@ -66,37 +59,6 @@ impl Parser {
         let label = format!("genid-{}", self.anon_counter);
         self.anon_counter += 1;
         Term::blank(label)
-    }
-
-    fn peek(&self) -> Option<&Spanned> {
-        self.tokens.get(self.pos)
-    }
-
-    fn bump(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn error_here(&self, msg: impl Into<String>) -> ParseError {
-        match self
-            .tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-        {
-            Some(s) => ParseError::new(s.line, s.column, msg),
-            None => ParseError::new(0, 0, msg),
-        }
-    }
-
-    fn expect_dot(&mut self) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(Spanned {
-                token: Token::Dot, ..
-            }) => Ok(()),
-            _ => Err(self.error_here("expected '.'")),
-        }
     }
 
     /// Parses the whole input, staging encoded triples and handing the
@@ -115,263 +77,105 @@ impl Parser {
         graph: &mut Graph,
         staged: &mut Vec<Triple>,
     ) -> Result<(), ParseError> {
-        while let Some(spanned) = self.peek() {
-            match &spanned.token {
-                Token::At(word) if word == "prefix" => {
-                    if self.mode == Mode::NTriples {
-                        return Err(self.error_here("@prefix is not allowed in N-Triples"));
-                    }
-                    self.bump();
-                    self.directive(true)?;
+        while !self.tokens.at_end() {
+            // `@prefix p: <ns> .` or SPARQL-style `PREFIX p: <ns>`.
+            let with_dot = matches!(self.tokens.peek(), Some(Token::At(w)) if w == "prefix");
+            if with_dot || self.tokens.eat_keyword("prefix") {
+                if self.mode == Mode::NTriples {
+                    return Err(self.tokens.error("prefixes are not allowed in N-Triples"));
                 }
-                Token::Keyword(word) if word.eq_ignore_ascii_case("prefix") => {
-                    if self.mode == Mode::NTriples {
-                        return Err(self.error_here("PREFIX is not allowed in N-Triples"));
-                    }
-                    self.bump();
-                    self.directive(false)?;
+                if with_dot {
+                    self.tokens.bump();
                 }
-                _ => self.triples(graph, staged)?,
+                self.tokens.prefix_declaration(&mut self.syntax)?;
+                if with_dot {
+                    self.tokens.expect(&Token::Dot, "'.'")?;
+                }
+            } else {
+                let subject = self.node(graph, staged, true)?;
+                self.predicate_objects(&subject, &Token::Dot, graph, staged)?;
             }
         }
         Ok(())
     }
 
-    /// `@prefix p: <ns> .`  (with_dot)  or SPARQL-style `PREFIX p: <ns>`.
-    fn directive(&mut self, with_dot: bool) -> Result<(), ParseError> {
-        let prefix = match self.bump() {
-            Some(Spanned {
-                token: Token::PrefixedName { prefix, local },
-                ..
-            }) if local.is_empty() => prefix,
-            _ => return Err(self.error_here("expected 'prefix:' in @prefix directive")),
-        };
-        let ns = match self.bump() {
-            Some(Spanned {
-                token: Token::Iri(ns),
-                ..
-            }) => ns,
-            _ => return Err(self.error_here("expected namespace IRI in @prefix directive")),
-        };
-        if with_dot {
-            self.expect_dot()?;
-        }
-        self.prefixes.insert(prefix, ns);
-        Ok(())
-    }
-
-    fn triples(&mut self, graph: &mut Graph, staged: &mut Vec<Triple>) -> Result<(), ParseError> {
-        let subject = self.subject(graph, staged)?;
+    /// A predicate-object list about `subject`, through its `close` token.
+    /// Turtle's `;` and `,` lists, with a dangling `;` before `close`.
+    fn predicate_objects(
+        &mut self,
+        subject: &Term,
+        close: &Token,
+        graph: &mut Graph,
+        staged: &mut Vec<Triple>,
+    ) -> Result<(), ParseError> {
+        let lists = self.mode == Mode::Turtle;
         loop {
             let predicate = self.predicate()?;
             loop {
-                let object = self.object(graph, staged)?;
-                stage(graph, staged, &subject, &predicate, &object);
-                match self.peek().map(|s| &s.token) {
-                    Some(Token::Comma) if self.mode == Mode::Turtle => {
-                        self.bump();
-                    }
-                    _ => break,
+                let object = self.node(graph, staged, false)?;
+                stage(graph, staged, subject, &predicate, &object);
+                if !(lists && self.tokens.eat(&Token::Comma)) {
+                    break;
                 }
             }
-            match self.peek().map(|s| &s.token) {
-                Some(Token::Semicolon) if self.mode == Mode::Turtle => {
-                    self.bump();
-                    // A dangling semicolon before '.' is legal Turtle.
-                    if matches!(self.peek().map(|s| &s.token), Some(Token::Dot)) {
-                        break;
-                    }
-                }
-                _ => break,
+            if !(lists && self.tokens.eat(&Token::Semicolon)) || self.tokens.peek() == Some(close) {
+                break;
             }
         }
-        self.expect_dot()
+        let what = if *close == Token::Dot { "'.'" } else { "']'" };
+        self.tokens.expect(close, what)
     }
 
-    fn subject(&mut self, graph: &mut Graph, staged: &mut Vec<Triple>) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Spanned {
-                token: Token::Iri(iri),
-                ..
-            }) => Ok(Term::iri(iri)),
-            Some(Spanned {
-                token: Token::BlankNode(label),
-                ..
-            }) => Ok(Term::blank(label)),
-            Some(Spanned {
-                token: Token::PrefixedName { prefix, local },
-                line,
-                column,
-            }) if self.mode == Mode::Turtle => {
-                self.expand(&prefix, &local, line, column).map(Term::iri)
-            }
-            Some(Spanned {
-                token: Token::LBracket,
-                ..
-            }) if self.mode == Mode::Turtle => self.blank_property_list(graph, staged),
-            _ => Err(self.error_here("expected subject (IRI or blank node)")),
-        }
-    }
-
-    /// Parses `[ predicateObjectList ]` (the opening bracket is already
-    /// consumed), asserting the inner triples and returning the fresh node.
-    /// An empty `[]` is a plain anonymous node.
-    fn blank_property_list(
+    /// A subject or an object: a `[ predicateObjectList ]` in Turtle, which
+    /// asserts its triples and stands for a fresh node, or one term.
+    fn node(
         &mut self,
         graph: &mut Graph,
         staged: &mut Vec<Triple>,
+        subject: bool,
     ) -> Result<Term, ParseError> {
-        let node = self.fresh_blank();
-        if matches!(self.peek().map(|s| &s.token), Some(Token::RBracket)) {
-            self.bump();
+        if self.mode == Mode::Turtle && self.tokens.eat(&Token::LBracket) {
+            let node = self.fresh_blank();
+            if !self.tokens.eat(&Token::RBracket) {
+                self.predicate_objects(&node, &Token::RBracket, graph, staged)?;
+            }
             return Ok(node);
         }
-        loop {
-            let predicate = self.predicate()?;
-            loop {
-                let object = self.object(graph, staged)?;
-                stage(graph, staged, &node, &predicate, &object);
-                match self.peek().map(|s| &s.token) {
-                    Some(Token::Comma) => {
-                        self.bump();
-                    }
-                    _ => break,
-                }
-            }
-            match self.peek().map(|s| &s.token) {
-                Some(Token::Semicolon) => {
-                    self.bump();
-                    if matches!(self.peek().map(|s| &s.token), Some(Token::RBracket)) {
-                        break;
-                    }
-                }
-                _ => break,
-            }
+        let at = self.tokens.position();
+        let term = self.term(false)?;
+        if subject && term.is_literal() {
+            return Err(ParseError::new(
+                at.0,
+                at.1,
+                "expected subject (IRI or blank node)",
+            ));
         }
-        match self.bump() {
-            Some(Spanned {
-                token: Token::RBracket,
-                ..
-            }) => Ok(node),
-            _ => Err(self.error_here("expected ']' closing a blank node property list")),
-        }
+        Ok(term)
     }
 
     fn predicate(&mut self) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Spanned {
-                token: Token::Iri(iri),
-                ..
-            }) => Ok(Term::iri(iri)),
-            Some(Spanned {
-                token: Token::Keyword(word),
-                ..
-            }) if self.mode == Mode::Turtle && word == "a" => Ok(Term::iri(vocab::RDF_TYPE)),
-            Some(Spanned {
-                token: Token::PrefixedName { prefix, local },
-                line,
-                column,
-            }) if self.mode == Mode::Turtle => {
-                self.expand(&prefix, &local, line, column).map(Term::iri)
-            }
-            _ => Err(self.error_here("expected predicate IRI")),
+        let at = self.tokens.position();
+        let term = self.term(true)?;
+        if !term.is_iri() {
+            return Err(ParseError::new(at.0, at.1, "expected predicate IRI"));
         }
+        Ok(term)
     }
 
-    fn object(&mut self, graph: &mut Graph, staged: &mut Vec<Triple>) -> Result<Term, ParseError> {
-        match self.bump() {
-            Some(Spanned {
-                token: Token::Iri(iri),
-                ..
-            }) => Ok(Term::iri(iri)),
-            Some(Spanned {
-                token: Token::BlankNode(label),
-                ..
-            }) => Ok(Term::blank(label)),
-            Some(Spanned {
-                token: Token::PrefixedName { prefix, local },
-                line,
-                column,
-            }) if self.mode == Mode::Turtle => {
-                self.expand(&prefix, &local, line, column).map(Term::iri)
-            }
-            Some(Spanned {
-                token: Token::LBracket,
-                ..
-            }) if self.mode == Mode::Turtle => self.blank_property_list(graph, staged),
-            Some(Spanned {
-                token: Token::StringLiteral(body),
-                ..
-            }) => match self.peek().map(|s| &s.token) {
-                Some(Token::At(_)) => {
-                    let Some(Spanned {
-                        token: Token::At(tag),
-                        ..
-                    }) = self.bump()
-                    else {
-                        unreachable!("peeked At");
-                    };
-                    Ok(Term::Literal(Literal::lang(body, tag)))
-                }
-                Some(Token::Carets) => {
-                    self.bump();
-                    let dt = match self.bump() {
-                        Some(Spanned {
-                            token: Token::Iri(iri),
-                            ..
-                        }) => iri,
-                        Some(Spanned {
-                            token: Token::PrefixedName { prefix, local },
-                            line,
-                            column,
-                        }) if self.mode == Mode::Turtle => {
-                            self.expand(&prefix, &local, line, column)?
-                        }
-                        _ => return Err(self.error_here("expected datatype IRI after '^^'")),
-                    };
-                    Ok(Term::Literal(Literal::typed(body, dt)))
-                }
-                _ => Ok(Term::Literal(Literal::plain(body))),
-            },
-            Some(Spanned {
-                token: Token::Numeric(n),
-                line,
-                column,
-            }) => {
-                if self.mode == Mode::NTriples {
-                    return Err(ParseError::new(
-                        line,
-                        column,
-                        "bare numeric literals are not allowed in N-Triples",
-                    ));
-                }
-                if n.contains(['.', 'e', 'E']) {
-                    Ok(Term::Literal(Literal::typed(n, vocab::XSD_DECIMAL)))
-                } else {
-                    Ok(Term::Literal(Literal::typed(n, vocab::XSD_INTEGER)))
-                }
-            }
-            Some(Spanned {
-                token: Token::Keyword(word),
-                ..
-            }) if self.mode == Mode::Turtle && (word == "true" || word == "false") => {
-                Ok(Term::Literal(Literal::typed(word, vocab::XSD_BOOLEAN)))
-            }
-            _ => Err(self.error_here("expected object (IRI, blank node or literal)")),
+    /// One term; N-Triples admits no bare numerals, booleans or `a` (and,
+    /// with no prefixes declared, no prefixed names).
+    fn term(&mut self, predicate: bool) -> Result<Term, ParseError> {
+        if self.mode == Mode::NTriples
+            && matches!(
+                self.tokens.peek(),
+                Some(Token::Numeric(_) | Token::Keyword(_))
+            )
+        {
+            return Err(self
+                .tokens
+                .error("bare numerals and names are not allowed in N-Triples"));
         }
-    }
-
-    fn expand(
-        &self,
-        prefix: &str,
-        local: &str,
-        line: usize,
-        column: usize,
-    ) -> Result<String, ParseError> {
-        self.prefixes
-            .get(prefix)
-            .map(|ns| format!("{ns}{local}"))
-            .ok_or_else(|| ParseError::new(line, column, format!("unknown prefix '{prefix}:'")))
+        self.tokens.term(&self.syntax, predicate)
     }
 }
 
@@ -381,6 +185,10 @@ fn stage(graph: &mut Graph, staged: &mut Vec<Triple>, s: &Term, p: &Term, o: &Te
     let t = Triple::new(graph.encode(s), graph.encode(p), graph.encode(o));
     staged.push(t);
 }
+
+// The tests below name literals and the vocabulary through `super::*`.
+#[cfg(test)]
+use crate::{term::Literal, vocab};
 
 #[cfg(test)]
 mod tests {

@@ -34,35 +34,17 @@ pub const XSD_BOOLEAN: &str = "http://www.w3.org/2001/XMLSchema#boolean";
 /// `xsd:string`.
 pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 
-/// Namespace prefixes pre-registered by the Turtle parser and the query
-/// parser: `(prefix, namespace)`.
+/// Namespace prefixes predeclared in Turtle, the rule notation and SPARQL:
+/// `(prefix, namespace)`.
 pub const DEFAULT_PREFIXES: &[(&str, &str)] = &[
     ("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"),
     ("rdfs", "http://www.w3.org/2000/01/rdf-schema#"),
     ("xsd", "http://www.w3.org/2001/XMLSchema#"),
 ];
 
-/// Expands a `prefix:local` pair against [`DEFAULT_PREFIXES`].
-pub fn expand_default(prefix: &str, local: &str) -> Option<String> {
-    DEFAULT_PREFIXES
-        .iter()
-        .find(|(p, _)| *p == prefix)
-        .map(|(_, ns)| format!("{ns}{local}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn rdf_type_expands() {
-        assert_eq!(expand_default("rdf", "type").as_deref(), Some(RDF_TYPE));
-    }
-
-    #[test]
-    fn unknown_prefix_is_none() {
-        assert_eq!(expand_default("ex", "thing"), None);
-    }
 
     #[test]
     fn rdfs_constants_are_in_rdfs_namespace() {

@@ -26,6 +26,8 @@
 use crate::core::{CoreError, CubeHandle, OlapOp, OlapSession, ValueSelector};
 use crate::engine::AggFunc;
 use crate::rdf::fx::FxHashMap;
+use crate::rdf::parser::lexer::Token;
+use crate::rdf::parser::{TermSyntax, Tokens};
 use crate::{parse_turtle, saturate, AnalyticalSchema, Graph, Term};
 use std::fmt;
 
@@ -252,7 +254,11 @@ impl Interpreter {
     fn cmd_cube(&mut self, rest: &str) -> Result<String, InterpError> {
         let (name, rest) = split_word(rest);
         let (agg_word, rest) = split_word(rest);
-        let agg = parse_agg(agg_word)?;
+        let agg = AggFunc::from_name(agg_word).ok_or_else(|| {
+            InterpError::Usage(format!(
+                "unknown aggregate '{agg_word}' (count, count_distinct, sum, avg, min, max)"
+            ))
+        })?;
         let Some((classifier, measure)) = rest.split_once('|') else {
             return Err(InterpError::Usage(
                 "cube <name> <agg> <classifier> | <measure>".into(),
@@ -293,9 +299,11 @@ impl Interpreter {
                     "slice <new> from <old> <dim> <value>".into(),
                 ));
             }
+            let [value] = <[Term; 1]>::try_from(parse_terms(value)?)
+                .map_err(|_| InterpError::Usage("slice takes one value".into()))?;
             Ok(OlapOp::Slice {
                 dim: dim.to_string(),
-                value: parse_term(value),
+                value,
             })
         })
     }
@@ -308,16 +316,12 @@ impl Interpreter {
                     "dice <new> from <old> <dim> <lo>..<hi> | <v1>,<v2>,…".into(),
                 ));
             }
-            let selector = if let Some((lo, hi)) = spec.split_once("..") {
-                let lo = lo
-                    .parse::<i64>()
-                    .map_err(|_| InterpError::Usage(format!("bad range bound '{lo}'")))?;
-                let hi = hi
-                    .parse::<i64>()
-                    .map_err(|_| InterpError::Usage(format!("bad range bound '{hi}'")))?;
-                ValueSelector::IntRange { lo, hi }
-            } else {
-                ValueSelector::OneOf(spec.split(',').map(parse_term).collect())
+            let range = spec
+                .split_once("..")
+                .and_then(|(lo, hi)| Some((lo.parse().ok()?, hi.parse().ok()?)));
+            let selector = match range {
+                Some((lo, hi)) => ValueSelector::IntRange { lo, hi },
+                None => ValueSelector::OneOf(parse_terms(spec)?),
             };
             Ok(OlapOp::Dice {
                 constraints: vec![(dim.to_string(), selector)],
@@ -428,31 +432,19 @@ fn split_word(s: &str) -> (&str, &str) {
     }
 }
 
-/// Term syntax for command arguments: `"quoted"` → plain literal, integer →
-/// integer literal, anything else → IRI.
-fn parse_term(s: &str) -> Term {
-    let s = s.trim();
-    if let Some(body) = s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"')) {
-        return Term::literal(body);
+/// A comma-separated list of terms, read as the rule notation reads them
+/// (a bare name is an IRI).
+fn parse_terms(text: &str) -> Result<Vec<Term>, InterpError> {
+    let mut tokens = Tokens::new(text)?;
+    let syntax = TermSyntax::rules();
+    let mut terms = vec![tokens.term(&syntax, false)?];
+    while tokens.eat(&Token::Comma) {
+        terms.push(tokens.term(&syntax, false)?);
     }
-    if let Ok(i) = s.parse::<i64>() {
-        return Term::integer(i);
+    if !tokens.at_end() {
+        return Err(tokens.error("expected ',' between values").into());
     }
-    Term::iri(s)
-}
-
-fn parse_agg(word: &str) -> Result<AggFunc, InterpError> {
-    match word.to_ascii_lowercase().as_str() {
-        "count" => Ok(AggFunc::Count),
-        "count_distinct" | "countdistinct" => Ok(AggFunc::CountDistinct),
-        "sum" => Ok(AggFunc::Sum),
-        "avg" | "average" => Ok(AggFunc::Avg),
-        "min" => Ok(AggFunc::Min),
-        "max" => Ok(AggFunc::Max),
-        other => Err(InterpError::Usage(format!(
-            "unknown aggregate '{other}' (count, count_distinct, sum, avg, min, max)"
-        ))),
-    }
+    Ok(terms)
 }
 
 const HELP: &str = "\

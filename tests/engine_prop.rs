@@ -6,7 +6,8 @@ use proptest::prelude::*;
 use rdfcube::engine::{evaluate, evaluate_in_order, evaluate_nested_loop, Bgp, Semantics};
 use rdfcube::engine::{parse_query, parse_sparql};
 use rdfcube::engine::{PatternTerm, QueryPattern};
-use rdfcube::{Graph, Term};
+use rdfcube::rdf::Literal;
+use rdfcube::{Dictionary, Graph, Term};
 
 /// A small closed universe: subjects/objects n0..n7, predicates p0..p3,
 /// literals v0..v3.
@@ -123,7 +124,8 @@ proptest! {
 const TOKENS: &[&str] = &[
     "SELECT", "select", "WHERE", "PREFIX", "GROUP", "BY", "AS", "COUNT", "DISTINCT", "{", "}", "(",
     ")", ".", "*", "?x", "?y", "<a>", "ex:", "ex:p", "\"v\"", "42", "1.5e3", "q", ":-", ",",
-    "rdf:type", " ", "\n", "é", "日本", "😀", "\u{301}",
+    "rdf:type", " ", "\n", "é", "日本", "😀", "\u{301}", "@es", "^^", "#", "<-", "_:b", "true",
+    "28.",
 ];
 
 /// Arbitrary bytes read as lossy UTF-8, or tokens run together.
@@ -148,5 +150,65 @@ proptest! {
         prop_assert!(paper.is_ok(), "parse_query panicked on {:?}", text);
         let sparql = std::panic::catch_unwind(|| parse_sparql(&text, &mut dict()).is_ok());
         prop_assert!(sparql.is_ok(), "parse_sparql panicked on {:?}", text);
+    }
+}
+
+/// A constant of every shape `Bgp::to_text` writes, as `rdf_prop` draws
+/// them: IRIs, blank nodes, plain literals with quotes and escapes, typed
+/// and language-tagged literals.
+fn arb_constant() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (0u8..10).prop_map(|n| Term::iri(format!("http://ex.org/n{n}"))),
+        (0u8..5).prop_map(|n| Term::blank(format!("b{n}"))),
+        "[a-zA-Z \"\\\\\n\t]{0,12}".prop_map(Term::literal),
+        any::<i64>().prop_map(Term::integer),
+        (0u8..5).prop_map(|n| Term::Literal(Literal::lang(format!("w{n}"), "en"))),
+    ]
+}
+
+/// One position of a pattern: a variable (by index) or a constant.
+fn arb_slot() -> impl Strategy<Value = Result<usize, Term>> {
+    prop_oneof![(0usize..4).prop_map(Ok), arb_constant().prop_map(Err)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// `to_text` writes what `parse_query` reads back: the same head, the
+    /// same variable names and the same constants in the same patterns.
+    #[test]
+    fn rule_text_round_trips(
+        body in proptest::collection::vec((arb_slot(), arb_slot(), arb_slot()), 1..4),
+        head_picks in proptest::collection::vec(0usize..4, 0..4),
+    ) {
+        const NAMES: [&str; 4] = ["x", "d_age", "v-2", "y1"];
+        let mut dict = Dictionary::new();
+        let mut bgp = Bgp::new("q");
+        for (s, p, o) in body {
+            let [s, p, o] = [s, p, o].map(|slot| match slot {
+                Ok(v) => PatternTerm::Var(bgp.var(NAMES[v])),
+                Err(term) => PatternTerm::Const(dict.encode(&term)),
+            });
+            bgp.push_pattern(QueryPattern::new(s, p, o));
+        }
+        let mut head = Vec::new();
+        for pick in head_picks {
+            let v = bgp.vars().id(NAMES[pick]);
+            if let Some(v) = v.filter(|v| !head.contains(v)) {
+                head.push(v);
+            }
+        }
+        bgp.set_head(head);
+
+        let text = bgp.to_text(&dict);
+        let back = parse_query(&text, &mut dict)
+            .unwrap_or_else(|e| panic!("{text:?} does not parse: {e}"));
+        let names = |q: &Bgp, vars: &[rdfcube::engine::VarId]| -> Vec<String> {
+            vars.iter().map(|&v| q.vars().name(v).to_string()).collect()
+        };
+        prop_assert_eq!(names(&back, back.head()), names(&bgp, bgp.head()));
+        prop_assert_eq!(names(&back, &back.body_vars()), names(&bgp, &bgp.body_vars()));
+        prop_assert_eq!(back.constants(), bgp.constants());
+        prop_assert_eq!(back.to_text(&dict), text);
     }
 }

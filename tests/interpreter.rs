@@ -201,6 +201,36 @@ fn blank_node_turtle_through_the_console() {
     assert!(out.contains("Madrid"), "out: {out}");
 }
 
+/// A slice or dice value is a term of the rule notation: numerals,
+/// booleans and tagged literals name the literal, and a comma inside quotes
+/// belongs to the string.
+#[test]
+fn slice_and_dice_values_are_terms() {
+    let mut interp = Interpreter::new();
+    interp
+        .run_script(
+            "loadstr <a> rdf:type <C> ; <d> 3.5 ; <v> 1 . \
+                     <b> rdf:type <C> ; <d> true ; <v> 1 . \
+                     <c> rdf:type <C> ; <d> \"Madrid\"@es ; <v> 1 . \
+                     <e> rdf:type <C> ; <d> \"Madrid\" ; <v> 1 . \
+                     <f> rdf:type <C> ; <d> \"a,b\" ; <v> 1 . \
+                     <g> rdf:type <C> ; <d> \"c\" ; <v> 1 . \
+                     <h> rdf:type <C> ; <d> \"a\" ; <v> 1 .\n\
+             instance\n\
+             cube Q count c(?x, ?d) :- ?x rdf:type C, ?x d ?d | m(?x, ?v) :- ?x v ?v\n",
+        )
+        .map_err(|(l, e)| format!("line {l}: {e}"))
+        .unwrap();
+    for value in ["3.5", "true", "\"Madrid\"@es"] {
+        let out = interp.exec(&format!("slice S from Q d {value}")).unwrap();
+        assert!(out.contains("cube S: 1 cells"), "{value}: {out}");
+    }
+    let out = interp.exec("dice D from Q d \"a,b\",\"c\"").unwrap();
+    assert!(out.contains("cube D: 2 cells"), "out: {out}");
+    let out = interp.exec("show D").unwrap();
+    assert!(out.contains("a,b") && !out.contains("Madrid"), "out: {out}");
+}
+
 /// Console words, after a script that leaves a cube `Q` to work on, and
 /// characters of two to four bytes.
 const TOKENS: &[&str] = &[
