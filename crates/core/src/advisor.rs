@@ -145,7 +145,6 @@ pub(crate) fn advise_catalog(
         selected += 1;
     }
 
-    catalog.record_advisor_run(selected as u64, materialized_bytes as u64);
     catalog.mark_advised();
     Ok(AdvisorReport {
         shapes: shapes.len(),

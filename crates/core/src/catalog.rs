@@ -295,54 +295,17 @@ pub struct CatalogCounters {
     pub incremental_refreshes: u64,
 }
 
-/// Registry-backed catalog metric handles. The same atomic cells serve
-/// [`CubeCatalog::counters`] (so existing counter semantics are exactly
-/// preserved) and the [`rdfcube_obs::Registry`] snapshot exporters — and
-/// because the shared plane's stats are pass-throughs to its catalog,
-/// `OlapSession` and `SharedSession` report identical metric names.
-/// Hit/miss accounting happens on the concurrent read path of a shared
-/// catalog, where only `&self` is held; every handle increment is one
-/// lock-free atomic RMW.
-#[derive(Debug)]
+/// The cells behind [`CubeCatalog::counters`]. Atomics, because the
+/// shared plane counts hits and misses on its concurrent read path, where
+/// only `&self` is held; each count is one relaxed `fetch_add`.
+#[derive(Debug, Default)]
 struct CatalogMetrics {
-    /// Each catalog owns its registry, so two sessions in one process
-    /// never mix their counters.
-    registry: obs::Registry,
-    hits: obs::Counter,
-    misses: obs::Counter,
-    evictions: obs::Counter,
-    rehydrations: obs::Counter,
-    refreshes: obs::Counter,
-    incremental_refreshes: obs::Counter,
-    resident_bytes: obs::Gauge,
-    peak_resident_bytes: obs::Gauge,
-    entries: obs::Gauge,
-    query_nanos: obs::Histogram,
-    advisor_runs: obs::Counter,
-    advisor_selected: obs::Counter,
-    advisor_materialized_bytes: obs::Gauge,
-}
-
-impl Default for CatalogMetrics {
-    fn default() -> Self {
-        let registry = obs::Registry::new();
-        CatalogMetrics {
-            hits: registry.counter("rdfcube_catalog_hits_total"),
-            misses: registry.counter("rdfcube_catalog_misses_total"),
-            evictions: registry.counter("rdfcube_catalog_evictions_total"),
-            rehydrations: registry.counter("rdfcube_catalog_rehydrations_total"),
-            refreshes: registry.counter("rdfcube_catalog_refreshes_total"),
-            incremental_refreshes: registry.counter("rdfcube_catalog_incremental_refreshes_total"),
-            resident_bytes: registry.gauge("rdfcube_catalog_resident_bytes"),
-            peak_resident_bytes: registry.gauge("rdfcube_catalog_peak_resident_bytes"),
-            entries: registry.gauge("rdfcube_catalog_entries"),
-            query_nanos: registry.histogram("rdfcube_query_nanos"),
-            advisor_runs: registry.counter("rdfcube_advisor_runs_total"),
-            advisor_selected: registry.counter("rdfcube_advisor_selected_total"),
-            advisor_materialized_bytes: registry.gauge("rdfcube_advisor_materialized_bytes"),
-            registry,
-        }
-    }
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: AtomicU64,
+    rehydrations: AtomicU64,
+    refreshes: AtomicU64,
+    incremental_refreshes: AtomicU64,
 }
 
 /// Per-[`ViewKey`] access counters. Unlike an entry's own `hits`/
@@ -429,13 +392,11 @@ struct QueryLog {
     advised_at: u64,
 }
 
-/// A point-in-time summary of the catalog's access statistics: the
-/// cumulative counters plus the per-family frequency counters the query
-/// log maintains.
+/// A point-in-time summary of the catalog's access statistics: the size
+/// of the query log and the per-family frequency counters it maintains.
+/// The cumulative counters are read through [`CubeCatalog::counters`].
 #[derive(Debug, Clone)]
 pub struct CatalogStats {
-    /// Cumulative hit/miss/eviction/rehydration/refresh counters.
-    pub counters: CatalogCounters,
     /// Total queries recorded in the log.
     pub logged_queries: u64,
     /// Distinct query shapes the log retains.
@@ -523,7 +484,7 @@ impl CubeCatalog {
 
     /// High-water mark of [`Self::resident_bytes`]. Insertions and
     /// rehydrations make room *before* attaching their payload, so this
-    /// gauge genuinely never exceeds the budget unless a single cube is
+    /// mark genuinely never exceeds the budget unless a single cube is
     /// itself larger than the budget (the newest result is always kept).
     /// The one cube currently being materialized is accounted only once
     /// attached.
@@ -531,45 +492,27 @@ impl CubeCatalog {
         self.peak_resident_bytes
     }
 
-    /// Cumulative hit/miss/eviction/rehydration counters (the same cells
-    /// the metrics registry exports — see [`Self::metrics_snapshot`]).
+    /// Cumulative hit/miss/eviction/rehydration/refresh counters.
     pub fn counters(&self) -> CatalogCounters {
+        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
         CatalogCounters {
-            hits: self.metrics.hits.get(),
-            misses: self.metrics.misses.get(),
-            evictions: self.metrics.evictions.get(),
-            rehydrations: self.metrics.rehydrations.get(),
-            refreshes: self.metrics.refreshes.get(),
-            incremental_refreshes: self.metrics.incremental_refreshes.get(),
+            hits: read(&self.metrics.hits),
+            misses: read(&self.metrics.misses),
+            evictions: read(&self.metrics.evictions),
+            rehydrations: read(&self.metrics.rehydrations),
+            refreshes: read(&self.metrics.refreshes),
+            incremental_refreshes: read(&self.metrics.incremental_refreshes),
         }
     }
 
-    /// Lock-free snapshot of this catalog's metrics registry: the
-    /// hit/miss/eviction/rehydration/refresh counters, resident-bytes
-    /// gauges, the `rdfcube_query_nanos` latency histogram and the
-    /// advisor gauges, ready for the Prometheus/JSON exporters.
-    pub fn metrics_snapshot(&self) -> obs::Snapshot {
-        self.metrics.registry.snapshot()
-    }
-
-    /// Records a completed advisor run in the registry (run counter,
-    /// cumulative selections, materialized-bytes gauge).
-    pub(crate) fn record_advisor_run(&self, selected: u64, materialized_bytes: u64) {
-        self.metrics.advisor_runs.inc();
-        self.metrics.advisor_selected.add(selected);
-        self.metrics
-            .advisor_materialized_bytes
-            .set(materialized_bytes);
-    }
-
-    /// Records a reuse hit (the session calls this when a derivation ran).
-    pub fn record_hit(&self) {
-        self.metrics.hits.inc();
+    /// Records a reuse hit (the pipeline calls this when a derivation ran).
+    pub(crate) fn record_hit(&self) {
+        self.metrics.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a fallback to from-scratch evaluation.
-    pub fn record_miss(&self) {
-        self.metrics.misses.inc();
+    pub(crate) fn record_miss(&self) {
+        self.metrics.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     fn lock_log(&self) -> std::sync::MutexGuard<'_, QueryLog> {
@@ -589,7 +532,6 @@ impl CubeCatalog {
         measured_nanos: u64,
     ) {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        self.metrics.query_nanos.record(measured_nanos);
         let mut log = self.lock_log();
         log.total += 1;
         let ks = log.key_stats.entry(sig.key.clone()).or_default();
@@ -662,16 +604,14 @@ impl CubeCatalog {
             .unwrap_or_default()
     }
 
-    /// A point-in-time summary: cumulative counters plus per-family
-    /// frequency counters, hottest families first.
+    /// A point-in-time summary of the query log: its size plus the
+    /// per-family frequency counters, hottest families first.
     pub fn stats(&self) -> CatalogStats {
-        let counters = self.counters();
         let log = self.lock_log();
         let mut key_stats: Vec<(ViewKey, KeyStats)> =
             log.key_stats.iter().map(|(k, &s)| (k.clone(), s)).collect();
         key_stats.sort_by_key(|(_, s)| std::cmp::Reverse(s.accesses));
         CatalogStats {
-            counters,
             logged_queries: log.total,
             distinct_shapes: log.shapes.len(),
             key_stats,
@@ -758,7 +698,6 @@ impl CubeCatalog {
             hits: AtomicU64::new(0),
         });
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        self.sync_size_gauges();
         idx
     }
 
@@ -808,7 +747,9 @@ impl CubeCatalog {
         let (mode, pres) = match incremental {
             Some((pres, touched_roots)) => {
                 sp.attr("touched_roots", touched_roots as u64);
-                self.metrics.incremental_refreshes.inc();
+                self.metrics
+                    .incremental_refreshes
+                    .fetch_add(1, Ordering::Relaxed);
                 ("incremental", pres)
             }
             None => ("full", PartialResult::compute(&e.eq, instance)?),
@@ -836,24 +777,13 @@ impl CubeCatalog {
         e.payload = Some(Arc::new(CubePayload { ans, pres }));
         e.watermark = watermark;
         if was_resident {
-            self.metrics.refreshes.inc();
+            self.metrics.refreshes.fetch_add(1, Ordering::Relaxed);
         } else {
-            self.metrics.rehydrations.inc();
+            self.metrics.rehydrations.fetch_add(1, Ordering::Relaxed);
         }
         self.resident_bytes += bytes;
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
-        self.sync_size_gauges();
         Ok(true)
-    }
-
-    /// Mirrors the resident-set bookkeeping into the registry gauges;
-    /// called after every mutation that moves payload bytes.
-    fn sync_size_gauges(&self) {
-        self.metrics.resident_bytes.set(self.resident_bytes as u64);
-        self.metrics
-            .peak_resident_bytes
-            .set(self.peak_resident_bytes as u64);
-        self.metrics.entries.set(self.entries.len() as u64);
     }
 
     /// The resident entry touched most recently, if any.
@@ -867,7 +797,7 @@ impl CubeCatalog {
     }
 
     /// Evicts cold payloads until the current resident set fits the
-    /// budget, then updates the peak gauge.
+    /// budget, then updates the peak resident bytes.
     fn enforce_budget(&mut self, pinned: Option<usize>) {
         self.make_room(0, pinned);
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
@@ -930,7 +860,7 @@ impl CubeCatalog {
             let Some(victim) = victim else { break };
             self.entries[victim].payload = None;
             self.resident_bytes -= self.entries[victim].stats.bytes;
-            self.metrics.evictions.inc();
+            self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
             evicted_any = true;
         }
         if evicted_any {
@@ -938,7 +868,6 @@ impl CubeCatalog {
                 let hits = e.hits.get_mut();
                 *hits /= 2;
             }
-            self.sync_size_gauges();
         }
     }
 }

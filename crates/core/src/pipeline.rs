@@ -286,7 +286,6 @@ pub(crate) fn traced(
     let began = obs::trace_begin("answer_query");
     let result = serve();
     let trace = if began {
-        obs::sink().traces.inc();
         obs::trace_end().unwrap_or_default()
     } else {
         QueryTrace::default()

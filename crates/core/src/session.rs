@@ -189,7 +189,7 @@ impl OlapSession {
         &self.instance
     }
 
-    /// The cube catalog: budget gauges, hit/miss/eviction counters, and
+    /// The cube catalog: budget, resident bytes, hit/miss/eviction counters, and
     /// per-entry statistics.
     pub fn catalog(&self) -> &CubeCatalog {
         &self.catalog
@@ -495,12 +495,6 @@ impl OlapSession {
         op: &OlapOp,
     ) -> Result<(CubeHandle, ExplainedStrategy, QueryTrace), CoreError> {
         pipeline::traced(|| self.transform(handle, op))
-    }
-
-    /// Lock-free snapshot of the session catalog's metrics registry (see
-    /// [`CubeCatalog::metrics_snapshot`]).
-    pub fn metrics_snapshot(&self) -> rdfcube_obs::Snapshot {
-        self.catalog.metrics_snapshot()
     }
 }
 

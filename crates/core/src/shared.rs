@@ -115,18 +115,11 @@ impl SharedSession {
         self.read().counters()
     }
 
-    /// A combined statistics snapshot: the counters plus the query log's
+    /// A statistics snapshot of the query log: its size and the
     /// per-[`ViewKey`](crate::signature::ViewKey) access frequencies (see
     /// [`CubeCatalog::stats`](crate::catalog::CubeCatalog::stats)).
     pub fn stats(&self) -> crate::catalog::CatalogStats {
         self.read().stats()
-    }
-
-    /// A point-in-time snapshot of this session's metrics registry —
-    /// the same names and values [`OlapSession::metrics_snapshot`]
-    /// reports, so both planes can be scraped uniformly.
-    pub fn metrics_snapshot(&self) -> rdfcube_obs::Snapshot {
-        self.read().metrics_snapshot()
     }
 
     /// Bytes of materialized payload currently resident.

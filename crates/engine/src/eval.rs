@@ -625,8 +625,8 @@ fn evaluate_steps(
             }
         }
         let rows_out = next.rows as u64;
-        sink.bgp_steps.inc();
-        sink.step_rows.add(rows_out);
+        sink.bgp_steps.fetch_add(1, Ordering::Relaxed);
+        sink.step_rows.fetch_add(rows_out, Ordering::Relaxed);
         if sp.active() {
             sp.rows(rows_in, rows_out);
             sp.attr("rows_matched", rows_matched);

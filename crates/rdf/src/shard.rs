@@ -27,6 +27,7 @@ use crate::dictionary::TermId;
 use crate::fx::FxHashSet;
 use crate::triple::{Triple, TriplePattern};
 use std::collections::{btree_set, BTreeSet};
+use std::sync::atomic::Ordering;
 
 /// Minimum delta size before an automatic merge is considered; below this
 /// a merge would rewrite the shard's columns for a handful of rows that the
@@ -336,7 +337,9 @@ impl Delta {
 /// (`rdfcube_graph_delta_rows_read_total`).
 pub(crate) fn count_delta_reads(rows: usize) {
     if rows > 0 {
-        rdfcube_obs::sink().delta_rows_read.add(rows as u64);
+        rdfcube_obs::sink()
+            .delta_rows_read
+            .fetch_add(rows as u64, Ordering::Relaxed);
     }
 }
 
@@ -414,8 +417,9 @@ impl Shard {
             return 0;
         }
         let sink = rdfcube_obs::sink();
-        sink.delta_merges.inc();
-        sink.delta_merge_rows.add(spo_add.len() as u64);
+        sink.delta_merges.fetch_add(1, Ordering::Relaxed);
+        sink.delta_merge_rows
+            .fetch_add(spo_add.len() as u64, Ordering::Relaxed);
         spo_add.sort_unstable();
         spo_add.dedup();
         // One sort + dedup covers all three permutations (a duplicate triple

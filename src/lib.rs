@@ -78,7 +78,7 @@ pub use rdfcube_engine::{
     evaluate, evaluate_sparql, explain, parse_query, parse_sparql, set_eval_threads, AggFunc,
     AggValue, Bgp, EngineError, PlanStep, Relation, Semantics, SparqlQuery, SparqlResult,
 };
-pub use rdfcube_obs::{QueryTrace, Registry, Snapshot};
+pub use rdfcube_obs::{QueryTrace, Snapshot};
 pub use rdfcube_rdf::{
     parse_ntriples, parse_turtle, saturate, to_ntriples, Dictionary, Graph, Term, TermId, Triple,
     TriplePattern,
@@ -92,6 +92,6 @@ pub mod prelude {
     };
     pub use rdfcube_datagen::{BloggerConfig, VideoConfig};
     pub use rdfcube_engine::{evaluate, parse_query, AggFunc, AggValue, Semantics};
-    pub use rdfcube_obs::{QueryTrace, Snapshot};
+    pub use rdfcube_obs::QueryTrace;
     pub use rdfcube_rdf::{parse_ntriples, parse_turtle, saturate, to_ntriples, Graph, Term};
 }

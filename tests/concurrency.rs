@@ -181,113 +181,6 @@ fn sharded_session_matches_flat_serial() {
     set_eval_threads(1);
 }
 
-/// 8 writer threads hammer one lock-free registry — a counter, a gauge
-/// and a log-bucketed histogram — while a racing reader snapshots
-/// continuously. Every mid-flight snapshot must satisfy the histogram's
-/// publication invariant (`Σ buckets ≥ count`, `sum` covering at least
-/// the published count); after the join, every total must equal the sum
-/// of per-thread increments exactly.
-#[test]
-fn registry_is_consistent_under_concurrent_load() {
-    use rdfcube::obs::Registry;
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    const PER_THREAD: u64 = 20_000;
-    let reg = Registry::new();
-    let counter = reg.counter("test_ops_total");
-    let gauge = reg.gauge("test_level");
-    let hist = reg.histogram("test_latency_nanos");
-    let writers_done = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        let reader = scope.spawn(|| {
-            let mut observations = 0u64;
-            // Snapshot first, then ask whether the writers are done: the
-            // writers may finish before this thread is first scheduled.
-            loop {
-                let snap = reg.snapshot();
-                let h = snap.histogram("test_latency_nanos").expect("registered");
-                let in_buckets: u64 = h.buckets.iter().sum();
-                assert!(
-                    in_buckets >= h.count,
-                    "torn histogram read: {} bucketed samples but count {}",
-                    in_buckets,
-                    h.count
-                );
-                // Every fully-published sample is ≥ 1 below, so the sum
-                // (written before the count) must cover them.
-                assert!(
-                    h.sum >= h.count,
-                    "torn histogram read: sum {} below count {}",
-                    h.sum,
-                    h.count
-                );
-                observations += 1;
-                if writers_done.load(Ordering::Acquire) {
-                    break observations;
-                }
-            }
-        });
-        for k in 0..THREADS {
-            let counter = counter.clone();
-            let gauge = gauge.clone();
-            let hist = hist.clone();
-            scope.spawn(move || {
-                for i in 0..PER_THREAD {
-                    counter.inc();
-                    gauge.add(1);
-                    hist.record(1 + (i % 1024) + k as u64);
-                }
-            });
-        }
-        // The scope joins the writers only after this closure returns,
-        // so flag completion from a dedicated watcher thread instead:
-        // each writer is spawned above; wait for the counter to reach
-        // its final value, then release the reader.
-        scope.spawn(|| {
-            while counter.get() < THREADS as u64 * PER_THREAD {
-                std::thread::yield_now();
-            }
-            writers_done.store(true, Ordering::Release);
-        });
-        let observations = reader.join().expect("reader thread");
-        assert!(observations > 0, "reader never snapshotted");
-    });
-
-    let snap = reg.snapshot();
-    let total = THREADS as u64 * PER_THREAD;
-    assert_eq!(snap.counter("test_ops_total"), total);
-    assert_eq!(snap.gauge("test_level"), total);
-    let h = snap.histogram("test_latency_nanos").expect("registered");
-    assert_eq!(h.count, total);
-    assert_eq!(h.buckets.iter().sum::<u64>(), total);
-    let expected_sum: u64 = (0..THREADS as u64)
-        .map(|k| (0..PER_THREAD).map(|i| 1 + (i % 1024) + k).sum::<u64>())
-        .sum();
-    assert_eq!(h.sum, expected_sum);
-}
-
-/// Both planes must expose identical metric names: a serial session and
-/// its shared counterpart report the same registry schema, so one scrape
-/// config covers either deployment.
-#[test]
-fn both_planes_expose_identical_metric_names() {
-    let serial = blogger_session(2_000, None);
-    let serial_names: Vec<String> = serial
-        .metrics_snapshot()
-        .names()
-        .map(str::to_owned)
-        .collect();
-    let shared = blogger_session(2_000, None).into_shared();
-    let shared_names: Vec<String> = shared
-        .metrics_snapshot()
-        .names()
-        .map(str::to_owned)
-        .collect();
-    assert!(!serial_names.is_empty());
-    assert_eq!(serial_names, shared_names);
-}
-
 /// Concurrent OLAP transforms (slice/dice/drill-out) on a shared base
 /// cube agree with the serial session, with the parallel BGP pipeline
 /// switched on for good measure.

@@ -419,9 +419,4 @@ fn refresh_mode_is_observable() {
     assert_eq!(trace.find("refresh").unwrap().detail, "full");
     let counters = shared.counters();
     assert_eq!((counters.refreshes, counters.incremental_refreshes), (2, 1));
-    let names = shared.metrics_snapshot();
-    assert_eq!(
-        names.counter("rdfcube_catalog_incremental_refreshes_total"),
-        1
-    );
 }
