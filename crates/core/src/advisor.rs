@@ -23,6 +23,12 @@
 //!    byte budget is skipped — except the first, mirroring the catalog's
 //!    single-oversized-entry pinning rule.
 //!
+//! A family spans every ⊕ of its (body, root, measure), since `pres(Q)` does
+//! not depend on ⊕. A computed apex takes the ⊕ of its family's
+//! representative (first-logged) shape; an existing *twin* — unrestricted,
+//! with the apex's canonical dimensions — counts under any ⊕, because its
+//! `pres(Q)` serves the family's other aggregates by γ alone.
+//!
 //! Entry points: [`crate::OlapSession::advise`] (mutation plane) and
 //! [`crate::SharedSession::advise_if_stale`] (periodic re-selection when
 //! the log has grown). A run with no new logged queries since the last
@@ -230,17 +236,18 @@ mod tests {
     }
 
     fn sliced_example(s: &mut OlapSession, city: &str) -> ExtendedQuery {
-        sliced(s, city, AggFunc::Count)
+        let sites = "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?v";
+        sliced(s, city, sites)
     }
 
-    /// Example 1 under `agg`, sliced to one city: each ⊕ is a derivation
-    /// family of its own.
-    fn sliced(s: &mut OlapSession, city: &str, agg: AggFunc) -> ExtendedQuery {
+    /// Example 1's classifier with `measure`, counted and sliced to one
+    /// city: each measure body is a derivation family of its own.
+    fn sliced(s: &mut OlapSession, city: &str, measure: &str) -> ExtendedQuery {
         let eq = s
             .parse_query(
                 "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity",
-                "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?v",
-                agg,
+                measure,
+                AggFunc::Count,
             )
             .unwrap();
         let mut sigma = Sigma::all(2);
@@ -372,7 +379,8 @@ mod tests {
         let mut s = OlapSession::with_budget(world, one_slice_bytes() * 4);
         // A colder family first: ranking by asks, not first-seen order,
         // picks the family whose apex the budget holds.
-        let cold = sliced(&mut s, "Lyon", AggFunc::CountDistinct);
+        let posts = "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?v";
+        let cold = sliced(&mut s, "Lyon", posts);
         s.answer_query(cold).unwrap();
         let hot = sliced_example(&mut s, "Madrid");
         let hot_key = ViewSignature::of(hot.query()).key;

@@ -5,17 +5,22 @@
 //! responsibilities live here:
 //!
 //! 1. **Indexing** — every materialized cube is registered under its
-//!    [`ViewKey`] (canonical body text, root, measure signature, ⊕), so a
+//!    [`ViewKey`] (canonical body text, root, measure signature), so a
 //!    target query probes exactly one *derivation family* in O(1) instead
-//!    of linearly rescanning — and re-canonicalizing — every cube. The
-//!    [`ViewSignature`] and canonical dimension names are computed once at
+//!    of linearly rescanning — and re-canonicalizing — every cube. ⊕ is
+//!    not in the key: `pres(Q)` does not depend on it, so a family spans
+//!    every ⊕ of one (body, root, measure). The [`ViewSignature`] (⊕ and
+//!    the canonical dimension names included) is computed once at
 //!    registration and stored on the entry.
 //! 2. **Applicability** — [`CatalogEntry::classify`] decides whether (and
 //!    how) an entry can soundly answer a target: the paper's Proposition 1
-//!    (dice), Proposition 2 (drill-out with unrestricted removed
-//!    dimensions), or Proposition 3 (drill-in of an existential variable),
-//!    expressed as a [`Derivation`]. *Which* applicable derivation to run
-//!    is not decided here — that is the cost model's job
+//!    (dice, same ⊕ only, as it reads `ans(Q)`), Proposition 2 (drill-out
+//!    with unrestricted removed dimensions), or Proposition 3 (drill-in of
+//!    an existential variable), expressed as a [`Derivation`]. The two
+//!    `pres`-based ones serve any ⊕, and a target that differs from the
+//!    source only in ⊕ is a drill-out that removes nothing: Equation 3's
+//!    γ over the (diced) source `pres`. *Which* applicable derivation to
+//!    run is not decided here — that is the cost model's job
 //!    ([`crate::cost`]).
 //! 3. **Budgeting** — an optional byte budget over the materialized
 //!    payloads (`ans(Q)` + `pres(Q)`, measured by their `approx_bytes`).
@@ -55,12 +60,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// cube (the applicability side of Propositions 1–3; costing is separate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Derivation {
-    /// Same dimensions in the same order; the target Σ refines the
-    /// source's → σ over `ans(Q)` (Proposition 1).
+    /// Same dimensions in the same order and the same ⊕; the target Σ
+    /// refines the source's → σ over `ans(Q)` (Proposition 1).
     Dice,
     /// Target dimensions are an order-preserving subset; the listed source
     /// dimension indices are dropped (their source Σ must be unrestricted)
-    /// → Algorithm 1 (Proposition 2).
+    /// → Algorithm 1 (Proposition 2). With none listed the target differs
+    /// from the source in ⊕ (and perhaps a refining Σ) only: γ over the
+    /// source's `pres(Q)` (Equation 3).
     DrillOut(Vec<usize>),
     /// Target has exactly one extra trailing dimension, existential in the
     /// source classifier → Algorithm 2 (Proposition 3). Holds the source
@@ -211,13 +218,19 @@ impl CatalogEntry {
 
     /// Decides whether (and how) this entry can soundly answer a target
     /// query with signature `target_sig` and restriction `target_sigma`,
-    /// assuming the family key already matched (same canonical body, root,
-    /// measure and ⊕; the caller probed the [`ViewKey`] index).
+    /// assuming the family key already matched (same canonical body, root
+    /// and measure; the caller probed the [`ViewKey`] index). ⊕ is read
+    /// from the two signatures: only σ over `ans(Q)` needs the same one.
     pub fn classify(&self, target_sig: &ViewSignature, target_sigma: &Sigma) -> Option<Derivation> {
         let (s_dims, s_sigma) = (&self.sig.dims, self.eq.sigma());
         let (t_dims, t_sigma) = (&target_sig.dims, target_sigma);
         if s_dims == t_dims {
-            return t_sigma.refines(s_sigma).then_some(Derivation::Dice);
+            let d = if self.sig.agg == target_sig.agg {
+                Derivation::Dice
+            } else {
+                Derivation::DrillOut(vec![])
+            };
+            return t_sigma.refines(s_sigma).then_some(d);
         }
 
         // DrillOut: t_dims is a strict, order-preserving subset of s_dims.
@@ -326,8 +339,8 @@ pub struct KeyStats {
 /// One distinct query shape recorded in the catalog's query log: the
 /// extended query, its signature, and what the planner last did with it.
 /// Shapes are deduplicated the way [`crate::session`]'s duplicate check
-/// works — same family, same canonical dimensions, same Σ — so repeated
-/// traffic bumps `count` instead of growing the log.
+/// works — same family, same ⊕, same canonical dimensions, same Σ — so
+/// repeated traffic bumps `count` instead of growing the log.
 #[derive(Debug, Clone)]
 pub struct LoggedQuery {
     eq: Arc<ExtendedQuery>,
@@ -545,7 +558,7 @@ impl CubeCatalog {
             .copied()
             .find(|&i| {
                 let s = &log.shapes[i];
-                s.sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
+                s.sig.agg == sig.agg && s.sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
             });
         match found {
             Some(i) => {
@@ -904,6 +917,13 @@ mod tests {
         )
     }
 
+    /// `eq` under another ⊕.
+    fn under(eq: &ExtendedQuery, agg: AggFunc) -> ExtendedQuery {
+        let q = eq.query();
+        let q = AnalyticalQuery::new(q.classifier().clone(), q.measure().clone(), agg);
+        ExtendedQuery::from_query(q.unwrap())
+    }
+
     fn materialize(eq: &ExtendedQuery, g: &Graph) -> (Cube, PartialResult) {
         let pres = PartialResult::compute(eq, g).unwrap();
         let ans = pres.to_cube(g.dict()).unwrap();
@@ -926,10 +946,12 @@ mod tests {
         assert!(stats.bytes > 0);
         assert_eq!(cat.resident_bytes(), stats.bytes);
 
-        // A different ⊕ lands in a different family.
-        let mut other_key = sig.key.clone();
-        other_key.agg = AggFunc::Sum;
-        assert!(cat.family(&other_key).is_empty());
+        // A different ⊕ lands in the same family: its `pres` is the same.
+        let distinct = under(&eq, AggFunc::CountDistinct);
+        assert_eq!(ViewSignature::of(distinct.query()).key, sig.key);
+        let (d_ans, d_pres) = materialize(&distinct, &g);
+        let other = cat.insert(distinct, d_ans, d_pres, g.len());
+        assert_eq!(cat.family(&sig.key), &[idx, other]);
     }
 
     #[test]
@@ -1073,6 +1095,32 @@ mod tests {
     }
 
     #[test]
+    fn query_log_keeps_aggregates_apart() {
+        let mut g = blog_world();
+        let eq = example_1(&mut g);
+        let summed = under(&eq, AggFunc::Sum);
+        let (sig, summed_sig) = (
+            ViewSignature::of(eq.query()),
+            ViewSignature::of(summed.query()),
+        );
+        let cat = CubeCatalog::new();
+        let scratch = ExplainedStrategy::scratch(10.0, 0);
+        let alg1 = ExplainedStrategy::hit(Strategy::Algorithm1, 0, 5.0, 10.0, 1);
+        cat.record_query(&eq, &sig, &scratch, 500);
+        cat.record_query(&summed, &summed_sig, &alg1, 200);
+        cat.record_query(&summed, &summed_sig, &alg1, 300);
+
+        // One family, two shapes: each keeps its own route and figures.
+        let shapes = cat.logged_shapes();
+        assert_eq!(shapes.len(), 2, "a count ask and a sum ask stay apart");
+        let seen = |s: &LoggedQuery| (s.strategy(), s.count(), s.measured_nanos());
+        assert_eq!(seen(&shapes[0]), (Strategy::FromScratch, 1, 500));
+        assert_eq!(seen(&shapes[1]), (Strategy::Algorithm1, 2, 300));
+        assert_eq!(cat.key_stats(&sig.key).accesses, 3);
+        assert_eq!(cat.stats().key_stats.len(), 1);
+    }
+
+    #[test]
     fn family_heat_shields_hot_families_from_eviction() {
         let mut g = blog_world();
         let eq = example_1(&mut g);
@@ -1080,12 +1128,12 @@ mod tests {
         let one_cube = ans.approx_bytes() + pres.approx_bytes();
         let sig = ViewSignature::of(eq.query());
 
-        // A second family: same body, different aggregate.
+        // A second family: same classifier, different measure body.
         let other = ExtendedQuery::from_query(
             AnalyticalQuery::parse(
                 "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity",
-                "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?v",
-                AggFunc::CountDistinct,
+                "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?v",
+                AggFunc::Count,
                 g.dict_mut(),
             )
             .unwrap(),

@@ -323,10 +323,10 @@ fn record_strategy_span(explained: &ExplainedStrategy) {
 }
 
 /// Finds an *exact duplicate* of `eq` in the catalog: an entry of the same
-/// derivation family with identical canonical dimensions, identical Σ, and
-/// identical user-facing dimension names. Such an entry would materialize
-/// cell-identically under identical names, so serving paths reuse it
-/// instead of growing the catalog.
+/// derivation family with the same ⊕, identical canonical dimensions,
+/// identical Σ, and identical user-facing dimension names. Such an entry
+/// would materialize cell-identically under identical names, so serving
+/// paths reuse it instead of growing the catalog.
 pub(crate) fn find_duplicate(
     catalog: &CubeCatalog,
     sig: &ViewSignature,
@@ -334,7 +334,8 @@ pub(crate) fn find_duplicate(
 ) -> Option<usize> {
     catalog.family(&sig.key).iter().copied().find(|&idx| {
         let e = catalog.entry(idx);
-        e.signature().dims == sig.dims
+        e.signature().agg == sig.agg
+            && e.signature().dims == sig.dims
             && e.query().sigma() == eq.sigma()
             && e.query().query().dim_names() == eq.query().dim_names()
     })
@@ -385,7 +386,8 @@ pub(crate) fn plan_in(
 /// *before* the algorithm, as from-scratch pushes them into the classifier.
 /// They commute with both (a removed dimension is unrestricted by
 /// Proposition 2, the drilled-in one is new), and the algorithm then sorts
-/// the diced rows only.
+/// the diced rows only. The table is labelled with the target's ⊕, which
+/// its rows do not depend on, so the algorithm's γ is the target's.
 fn diced_source<'a>(
     source: &'a CubeSnapshot,
     target: &ExtendedQuery,
@@ -397,12 +399,14 @@ fn diced_source<'a>(
         let carried = (!removed.contains(&i)).then(|| kept.next()).flatten();
         carried.unwrap_or(ValueSelector::All)
     };
-    let sigma = Sigma::from_selectors((0..source.pres().n_dims()).map(selector).collect());
-    if &sigma == source.query().sigma() {
-        return (Cow::Borrowed(source.pres()), sigma);
-    }
-    let diced = rewrite::dice_pres(source.pres(), &sigma, dict);
-    (Cow::Owned(diced), sigma)
+    let (pres, agg) = (source.pres(), target.query().agg());
+    let sigma = Sigma::from_selectors((0..pres.n_dims()).map(selector).collect());
+    let diced = match (&sigma == source.query().sigma(), pres.agg() == agg) {
+        (true, true) => return (Cow::Borrowed(pres), sigma),
+        (true, false) => pres.clone(),
+        (false, _) => rewrite::dice_pres(pres, &sigma, dict),
+    };
+    (Cow::Owned(diced.with_agg(agg)), sigma)
 }
 
 /// Executes derivation `d` of `target` from a source snapshot.

@@ -466,6 +466,13 @@ impl PartialResult {
         self
     }
 
+    /// The same table labelled with another ⊕: the rows of `pres(Q)` do
+    /// not depend on it, only the γ of [`Self::to_cube`] does.
+    pub(crate) fn with_agg(mut self, agg: AggFunc) -> Self {
+        self.agg = agg;
+        self
+    }
+
     /// Number of dimensions.
     pub fn n_dims(&self) -> usize {
         self.n_dims

@@ -118,6 +118,9 @@ fn sort_scan(
 /// Returns `(ans(Q_DRILL-OUT), pres(Q_DRILL-OUT))` — the deduplicated table
 /// *is* the new partial result. π pushes one head per source head, δ is the
 /// kernel's sort + adjacent-duplicate scan, γ the cell scan over its output.
+/// With nothing removed the input is already canonical and only γ is left
+/// (Equation 3): that is how a target differing from its source in ⊕ alone
+/// is served, from a `pres` relabelled with the target's ⊕.
 pub fn drill_out_from_pres(
     pres: &PartialResult,
     removed: &[usize],
@@ -125,6 +128,9 @@ pub fn drill_out_from_pres(
 ) -> Result<(Cube, PartialResult), CoreError> {
     let n = pres.n_dims();
     in_range(removed, n)?;
+    if removed.is_empty() {
+        return Ok((pres.to_cube(dict)?, pres.clone()));
+    }
     let kept: Vec<usize> = (0..n).filter(|i| !removed.contains(i)).collect();
     let dim_names: Vec<String> = kept.iter().map(|&i| pres.dim_names()[i].clone()).collect();
 
@@ -586,6 +592,29 @@ mod tests {
             naive.same_cells(&scratch),
             "no multi-valued dims ⇒ naive is lucky"
         );
+    }
+
+    #[test]
+    fn drill_out_removing_nothing_is_gamma_alone() {
+        let mut g = blog_instance();
+        let eq = avg_words_query(&mut g);
+        let pres = PartialResult::compute(&eq, &g).unwrap();
+        let (cube, same) = drill_out_from_pres(&pres, &[], g.dict()).unwrap();
+        assert_eq!(same, pres, "the input is returned unchanged");
+        let gamma = pres.to_cube(g.dict()).unwrap();
+        assert!(cube.same_cells(&gamma));
+        assert_eq!(
+            (cube.agg(), cube.dim_names()),
+            (gamma.agg(), gamma.dim_names())
+        );
+
+        // Labelled with another ⊕, the same rows give that ⊕'s cells.
+        let q = eq.query();
+        let sum = AnalyticalQuery::new(q.classifier().clone(), q.measure().clone(), AggFunc::Sum);
+        let scratch = ExtendedQuery::from_query(sum.unwrap()).answer(&g).unwrap();
+        let (summed, _) = drill_out_from_pres(&pres.with_agg(AggFunc::Sum), &[], g.dict()).unwrap();
+        assert!(summed.same_cells(&scratch));
+        assert!(!summed.same_cells(&gamma));
     }
 
     #[test]

@@ -385,16 +385,17 @@ impl OlapSession {
 
     /// The paper's problem statement in its general form: answers an
     /// *arbitrary* extended query by probing the catalog for cubes it can
-    /// be soundly derived from — same canonical classifier body, measure
-    /// and ⊕ (up to variable renaming and pattern order, see
-    /// [`crate::signature`]) with compatibly related dimensions and Σ —
-    /// and running the cheapest estimated route among the applicable
-    /// derivations and from-scratch evaluation.
+    /// be soundly derived from — same canonical classifier body and
+    /// measure (up to variable renaming and pattern order, see
+    /// [`crate::signature`]) with compatibly related dimensions and Σ, under
+    /// any ⊕ for the routes over `pres(Q)` — and running the cheapest
+    /// estimated route among the applicable derivations and from-scratch
+    /// evaluation.
     ///
     /// The answered query is materialized either way, so it becomes a
     /// candidate source for future queries — except when it is an *exact
-    /// duplicate* of an existing cube (identity dice with equal Σ and
-    /// equal dimension names): then the existing handle is returned
+    /// duplicate* of an existing cube (identity dice with equal ⊕, equal Σ
+    /// and equal dimension names): then the existing handle is returned
     /// directly, so repeated traffic for the same query cannot grow the
     /// catalog (or its family index) without bound.
     pub fn answer_query(

@@ -87,13 +87,15 @@ fn render_pattern(p: &rdfcube_engine::QueryPattern, names: &FxHashMap<VarId, Str
 /// The hashable identity of a *derivation family*: every materialized cube
 /// that could possibly answer a given target query shares this key — same
 /// canonical classifier body, same canonical root name, same measure
-/// signature, same ⊕. The cube catalog indexes its entries by `ViewKey`, so
-/// `find_derivation` probes exactly one candidate family in O(1) instead of
+/// signature. The cube catalog indexes its entries by `ViewKey`, so
+/// the planner probes exactly one candidate family in O(1) instead of
 /// rescanning (and re-canonicalizing) every materialized cube per query.
 ///
-/// Dimension heads and Σ restrictions are deliberately *not* part of the
-/// key: drill-out/drill-in change the head and dice changes Σ, and all of
-/// them must land in the same family for reuse to trigger.
+/// Dimension heads, Σ restrictions and ⊕ are deliberately *not* part of
+/// the key: drill-out/drill-in change the head, dice changes Σ, and
+/// `pres(Q)` — the input every `pres`-based route reads — does not depend
+/// on ⊕ (Equation 3 applies γ_⊕ only at the end), so all of them must land
+/// in the same family for reuse to trigger.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ViewKey {
     /// Canonical classifier body text ([`BodySignature::text`]).
@@ -102,14 +104,13 @@ pub struct ViewKey {
     pub root: String,
     /// Full canonical measure signature ([`query_signature`]).
     pub measure: String,
-    /// The aggregation function ⊕.
-    pub agg: AggFunc,
 }
 
 /// Everything the catalog needs to know about a query's shape, computed
 /// **once** (at registration for sources, once per probe for targets):
-/// the family key, the body signature's variable↔name correspondence, and
-/// the canonical names of the dimension variables in head order.
+/// the family key, the body signature's variable↔name correspondence, the
+/// canonical names of the dimension variables in head order, and ⊕ — which
+/// decides between σ over `ans(Q)` and γ over `pres(Q)` within a family.
 #[derive(Debug, Clone)]
 pub struct ViewSignature {
     /// The derivation-family key.
@@ -118,6 +119,8 @@ pub struct ViewSignature {
     pub body: BodySignature,
     /// Canonical names of the dimensions, in classifier-head order.
     pub dims: Vec<String>,
+    /// The aggregation function ⊕.
+    pub agg: AggFunc,
 }
 
 impl ViewSignature {
@@ -142,10 +145,10 @@ impl ViewSignature {
                 body: body.text.clone(),
                 root,
                 measure: query_signature(query.measure()),
-                agg: query.agg(),
             },
             body,
             dims,
+            agg: query.agg(),
         }
     }
 }
@@ -242,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn view_keys_are_rename_invariant_and_agg_sensitive() {
+    fn view_keys_are_rename_invariant_and_agg_blind() {
         use crate::anq::AnalyticalQuery;
         use rdfcube_engine::AggFunc;
         let mut dict = Dictionary::new();
@@ -275,7 +278,9 @@ mod tests {
             &mut dict,
         )
         .unwrap();
-        assert_ne!(sa.key, ViewSignature::of(&c).key, "⊕ is part of the key");
+        let sc = ViewSignature::of(&c);
+        assert_eq!(sa.key, sc.key, "⊕ does not split the family");
+        assert_ne!(sa.agg, sc.agg, "but the signature keeps it");
     }
 
     #[test]

@@ -3,10 +3,13 @@
 //!
 //! Instead of naming a source cube and an operation, analysts just pose
 //! queries; the session's cube catalog recognizes — via one O(1) probe of
-//! its canonical-signature index — when a new query's classifier body,
-//! measure and aggregate match a materialized cube (up to variable
-//! renaming and pattern order), costs every applicable rewriting against
-//! from-scratch evaluation, and runs the cheapest. Each answer comes back
+//! its canonical-signature index — when a new query's classifier body and
+//! measure match a materialized cube (up to variable renaming and pattern
+//! order), costs every applicable rewriting against from-scratch
+//! evaluation, and runs the cheapest. The aggregate need not match:
+//! `pres(Q)` does not depend on it, so the broad cube posed again under
+//! another ⊕ is Algorithm 1 removing nothing — γ over its `pres(Q)`. Each
+//! answer comes back
 //! with an `ExplainedStrategy` — the chosen route, its cost estimate, the
 //! from-scratch estimate it beat, whether the catalog hit at all — and,
 //! when posed through `answer_traced`, a `QueryTrace` of the observed
@@ -51,9 +54,10 @@ fn main() {
     );
 
     // …and a *different* analyst poses fresh queries, written independently.
-    let queries: Vec<(&str, ExtendedQuery)> = vec![
+    let queries: Vec<(&str, Strategy, ExtendedQuery)> = vec![
         (
             "same cube, renamed variables & reordered patterns",
+            Strategy::SelectionOnAns,
             pose(
                 &mut session,
                 "k(?u, ?years, ?town) :- ?u livesIn ?town, ?u hasAge ?years, ?u rdf:type Blogger",
@@ -62,7 +66,18 @@ fn main() {
             ),
         ),
         (
+            "same cube, distinct sites instead of posts (another ⊕)",
+            Strategy::Algorithm1,
+            pose(
+                &mut session,
+                datagen::EXAMPLE1_CLASSIFIER,
+                datagen::EXAMPLE1_MEASURE,
+                AggFunc::CountDistinct,
+            ),
+        ),
+        (
             "coarser cube: by city only (drill-out shape)",
+            Strategy::Algorithm1,
             pose(
                 &mut session,
                 "k(?u, ?town) :- ?u rdf:type Blogger, ?u hasAge ?a, ?u livesIn ?town",
@@ -72,6 +87,7 @@ fn main() {
         ),
         (
             "unrelated measure (must fall back)",
+            Strategy::FromScratch,
             pose(
                 &mut session,
                 "k(?u, ?town) :- ?u rdf:type Blogger, ?u livesIn ?town",
@@ -81,7 +97,7 @@ fn main() {
         ),
     ];
 
-    for (label, eq) in queries {
+    for (label, expected, eq) in queries {
         // Plan first (no materialization) to show the catalog's decision…
         let planned = session.explain_query(&eq);
         // …then actually answer — traced, so the observed per-stage wall
@@ -100,6 +116,7 @@ fn main() {
             session.answer(h).same_cells(&scratch),
             "derivation diverged!"
         );
+        assert_eq!(strategy.strategy, expected, "{label}: unexpected route");
         println!("query: {label}");
         println!(
             "  catalog {}: {} applicable candidate(s)",

@@ -264,11 +264,15 @@ impl Interpreter {
                 "cube <name> <agg> <classifier> | <measure>".into(),
             ));
         };
+        // Posed like any query, so a cube the session holds can serve it.
         let session = self.session()?;
-        let handle = session.register(classifier.trim(), measure.trim(), agg)?;
+        let eq = session.parse_query(classifier.trim(), measure.trim(), agg)?;
+        let (handle, strategy) = session.answer_query(eq)?;
         let cells = session.answer(handle).len();
         self.cubes.insert(name.to_string(), handle);
-        Ok(format!("cube {name}: {cells} cells materialized\n"))
+        Ok(format!(
+            "cube {name}: {cells} cells materialized via {strategy}\n"
+        ))
     }
 
     fn transform(

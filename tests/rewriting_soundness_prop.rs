@@ -332,6 +332,63 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+
+    /// `pres(Q)` does not depend on ⊕, so a cube registered under ⊕₁
+    /// answers the same cube, a dice and a drill-out under ⊕₂. On both
+    /// session planes, each holding only the ⊕₁ cube, every answer has the
+    /// cells of from-scratch evaluation, and a ⊕ change over the same
+    /// dimensions is Algorithm 1 over the source `pres` (γ alone).
+    #[test]
+    fn another_aggregate_is_served_from_the_same_pres(
+        cfg in arb_config(0.0f64..0.6),
+        source_agg in arb_agg(),
+        target_agg in arb_agg(),
+        lo in 18i64..40,
+        width in 0i64..12,
+    ) {
+        let mut instance = generate_instance(&cfg);
+        let mut parse = |agg| {
+            let q = AnalyticalQuery::parse(CLASSIFIER, MEASURE, agg, instance.dict_mut()).unwrap();
+            ExtendedQuery::from_query(q)
+        };
+        let (source, same) = (parse(source_agg), parse(target_agg));
+        let ops = [
+            OlapOp::Dice {
+                constraints: vec![("dage".into(), ValueSelector::IntRange { lo, hi: lo + width })],
+            },
+            OlapOp::DrillOut { dims: vec!["dcity".into()] },
+        ];
+        let mut targets = vec![same.clone()];
+        targets.extend(ops.iter().map(|op| rdfcube::apply(&same, op).unwrap()));
+        // A session holding only the ⊕₁ cube.
+        let holding_source = || {
+            let mut session = OlapSession::new(instance.clone());
+            session.register_query(source.clone()).unwrap();
+            session
+        };
+        for (i, target) in targets.iter().enumerate() {
+            let scratch = rewrite::from_scratch(target, &instance).unwrap();
+            let mut session = holding_source();
+            let (h, how) = session.answer_query(target.clone()).unwrap();
+            prop_assert!(session.answer(h).same_cells(&scratch), "{how} diverged for target {i}");
+
+            let shared = holding_source().into_shared();
+            let (h, shared_how) = shared.answer_query(target.clone()).unwrap();
+            let cells = shared.snapshot(h).unwrap();
+            prop_assert!(cells.answer().same_cells(&scratch), "{shared_how} diverged for target {i}");
+
+            if i == 0 && source_agg != target_agg {
+                for how in [how, shared_how] {
+                    prop_assert_eq!(how.strategy, rdfcube::Strategy::Algorithm1);
+                    prop_assert!(how.catalog_hit);
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // `pres`-level soundness: the partial result every rewriting returns — not
 // only the cells aggregated from it — is the one from-scratch evaluation of
