@@ -38,7 +38,7 @@ use crate::catalog::{CubeCatalog, LoggedQuery};
 use crate::error::CoreError;
 use crate::extended::{ExtendedQuery, Sigma};
 use crate::pres::PartialResult;
-use crate::signature::{ViewKey, ViewSignature};
+use crate::signature::ViewKey;
 use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::Graph;
 
@@ -133,14 +133,14 @@ pub(crate) fn advise_catalog(
                 let Some(eq) = build_candidate(rep, dims) else {
                     continue;
                 };
-                let sig = ViewSignature::of(eq.query());
-                debug_assert_eq!(&sig.dims, dims, "apex head kept canonical names");
+                let apex_dims = &eq.query().signature().dims;
+                debug_assert_eq!(apex_dims, dims, "apex head kept canonical names");
                 let pres = PartialResult::compute(&eq, instance)?;
                 let ans = pres.to_cube(instance.dict())?;
                 if held > 0 && ans.approx_bytes() + pres.approx_bytes() > remaining {
                     continue;
                 }
-                catalog.insert_signed(eq, sig, ans, pres, instance.len())
+                catalog.insert(eq, ans, pres, instance.len())
             }
         };
         catalog.touch(idx);
@@ -383,7 +383,7 @@ mod tests {
         let cold = sliced(&mut s, "Lyon", posts);
         s.answer_query(cold).unwrap();
         let hot = sliced_example(&mut s, "Madrid");
-        let hot_key = ViewSignature::of(hot.query()).key;
+        let hot_key = hot.query().signature().key.clone();
         for city in ["Madrid", "NY", "Lyon", "Madrid"] {
             let eq = sliced_example(&mut s, city);
             s.answer_query(eq).unwrap();

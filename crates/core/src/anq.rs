@@ -13,21 +13,29 @@
 
 use crate::error::CoreError;
 use crate::schema::AnalyticalSchema;
+use crate::signature::ViewSignature;
 use rdfcube_engine::{parse_query, AggFunc, Bgp, PatternTerm, VarId};
 use rdfcube_rdf::fx::FxHashSet;
 use rdfcube_rdf::{vocab, Dictionary, Term};
+use std::sync::Arc;
 
 /// An analytical query `⟨c, m, ⊕⟩` over an analytical-schema instance.
+///
+/// The query is immutable once built, so its canonical
+/// [`ViewSignature`] is computed once, in [`Self::new`], and shared by
+/// every clone.
 #[derive(Debug, Clone)]
 pub struct AnalyticalQuery {
     classifier: Bgp,
     measure: Bgp,
     agg: AggFunc,
+    signature: Arc<ViewSignature>,
 }
 
 impl AnalyticalQuery {
     /// Builds an AnQ from already-constructed classifier and measure
-    /// queries, validating the structural requirements of Definition 1.
+    /// queries, validating the structural requirements of Definition 1,
+    /// and canonicalizes it ([`Self::signature`]).
     pub fn new(classifier: Bgp, measure: Bgp, agg: AggFunc) -> Result<Self, CoreError> {
         classifier.validate_rooted()?;
         measure.validate_rooted()?;
@@ -53,6 +61,7 @@ impl AnalyticalQuery {
             }
         }
         Ok(AnalyticalQuery {
+            signature: Arc::new(ViewSignature::compute(&classifier, &measure, agg)),
             classifier,
             measure,
             agg,
@@ -100,6 +109,12 @@ impl AnalyticalQuery {
     /// The aggregation function ⊕.
     pub fn agg(&self) -> AggFunc {
         self.agg
+    }
+
+    /// The canonical signature computed when the query was built: its
+    /// derivation-family key, canonical dimension names and ⊕.
+    pub fn signature(&self) -> &ViewSignature {
+        &self.signature
     }
 
     /// The fact (root) variable — first head variable of the classifier.
@@ -347,6 +362,66 @@ mod tests {
         .unwrap();
         let err = q.validate_against(&blog_schema(), &dict).unwrap_err();
         assert!(err.to_string().contains("rooted in class"));
+    }
+
+    /// The signature a query carries is the one a fresh canonicalization
+    /// computes — for parsed queries and for every operator's output — and
+    /// clones share it rather than copy it.
+    #[test]
+    fn carried_signature_is_never_stale() {
+        use crate::extended::{ExtendedQuery, ValueSelector};
+        use crate::olap::{apply, apply_roll_up_encoded, OlapOp};
+        let mut dict = Dictionary::new();
+        let measure = "m(?x, ?v) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?v";
+        let mut parse = |classifier: &str| {
+            let q = AnalyticalQuery::parse(classifier, measure, AggFunc::Count, &mut dict);
+            ExtendedQuery::from_query(q.unwrap())
+        };
+        let ex1 = parse(
+            "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity",
+        );
+        let q3 = parse(
+            "c(?x, ?dage, ?dcity, ?dsite) :- ?x rdf:type Blogger, ?x hasAge ?dage, \
+             ?x livesIn ?dcity, ?x wrotePost ?p, ?p postedOn ?dsite",
+        );
+        let e5b = parse("c(?x, ?dage) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity");
+        let ops = [
+            OlapOp::Slice {
+                dim: "dage".into(),
+                value: Term::integer(35),
+            },
+            OlapOp::Dice {
+                constraints: vec![("dage".into(), ValueSelector::IntRange { lo: 13, hi: 19 })],
+            },
+            OlapOp::DrillOut {
+                dims: vec!["dcity".into()],
+            },
+        ];
+        let mut queries = vec![ex1.clone(), q3, e5b.clone()];
+        queries.extend(ops.iter().map(|op| apply(&ex1, op).unwrap()));
+        let drill_in = OlapOp::DrillIn {
+            var: "dcity".into(),
+        };
+        queries.push(apply(&e5b, &drill_in).unwrap());
+        let via = dict.encode(&Term::iri("locatedIn"));
+        queries.push(apply_roll_up_encoded(&ex1, "dcity", via).unwrap());
+
+        for eq in &queries {
+            let q = eq.query();
+            let fresh = ViewSignature::compute(q.classifier(), q.measure(), q.agg());
+            let carried = q.signature();
+            assert_eq!(carried.key, fresh.key);
+            assert_eq!(carried.dims, fresh.dims);
+            assert_eq!(carried.agg, fresh.agg);
+            assert!(Arc::ptr_eq(&q.signature, &q.clone().signature));
+        }
+        // The operators' signatures moved with them: the drill-out kept
+        // `dage`, E5b drilled into `dcity` is Example 1, and the roll-up
+        // changed the body.
+        let sig = |i: usize| queries[i].query().signature();
+        assert_eq!(sig(5).dims, sig(0).dims[..1]);
+        assert_eq!((&sig(6).key, &sig(6).dims), (&sig(0).key, &sig(0).dims));
+        assert_ne!(sig(7).key, sig(0).key);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!    of linearly rescanning — and re-canonicalizing — every cube. ⊕ is
 //!    not in the key: `pres(Q)` does not depend on it, so a family spans
 //!    every ⊕ of one (body, root, measure). The [`ViewSignature`] (⊕ and
-//!    the canonical dimension names included) is computed once at
-//!    registration and stored on the entry.
+//!    the canonical dimension names included) is the one the entry's query
+//!    carries, computed once when that query was built; entries and the
+//!    query log borrow it and keep no copy.
 //! 2. **Applicability** — [`CatalogEntry::classify`] decides whether (and
 //!    how) an entry can soundly answer a target: the paper's Proposition 1
 //!    (dice, same ⊕ only, as it reads `ans(Q)`), Proposition 2 (drill-out
@@ -136,7 +137,6 @@ impl CubeSnapshot {
 #[derive(Debug)]
 pub struct CatalogEntry {
     eq: Arc<ExtendedQuery>,
-    sig: ViewSignature,
     stats: CubeStats,
     payload: Option<Arc<CubePayload>>,
     /// The instance's triple count when this payload was materialized —
@@ -161,9 +161,9 @@ impl CatalogEntry {
         Arc::clone(&self.eq)
     }
 
-    /// The signature computed at registration.
+    /// The signature its query carries.
     pub fn signature(&self) -> &ViewSignature {
-        &self.sig
+        self.eq.query().signature()
     }
 
     /// The cached size statistics.
@@ -222,10 +222,11 @@ impl CatalogEntry {
     /// and measure; the caller probed the [`ViewKey`] index). ⊕ is read
     /// from the two signatures: only σ over `ans(Q)` needs the same one.
     pub fn classify(&self, target_sig: &ViewSignature, target_sigma: &Sigma) -> Option<Derivation> {
-        let (s_dims, s_sigma) = (&self.sig.dims, self.eq.sigma());
+        let sig = self.signature();
+        let (s_dims, s_sigma) = (&sig.dims, self.eq.sigma());
         let (t_dims, t_sigma) = (&target_sig.dims, target_sigma);
         if s_dims == t_dims {
-            let d = if self.sig.agg == target_sig.agg {
+            let d = if sig.agg == target_sig.agg {
                 Derivation::Dice
             } else {
                 Derivation::DrillOut(vec![])
@@ -273,8 +274,7 @@ impl CatalogEntry {
             let extra = &t_dims[s_dims.len()];
             // Find the source classifier variable with that canonical name; it
             // must be existential there (not in the head).
-            let var = self
-                .sig
+            let var = sig
                 .body
                 .var_names
                 .iter()
@@ -344,7 +344,6 @@ pub struct KeyStats {
 #[derive(Debug, Clone)]
 pub struct LoggedQuery {
     eq: Arc<ExtendedQuery>,
-    sig: ViewSignature,
     strategy: Strategy,
     estimated_cost: f64,
     measured_nanos: u64,
@@ -359,7 +358,7 @@ impl LoggedQuery {
 
     /// The shape's view signature (family key + canonical dimensions).
     pub fn signature(&self) -> &ViewSignature {
-        &self.sig
+        self.eq.query().signature()
     }
 
     /// The strategy the planner chose the last time this shape was asked.
@@ -540,14 +539,18 @@ impl CubeCatalog {
     pub fn record_query(
         &self,
         eq: &ExtendedQuery,
-        sig: &ViewSignature,
         explained: &ExplainedStrategy,
         measured_nanos: u64,
     ) {
+        let sig = eq.query().signature();
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let mut log = self.lock_log();
         log.total += 1;
-        let ks = log.key_stats.entry(sig.key.clone()).or_default();
+        // The family's key is cloned only the first time it is seen.
+        if !log.key_stats.contains_key(&sig.key) {
+            log.key_stats.insert(sig.key.clone(), KeyStats::default());
+        }
+        let ks = log.key_stats.get_mut(&sig.key).expect("inserted above");
         ks.accesses += 1;
         ks.last_touch = now;
         let found = log
@@ -558,7 +561,8 @@ impl CubeCatalog {
             .copied()
             .find(|&i| {
                 let s = &log.shapes[i];
-                s.sig.agg == sig.agg && s.sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
+                let s_sig = s.signature();
+                s_sig.agg == sig.agg && s_sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
             });
         match found {
             Some(i) => {
@@ -573,7 +577,6 @@ impl CubeCatalog {
                 log.index.entry(sig.key.clone()).or_default().push(i);
                 log.shapes.push(LoggedQuery {
                     eq: Arc::new(eq.clone()),
-                    sig: sig.clone(),
                     strategy: explained.strategy,
                     estimated_cost: explained.estimated_cost,
                     measured_nanos,
@@ -662,27 +665,13 @@ impl CubeCatalog {
         self.index.get(key).map_or(&[], Vec::as_slice)
     }
 
-    /// Registers a materialized cube, computing its signature and
-    /// statistics once, and enforces the budget (the new entry is pinned).
-    /// `watermark` is the instance triple count the payload was computed
-    /// against. Returns the entry index.
+    /// Registers a materialized cube under the family key its query
+    /// carries, computing its statistics once, and enforces the budget (the
+    /// new entry is pinned). `watermark` is the instance triple count the
+    /// payload was computed against. Returns the entry index.
     pub fn insert(
         &mut self,
         eq: ExtendedQuery,
-        ans: Cube,
-        pres: PartialResult,
-        watermark: usize,
-    ) -> usize {
-        let sig = ViewSignature::of(eq.query());
-        self.insert_signed(eq, sig, ans, pres, watermark)
-    }
-
-    /// [`Self::insert`] with a pre-computed signature (the session already
-    /// computed it to plan the query that produced this cube).
-    pub fn insert_signed(
-        &mut self,
-        eq: ExtendedQuery,
-        sig: ViewSignature,
         ans: Cube,
         pres: PartialResult,
         watermark: usize,
@@ -700,10 +689,10 @@ impl CubeCatalog {
         *clock += 1;
         let now = *clock;
         self.resident_bytes += stats.bytes;
-        self.index.entry(sig.key.clone()).or_default().push(idx);
+        let key = &eq.query().signature().key;
+        self.index.entry(key.clone()).or_default().push(idx);
         self.entries.push(CatalogEntry {
             eq: Arc::new(eq),
-            sig,
             stats,
             payload: Some(Arc::new(CubePayload { ans, pres })),
             watermark,
@@ -777,7 +766,7 @@ impl CubeCatalog {
             self.resident_bytes -= self.entries[idx].stats.bytes;
             self.entries[idx].payload = None;
         }
-        // Make room before attaching, as in `insert_signed`.
+        // Make room before attaching, as in `insert`.
         self.make_room(bytes, Some(idx));
         let watermark = instance.len();
         let e = &mut self.entries[idx];
@@ -847,7 +836,8 @@ impl CubeCatalog {
             self.entries
                 .iter()
                 .map(|e| {
-                    let accesses = log.key_stats.get(&e.sig.key).map_or(0, |k| k.accesses);
+                    let key = &e.signature().key;
+                    let accesses = log.key_stats.get(key).map_or(0, |k| k.accesses);
                     ((accesses + 1) as f64).sqrt()
                 })
                 .collect()
@@ -1064,8 +1054,8 @@ mod tests {
         let cat = CubeCatalog::new();
         let explained = ExplainedStrategy::scratch(10.0, 0);
 
-        cat.record_query(&eq, &sig, &explained, 500);
-        cat.record_query(&eq, &sig, &explained, 700);
+        cat.record_query(&eq, &explained, 500);
+        cat.record_query(&eq, &explained, 700);
         assert_eq!(cat.log_total(), 2);
         let shapes = cat.logged_shapes();
         assert_eq!(shapes.len(), 1, "identical shapes dedup");
@@ -1081,7 +1071,7 @@ mod tests {
             crate::extended::ValueSelector::one(rdfcube_rdf::Term::integer(35)),
         );
         let diced = ExtendedQuery::with_sigma(eq.query().clone(), sigma).unwrap();
-        cat.record_query(&diced, &sig, &explained, 100);
+        cat.record_query(&diced, &explained, 100);
         assert_eq!(cat.logged_shapes().len(), 2);
         let ks = cat.key_stats(&sig.key);
         assert_eq!(ks.accesses, 3);
@@ -1099,16 +1089,13 @@ mod tests {
         let mut g = blog_world();
         let eq = example_1(&mut g);
         let summed = under(&eq, AggFunc::Sum);
-        let (sig, summed_sig) = (
-            ViewSignature::of(eq.query()),
-            ViewSignature::of(summed.query()),
-        );
+        let sig = ViewSignature::of(eq.query());
         let cat = CubeCatalog::new();
         let scratch = ExplainedStrategy::scratch(10.0, 0);
         let alg1 = ExplainedStrategy::hit(Strategy::Algorithm1, 0, 5.0, 10.0, 1);
-        cat.record_query(&eq, &sig, &scratch, 500);
-        cat.record_query(&summed, &summed_sig, &alg1, 200);
-        cat.record_query(&summed, &summed_sig, &alg1, 300);
+        cat.record_query(&eq, &scratch, 500);
+        cat.record_query(&summed, &alg1, 200);
+        cat.record_query(&summed, &alg1, 300);
 
         // One family, two shapes: each keeps its own route and figures.
         let shapes = cat.logged_shapes();
@@ -1126,7 +1113,6 @@ mod tests {
         let eq = example_1(&mut g);
         let (ans, pres) = materialize(&eq, &g);
         let one_cube = ans.approx_bytes() + pres.approx_bytes();
-        let sig = ViewSignature::of(eq.query());
 
         // A second family: same classifier, different measure body.
         let other = ExtendedQuery::from_query(
@@ -1151,7 +1137,7 @@ mod tests {
         let newest = cat.insert(eq.clone(), ans, pres, g.len());
         let explained = ExplainedStrategy::scratch(10.0, 0);
         for _ in 0..50 {
-            cat.record_query(&eq, &sig, &explained, 100);
+            cat.record_query(&eq, &explained, 100);
         }
         let total = cat.resident_bytes();
         assert!(total > one_cube);

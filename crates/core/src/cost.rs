@@ -69,9 +69,10 @@ use std::fmt;
 /// runs in CHANGES.md, PR 20 and, for `EVAL_ROW`, PR 25).
 /// `tests::table_ranks_the_probes` holds the size tuples.
 mod ns {
-    /// Every served query — signature, plan, log, hand-over: 13–14 µs when
-    /// it ends at an exact duplicate (`session.repeat_p50_us`), 30–45 µs
-    /// on top of the kernel's time at the first ask of a shape.
+    /// Every served query — plan, log, hand-over: 6–11 µs when it ends at
+    /// an exact duplicate (`session.repeat_p50_us`, four traced
+    /// `olap-session` runs in a slow hour of the 2-core box), 30–45 µs on
+    /// top of the kernel's time at the first ask of a shape.
     pub const QUERY: f64 = 25_000.0;
     /// σ over `ans(Q)` and its `dice_pres` half, per source cell: Q3's
     /// 16,774 cells take 145–172 µs for a 2 % slice and 321–348 µs for a

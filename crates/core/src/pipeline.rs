@@ -6,10 +6,11 @@
 //! obtain that reference — [`OlapSession`](crate::OlapSession) lends its
 //! own catalog, [`SharedSession`](crate::SharedSession) a lock guard:
 //!
-//! * [`route`] (`&CubeCatalog`) — signature, exact-duplicate probe,
-//!   planning (or the caller's forced [`Route`]), and a snapshot of the
-//!   chosen source when it is servable as it stands. A fresh duplicate is
-//!   finished here, without ever needing `&mut`.
+//! * [`route`] (`&CubeCatalog`) — exact-duplicate probe under the
+//!   signature the query carries, planning (or the caller's forced
+//!   [`Route`]), and a snapshot of the chosen source when it is servable
+//!   as it stands. A fresh duplicate is finished here, without ever
+//!   needing `&mut`.
 //! * [`execute`] (no catalog at all) — the rewriting over the source
 //!   [`CubeSnapshot`], or from-scratch evaluation. This is the expensive
 //!   phase, and the one the shared plane runs under no lock.
@@ -32,7 +33,6 @@ use crate::olap::{apply, apply_roll_up_encoded, OlapOp};
 use crate::pres::PartialResult;
 use crate::rewrite;
 use crate::session::{CubeHandle, Strategy};
-use crate::signature::ViewSignature;
 use rdfcube_obs::{self as obs, QueryTrace};
 use rdfcube_rdf::{Dictionary, Graph, TermId};
 use std::borrow::Cow;
@@ -65,7 +65,6 @@ pub(crate) enum Route {
 pub(crate) struct Job {
     start: Instant,
     eq: ExtendedQuery,
-    sig: ViewSignature,
     route: Route,
     explained: ExplainedStrategy,
     /// The source entry's payload, once it is known to be fresh.
@@ -132,7 +131,6 @@ pub(crate) fn route(
 ) -> Result<Step, CoreError> {
     let start = Instant::now();
     let plan_span = obs::span("plan");
-    let sig = ViewSignature::of(eq.query());
     // A route the planner does not pick, explained like one it does.
     let given = |route: Route, strategy, idx: usize| -> Result<_, CoreError> {
         let source = cat.get_entry(idx).ok_or(CoreError::UnknownHandle(idx))?;
@@ -143,12 +141,12 @@ pub(crate) fn route(
             ExplainedStrategy::hit(strategy, idx, cost, scratch, 1),
         ))
     };
-    let (route, explained) = if let Some(idx) = find_duplicate(cat, &sig, &eq) {
+    let (route, explained) = if let Some(idx) = find_duplicate(cat, &eq) {
         given(Route::Duplicate, Strategy::SelectionOnAns, idx)?
     } else if let Some(forced @ Route::RollUp(CubeHandle(idx), ..)) = forced {
         given(forced, Strategy::RollUpComposition, idx)?
     } else {
-        plan_in(cat, instance, &eq, &sig)
+        plan_in(cat, instance, &eq)
     };
     plan_span.attr("candidates", explained.candidates as u64);
     drop(plan_span);
@@ -162,7 +160,6 @@ pub(crate) fn route(
     let job = Job {
         start,
         eq,
-        sig,
         route,
         explained,
         source: None,
@@ -207,11 +204,13 @@ fn with_source(cat: &CubeCatalog, idx: usize, mut job: Job) -> Step {
     };
     cat.touch(idx);
     cat.record_hit();
-    if let Some(sp) = job.span.take() {
+    // The span closes with `job`, so it covers the log bookkeeping below,
+    // which is the duplicate's work too.
+    if let Some(sp) = &job.span {
         sp.attr("rehydrated", u64::from(job.explained.rehydrated));
     }
     let nanos = job.start.elapsed().as_nanos() as u64;
-    cat.record_query(&job.eq, &job.sig, &job.explained, nanos);
+    cat.record_query(&job.eq, &job.explained, nanos);
     Step::Done((CubeHandle(idx), job.explained))
 }
 
@@ -260,11 +259,11 @@ pub(crate) fn commit(
         None => cat.record_miss(),
     }
     let nanos = job.start.elapsed().as_nanos() as u64;
-    cat.record_query(&job.eq, &job.sig, &job.explained, nanos);
+    cat.record_query(&job.eq, &job.explained, nanos);
     // On the shared plane a racing thread may have registered the same
     // query while this one computed outside the lock; converge on its
     // entry instead of inserting a copy.
-    if let Some(idx) = find_duplicate(cat, &job.sig, &job.eq) {
+    if let Some(idx) = find_duplicate(cat, &job.eq) {
         cat.ensure_resident(idx, instance)?;
         cat.touch(idx);
         return Ok(Step::Done((CubeHandle(idx), job.explained)));
@@ -272,7 +271,7 @@ pub(crate) fn commit(
     let sp = obs::span("materialize");
     sp.rows(ans.len() as u64, ans.len() as u64);
     sp.bytes((ans.approx_bytes() + pres.approx_bytes()) as u64);
-    let idx = cat.insert_signed(job.eq, job.sig, ans, pres, instance.len());
+    let idx = cat.insert(job.eq, ans, pres, instance.len());
     drop(sp);
     Ok(Step::Done((CubeHandle(idx), job.explained)))
 }
@@ -300,7 +299,7 @@ pub(crate) fn explain(
     instance: &Graph,
     eq: &ExtendedQuery,
 ) -> ExplainedStrategy {
-    plan_in(cat, instance, eq, &ViewSignature::of(eq.query())).1
+    plan_in(cat, instance, eq).1
 }
 
 /// Emits the zero-duration `strategy` marker span carrying the planner's
@@ -327,11 +326,8 @@ fn record_strategy_span(explained: &ExplainedStrategy) {
 /// identical Σ, and identical user-facing dimension names. Such an entry
 /// would materialize cell-identically under identical names, so serving
 /// paths reuse it instead of growing the catalog.
-pub(crate) fn find_duplicate(
-    catalog: &CubeCatalog,
-    sig: &ViewSignature,
-    eq: &ExtendedQuery,
-) -> Option<usize> {
+pub(crate) fn find_duplicate(catalog: &CubeCatalog, eq: &ExtendedQuery) -> Option<usize> {
+    let sig = eq.query().signature();
     catalog.family(&sig.key).iter().copied().find(|&idx| {
         let e = catalog.entry(idx);
         e.signature().agg == sig.agg
@@ -350,8 +346,8 @@ pub(crate) fn plan_in(
     catalog: &CubeCatalog,
     instance: &Graph,
     eq: &ExtendedQuery,
-    sig: &ViewSignature,
 ) -> (Route, ExplainedStrategy) {
+    let sig = eq.query().signature();
     let scratch = cost::scratch_price(eq, instance);
     let mut best: Option<(usize, Route, f64)> = None;
     let mut candidates = 0;
@@ -425,7 +421,12 @@ fn derive_with(
         ),
         Derivation::DrillOut(removed) => {
             let (diced, sigma) = diced_source(source, target, removed, dict);
-            let (ans, pres) = rewrite::drill_out_from_pres(&diced, removed, dict)?;
+            // A ⊕ change is γ over the relabelled table, not over a copy.
+            let (ans, pres) = if removed.is_empty() {
+                (diced.to_cube(dict)?, diced.into_owned())
+            } else {
+                rewrite::drill_out_from_pres(&diced, removed, dict)?
+            };
             (ans, pres, sigma.without_dims(removed))
         }
         Derivation::DrillIn(var) => {

@@ -89,7 +89,9 @@ fn render_pattern(p: &rdfcube_engine::QueryPattern, names: &FxHashMap<VarId, Str
 /// canonical classifier body, same canonical root name, same measure
 /// signature. The cube catalog indexes its entries by `ViewKey`, so
 /// the planner probes exactly one candidate family in O(1) instead of
-/// rescanning (and re-canonicalizing) every materialized cube per query.
+/// rescanning every materialized cube per query. The key is part of the
+/// [`ViewSignature`] every query carries from construction, so a probe
+/// hashes three strings and canonicalizes nothing.
 ///
 /// Dimension heads, Σ restrictions and ⊕ are deliberately *not* part of
 /// the key: drill-out/drill-in change the head, dice changes Σ, and
@@ -106,11 +108,16 @@ pub struct ViewKey {
     pub measure: String,
 }
 
-/// Everything the catalog needs to know about a query's shape, computed
-/// **once** (at registration for sources, once per probe for targets):
-/// the family key, the body signature's variable↔name correspondence, the
-/// canonical names of the dimension variables in head order, and ⊕ — which
-/// decides between σ over `ans(Q)` and γ over `pres(Q)` within a family.
+/// Everything the catalog needs to know about a query's shape: the family
+/// key, the body signature's variable↔name correspondence, the canonical
+/// names of the dimension variables in head order, and ⊕ — which decides
+/// between σ over `ans(Q)` and γ over `pres(Q)` within a family.
+///
+/// Computed **once per query**, when
+/// [`AnalyticalQuery::new`](crate::AnalyticalQuery::new) builds it, and
+/// carried behind an `Arc` that the query's clones share: routing,
+/// explaining, registering and logging a query all borrow it through
+/// [`AnalyticalQuery::signature`](crate::AnalyticalQuery::signature).
 #[derive(Debug, Clone)]
 pub struct ViewSignature {
     /// The derivation-family key.
@@ -124,31 +131,34 @@ pub struct ViewSignature {
 }
 
 impl ViewSignature {
-    /// Computes the signature of an analytical query. The classifier is
-    /// canonicalized once; root and dimension variables are resolved to
-    /// their canonical names through it.
+    /// The signature of an analytical query: a clone of the one the query
+    /// carries ([`AnalyticalQuery::signature`](crate::AnalyticalQuery::signature)
+    /// borrows it instead).
     pub fn of(query: &crate::anq::AnalyticalQuery) -> ViewSignature {
-        let body = BodySignature::of(query.classifier());
-        let root = body
-            .name_of(query.root())
-            // Rooted-query validation guarantees the root occurs in the
-            // body; the fallback merely keeps this total.
-            .unwrap_or("?")
-            .to_string();
-        let dims = query
-            .dim_vars()
+        query.signature().clone()
+    }
+
+    /// Canonicalizes `⟨classifier, measure, agg⟩`: the classifier is
+    /// canonicalized once, and its root and dimension variables (head
+    /// order) are resolved to their canonical names through it.
+    pub(crate) fn compute(classifier: &Bgp, measure: &Bgp, agg: AggFunc) -> ViewSignature {
+        let body = BodySignature::of(classifier);
+        // Rooted-query validation guarantees every head variable occurs in
+        // the body; the fallback merely keeps this total.
+        let mut names = classifier
+            .head()
             .iter()
-            .map(|&v| body.name_of(v).unwrap_or("?").to_string())
-            .collect();
+            .map(|&v| body.name_of(v).unwrap_or("?").to_string());
+        let root = names.next().unwrap_or_default();
         ViewSignature {
             key: ViewKey {
                 body: body.text.clone(),
                 root,
-                measure: query_signature(query.measure()),
+                measure: query_signature(measure),
             },
+            dims: names.collect(),
             body,
-            dims,
-            agg: query.agg(),
+            agg,
         }
     }
 }
