@@ -11,10 +11,10 @@
 //! holds for it — soundly serves every logged slice, dice and drill-out of
 //! the family, and any new one below it. So the policy is one rule:
 //!
-//! 1. **Mine** — group the catalog's query log
-//!    ([`CubeCatalog::logged_shapes`]) by derivation family, fold each
+//! 1. **Mine** — read the catalog's query log, already one table of
+//!    derivation families ([`CubeCatalog::logged_families`]); fold each
 //!    family's logged heads into its apex (a head whose order conflicts with
-//!    the fold is left out), and rank the families by their logged asks.
+//!    the fold is left out), and rank the families by their asks.
 //! 2. **Materialize** — hottest family first: an apex the catalog already
 //!    holds resident and fresh is kept (and charged to the budget); an
 //!    evicted or stale one is brought back in place
@@ -38,8 +38,6 @@ use crate::catalog::{CubeCatalog, LoggedQuery};
 use crate::error::CoreError;
 use crate::extended::{ExtendedQuery, Sigma};
 use crate::pres::PartialResult;
-use crate::signature::ViewKey;
-use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::Graph;
 
 /// What a view-selection run considered, chose, and materialized.
@@ -70,37 +68,31 @@ pub(crate) fn advise_catalog(
             ..AdvisorReport::default()
         });
     }
-    let shapes = catalog.logged_shapes();
+    let families = catalog.logged_families();
 
     // One apex per family: (representative shape, apex dimensions, asks),
-    // in first-seen order so the run is deterministic for a given log.
-    let mut family_of: FxHashMap<&ViewKey, usize> = FxHashMap::default();
-    let mut families: Vec<(usize, Vec<String>, u64)> = Vec::new();
-    for (i, s) in shapes.iter().enumerate() {
-        let sig = s.signature();
-        match family_of.get(&sig.key) {
-            Some(&f) => {
-                let (_, apex, asks) = &mut families[f];
-                if let Some(merged) = merge_dims(apex, &sig.dims) {
-                    *apex = merged;
+    // in first-probed order so the run is deterministic for a given log.
+    let mut apexes: Vec<(&LoggedQuery, Vec<String>, u64)> = families
+        .iter()
+        .filter_map(|family| {
+            let (rep, rest) = family.shapes.split_first()?;
+            let mut apex = rep.signature().dims.clone();
+            for s in rest {
+                if let Some(merged) = merge_dims(&apex, &s.signature().dims) {
+                    apex = merged;
                 }
-                *asks += s.count();
             }
-            None => {
-                family_of.insert(&sig.key, families.len());
-                families.push((i, sig.dims.clone(), s.count()));
-            }
-        }
-    }
-    // Hottest first; the stable sort keeps first-seen order among ties.
-    families.sort_by_key(|&(_, _, asks)| std::cmp::Reverse(asks));
+            Some((rep, apex, family.asks))
+        })
+        .collect();
+    // Hottest first; the stable sort keeps first-probed order among ties.
+    apexes.sort_by_key(|&(_, _, asks)| std::cmp::Reverse(asks));
 
     // Budget bytes the hotter apexes left, and how many apexes are held:
     // only the first may exceed the budget on its own.
     let mut remaining = catalog.budget().unwrap_or(usize::MAX);
     let (mut held, mut selected, mut materialized_bytes) = (0usize, 0usize, 0usize);
-    for (rep, dims, _) in &families {
-        let rep = &shapes[*rep];
+    for (rep, dims, _) in &apexes {
         // Unrestricted entries with the apex's canonical dimensions, under
         // whatever user-facing names they were registered.
         let twins: Vec<usize> = catalog
@@ -153,8 +145,8 @@ pub(crate) fn advise_catalog(
 
     catalog.mark_advised();
     Ok(AdvisorReport {
-        shapes: shapes.len(),
-        considered: families.len(),
+        shapes: families.iter().map(|f| f.shapes.len()).sum(),
+        considered: apexes.len(),
         selected,
         materialized_bytes,
         log_queries,

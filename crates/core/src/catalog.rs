@@ -42,6 +42,12 @@
 //! The sizes cached on each entry ([`CubeStats`]) survive eviction, so an
 //! evicted entry still takes part in planning; how they are priced is
 //! [`crate::cost`]'s business.
+//!
+//! Every answered query is recorded in the query log, one table of
+//! derivation families ([`LoggedFamily`]): a family's distinct shapes are
+//! what the advisor mines, and its ask count is the *family heat* that
+//! weighs eviction, so a family the workload keeps probing is evicted
+//! last.
 
 use crate::answer::Cube;
 use crate::cost::ExplainedStrategy;
@@ -321,21 +327,6 @@ struct CatalogMetrics {
     incremental_refreshes: AtomicU64,
 }
 
-/// Per-[`ViewKey`] access counters. Unlike an entry's own `hits`/
-/// `last_touch` (which the eviction sweep decays), these accumulate over
-/// the catalog's whole lifetime and — like [`CubeStats`] — survive payload
-/// eviction, so a hot family stays recognizably hot even while its cubes
-/// are cold on disk. They are bumped on *every* probe of the family
-/// (duplicate hits, derivation hits, and misses alike), not just at
-/// registration.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KeyStats {
-    /// Queries that probed this family (hits and misses).
-    pub accesses: u64,
-    /// Catalog clock value of the most recent probe.
-    pub last_touch: u64,
-}
-
 /// One distinct query shape recorded in the catalog's query log: the
 /// extended query, its signature, and what the planner last did with it.
 /// Shapes are deduplicated the way [`crate::session`]'s duplicate check
@@ -383,38 +374,42 @@ impl LoggedQuery {
     }
 }
 
+/// One derivation family of the query log: the distinct shapes it
+/// retains, in first-logged order, and how often the family was asked.
+#[derive(Debug, Clone, Default)]
+pub struct LoggedFamily {
+    /// The family's distinct shapes the log retains.
+    pub shapes: Vec<LoggedQuery>,
+    /// Queries that probed the family, hit or miss — past the shape cap
+    /// too, so it can exceed the sum of the shapes' counts. Like
+    /// [`CubeStats`] it survives payload eviction: it is the family heat
+    /// eviction weighs ([`CubeCatalog::set_budget`]) and the advisor ranks
+    /// families by.
+    pub asks: u64,
+}
+
 /// Distinct shapes the query log retains full queries for. Past the cap,
-/// new shapes still count toward [`KeyStats`] (frequency feeds eviction)
-/// but are not remembered individually — the advisor builds its apexes
-/// and ranks its families from the shapes seen first, and under a skewed
-/// workload the hot families are among them.
+/// new shapes still count toward their family's asks (frequency feeds
+/// eviction) but are not remembered individually — the advisor builds its
+/// apexes from the shapes seen first, and under a skewed workload the hot
+/// families are among them.
 const MAX_LOGGED_SHAPES: usize = 1024;
 
-/// The query log: every `answer_query`/`transform` probe lands here.
-/// Lives behind a `Mutex` inside the catalog so the shared plane's
-/// read-locked serving paths can record through `&self`.
+/// The query log: every `answer_query`/`transform` probe lands here, in
+/// one table of families indexed by [`ViewKey`]. Lives behind a `Mutex`
+/// inside the catalog so the shared plane's read-locked serving paths can
+/// record through `&self`.
 #[derive(Debug, Default)]
 struct QueryLog {
-    shapes: Vec<LoggedQuery>,
-    index: FxHashMap<ViewKey, Vec<usize>>,
-    key_stats: FxHashMap<ViewKey, KeyStats>,
+    /// Families in first-probed order.
+    families: Vec<LoggedFamily>,
+    by_key: FxHashMap<ViewKey, usize>,
+    /// Distinct shapes retained across all families.
+    shapes: usize,
     /// Total queries recorded (including shapes past the cap).
     total: u64,
     /// [`Self::total`] at the time of the last advisor run.
     advised_at: u64,
-}
-
-/// A point-in-time summary of the catalog's access statistics: the size
-/// of the query log and the per-family frequency counters it maintains.
-/// The cumulative counters are read through [`CubeCatalog::counters`].
-#[derive(Debug, Clone)]
-pub struct CatalogStats {
-    /// Total queries recorded in the log.
-    pub logged_queries: u64,
-    /// Distinct query shapes the log retains.
-    pub distinct_shapes: usize,
-    /// Per-family access counters, hottest first.
-    pub key_stats: Vec<(ViewKey, KeyStats)>,
 }
 
 /// The signature-indexed, budget-aware store of materialized cubes.
@@ -531,11 +526,12 @@ impl CubeCatalog {
         self.log.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Records one answered query in the log: bumps the family's
-    /// [`KeyStats`] (every probe counts, hit or miss) and either bumps an
-    /// existing shape's frequency or remembers the new shape. Takes
-    /// `&self` so the shared plane's serving paths can record under their
-    /// read lock; the log's own mutex is held only for the bookkeeping.
+    /// Records one answered query in the log: bumps its family's asks
+    /// (every probe counts, hit or miss) and either bumps an existing
+    /// shape's frequency or remembers the new shape. Takes `&self` so the
+    /// shared plane's serving paths can record under their read lock; the
+    /// log's own mutex is held only for the bookkeeping. Each record ticks
+    /// the catalog clock, which ages every entry's recency.
     pub fn record_query(
         &self,
         eq: &ExtendedQuery,
@@ -543,39 +539,35 @@ impl CubeCatalog {
         measured_nanos: u64,
     ) {
         let sig = eq.query().signature();
-        let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut log = self.lock_log();
+        self.clock.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.lock_log();
+        let log = &mut *guard;
         log.total += 1;
         // The family's key is cloned only the first time it is seen.
-        if !log.key_stats.contains_key(&sig.key) {
-            log.key_stats.insert(sig.key.clone(), KeyStats::default());
-        }
-        let ks = log.key_stats.get_mut(&sig.key).expect("inserted above");
-        ks.accesses += 1;
-        ks.last_touch = now;
-        let found = log
-            .index
-            .get(&sig.key)
-            .into_iter()
-            .flatten()
-            .copied()
-            .find(|&i| {
-                let s = &log.shapes[i];
-                let s_sig = s.signature();
-                s_sig.agg == sig.agg && s_sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
-            });
+        let f = match log.by_key.get(&sig.key) {
+            Some(&f) => f,
+            None => {
+                log.by_key.insert(sig.key.clone(), log.families.len());
+                log.families.push(LoggedFamily::default());
+                log.families.len() - 1
+            }
+        };
+        let family = &mut log.families[f];
+        family.asks += 1;
+        let found = family.shapes.iter_mut().find(|s| {
+            let s_sig = s.signature();
+            s_sig.agg == sig.agg && s_sig.dims == sig.dims && s.eq.sigma() == eq.sigma()
+        });
         match found {
-            Some(i) => {
-                let s = &mut log.shapes[i];
+            Some(s) => {
                 s.count += 1;
                 s.strategy = explained.strategy;
                 s.estimated_cost = explained.estimated_cost;
                 s.measured_nanos = measured_nanos;
             }
-            None if log.shapes.len() < MAX_LOGGED_SHAPES => {
-                let i = log.shapes.len();
-                log.index.entry(sig.key.clone()).or_default().push(i);
-                log.shapes.push(LoggedQuery {
+            None if log.shapes < MAX_LOGGED_SHAPES => {
+                log.shapes += 1;
+                family.shapes.push(LoggedQuery {
                     eq: Arc::new(eq.clone()),
                     strategy: explained.strategy,
                     estimated_cost: explained.estimated_cost,
@@ -605,33 +597,10 @@ impl CubeCatalog {
         log.advised_at = log.total;
     }
 
-    /// A snapshot of the distinct query shapes in the log (the advisor's
-    /// input). Cloning is cheap: queries travel behind `Arc`s.
-    pub fn logged_shapes(&self) -> Vec<LoggedQuery> {
-        self.lock_log().shapes.clone()
-    }
-
-    /// The access counters of one family (zero if never probed).
-    pub fn key_stats(&self, key: &ViewKey) -> KeyStats {
-        self.lock_log()
-            .key_stats
-            .get(key)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// A point-in-time summary of the query log: its size plus the
-    /// per-family frequency counters, hottest families first.
-    pub fn stats(&self) -> CatalogStats {
-        let log = self.lock_log();
-        let mut key_stats: Vec<(ViewKey, KeyStats)> =
-            log.key_stats.iter().map(|(k, &s)| (k.clone(), s)).collect();
-        key_stats.sort_by_key(|(_, s)| std::cmp::Reverse(s.accesses));
-        CatalogStats {
-            logged_queries: log.total,
-            distinct_shapes: log.shapes.len(),
-            key_stats,
-        }
+    /// A snapshot of the query log's families, in first-probed order (the
+    /// advisor's input). Cloning is cheap: queries travel behind `Arc`s.
+    pub fn logged_families(&self) -> Vec<LoggedFamily> {
+        self.lock_log().families.clone()
     }
 
     /// The entry at `idx`.
@@ -823,7 +792,7 @@ impl CubeCatalog {
     /// clock ticks after its last use.)
     ///
     /// The per-entry score is additionally weighted by the entry's
-    /// *family heat* — the query log's [`KeyStats`] access count for its
+    /// *family heat* — the query log's [`LoggedFamily::asks`] for its
     /// [`ViewKey`], square-root damped so frequency informs rather than
     /// dominates recency. An entry of a family the workload keeps probing
     /// is evicted last (and so, symmetrically, a hot evicted payload is
@@ -836,9 +805,9 @@ impl CubeCatalog {
             self.entries
                 .iter()
                 .map(|e| {
-                    let key = &e.signature().key;
-                    let accesses = log.key_stats.get(key).map_or(0, |k| k.accesses);
-                    ((accesses + 1) as f64).sqrt()
+                    let family = log.by_key.get(&e.signature().key);
+                    let asks = family.map_or(0, |&f| log.families[f].asks);
+                    ((asks + 1) as f64).sqrt()
                 })
                 .collect()
         };
@@ -1050,21 +1019,20 @@ mod tests {
     fn query_log_dedups_shapes_and_counts_accesses() {
         let mut g = blog_world();
         let eq = example_1(&mut g);
-        let sig = ViewSignature::of(eq.query());
         let cat = CubeCatalog::new();
         let explained = ExplainedStrategy::scratch(10.0, 0);
 
         cat.record_query(&eq, &explained, 500);
         cat.record_query(&eq, &explained, 700);
         assert_eq!(cat.log_total(), 2);
-        let shapes = cat.logged_shapes();
+        let shapes = &cat.logged_families()[0].shapes;
         assert_eq!(shapes.len(), 1, "identical shapes dedup");
         assert_eq!(shapes[0].count(), 2);
         assert_eq!(shapes[0].measured_nanos(), 700, "latest measurement kept");
         assert_eq!(shapes[0].strategy(), Strategy::FromScratch);
 
         // A differently-restricted shape of the same family is distinct,
-        // but the family's KeyStats accumulate across both.
+        // but the family's asks accumulate across both.
         let mut sigma = Sigma::all(2);
         sigma.set(
             0,
@@ -1072,16 +1040,11 @@ mod tests {
         );
         let diced = ExtendedQuery::with_sigma(eq.query().clone(), sigma).unwrap();
         cat.record_query(&diced, &explained, 100);
-        assert_eq!(cat.logged_shapes().len(), 2);
-        let ks = cat.key_stats(&sig.key);
-        assert_eq!(ks.accesses, 3);
-        assert!(ks.last_touch > 0);
-
-        let stats = cat.stats();
-        assert_eq!(stats.logged_queries, 3);
-        assert_eq!(stats.distinct_shapes, 2);
-        assert_eq!(stats.key_stats.len(), 1);
-        assert_eq!(stats.key_stats[0].1.accesses, 3);
+        let families = cat.logged_families();
+        assert_eq!(cat.log_total(), 3);
+        assert_eq!(families.len(), 1);
+        assert_eq!(families[0].shapes.len(), 2);
+        assert_eq!(families[0].asks, 3);
     }
 
     #[test]
@@ -1089,7 +1052,6 @@ mod tests {
         let mut g = blog_world();
         let eq = example_1(&mut g);
         let summed = under(&eq, AggFunc::Sum);
-        let sig = ViewSignature::of(eq.query());
         let cat = CubeCatalog::new();
         let scratch = ExplainedStrategy::scratch(10.0, 0);
         let alg1 = ExplainedStrategy::hit(Strategy::Algorithm1, 0, 5.0, 10.0, 1);
@@ -1098,13 +1060,14 @@ mod tests {
         cat.record_query(&summed, &alg1, 300);
 
         // One family, two shapes: each keeps its own route and figures.
-        let shapes = cat.logged_shapes();
+        let families = cat.logged_families();
+        assert_eq!(families.len(), 1);
+        let shapes = &families[0].shapes;
         assert_eq!(shapes.len(), 2, "a count ask and a sum ask stay apart");
         let seen = |s: &LoggedQuery| (s.strategy(), s.count(), s.measured_nanos());
         assert_eq!(seen(&shapes[0]), (Strategy::FromScratch, 1, 500));
         assert_eq!(seen(&shapes[1]), (Strategy::Algorithm1, 2, 300));
-        assert_eq!(cat.key_stats(&sig.key).accesses, 3);
-        assert_eq!(cat.stats().key_stats.len(), 1);
+        assert_eq!(families[0].asks, 3);
     }
 
     #[test]

@@ -342,7 +342,7 @@ pub struct CostModelRow {
 }
 
 /// Predicted-vs-observed cost comparison built from a catalog's query
-/// log (see [`CubeCatalog::logged_shapes`](crate::catalog::CubeCatalog::logged_shapes)).
+/// log (see [`CubeCatalog::logged_families`](crate::catalog::CubeCatalog::logged_families)).
 ///
 /// Shapes whose prediction is non-finite or zero are skipped — they carry
 /// no calibration signal.
@@ -355,7 +355,8 @@ impl CostModelReport {
     /// Builds the report from everything `catalog` has logged so far.
     pub fn from_catalog(catalog: &crate::catalog::CubeCatalog) -> Self {
         let mut rows: Vec<CostModelRow> = Vec::new();
-        for shape in catalog.logged_shapes() {
+        let families = catalog.logged_families();
+        for shape in families.iter().flat_map(|f| &f.shapes) {
             let predicted = shape.estimated_cost();
             if !predicted.is_finite() || predicted <= 0.0 || shape.measured_nanos() == 0 {
                 continue;

@@ -9,13 +9,21 @@
 //!
 //! [`ValueSelector`] covers the shapes the paper's operations produce:
 //! `All` (unrestricted, Σ(dᵢ) = Vᵢ), `OneOf` (SLICE binds a single value,
-//! DICE a set), and `IntRange` (Example 4 dices on `20 ≤ d_age ≤ 30`).
+//! DICE a set), and `IntRange` (Example 4 dices on `20 ≤ d_age ≤ 30`). Σ
+//! stores a value list as a set (sorted, no repeats), so two dices that
+//! list the same values are the same query.
+//!
+//! Σ is translated to term ids in one place, [`ValueSelector::compile`],
+//! into the engine's [`Selector`]: the same compiled selector is pushed
+//! into classifier evaluation ([`Sigma::to_filters`]) and applied as σ over
+//! a materialized cube ([`CompiledSigma`]), so the two cannot disagree.
 
 use crate::anq::AnalyticalQuery;
 use crate::answer::{answer_with_classifier_relation, Cube};
 use crate::error::CoreError;
-use rdfcube_engine::{evaluate, evaluate_seeded, FilterExpr, Relation, Seed, Semantics, VarId};
-use rdfcube_rdf::fx::FxHashSet;
+use rdfcube_engine::{
+    evaluate, evaluate_seeded, FilterExpr, Relation, Seed, Selector, Semantics, VarId,
+};
 use rdfcube_rdf::{Dictionary, Graph, Term, TermId};
 
 /// The restriction Σ places on one dimension.
@@ -45,18 +53,28 @@ impl ValueSelector {
         matches!(self, ValueSelector::All)
     }
 
-    /// Compiles the selector against a dictionary for fast row filtering.
-    pub fn compile(&self, dict: &Dictionary) -> CompiledSelector {
+    /// Translates the selector to term ids of `dict` — the one translation
+    /// Σ gets, for push-down and σ alike. `None` admits everything.
+    pub fn compile(&self, dict: &Dictionary) -> Option<Selector> {
         match self {
-            ValueSelector::All => CompiledSelector::All,
-            ValueSelector::OneOf(terms) => {
-                // Terms not present in the dictionary cannot match any data
-                // row, so they simply drop out of the compiled set.
-                let ids: FxHashSet<TermId> = terms.iter().filter_map(|t| dict.id(t)).collect();
-                CompiledSelector::Ids(ids)
-            }
-            ValueSelector::IntRange { lo, hi } => CompiledSelector::IntRange { lo: *lo, hi: *hi },
+            ValueSelector::All => None,
+            // Terms not present in the dictionary cannot match any data
+            // row, so they simply drop out of the compiled set.
+            ValueSelector::OneOf(terms) => Some(Selector::OneOf(
+                terms.iter().filter_map(|t| dict.id(t)).collect(),
+            )),
+            ValueSelector::IntRange { lo, hi } => Some(Selector::Between { lo: *lo, hi: *hi }),
         }
+    }
+
+    /// The selector as Σ stores it: a value list sorted and without
+    /// repeats, since it denotes a set.
+    fn normalized(mut self) -> Self {
+        if let ValueSelector::OneOf(terms) = &mut self {
+            terms.sort_unstable();
+            terms.dedup();
+        }
+        self
     }
 
     /// Conservative refinement check: true only if every value admitted by
@@ -84,36 +102,6 @@ impl ValueSelector {
     }
 }
 
-/// A [`ValueSelector`] compiled against a dictionary.
-#[derive(Debug, Clone)]
-pub enum CompiledSelector {
-    /// Admits everything.
-    All,
-    /// Admits exactly these term ids.
-    Ids(FxHashSet<TermId>),
-    /// Admits numeric literals within the inclusive range.
-    IntRange {
-        /// Lower bound (inclusive).
-        lo: i64,
-        /// Upper bound (inclusive).
-        hi: i64,
-    },
-}
-
-impl CompiledSelector {
-    /// True if the dimension value `id` is admitted.
-    pub fn admits(&self, id: TermId, dict: &Dictionary) -> bool {
-        match self {
-            CompiledSelector::All => true,
-            CompiledSelector::Ids(ids) => ids.contains(&id),
-            CompiledSelector::IntRange { lo, hi } => dict
-                .get(id)
-                .and_then(Term::as_i64)
-                .is_some_and(|v| *lo <= v && v <= *hi),
-        }
-    }
-}
-
 /// Σ — a total map from the query's dimensions to value restrictions,
 /// stored positionally (index i restricts dimension dᵢ).
 #[derive(Debug, Clone, PartialEq)]
@@ -132,7 +120,10 @@ impl Sigma {
 
     /// Builds Σ from explicit per-dimension selectors.
     pub fn from_selectors(selectors: Vec<ValueSelector>) -> Self {
-        Sigma { selectors }
+        let selectors = selectors.into_iter().map(ValueSelector::normalized);
+        Sigma {
+            selectors: selectors.collect(),
+        }
     }
 
     /// Number of dimensions covered.
@@ -158,7 +149,7 @@ impl Sigma {
     /// Replaces the selector of dimension `i` (the Σ′ construction of the
     /// SLICE and DICE definitions).
     pub fn set(&mut self, i: usize, selector: ValueSelector) {
-        self.selectors[i] = selector;
+        self.selectors[i] = selector.normalized();
     }
 
     /// True if no dimension is restricted.
@@ -210,21 +201,14 @@ impl Sigma {
     /// variable of dimension `i`.
     pub fn to_filters(&self, dim_vars: &[VarId], dict: &Dictionary) -> Vec<FilterExpr> {
         debug_assert_eq!(dim_vars.len(), self.selectors.len());
+        let filter = |(sel, &var): (&ValueSelector, _)| {
+            let selector = sel.compile(dict)?;
+            Some(FilterExpr { var, selector })
+        };
         self.selectors
             .iter()
             .zip(dim_vars)
-            .filter_map(|(sel, &var)| match sel {
-                ValueSelector::All => None,
-                ValueSelector::OneOf(terms) => Some(FilterExpr::OneOf {
-                    var,
-                    set: terms.iter().filter_map(|t| dict.id(t)).collect(),
-                }),
-                ValueSelector::IntRange { lo, hi } => Some(FilterExpr::NumericBetween {
-                    var,
-                    lo: *lo,
-                    hi: *hi,
-                }),
-            })
+            .filter_map(filter)
             .collect()
     }
 }
@@ -232,7 +216,7 @@ impl Sigma {
 /// A compiled Σ, ready to filter rows of dimension values.
 #[derive(Debug, Clone)]
 pub struct CompiledSigma {
-    selectors: Vec<CompiledSelector>,
+    selectors: Vec<Option<Selector>>,
 }
 
 impl CompiledSigma {
@@ -240,7 +224,9 @@ impl CompiledSigma {
     /// admits the dimension vector.
     pub fn refused_at(&self, dims: &[TermId], dict: &Dictionary) -> Option<usize> {
         debug_assert_eq!(dims.len(), self.selectors.len());
-        let refuses = |(sel, &id): (&CompiledSelector, &TermId)| !sel.admits(id, dict);
+        let refuses = |(sel, &id): (&Option<Selector>, &TermId)| {
+            sel.as_ref().is_some_and(|sel| !sel.admits(id, dict))
+        };
         self.selectors.iter().zip(dims).position(refuses)
     }
 
@@ -453,14 +439,34 @@ mod tests {
     fn pushdown_equals_postfilter() {
         let mut g = example_4_instance();
         let q = example_4_query(&mut g);
-        let mut sigma = Sigma::all(2);
-        sigma.set(0, ValueSelector::IntRange { lo: 20, hi: 30 });
-        sigma.set(1, ValueSelector::one(Term::literal("Madrid")));
-        let eq = ExtendedQuery::with_sigma(q, sigma).unwrap();
-        let pushed = eq.classifier_relation(&g).unwrap();
-        let post = eq.classifier_relation_postfilter(&g).unwrap();
-        assert!(pushed.same_bag(&post));
-        assert_eq!(pushed.len(), 2); // user1 and user4
+        // (Σ, rows admitted): a dice to Madrid bloggers aged 20–30 admits
+        // user1 and user4; a term the dictionary lacks, and an integer
+        // range over the non-integer city, admit nothing.
+        let cases = [
+            (
+                ValueSelector::IntRange { lo: 20, hi: 30 },
+                ValueSelector::one(Term::literal("Madrid")),
+                2,
+            ),
+            (
+                ValueSelector::All,
+                ValueSelector::one(Term::literal("Atlantis")),
+                0,
+            ),
+            (
+                ValueSelector::All,
+                ValueSelector::IntRange { lo: 0, hi: 99 },
+                0,
+            ),
+        ];
+        for (age, city, rows) in cases {
+            let sigma = Sigma::from_selectors(vec![age, city]);
+            let eq = ExtendedQuery::with_sigma(q.clone(), sigma).unwrap();
+            let pushed = eq.classifier_relation(&g).unwrap();
+            let post = eq.classifier_relation_postfilter(&g).unwrap();
+            assert!(pushed.same_bag(&post), "{:?}", eq.sigma());
+            assert_eq!(pushed.len(), rows, "{:?}", eq.sigma());
+        }
     }
 
     #[test]

@@ -83,12 +83,12 @@ pub use anq::AnalyticalQuery;
 pub use answer::{answer, Cube};
 pub use aux_query::build_aux_query;
 pub use catalog::{
-    CatalogCounters, CatalogEntry, CatalogStats, CubeCatalog, CubeSnapshot, CubeStats, Derivation,
-    KeyStats, LoggedQuery,
+    CatalogCounters, CatalogEntry, CubeCatalog, CubeSnapshot, CubeStats, Derivation, LoggedFamily,
+    LoggedQuery,
 };
 pub use cost::{explain_analyze, CostModelReport, CostModelRow, ExplainedStrategy};
 pub use error::CoreError;
-pub use extended::{CompiledSelector, CompiledSigma, ExtendedQuery, Sigma, ValueSelector};
+pub use extended::{CompiledSigma, ExtendedQuery, Sigma, ValueSelector};
 pub use olap::{apply, OlapOp};
 pub use pres::{PartialResult, PresRow};
 pub use schema::{AnalyticalSchema, EdgeSpec, NodeSpec};

@@ -174,11 +174,9 @@ pub(crate) fn resolve_dims(eq: &ExtendedQuery, dims: &[String]) -> Result<Vec<us
 }
 
 fn drill_out(eq: &ExtendedQuery, dims: &[String]) -> Result<ExtendedQuery, CoreError> {
+    // Removing every dimension is legal: the 0-dimensional (grand total)
+    // cube, whose head keeps only the fact variable.
     let removed = resolve_dims(eq, dims)?;
-    if removed.len() == eq.query().n_dims() && removed.len() == dims.len() {
-        // Removing every dimension yields the 0-dimensional (grand total)
-        // cube — legal, head keeps only the fact variable.
-    }
     let q = eq.query();
     let mut classifier = q.classifier().clone();
     let mut head = vec![q.root()];

@@ -982,6 +982,28 @@ mod tests {
         assert_ne!(h3, h);
         assert_eq!(s.len(), 2);
 
+        // Σ's value lists are sets: a dice listing the same cities in
+        // another order, or one of them twice, is the first dice's exact
+        // duplicate — on either plane.
+        let dice = |cities: &[&str]| OlapOp::Dice {
+            constraints: vec![(
+                "dcity".into(),
+                ValueSelector::OneOf(cities.iter().map(|&c| Term::literal(c)).collect()),
+            )],
+        };
+        let (diced, _) = s.transform(h, &dice(&["Madrid", "NY"])).unwrap();
+        let len = s.len();
+        let repeats = [dice(&["NY", "Madrid"]), dice(&["Madrid", "NY", "NY"])];
+        for op in &repeats {
+            assert_eq!(s.transform(h, op).unwrap().0, diced, "{op:?}");
+            assert_eq!(s.len(), len);
+        }
+        let shared = s.into_shared();
+        for op in &repeats {
+            assert_eq!(shared.transform(h, op).unwrap().0, diced, "{op:?}");
+            assert_eq!(shared.len(), len);
+        }
+
         // ROLL-UP runs the same pipeline as every other operator, so a
         // repeated roll-up reuses its entry too — on either plane, and
         // across the switch between them.

@@ -115,13 +115,6 @@ impl SharedSession {
         self.read().counters()
     }
 
-    /// A statistics snapshot of the query log: its size and the
-    /// per-[`ViewKey`](crate::signature::ViewKey) access frequencies (see
-    /// [`CubeCatalog::stats`](crate::catalog::CubeCatalog::stats)).
-    pub fn stats(&self) -> crate::catalog::CatalogStats {
-        self.read().stats()
-    }
-
     /// Bytes of materialized payload currently resident.
     pub fn resident_bytes(&self) -> usize {
         self.read().resident_bytes()

@@ -28,5 +28,5 @@ pub use blogger::{
     EXAMPLE1_MEASURE, EXAMPLE4_MEASURE, LARGE_WORLD_TRIPLES,
 };
 pub use video::{generate_videos, VideoConfig, BROWSERS, EXAMPLE6_CLASSIFIER, EXAMPLE6_MEASURE};
-pub use workload::{variant_pool, zipf_sequence, zipf_workload, DimDomain};
+pub use workload::{variant_pool, zipf_sequence, DimDomain};
 pub use zipf::Zipf;

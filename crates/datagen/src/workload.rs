@@ -14,8 +14,7 @@
 //!   the Zipf rank order is stable;
 //! * [`zipf_sequence`] draws a seeded Zipf-skewed sequence of pool
 //!   indices ([`crate::zipf::Zipf`] + `StdRng`), so a few hot variants
-//!   dominate with a long tail, the usual shape of analytical dashboards;
-//! * [`zipf_workload`] combines both.
+//!   dominate with a long tail, the usual shape of analytical dashboards.
 //!
 //! Every variant keeps at least one restricted dimension, so a session
 //! replaying the pool never materializes an unrestricted ancestor as a
@@ -119,21 +118,6 @@ pub fn zipf_sequence(pool_len: usize, len: usize, s: f64, seed: u64) -> Vec<usiz
     let zipf = Zipf::new(pool_len, s);
     let mut rng = StdRng::seed_from_u64(seed);
     (0..len).map(|_| zipf.sample(&mut rng) - 1).collect()
-}
-
-/// [`variant_pool`] + [`zipf_sequence`]: the pool and a replay order over
-/// it. `workload.1[k]` indexes into `workload.0`.
-pub fn zipf_workload(
-    base: &ExtendedQuery,
-    domains: &[DimDomain],
-    pool_size: usize,
-    len: usize,
-    s: f64,
-    seed: u64,
-) -> Result<(Vec<ExtendedQuery>, Vec<usize>), CoreError> {
-    let pool = variant_pool(base, domains, pool_size)?;
-    let sequence = zipf_sequence(pool.len(), len, s, seed);
-    Ok((pool, sequence))
 }
 
 #[cfg(test)]

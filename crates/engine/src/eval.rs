@@ -49,6 +49,7 @@
 
 use crate::bgp::Bgp;
 use crate::error::EngineError;
+use crate::filter::FilterExpr;
 use crate::pattern::{PatternTerm, QueryPattern};
 use crate::relation::Relation;
 use crate::var::VarId;
@@ -484,19 +485,17 @@ pub fn evaluate(graph: &Graph, bgp: &Bgp, semantics: Semantics) -> Result<Relati
 /// they fan out through later patterns. Equivalent to evaluating and then
 /// selecting, but cheaper for selective filters.
 ///
-/// Filters that pin a variable to one constant (`Eq`, singleton `OneOf` —
-/// the shape slice/dice Σ constraints take) go further: the variable is
+/// Filters that pin a variable to one constant (a singleton `OneOf` — the
+/// shape slice Σ constraints take) go further: the variable is
 /// **pre-bound** before any pattern runs, so the constant participates in
 /// index probes and join ordering, instead of post-filtering rows the
 /// indexes already produced. Filters on
 /// a pre-bound variable are decided at compile time: a contradiction
 /// returns the empty relation without touching the store.
-///
-/// [`FilterExpr`]: crate::filter::FilterExpr
 pub fn evaluate_filtered(
     graph: &Graph,
     bgp: &Bgp,
-    filters: &[crate::filter::FilterExpr],
+    filters: &[FilterExpr],
     semantics: Semantics,
 ) -> Result<Relation, EngineError> {
     evaluate_seeded(graph, bgp, &Seed::unit(), filters, semantics)
@@ -513,7 +512,7 @@ pub fn evaluate_seeded(
     graph: &Graph,
     bgp: &Bgp,
     seed: &Seed,
-    filters: &[crate::filter::FilterExpr],
+    filters: &[FilterExpr],
     semantics: Semantics,
 ) -> Result<Relation, EngineError> {
     bgp.validate()?;
@@ -522,7 +521,7 @@ pub fn evaluate_seeded(
     // pattern that would have bound them) — and so must seeded ones, whose
     // ids index the arena.
     let body_vars = bgp.body_var_set();
-    let filtered = filters.iter().map(|f| ("filter", f.var()));
+    let filtered = filters.iter().map(|f| ("filter", f.var));
     let seeded = seed.vars.iter().map(|&v| ("seeded", v));
     for (what, v) in filtered.chain(seeded) {
         if !body_vars.contains(&v) {
@@ -537,25 +536,26 @@ pub fn evaluate_seeded(
     }
     let mut pre_bound: FxHashMap<VarId, TermId> = FxHashMap::default();
     for f in filters {
-        if let Some(c) = f.as_eq_constant() {
+        if let Some(c) = f.selector.as_constant() {
             // A seeded variable already has its values; the filter selects
             // among them like any other.
-            if !seed.vars.contains(&f.var()) {
-                pre_bound.entry(f.var()).or_insert(c);
+            if !seed.vars.contains(&f.var) {
+                pre_bound.entry(f.var).or_insert(c);
             }
         }
     }
-    let mut residual: Vec<crate::filter::FilterExpr> = Vec::new();
+    let mut residual: Vec<FilterExpr> = Vec::new();
     for f in filters {
-        match pre_bound.get(&f.var()) {
+        match pre_bound.get(&f.var) {
             // Every filter on a pre-bound variable is decidable now: the
             // variable can only ever hold the pre-bound constant.
-            Some(&c) if f.admits(c, graph.dict()) => {}
+            Some(&c) if f.selector.admits(c, graph.dict()) => {}
             Some(_) => return Ok(Relation::with_capacity(bgp.head().to_vec(), 0)),
             None => residual.push(f.clone()),
         }
     }
-    let order = order_patterns(graph, bgp, &seed.vars, &pre_bound);
+    let plan = order_patterns(graph, bgp, &seed.vars, &pre_bound);
+    let order: Vec<usize> = plan.into_iter().map(|(pi, ..)| pi).collect();
     let fanout = Fanout::of_process();
     let solutions = evaluate_steps(graph, bgp, &order, seed, &pre_bound, &residual, fanout)?;
     project_head(bgp, &solutions, seed, semantics)
@@ -590,19 +590,20 @@ fn evaluate_steps(
     order: &[usize],
     seed: &Seed,
     pre_bound: &FxHashMap<VarId, TermId>,
-    filters: &[crate::filter::FilterExpr],
+    filters: &[FilterExpr],
     fanout: Fanout,
 ) -> Result<BindingTable, EngineError> {
     let stride = bgp.vars().len();
     let plans = build_plans(bgp, order, &seed.vars, pre_bound);
     let dict = graph.dict();
     let mut current = BindingTable::seeded(stride, seed, pre_bound);
-    let on_seed: Vec<&crate::filter::FilterExpr> = filters
+    let admitted = |f: &&FilterExpr, row: &[TermId]| f.selector.admits(row[f.var.index()], dict);
+    let on_seed: Vec<&FilterExpr> = filters
         .iter()
-        .filter(|f| seed.vars.contains(&f.var()))
+        .filter(|f| seed.vars.contains(&f.var))
         .collect();
     if !on_seed.is_empty() {
-        current.retain(|row| on_seed.iter().all(|f| f.admits(row[f.var().index()], dict)));
+        current.retain(|row| on_seed.iter().all(|f| admitted(f, row)));
     }
     let mut next = BindingTable::new(stride);
     let sink = rdfcube_obs::sink();
@@ -616,12 +617,12 @@ fn evaluate_steps(
         let rows_matched = next.rows as u64;
         // Filters whose variable binds at this step fire right after it.
         if !filters.is_empty() {
-            let active: Vec<&crate::filter::FilterExpr> = filters
+            let active: Vec<&FilterExpr> = filters
                 .iter()
-                .filter(|f| plan.newly_bound.contains(&f.var()))
+                .filter(|f| plan.newly_bound.contains(&f.var))
                 .collect();
             if !active.is_empty() {
-                next.retain(|row| active.iter().all(|f| f.admits(row[f.var().index()], dict)));
+                next.retain(|row| active.iter().all(|f| admitted(f, row)));
             }
         }
         let rows_out = next.rows as u64;
@@ -751,12 +752,15 @@ fn try_bind(pattern: &QueryPattern, row: &PartialRow, t: Triple, out: &mut Vec<P
 /// store the counts are sums of shard-local statistics
 /// ([`Graph::count_matching`]). A root scan (its predicate and object constant) reads POS root
 /// by root, so later probes walk SPO forward; it leads unless [`ORDERED_PROBE_GAIN`]× dearer.
+///
+/// Returns the plan step by step: `(pattern index, estimated rows,
+/// connected)`, the estimate taken before the root-scan division.
 fn order_patterns(
     graph: &Graph,
     bgp: &Bgp,
     seeded: &[VarId],
     pre_bound: &FxHashMap<VarId, TermId>,
-) -> Vec<usize> {
+) -> Vec<(usize, f64, bool)> {
     let n = bgp.body().len();
     let base: Vec<usize> = bgp
         .body()
@@ -770,11 +774,12 @@ fn order_patterns(
     while !remaining.is_empty() {
         // Minimize (disconnected?, cost): connected patterns always beat
         // disconnected ones; among equals, the cheaper estimate wins.
-        let mut best: Option<(usize, (bool, f64))> = None;
+        let mut best: Option<(usize, (bool, f64), f64)> = None;
         for (slot, &pi) in remaining.iter().enumerate() {
             let pattern = bgp.body()[pi];
             let connected = bound.is_empty() || pattern.vars().any(|v| bound.contains(&v));
-            let mut cost = estimate_with_count(base[pi], pattern, &bound, pre_bound);
+            let rows = estimate_with_count(base[pi], pattern, &bound, pre_bound);
+            let mut cost = rows;
             let root_scan = pattern.s.as_var().is_some_and(|s| bgp.root() == Some(s));
             if order.is_empty() && root_scan && !pattern.p.is_var() && !pattern.o.is_var() {
                 cost /= ORDERED_PROBE_GAIN;
@@ -782,20 +787,20 @@ fn order_patterns(
             let score = (!connected, cost);
             let better = match &best {
                 None => true,
-                Some((_, (b_disc, b_cost))) => {
+                Some((_, (b_disc, b_cost), _)) => {
                     (!score.0 && *b_disc) || (score.0 == *b_disc && score.1 < *b_cost)
                 }
             };
             if better {
-                best = Some((slot, score));
+                best = Some((slot, score, rows));
             }
         }
-        let (slot, _) = best.expect("remaining is non-empty");
+        let (slot, (disconnected, _), rows) = best.expect("remaining is non-empty");
         let pi = remaining.swap_remove(slot);
         for v in bgp.body()[pi].vars() {
             bound.insert(v);
         }
-        order.push(pi);
+        order.push((pi, rows, !disconnected));
     }
     order
 }
@@ -819,23 +824,13 @@ pub struct PlanStep {
 pub fn explain(graph: &Graph, bgp: &Bgp) -> Result<Vec<PlanStep>, EngineError> {
     bgp.validate()?;
     let order = order_patterns(graph, bgp, &[], &FxHashMap::default());
-    let mut bound: FxHashSet<VarId> = FxHashSet::default();
-    let mut steps = Vec::with_capacity(order.len());
-    for pi in order {
-        let pattern = bgp.body()[pi];
-        let connected = bound.is_empty() || pattern.vars().any(|v| bound.contains(&v));
-        let estimated_rows = estimate(graph, pattern, &bound);
-        for v in pattern.vars() {
-            bound.insert(v);
-        }
-        steps.push(PlanStep {
-            pattern_index: pi,
-            pattern: render_pattern(bgp, pattern, graph),
-            estimated_rows,
-            connected,
-        });
-    }
-    Ok(steps)
+    let step = |(pi, estimated_rows, connected): (usize, f64, bool)| PlanStep {
+        pattern_index: pi,
+        pattern: render_pattern(bgp, bgp.body()[pi], graph),
+        estimated_rows,
+        connected,
+    };
+    Ok(order.into_iter().map(step).collect())
 }
 
 fn render_pattern(bgp: &Bgp, pattern: QueryPattern, graph: &Graph) -> String {
@@ -849,15 +844,10 @@ fn render_pattern(bgp: &Bgp, pattern: QueryPattern, graph: &Graph) -> String {
     format!("{} {} {}", pos(pattern.s), pos(pattern.p), pos(pattern.o))
 }
 
-/// The store's exact count for the pattern's constant shape (variables
-/// wildcarded) — the memoizable part of [`estimate`].
-fn base_count(graph: &Graph, pattern: QueryPattern) -> usize {
-    base_count_resolved(graph, pattern, &FxHashMap::default())
-}
-
-/// [`base_count`] with `pre_bound` variables resolved to their constants:
+/// The store's exact count for the pattern's constant shape, other
+/// variables wildcarded and `pre_bound` ones resolved to their constants:
 /// the shape the evaluator will actually probe, so the count is exact for
-/// pushed-down Σ selections.
+/// pushed-down Σ selections. The memoizable part of an estimate.
 fn base_count_resolved(
     graph: &Graph,
     pattern: QueryPattern,
@@ -873,15 +863,6 @@ fn base_count_resolved(
         as_const(pattern.o),
     );
     graph.count_matching(shape)
-}
-
-fn estimate(graph: &Graph, pattern: QueryPattern, bound: &FxHashSet<VarId>) -> f64 {
-    estimate_with_count(
-        base_count(graph, pattern),
-        pattern,
-        bound,
-        &FxHashMap::default(),
-    )
 }
 
 fn estimate_with_count(
@@ -1065,7 +1046,7 @@ mod tests {
 
     #[test]
     fn filtered_evaluation_equals_post_selection() {
-        use crate::filter::{CompareOp, FilterExpr};
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query(
             "q(?x, ?a, ?c) :- ?x rdf:type Blogger, ?x hasAge ?a, ?x livesIn ?c",
@@ -1073,12 +1054,13 @@ mod tests {
         )
         .unwrap();
         let a = q.vars().id("a").unwrap();
-        let age30 = g.dict_mut().encode(&rdfcube_rdf::Term::integer(30));
 
-        let filters = vec![FilterExpr::Compare {
+        let filters = vec![FilterExpr {
             var: a,
-            op: CompareOp::Ge,
-            value: age30,
+            selector: Selector::Between {
+                lo: 30,
+                hi: i64::MAX,
+            },
         }];
         let pushed = evaluate_filtered(&g, &q, &filters, Semantics::Set).unwrap();
 
@@ -1096,14 +1078,13 @@ mod tests {
 
     #[test]
     fn filter_between_prunes_early() {
-        use crate::filter::FilterExpr;
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query("q(?x, ?a) :- ?x hasAge ?a, ?x wrotePost ?p", g.dict_mut()).unwrap();
         let a = q.vars().id("a").unwrap();
-        let filters = vec![FilterExpr::NumericBetween {
+        let filters = vec![FilterExpr {
             var: a,
-            lo: 20,
-            hi: 30,
+            selector: Selector::Between { lo: 20, hi: 30 },
         }];
         let rel = evaluate_filtered(&g, &q, &filters, Semantics::Set).unwrap();
         assert_eq!(rel.len(), 1); // only user1 (28)
@@ -1165,7 +1146,7 @@ mod tests {
             let dage = q.vars().id("dage").unwrap();
             let age35 = g.dict_mut().encode(&rdfcube_rdf::Term::integer(35));
             let pre_bound = FxHashMap::from_iter([(dage, age35)]);
-            assert_eq!(order_patterns(&g, &q, &[], &pre_bound)[0], 1);
+            assert_eq!(order_patterns(&g, &q, &[], &pre_bound)[0].0, 1);
         }
     }
 
@@ -1192,6 +1173,15 @@ mod tests {
                 &rdfcube_rdf::Term::iri(format!("m{i}")),
             );
         }
+        let estimate = |g: &Graph, pattern, bound: &FxHashSet<VarId>| {
+            let none = FxHashMap::default();
+            estimate_with_count(
+                base_count_resolved(g, pattern, &none),
+                pattern,
+                bound,
+                &none,
+            )
+        };
         let q = parse_query("q(?x) :- ?x p ?x", g.dict_mut()).unwrap();
         let x = q.vars().id("x").unwrap();
         let mut bound = FxHashSet::default();
@@ -1273,7 +1263,10 @@ mod tests {
         let (seed, none) = (Seed::unit(), FxHashMap::default());
         let order: Vec<usize> = match declared {
             true => (0..q.body().len()).collect(),
-            false => order_patterns(g, q, &[], &none),
+            false => order_patterns(g, q, &[], &none)
+                .into_iter()
+                .map(|(pi, ..)| pi)
+                .collect(),
         };
         let solutions = evaluate_steps(g, q, &order, &seed, &none, &[], fanout)?;
         project_head(q, &solutions, &seed, semantics)
@@ -1450,7 +1443,7 @@ mod tests {
 
     #[test]
     fn eq_filter_pre_binding_equals_post_selection() {
-        use crate::filter::{CompareOp, FilterExpr};
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query(
             "q(?x, ?a, ?c) :- ?x rdf:type Blogger, ?x hasAge ?a, ?x livesIn ?c",
@@ -1463,45 +1456,35 @@ mod tests {
         let col = all.col(c_var).unwrap();
         let post = all.select(|row| row[col] == ny);
         // Singleton OneOf — the shape Σ slice constants arrive in.
-        let one_of = vec![FilterExpr::OneOf {
+        let one_of = vec![FilterExpr {
             var: c_var,
-            set: [ny].into_iter().collect(),
+            selector: Selector::OneOf([ny].into_iter().collect()),
         }];
         let pushed = evaluate_filtered(&g, &q, &one_of, Semantics::Set).unwrap();
         assert!(pushed.same_bag(&post));
         assert_eq!(pushed.len(), 2); // user3 and user4
-                                     // An Eq comparison pre-binds identically.
-        let eq = vec![FilterExpr::Compare {
-            var: c_var,
-            op: CompareOp::Eq,
-            value: ny,
-        }];
-        let pushed_eq = evaluate_filtered(&g, &q, &eq, Semantics::Set).unwrap();
-        assert!(pushed_eq.same_bag(&post));
     }
 
     #[test]
     fn filters_on_pre_bound_variables_are_decided_at_compile_time() {
-        use crate::filter::{CompareOp, FilterExpr};
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query("q(?x, ?a) :- ?x hasAge ?a", g.dict_mut()).unwrap();
         let a = q.vars().id("a").unwrap();
         let age35 = g.dict_mut().encode(&rdfcube_rdf::Term::integer(35));
         let age28 = g.dict_mut().encode(&rdfcube_rdf::Term::integer(28));
-        let eq = |value| FilterExpr::Compare {
+        let eq = |value| FilterExpr {
             var: a,
-            op: CompareOp::Eq,
-            value,
+            selector: Selector::OneOf([value].into_iter().collect()),
         };
         // Contradictory equalities: provably empty, no evaluation needed.
         let empty = evaluate_filtered(&g, &q, &[eq(age35), eq(age28)], Semantics::Set).unwrap();
         assert!(empty.is_empty());
         assert_eq!(empty.arity(), 2);
         // A range filter excluded by the constant is a contradiction too…
-        let between = FilterExpr::NumericBetween {
+        let between = FilterExpr {
             var: a,
-            lo: 20,
-            hi: 30,
+            selector: Selector::Between { lo: 20, hi: 30 },
         };
         let empty2 =
             evaluate_filtered(&g, &q, &[eq(age35), between.clone()], Semantics::Set).unwrap();
@@ -1513,7 +1496,7 @@ mod tests {
 
     #[test]
     fn seeded_evaluation_is_the_restriction_to_the_seed_rows() {
-        use crate::filter::FilterExpr;
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query(
             "m(?x, ?s) :- ?x rdf:type Blogger, ?x wrotePost ?p, ?p postedOn ?s",
@@ -1545,9 +1528,9 @@ mod tests {
         // Filters compose with a seed: on a free variable they fire when it
         // binds, on the seeded one they select among the seed's rows.
         let s_var = q.vars().id("s").unwrap();
-        let only = |var, value| FilterExpr::OneOf {
+        let only = |var, value| FilterExpr {
             var,
-            set: [value].into_iter().collect(),
+            selector: Selector::OneOf([value].into_iter().collect()),
         };
         let on_free = evaluate_seeded(&g, &q, &seed, &[only(s_var, s1)], Semantics::Bag).unwrap();
         assert!(on_free.same_bag(&expect.select(|row| row[1] == s1)));
@@ -1646,15 +1629,14 @@ mod tests {
 
     #[test]
     fn filter_on_unbound_variable_is_an_error() {
-        use crate::filter::FilterExpr;
+        use crate::filter::{FilterExpr, Selector};
         let mut g = blog_graph();
         let q = parse_query("q(?x) :- ?x rdf:type Blogger", g.dict_mut()).unwrap();
         let mut q2 = q.clone();
         let ghost = q2.var("ghost");
-        let filters = vec![FilterExpr::NumericBetween {
+        let filters = vec![FilterExpr {
             var: ghost,
-            lo: 0,
-            hi: 1,
+            selector: Selector::Between { lo: 0, hi: 1 },
         }];
         assert!(evaluate_filtered(&g, &q2, &filters, Semantics::Set).is_err());
     }

@@ -50,7 +50,7 @@ pub use eval::{
     eval_threads, evaluate, evaluate_filtered, evaluate_in_order, evaluate_nested_loop,
     evaluate_seeded, explain, set_eval_threads, PlanStep, Seed, Semantics,
 };
-pub use filter::{CompareOp, FilterExpr};
+pub use filter::{FilterExpr, Selector};
 pub use parser::parse_query;
 pub use pattern::{PatternTerm, QueryPattern};
 pub use relation::Relation;

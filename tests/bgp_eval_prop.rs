@@ -22,7 +22,7 @@
 use proptest::prelude::*;
 use rdfcube::engine::{
     evaluate, evaluate_filtered, evaluate_in_order, evaluate_nested_loop, explain, Bgp, FilterExpr,
-    PatternTerm, QueryPattern, Semantics,
+    PatternTerm, QueryPattern, Selector, Semantics,
 };
 use rdfcube::{Graph, Term};
 
@@ -164,9 +164,9 @@ proptest! {
             .iter()
             .map(|n| g.dict_mut().encode(&Term::iri(format!("n{n}"))))
             .collect();
-        let filters = vec![FilterExpr::OneOf {
+        let filters = vec![FilterExpr {
             var,
-            set: set.iter().copied().collect(),
+            selector: Selector::OneOf(set.iter().copied().collect()),
         }];
         for semantics in [Semantics::Set, Semantics::Bag] {
             let pushed = evaluate_filtered(&g, &q, &filters, semantics).unwrap();
