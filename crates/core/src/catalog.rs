@@ -34,8 +34,9 @@
 //! 4. **Freshness** — every payload carries the instance triple count it
 //!    was materialized at. A resident payload the instance has grown past
 //!    is brought up to date from the inserted triples alone
-//!    (`PartialResult::refreshed` re-derives the facts they touch) as
-//!    long as the instance can still name them
+//!    (`PartialResult::refreshed` re-derives the facts they touch; a
+//!    tuple's key is its place in the table, so no key space runs out)
+//!    whenever the instance can still name them
 //!    ([`Graph::inserted_since`]); otherwise, like an evicted one, it is
 //!    recomputed.
 //!
@@ -691,9 +692,9 @@ impl CubeCatalog {
     /// ([`Graph::inserted_since`]) is refreshed **incrementally**
     /// (`PartialResult::refreshed`): the facts those triples touch are
     /// re-derived, every other row is carried over. Otherwise — evicted
-    /// payload, insertion log gone, key space exhausted — `pres(Q, I)` is
-    /// recomputed in **full**. Either way the cells are those of
-    /// from-scratch evaluation on `instance`.
+    /// payload, or insertion log gone — `pres(Q, I)` is recomputed in
+    /// **full**. Either way the cells are those of from-scratch evaluation
+    /// on `instance`.
     ///
     /// The new payload is pinned while the budget is re-enforced, so the
     /// entry is resident (and fresh) when this returns.
@@ -708,15 +709,10 @@ impl CubeCatalog {
             .payload
             .as_deref()
             .zip(instance.inserted_since(e.watermark));
-        let incremental = match stale {
+        let (mode, pres) = match stale {
             Some((old, new)) => {
                 sp.attr("new_triples", new.len() as u64);
-                old.pres.refreshed(&e.eq, instance, new)?
-            }
-            None => None,
-        };
-        let (mode, pres) = match incremental {
-            Some((pres, touched_roots)) => {
+                let (pres, touched_roots) = old.pres.refreshed(&e.eq, instance, new)?;
                 sp.attr("touched_roots", touched_roots as u64);
                 self.metrics
                     .incremental_refreshes

@@ -4,7 +4,9 @@
 //! For a query `Q = ⟨c, m, ⊕⟩`, the *extended measure result* `m^k(I)`
 //! attaches a fresh key `newk()` to every tuple of the bag `m(I)`, so that
 //! identical measure values of one fact stay distinguishable after
-//! relational operations. The *partial result* is
+//! relational operations. A table here stores every tuple once, so a
+//! tuple's place in it is such a key, and no key is stored. The *partial
+//! result* is
 //!
 //! ```text
 //! pres(Q, I) = c(I) ⋈ₓ m^k(I)      — a table ⟨root, d₁…dₙ, k, v⟩
@@ -21,11 +23,11 @@
 //! tuples to every cell it sits in. A [`PartialResult`] stores the join's
 //! two sides, never its expansion: **cell heads** `(d₁…dₙ, fact)`, strictly
 //! ascending on `(d₁…dₙ, root)`, over a root-ascending **fact table** that
-//! holds each fact's `(key, value)` tuples once, key-ascending — the run
-//! every head of the fact points at. A row `⟨root, d₁…dₙ, k, v⟩` is a head
-//! with one tuple of its run ([`PartialResult::rows`], in `(d₁…dₙ, root,
-//! k)` order). The layout is canonical (every fact referenced, every run
-//! non-empty), so:
+//! holds each fact's measure values once — the run every head of the fact
+//! points at. A tuple's key `k` is `1 +` its index in the table's values.
+//! A row `⟨root, d₁…dₙ, k, v⟩` is a head with one value of its run
+//! ([`PartialResult::rows`], in `(d₁…dₙ, root, k)` order). The layout is
+//! canonical (every fact referenced, every run non-empty), so:
 //!
 //! * every cube cell is one block of heads, and [`PartialResult::to_cube`]
 //!   is a scan with no sort that gathers a cell's bag from their runs;
@@ -78,11 +80,12 @@
 //!   constants) that the classifier also states on its own root: every
 //!   seeded root matches it, and exactly once, so the bag is unchanged. The
 //!   root's last pattern stays, as it must bind the seeded variable.
-//! * **Keys.** `newk()` numbers the tuples the measure enumerated, so a
-//!   table's keys are fresh but not canonical: a restricted `compute` keys
-//!   only its admitted facts' tuples, where a dice of the unrestricted table
-//!   keeps that table's keys. Two tables of one query are equal up to a
-//!   bijective renaming of keys, which is what every consumer relies on.
+//! * **Keys.** `newk()` is realized by position: a tuple's key is `1 +` its
+//!   index in the fact table's values, so the keys of a table of `n` tuples
+//!   are exactly `1..=n`, whoever built it. A run keeps the order in which
+//!   the measure enumerated the fact's tuples, so two tables of one query
+//!   are equal up to a bijective renaming of keys, which is what every
+//!   consumer relies on.
 
 use crate::answer::Cube;
 use crate::cost::pattern_counts;
@@ -104,9 +107,10 @@ pub struct PresRow<'a> {
     pub root: TermId,
     /// The dimension values `d₁…dₙ`.
     pub dims: &'a [TermId],
-    /// The `newk()` key identifying one measure tuple within this table.
-    /// Keys are fresh, not canonical: two tables of the same query agree
-    /// up to a bijective renaming of keys.
+    /// The `newk()` key identifying one measure tuple within this table:
+    /// `1 +` the tuple's place in the table's fact side, so a table's keys
+    /// are `1..=n`. Two tables of the same query agree up to a bijective
+    /// renaming of keys.
     pub key: u32,
     /// The measure value `v`.
     pub value: TermId,
@@ -128,13 +132,13 @@ pub struct PartialResult {
 }
 
 /// The fact side of a table: facts in root order, each with its run of
-/// `key‖value` tuples, keys ascending.
+/// measure values. A value's `newk()` key is `1 +` its index in `values`.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Facts {
     roots: Vec<TermId>,
-    /// Where each fact's run ends in `tuples` (and the next one starts).
+    /// Where each fact's run ends in `values` (and the next one starts).
     ends: Vec<u32>,
-    tuples: Vec<u64>,
+    values: Vec<TermId>,
 }
 
 impl Facts {
@@ -143,37 +147,44 @@ impl Facts {
     }
 
     /// Appends a fact after every fact of a smaller root.
-    fn push(&mut self, root: TermId, run: impl IntoIterator<Item = u64>) {
+    fn push(&mut self, root: TermId, run: impl IntoIterator<Item = TermId>) {
         self.roots.push(root);
-        self.tuples.extend(run);
-        // Fits: a table's tuples carry distinct `u32` keys.
-        self.ends.push(self.tuples.len() as u32);
+        self.values.extend(run);
+        // Fits: a table holds at most `u32::MAX` values (`check_size`).
+        self.ends.push(self.values.len() as u32);
     }
 
     /// Appends the facts `fs` of `other`, whose roots follow this table's.
     fn extend_from(&mut self, other: &Facts, fs: Range<usize>) {
         let (from, to) = (other.start(fs.start), other.start(fs.end));
-        let shift = |&end: &u32| end - from as u32 + self.tuples.len() as u32;
+        let shift = |&end: &u32| end - from as u32 + self.values.len() as u32;
         self.ends.extend(other.ends[fs.clone()].iter().map(shift));
         self.roots.extend_from_slice(&other.roots[fs]);
-        self.tuples.extend_from_slice(&other.tuples[from..to]);
+        self.values.extend_from_slice(&other.values[from..to]);
     }
 
-    /// Where the run of fact `f` starts in `tuples`.
+    /// Where the run of fact `f` starts in `values`.
     fn start(&self, f: usize) -> usize {
         f.checked_sub(1).map_or(0, |e| self.ends[e] as usize)
     }
 
     /// The run of fact `f`.
-    fn run(&self, f: usize) -> &[u64] {
-        &self.tuples[self.start(f)..self.start(f + 1)]
+    fn run(&self, f: usize) -> &[TermId] {
+        &self.values[self.start(f)..self.start(f + 1)]
     }
+}
+
+/// A table holds at most `u32::MAX` values, as `ends` are `u32`: a bound on
+/// the size of one table, not on its history.
+fn check_size(values: usize) -> Result<(), CoreError> {
+    let error = || CoreError::InvalidOperation(format!("{values} measure tuples in one pres"));
+    u32::try_from(values).map(drop).map_err(|_| error())
 }
 
 /// The rows `heads` (of `n` dimensions) stand for over `facts`.
 fn row_count(heads: &[TermId], n: usize, facts: &Facts) -> usize {
     let runs = heads.chunks_exact(n + 1).map(|h| facts.run(h[n].index()));
-    runs.map(<[u64]>::len).sum()
+    runs.map(<[TermId]>::len).sum()
 }
 
 /// A table on its way into a [`PartialResult`]: heads in any order, some
@@ -205,33 +216,30 @@ impl<'a> Records<'a> {
         row_count(&self.heads, self.n_dims, &self.facts)
     }
 
-    /// `c(I) ⋈ₓ m^k(I)` into an empty buffer: keys every tuple of the
-    /// measure result `m_rel` (`newk()` counts up from `keys_above + 1` in
-    /// enumeration order), stores each fact's tuples once, and pushes one
-    /// head per classifier row of `c_rel` that has measure tuples — a merge
-    /// on the root, in the order a root scan gives (else a sort). `None` if
-    /// the keys would not fit `u32`.
-    fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation, keys_above: u32) -> Option<()> {
+    /// `c(I) ⋈ₓ m^k(I)` into an empty buffer: stores each admitted fact's
+    /// values of the measure result `m_rel` once, in enumeration order (a
+    /// value's place is its `newk()` key), and pushes one head per
+    /// classifier row of `c_rel` that has measure tuples — a merge on the
+    /// root, in the order a root scan gives (else a sort). An error if the
+    /// values might not fit one table.
+    fn key_join(&mut self, c_rel: &Relation, m_rel: &Relation) -> Result<(), CoreError> {
         let sp = obs::span("key_join");
-        u32::try_from(m_rel.len()).ok()?.checked_add(keys_above)?;
+        check_size(m_rel.len())?;
         // A side's row indices in root order: `None` when its rows arrive in
         // it (the side is walked as it is), else sorted once by `(root, row)`.
         let by_root = |rel: &Relation| {
-            let pair = |(row, i): (&[TermId], u64)| u64::from(row[0].0) << 32 | i;
             (!rel.rows().map(|row| row[0]).is_sorted()).then(|| {
-                let mut pairs: Vec<u64> = rel.rows().zip(0..).map(pair).collect();
+                let roots = rel.rows().map(|row| row[0]);
+                let mut pairs: Vec<(TermId, u32)> = roots.zip(0..).collect();
                 pairs.sort_unstable();
-                pairs.into_iter().map(|p| p as u32).collect::<Vec<u32>>()
+                pairs.into_iter().map(|(_, i)| i).collect::<Vec<u32>>()
             })
         };
         let (c_order, m_order) = (by_root(c_rel), by_root(m_rel));
         let nth = |o: &Option<Vec<u32>>, at| o.as_ref().map_or(at, |o| o[at] as usize);
         let m_root = |at| u64::from(m_rel.row(nth(&m_order, at))[0].0);
         let below = |from, bound| (from..m_rel.len()).find(|&at| m_root(at) >= bound);
-        let keyed = |at: usize| {
-            let j = nth(&m_order, at) as u32;
-            u64::from(keys_above + j + 1) << 32 | u64::from(m_rel.row(j as usize)[1].0)
-        };
+        let value = |at| m_rel.row(nth(&m_order, at))[1];
         let (mut next, mut last, mut fact) = (0, None, None);
         self.heads.reserve(c_rel.len() * (self.n_dims + 1));
         for i in (0..c_rel.len()).map(|at| nth(&c_order, at)) {
@@ -241,7 +249,7 @@ impl<'a> Records<'a> {
                 let to = below(from, u64::from(root.0) + 1).unwrap_or(m_rel.len());
                 fact = (from < to).then(|| {
                     let facts = self.facts.to_mut();
-                    facts.push(root, (from..to).map(keyed));
+                    facts.push(root, (from..to).map(value));
                     facts.len() - 1
                 });
                 (next, last) = (to, Some(root));
@@ -255,7 +263,7 @@ impl<'a> Records<'a> {
         }
         let sorted = u64::from(c_order.is_some()) + u64::from(m_order.is_some());
         sp.attr("sorted_sides", sorted);
-        Some(())
+        Ok(())
     }
 
     /// Pushes a head: fact `fact` of this buffer sits in the cell `dims`.
@@ -327,7 +335,7 @@ impl<'a> Records<'a> {
         heads.shrink_to_fit();
         facts.roots.shrink_to_fit();
         facts.ends.shrink_to_fit();
-        facts.tuples.shrink_to_fit();
+        facts.values.shrink_to_fit();
         let pres = PartialResult {
             n_dims: n,
             dim_names,
@@ -343,33 +351,31 @@ impl<'a> Records<'a> {
 
 impl PartialResult {
     /// Heads strictly ascending, every fact referenced, facts strictly
-    /// root-ascending, and runs non-empty and strictly key-ascending.
+    /// root-ascending, and runs non-empty.
     fn is_canonical(&self) -> bool {
         let facts = &self.facts;
         let mut referenced = vec![false; facts.len()];
         self.heads().for_each(|(_, _, f)| referenced[f] = true);
-        let keys = |f| facts.run(f).iter().map(|t| t >> 32);
         let heads = self.heads.chunks_exact(self.n_dims + 1);
         heads.is_sorted_by(|a, b| a < b)
             && referenced.iter().all(|&r| r)
             && facts.roots.is_sorted_by(|a, b| a < b)
-            && (0..facts.len()).all(|f| keys(f).len() > 0 && keys(f).is_sorted_by(|a, b| a < b))
+            && (0..facts.len()).all(|f| !facts.run(f).is_empty())
     }
 
     /// Computes `pres(Q, I)` for an extended query over `instance`.
     ///
     /// The classifier is filtered by Σ and evaluated as a bag, its repeated
     /// rows left to the kernel's δ; the measure under bag semantics for the
-    /// facts it admits, with keys assigned in enumeration order (the paper's
-    /// illustrative `newk()` returning 1, 2, 3…). The joined heads go
-    /// through the same counting kernel as every rewriting.
+    /// facts it admits, each fact's values stored in enumeration order, so
+    /// a tuple's key is its place in the table (the paper's illustrative
+    /// `newk()` returning 1, 2, 3…). The joined heads go through the same
+    /// counting kernel as every rewriting.
     pub fn compute(eq: &ExtendedQuery, instance: &Graph) -> Result<Self, CoreError> {
         let q = eq.query();
         let (c_rel, m_rel) = evaluate_parts(eq, instance, None)?;
         let mut records = Records::new(q.n_dims(), None);
-        records.key_join(&c_rel, &m_rel, 0).ok_or_else(|| {
-            CoreError::InvalidOperation("more than 2^32 − 1 measure tuples to key".into())
-        })?;
+        records.key_join(&c_rel, &m_rel)?;
         let dim_names = q.dim_names().iter().map(|s| s.to_string()).collect();
         Ok(records.into_pres(dim_names, q.agg()))
     }
@@ -381,27 +387,25 @@ impl PartialResult {
     /// from its root by the rooted BGPs of `Q`. So only the facts some
     /// embedding of which uses a triple of `Δ` — the *touched roots*, found
     /// semi-naively — can have changed. Theirs are re-derived on `instance`
-    /// (Σ as in [`Self::compute`], keys above every key of `self`) and one
-    /// merge of each side replaces their heads and runs whole. Whatever ⊕
-    /// is, [`Self::to_cube`] of the result is `ans(Q, I)`, and the table
-    /// equals [`Self::compute`]'s up to a renaming of keys.
+    /// (Σ as in [`Self::compute`]) and one merge of each side replaces their
+    /// heads and runs whole; every tuple's key is its place in the merged
+    /// table. Whatever ⊕ is, [`Self::to_cube`] of the result is `ans(Q, I)`,
+    /// and the table equals [`Self::compute`]'s up to a renaming of keys.
     ///
-    /// Returns the table and the number of touched roots, or `None` if the
-    /// key space is exhausted (recompute: `compute` restarts keys at 1).
+    /// Returns the table and the number of touched roots.
     pub(crate) fn refreshed(
         &self,
         eq: &ExtendedQuery,
         instance: &Graph,
         new: &[Triple],
-    ) -> Result<Option<(Self, usize)>, CoreError> {
+    ) -> Result<(Self, usize), CoreError> {
         let touched = touched_roots(eq, instance, new)?;
         let (c_rel, m_rel) = evaluate_parts(eq, instance, Some(&touched))?;
         let mut records = Records::new(self.n_dims, None);
-        let keys_above = self.facts.tuples.iter().map(|&t| (t >> 32) as u32).max();
-        let Some(()) = records.key_join(&c_rel, &m_rel, keys_above.unwrap_or(0)) else {
-            return Ok(None);
-        };
+        records.key_join(&c_rel, &m_rel)?;
         let fresh = records.into_pres(self.dim_names.clone(), self.agg);
+        // The merge holds no more values than the two tables together.
+        check_size(self.facts.values.len() + fresh.facts.values.len())?;
 
         // Facts by root: the untouched old ones copied in ranges between the
         // touched roots, fresh ones in their place; `*_at`: merged indices.
@@ -446,7 +450,7 @@ impl PartialResult {
         carry(&mut merged, &self.heads[next * s..]);
         let pres = merged.finish(self.dim_names.clone(), self.agg);
         sp.rows((self.len() + fresh.len()) as u64, pres.len() as u64);
-        Ok(Some((pres, touched.len())))
+        Ok((pres, touched.len()))
     }
 
     /// The dimension names, in classifier-head order.
@@ -518,21 +522,23 @@ impl PartialResult {
     /// Iterates all rows, in `(dims, root, key)` order.
     pub fn rows(&self) -> impl Iterator<Item = PresRow<'_>> {
         self.heads().flat_map(|(dims, root, f)| {
-            let row = move |&t: &u64| PresRow {
+            let row = move |(key, &value)| PresRow {
                 root,
                 dims,
-                key: (t >> 32) as u32,
-                value: TermId(t as u32),
+                key,
+                value,
             };
-            self.facts.run(f).iter().map(row)
+            let keys = self.facts.start(f) as u32 + 1..=self.facts.start(f + 1) as u32;
+            keys.zip(self.facts.run(f)).map(row)
         })
     }
 
     /// Approximate memory footprint in bytes (reported by the benchmarks
     /// comparing pres size against instance size).
     pub fn approx_bytes(&self) -> usize {
-        let ids = self.heads.len() + self.facts.roots.len() + self.facts.ends.len();
-        ids * std::mem::size_of::<u32>() + self.facts.tuples.len() * std::mem::size_of::<u64>()
+        let facts = &self.facts;
+        let ids = self.heads.len() + facts.roots.len() + facts.ends.len() + facts.values.len();
+        ids * std::mem::size_of::<u32>()
     }
 
     /// The Σ-selection of the table: the heads of the cells `sigma` admits,
@@ -561,8 +567,7 @@ impl PartialResult {
             let end = block_end(&self.heads, n + 1, self.n_heads(), start, n);
             bag.clear();
             for h in self.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
-                let run = self.facts.run(h[n].index());
-                bag.extend(run.iter().map(|&t| TermId(t as u32)));
+                bag.extend_from_slice(self.facts.run(h[n].index()));
             }
             values.push(self.agg.apply_memo(&bag, dict, &mut memo)?);
             keys.extend_from_slice(self.dims_of(start));
@@ -807,8 +812,8 @@ mod tests {
         assert_eq!(measure, [2, 2, 1]);
         let diced = crate::rewrite::dice_pres(&whole, ny.sigma(), g.dict());
         assert_eq!(key_classes(&pres), key_classes(&diced));
-        // The keys are fresh, not the unrestricted table's.
-        assert_ne!(pres, diced);
+        // Keys are places: the two tables hold the same facts and runs.
+        assert_eq!(pres, diced);
     }
 
     #[test]
@@ -825,7 +830,7 @@ mod tests {
         let c_rel = eq.classifier_relation(&g).unwrap();
         let m_rel = rdfcube_engine::evaluate(&g, eq.query().measure(), Semantics::Bag).unwrap();
         let mut records = Records::new(2, None);
-        records.key_join(&c_rel, &m_rel, 0).unwrap();
+        records.key_join(&c_rel, &m_rel).unwrap();
         let unseeded = records.into_pres(pres.dim_names().to_vec(), AggFunc::Count);
         assert_eq!(pres, unseeded);
     }
@@ -947,7 +952,7 @@ mod tests {
         assert_eq!(x_keys[0], x_keys[1], "same measure tuple ⇒ same key");
         // Stored once: x heads two cells, and both point at its one tuple.
         assert_eq!((pres.n_heads(), pres.n_facts()), (3, 2));
-        assert_eq!(pres.facts.tuples.len(), 2);
+        assert_eq!(pres.facts.values.len(), 2);
         // Equation 3 still sums x's value once per cell.
         let cube = pres.to_cube(g.dict()).unwrap();
         let a = g.dict().iri_id("a").unwrap();
@@ -1008,11 +1013,19 @@ mod tests {
             g.insert(&Term::iri(s), &Term::iri(p), &o);
         }
         let new = g.inserted_since(watermark).unwrap().to_vec();
-        let (fresh, touched) = old.refreshed(&eq, &g, &new).unwrap().unwrap();
+        let (fresh, touched) = old.refreshed(&eq, &g, &new).unwrap();
         assert_eq!(touched, 3);
         let recomputed = PartialResult::compute(&eq, &g).unwrap();
         assert_eq!(key_classes(&fresh), key_classes(&recomputed));
         assert_eq!(fresh.approx_bytes(), recomputed.approx_bytes());
+    }
+
+    /// `ends` are `u32`: a table of `u32::MAX` values is the largest.
+    #[test]
+    fn a_table_holds_at_most_u32_max_values() {
+        assert!(check_size(u32::MAX as usize).is_ok());
+        let too_many = check_size(u32::MAX as usize + 1);
+        assert!(matches!(too_many, Err(CoreError::InvalidOperation(_))));
     }
 
     #[test]
@@ -1024,23 +1037,18 @@ mod tests {
 
     /// The kernel at several widths: heads pushed out of order, one of
     /// them twice, come out strictly ascending on `(dims, root, key)`,
-    /// every row once.
+    /// every row once, each keyed by its place in the fact table.
     #[test]
     fn kernel_sorts_and_deduplicates_at_every_width() {
         for n_dims in [0usize, 1, 3, 4, 6] {
             let names: Vec<String> = (0..n_dims).map(|d| format!("d{d}")).collect();
             let dims = |first: u32| (0..n_dims as u32).map(move |d| TermId(first + d));
             let mut records = Records::new(n_dims, None);
-            let tuples = |run: &[(u32, u32)]| -> Vec<u64> {
-                run.iter()
-                    .map(|&(k, v)| u64::from(k) << 32 | u64::from(v))
-                    .collect()
-            };
             let facts = records.facts.to_mut();
-            facts.push(TermId(1), tuples(&[(8, 80)]));
-            facts.push(TermId(2), tuples(&[(6, 60), (7, 70)]));
-            facts.push(TermId(3), tuples(&[(9, 90)]));
-            facts.push(TermId(4), tuples(&[(1, 10), (2, 20), (3, 30)]));
+            facts.push(TermId(1), [TermId(80)]);
+            facts.push(TermId(2), [TermId(60), TermId(70)]);
+            facts.push(TermId(3), [TermId(90)]);
+            facts.push(TermId(4), [TermId(10), TermId(20), TermId(30)]);
             records.push(dims(9), 1);
             records.push(dims(9), 0);
             records.push(dims(5), 2);
@@ -1054,13 +1062,13 @@ mod tests {
                 .collect();
             let d = |first: u32| dims(first).collect::<Vec<_>>();
             let mut want = vec![
-                (d(5), 3, 9, 90),
-                (d(9), 1, 8, 80),
-                (d(9), 2, 6, 60),
-                (d(9), 2, 7, 70),
-                (d(9), 4, 1, 10),
-                (d(9), 4, 2, 20),
-                (d(9), 4, 3, 30),
+                (d(5), 3, 4, 90),
+                (d(9), 1, 1, 80),
+                (d(9), 2, 2, 60),
+                (d(9), 2, 3, 70),
+                (d(9), 4, 5, 10),
+                (d(9), 4, 6, 20),
+                (d(9), 4, 7, 30),
             ];
             want.sort();
             assert_eq!(got, want, "{n_dims} dims");
@@ -1095,13 +1103,22 @@ mod tests {
             let z = (state.get() ^ (state.get() >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             ((z ^ (z >> 29)) % u64::from(bound)) as u32
         };
-        // Rows `(dims, root, key, value)` of the distinct heads, in order.
+        // Rows `(dims, root, key, value)` of the distinct heads, in order:
+        // keys count the values of the referenced facts, in fact order.
         let reference = |heads: &[(Vec<TermId>, usize)], facts: &Facts| {
             let set: BTreeSet<_> = heads.iter().map(|(d, f)| (d.clone(), *f)).collect();
+            let referenced: BTreeSet<usize> = set.iter().map(|&(_, f)| f).collect();
+            let (mut first_key, mut next) = (vec![0u32; facts.len()], 1);
+            for f in referenced {
+                first_key[f] = next;
+                next += facts.run(f).len() as u32;
+            }
             let rows = set.into_iter().flat_map(|(dims, f)| {
-                let row =
-                    move |&t: &u64| (dims.clone(), facts.roots[f], (t >> 32) as u32, t as u32);
-                facts.run(f).iter().map(row).collect::<Vec<_>>()
+                let row = move |(k, v): (u32, &TermId)| (dims.clone(), facts.roots[f], k, v.0);
+                (first_key[f]..)
+                    .zip(facts.run(f))
+                    .map(row)
+                    .collect::<Vec<_>>()
             });
             rows.collect::<Vec<_>>()
         };
@@ -1127,15 +1144,10 @@ mod tests {
                 };
                 let mut records = Records::new(n_dims, None);
                 let n_facts = 1 + below(12);
-                let (mut root, mut key) = (0, 0u32);
+                let mut root = 0;
                 for _ in 0..n_facts {
                     root += 1 + below(50);
-                    let run: Vec<u64> = (0..1 + below(3))
-                        .map(|_| {
-                            key += 1;
-                            u64::from(key) << 32 | u64::from(below(5))
-                        })
-                        .collect();
+                    let run: Vec<TermId> = (0..1 + below(3)).map(|_| TermId(below(5))).collect();
                     records.facts.to_mut().push(TermId(root), run);
                 }
                 let heads = random_heads(n_facts);
@@ -1203,7 +1215,7 @@ mod tests {
                 g2.insert(&Term::iri(s), &Term::iri(p), &o);
             }
             let new = g2.inserted_since(watermark).unwrap().to_vec();
-            let (fresh, _) = pres.refreshed(&eq, &g2, &new).unwrap().unwrap();
+            let (fresh, _) = pres.refreshed(&eq, &g2, &new).unwrap();
             let recomputed = PartialResult::compute(&eq, &g2).unwrap();
             assert_eq!(key_classes(&fresh), key_classes(&recomputed), "{agg}");
             assert_eq!(fresh.n_heads(), 2);
@@ -1246,16 +1258,9 @@ mod tests {
         ];
         for runs in [numeric, textual] {
             let mut records = Records::new(1, None);
-            let mut key = 0u32;
             for (f, run) in runs.iter().enumerate() {
-                let tuples = run.iter().map(|&v| {
-                    key += 1;
-                    u64::from(key) << 32 | u64::from(ids[v])
-                });
-                records
-                    .facts
-                    .to_mut()
-                    .push(TermId(f as u32 + 1), tuples.collect::<Vec<_>>());
+                let values = run.iter().map(|&v| TermId(ids[v]));
+                records.facts.to_mut().push(TermId(f as u32 + 1), values);
             }
             for &(cell, f) in heads.iter().filter(|&&(_, f)| f < runs.len()) {
                 records.push([TermId(cell)], f);
@@ -1301,8 +1306,8 @@ mod tests {
 
     /// The merge's fallback: a side that arrives out of root order (a
     /// pending delta's run after the CSR's) is sorted once, and the table is
-    /// every classifier × measure pair on one root, `newk()` still counting
-    /// in measure enumeration order.
+    /// every classifier × measure pair on one root, each fact's values kept
+    /// in measure enumeration order and keyed by their place.
     #[test]
     fn key_join_sorts_the_sides_that_arrive_out_of_root_order() {
         // `c(x, d)` and `m(x, v)`: root 2 sits in two cells, root 3 has no
@@ -1318,7 +1323,7 @@ mod tests {
             };
             let mut records = Records::new(1, None);
             assert!(obs::trace_begin("join"));
-            records.key_join(&rel(c_rows), &rel(m_rows), 7).unwrap();
+            records.key_join(&rel(c_rows), &rel(m_rows)).unwrap();
             let trace = obs::trace_end().unwrap();
             let sorted = trace
                 .find("key_join")
@@ -1331,10 +1336,17 @@ mod tests {
         let mut in_order = c_rows;
         in_order.sort_by_key(|row| row[0]);
         assert_eq!(join(&in_order, &m_rows), (pres.clone(), 1));
+        // The stored values: those of a root with a classifier row, by root
+        // and then in enumeration order (a stable sort).
+        let mut stored: Vec<_> = m_rows
+            .into_iter()
+            .filter(|m| c_rows.iter().any(|c| c[0] == m[0]))
+            .collect();
+        stored.sort_by_key(|m| m[0]);
         let mut want = Vec::new();
         for c in c_rows {
-            for (nth, m) in (8..).zip(m_rows).filter(|(_, m)| m[0] == c[0]) {
-                want.push((c[1], c[0], nth, m[1]));
+            for (key, m) in (1..).zip(&stored).filter(|(_, m)| m[0] == c[0]) {
+                want.push((c[1], c[0], key, m[1]));
             }
         }
         want.sort();

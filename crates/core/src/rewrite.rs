@@ -15,8 +15,9 @@
 //! (except for the drill-in auxiliary query, by necessity).
 //!
 //! Every `pres(Q)` is cell heads `(d₁…dₙ, fact)` sorted on `(d₁…dₙ, root)`
-//! over a fact table that stores each fact's keyed measure tuples once (the
-//! invariant documented in [`crate::pres`]), and every rewriting over it
+//! over a fact table that stores each fact's measure values once, a value's
+//! key being its place (the invariant documented in [`crate::pres`]), and
+//! every rewriting over it
 //! has the same shape: **one sort plus one scan**. The algorithm's π or ⋈
 //! pushes what it makes of each head — one fact in one cell — as new heads
 //! over the same facts, the kernel in `pres.rs` sorts those heads once and
@@ -434,13 +435,13 @@ mod tests {
         .unwrap();
         let filtered = dice_pres(&pres, diced.sigma(), g.dict());
         // Same rows as computing pres(Q_DICE) from the instance, up to a
-        // bijective renaming of keys: `newk()` only promises fresh keys, and
-        // the recomputation keys the admitted facts' measure tuples alone.
+        // bijective renaming of keys: a key is a tuple's place, and a run's
+        // order is whatever order the measure enumerated the fact's tuples.
         let recomputed = PartialResult::compute(&diced, &g).unwrap();
         assert_eq!(filtered.len(), recomputed.len());
         let key_classes = crate::pres::key_classes;
         assert_eq!(key_classes(&filtered), key_classes(&recomputed));
-        // Keys may differ, sizes may not: no refused fact's tuples linger.
+        // No refused fact's tuples linger.
         assert_eq!(filtered.approx_bytes(), recomputed.approx_bytes());
     }
 
@@ -822,7 +823,7 @@ mod tests {
         let mut sigma = crate::extended::Sigma::all(1);
         sigma.set(0, ValueSelector::one(Term::iri("a")));
         let eq = ExtendedQuery::with_sigma(q, sigma).unwrap();
-        let via = g.dict_mut().encode_iri("locatedIn");
+        let via = g.dict_mut().encode(&Term::iri("locatedIn"));
         assert!(matches!(
             apply_roll_up_encoded(&eq, "d", via),
             Err(CoreError::InvalidOperation(_))

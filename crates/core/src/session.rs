@@ -255,17 +255,6 @@ impl OlapSession {
         g.bulk_insert_ids(batch)
     }
 
-    /// Folds any pending insert delta into the store's sorted CSR runs.
-    /// Reads do not need it — they range over the delta's sorted runs at
-    /// the cost of their matches, serial or in row chunks — so it only
-    /// turns those range merges into pure index scans, e.g. before
-    /// [`Self::into_shared`] hands the instance to read-heavy serving.
-    /// Stale cubes still refresh incrementally afterwards: compacting adds
-    /// no triple, so the insertion log stays valid.
-    pub fn compact_instance(&mut self) {
-        Arc::make_mut(&mut self.instance).compact();
-    }
-
     /// Parses, validates and materializes a cube from the paper's notation.
     pub fn register(
         &mut self,

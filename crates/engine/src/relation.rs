@@ -315,15 +315,6 @@ impl Relation {
             && self.sorted_rows() == other.sorted_rows()
     }
 
-    /// Renames a column in place (used when aligning relations produced by
-    /// different queries before a join, e.g. classifier ⋈ measure on the
-    /// paper's shared root `x`).
-    pub fn rename(&mut self, from: VarId, to: VarId) -> Result<(), EngineError> {
-        let i = self.col_required(from)?;
-        self.schema[i] = to;
-        Ok(())
-    }
-
     /// Replaces the whole schema (same arity required). Classifier and
     /// measure queries own independent variable registries whose numeric ids
     /// overlap; before joining their results the caller rebases one side
@@ -544,15 +535,6 @@ mod tests {
                 assert!(j.rows().eq(expect.rows()), "{ctx}: rows differ");
             }
         }
-    }
-
-    #[test]
-    fn rename_aligns_columns_for_joins() {
-        let mut l = rel(&[0], &[&[1]]);
-        let r = rel(&[5], &[&[1]]);
-        l.rename(v(0), v(5)).unwrap();
-        assert_eq!(l.natural_join(&r).len(), 1);
-        assert!(l.rename(v(7), v(8)).is_err());
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Dictionary {
         id
     }
 
-    /// Convenience: interns an IRI.
-    pub fn encode_iri(&mut self, iri: &str) -> TermId {
-        self.encode_owned(Term::iri(iri))
-    }
-
     /// Looks up the id of `term` without interning.
     pub fn id(&self, term: &Term) -> Option<TermId> {
         self.ids.get(term).copied()

@@ -18,14 +18,16 @@
 //! shard counts 1 and 7, Σ-diced and undiced cubes, five aggregates with
 //! different distributivity.
 
+mod common;
+
+use common::key_classes;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
 use rdfcube::core::{rewrite, CubeHandle};
 use rdfcube::datagen::{generate_instance, BloggerConfig};
 use rdfcube::prelude::*;
 use rdfcube::rdf::vocab::RDF_TYPE;
-use rdfcube::{TermId, TriplePattern};
-use std::collections::BTreeMap;
+use rdfcube::TriplePattern;
 
 const CLASSIFIER: &str =
     "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity";
@@ -227,29 +229,6 @@ impl Plane {
     }
 }
 
-/// A measure tuple and the cells it contributes to.
-type KeyClass = (TermId, TermId, Vec<Vec<TermId>>);
-
-/// What each key of `pres` stands for. Two tables are equal up to a
-/// bijective renaming of keys exactly when these multisets are equal.
-fn key_classes(pres: &PartialResult) -> Vec<KeyClass> {
-    let mut by_key: BTreeMap<u32, KeyClass> = BTreeMap::new();
-    for row in pres.rows() {
-        let class = by_key
-            .entry(row.key)
-            .or_insert_with(|| (row.root, row.value, Vec::new()));
-        assert_eq!(
-            (class.0, class.1),
-            (row.root, row.value),
-            "a key names one tuple"
-        );
-        class.2.push(row.dims.to_vec());
-    }
-    let mut classes: Vec<KeyClass> = by_key.into_values().collect();
-    classes.sort();
-    classes
-}
-
 /// The cube behind `h`, once fresh, is what from-scratch evaluation on the
 /// instance as it stands now gives.
 fn assert_equals_scratch(plane: &mut Plane, h: CubeHandle, ctx: &str) {
@@ -269,6 +248,12 @@ fn assert_equals_scratch(plane: &mut Plane, h: CubeHandle, ctx: &str) {
     assert!(
         key_classes(&pres) == key_classes(&recomputed),
         "{ctx}: pres differs from from-scratch beyond a renaming of keys"
+    );
+    let largest = pres.rows().map(|r| r.key).max().unwrap_or(0);
+    assert_eq!(
+        largest as usize,
+        key_classes(&pres).len(),
+        "{ctx}: pres keys are not exactly 1..=n"
     );
 }
 
