@@ -25,6 +25,10 @@
 //!    ([`crate::cost`]).
 //! 3. **Budgeting** — an optional byte budget over the materialized
 //!    payloads (`ans(Q)` + `pres(Q)`, measured by their `approx_bytes`).
+//!    ⊕ twins (same family, canonical dimensions and Σ) share one `pres`
+//!    table, which the budget charges once, for as long as any resident
+//!    entry holds it: evicting one twin frees only its `ans`, and a stale or
+//!    evicted twin adopts the table of a fresh one.
 //!    When the resident set outgrows the budget, cold entries are evicted
 //!    by benefit-weighted LRU: the payload is dropped but the entry — its
 //!    query, signature and statistics — stays, so every [`cube
@@ -93,8 +97,10 @@ pub struct CubeStats {
     pub ans_cells: usize,
     /// Number of rows in `pres(Q)`.
     pub pres_rows: usize,
-    /// `ans.approx_bytes() + pres.approx_bytes()` — what the entry charges
-    /// against the budget while resident.
+    /// `ans.approx_bytes() + pres.approx_bytes()`: the payload's size, which
+    /// the planner and the advisor price with. While resident the entry
+    /// charges the budget less when a ⊕ twin holds its table too
+    /// ([`CubeCatalog::resident_bytes`]).
     pub bytes: usize,
 }
 
@@ -310,8 +316,9 @@ pub struct CatalogCounters {
     /// Resident-but-stale payloads brought up to date after the instance
     /// grew past their watermark, incrementally or by recomputation.
     pub refreshes: u64,
-    /// The [`Self::refreshes`] that re-derived only the facts the inserted
-    /// triples touch.
+    /// The [`Self::refreshes`] that did not recompute `pres(Q)`: each
+    /// re-derived only the facts the inserted triples touch, or adopted the
+    /// table of a fresh ⊕ twin.
     pub incremental_refreshes: u64,
 }
 
@@ -480,7 +487,9 @@ impl CubeCatalog {
         self.entries.is_empty()
     }
 
-    /// Bytes of materialized payload currently resident.
+    /// Bytes of materialized payload currently resident: every resident
+    /// `ans`, and every table resident entries hold, once however many hold
+    /// it.
     pub fn resident_bytes(&self) -> usize {
         self.resident_bytes
     }
@@ -651,20 +660,22 @@ impl CubeCatalog {
             pres_rows: pres.len(),
             bytes: ans.approx_bytes() + pres.approx_bytes(),
         };
+        let payload = CubePayload { ans, pres };
+        let eq = Arc::new(eq);
+        let key = &eq.query().signature().key;
         // Evict *before* attaching the new payload, so the accounted
         // resident set never overshoots the budget mid-insert.
-        self.make_room(stats.bytes, None);
+        self.make_room(Some((key, &payload)), None);
         let idx = self.entries.len();
         let clock = self.clock.get_mut();
         *clock += 1;
         let now = *clock;
-        self.resident_bytes += stats.bytes;
-        let key = &eq.query().signature().key;
+        self.resident_bytes += self.charge(key, &payload, None);
         self.index.entry(key.clone()).or_default().push(idx);
         self.entries.push(CatalogEntry {
-            eq: Arc::new(eq),
+            eq,
             stats,
-            payload: Some(Arc::new(CubePayload { ans, pres })),
+            payload: Some(Arc::new(payload)),
             watermark,
             last_touch: AtomicU64::new(now),
             hits: AtomicU64::new(0),
@@ -688,7 +699,12 @@ impl CubeCatalog {
     /// instance grew past the entry's watermark) up to the current
     /// instance. Returns `true` if there was anything to do.
     ///
-    /// A stale payload whose missed triples the instance can still itemize
+    /// A fresh, resident entry of the family with the same canonical
+    /// dimensions and Σ holds the same `pres` up to a renaming of keys,
+    /// whatever its ⊕: the entry **adopts** that table and runs only its own
+    /// γ. So after an insert only the first ⊕ twin asked re-derives the
+    /// table, and an evicted twin comes back by γ alone. Otherwise a stale
+    /// payload whose missed triples the instance can still itemize
     /// ([`Graph::inserted_since`]) is refreshed **incrementally**
     /// (`PartialResult::refreshed`): the facts those triples touch are
     /// re-derived, every other row is carried over. Otherwise — evicted
@@ -705,52 +721,81 @@ impl CubeCatalog {
             return Ok(false);
         }
         let sp = obs::span("refresh");
+        let eq = Arc::clone(&e.eq);
         let stale = e
             .payload
             .as_deref()
             .zip(instance.inserted_since(e.watermark));
-        let (mode, pres) = match stale {
-            Some((old, new)) => {
+        // A fresh, resident twin: same family, canonical dimensions and Σ.
+        let family = self.family(&eq.query().signature().key);
+        let twin = family.iter().find_map(|&i| {
+            let t = &self.entries[i];
+            let same = t.signature().dims == e.signature().dims && t.eq.sigma() == eq.sigma();
+            t.payload.as_ref().filter(|_| same && t.is_fresh(instance))
+        });
+        let (mode, pres) = match (twin, stale) {
+            (Some(twin), _) => {
+                let q = eq.query();
+                let names = q.dim_names().iter().map(|s| s.to_string()).collect();
+                let pres = twin.pres.clone().with_dim_names(names);
+                ("adopted", pres.with_agg(q.agg()))
+            }
+            (None, Some((old, new))) => {
                 sp.attr("new_triples", new.len() as u64);
-                let (pres, touched_roots) = old.pres.refreshed(&e.eq, instance, new)?;
+                let (pres, touched_roots) = old.pres.refreshed(&eq, instance, new)?;
                 sp.attr("touched_roots", touched_roots as u64);
-                self.metrics
-                    .incremental_refreshes
-                    .fetch_add(1, Ordering::Relaxed);
                 ("incremental", pres)
             }
-            None => ("full", PartialResult::compute(&e.eq, instance)?),
+            (None, None) => ("full", PartialResult::compute(&eq, instance)?),
         };
         sp.detail(|| mode.into());
         sp.rows(e.stats.pres_rows as u64, pres.len() as u64);
         let ans = pres.to_cube(instance.dict())?;
-        let bytes = ans.approx_bytes() + pres.approx_bytes();
+        let payload = CubePayload { ans, pres };
         // A stale payload is dropped (with its accounting) before making
         // room, so the budget never charges old and new copies at once.
-        if was_resident {
-            self.resident_bytes -= self.entries[idx].stats.bytes;
-            self.entries[idx].payload = None;
-        }
+        self.drop_payload(idx);
         // Make room before attaching, as in `insert`.
-        self.make_room(bytes, Some(idx));
-        let watermark = instance.len();
-        let e = &mut self.entries[idx];
-        // Recomputed sizes can differ marginally from the derived
-        // original's (row order aside, they are the same table, but stay
-        // honest and re-measure).
-        e.stats.ans_cells = ans.len();
-        e.stats.pres_rows = pres.len();
-        e.stats.bytes = bytes;
-        e.payload = Some(Arc::new(CubePayload { ans, pres }));
-        e.watermark = watermark;
-        if was_resident {
-            self.metrics.refreshes.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.metrics.rehydrations.fetch_add(1, Ordering::Relaxed);
-        }
-        self.resident_bytes += bytes;
+        let key = &eq.query().signature().key;
+        self.make_room(Some((key, &payload)), Some(idx));
+        self.resident_bytes += self.charge(key, &payload, Some(idx));
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
+        let e = &mut self.entries[idx];
+        e.stats.ans_cells = payload.ans.len();
+        e.stats.pres_rows = payload.pres.len();
+        e.stats.bytes = payload.ans.approx_bytes() + payload.pres.approx_bytes();
+        e.payload = Some(Arc::new(payload));
+        e.watermark = instance.len();
+        let m = &self.metrics;
+        if was_resident {
+            m.refreshes.fetch_add(1, Ordering::Relaxed);
+        } else {
+            m.rehydrations.fetch_add(1, Ordering::Relaxed);
+        }
+        if was_resident && mode != "full" {
+            m.incremental_refreshes.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(true)
+    }
+
+    /// What holding `payload` under family `key` adds to the resident bytes:
+    /// its `ans`, and its table unless a resident entry of the family other
+    /// than `holder` holds that table too. (⊕ is not in the key, so every
+    /// entry that can share a table is in the family.)
+    fn charge(&self, key: &ViewKey, payload: &CubePayload, holder: Option<usize>) -> usize {
+        let (ans, pres) = (&payload.ans, &payload.pres);
+        let others = self.family(key).iter().filter(|&&i| Some(i) != holder);
+        let mut held = others.filter_map(|&i| self.entries[i].payload.as_ref());
+        let shared = held.any(|p| p.pres.shares_table(pres));
+        ans.approx_bytes() + if shared { 0 } else { pres.approx_bytes() }
+    }
+
+    /// Drops the payload of entry `idx`, if resident, and what it charged.
+    fn drop_payload(&mut self, idx: usize) {
+        if let Some(p) = &self.entries[idx].payload {
+            self.resident_bytes -= self.charge(&self.entries[idx].signature().key, p, Some(idx));
+        }
+        self.entries[idx].payload = None;
     }
 
     /// The resident entry touched most recently, if any.
@@ -766,13 +811,15 @@ impl CubeCatalog {
     /// Evicts cold payloads until the current resident set fits the
     /// budget, then updates the peak resident bytes.
     fn enforce_budget(&mut self, pinned: Option<usize>) {
-        self.make_room(0, pinned);
+        self.make_room(None, pinned);
         self.peak_resident_bytes = self.peak_resident_bytes.max(self.resident_bytes);
     }
 
-    /// Evicts cold payloads until `incoming` more bytes would fit the
-    /// budget (so callers can evict *before* attaching a new payload and
-    /// the accounted resident set never transiently overshoots).
+    /// Evicts cold payloads until the `incoming` payload of a family would
+    /// fit the budget (so callers can evict *before* attaching a new payload
+    /// and the accounted resident set never transiently overshoots). An
+    /// eviction frees the victim's `ans`, and its table only if no other
+    /// resident entry holds it.
     ///
     /// Victim selection is benefit-weighted LRU: among resident, unpinned
     /// entries, evict the one with the smallest `(hits + 1) / (age + 1)` —
@@ -793,7 +840,7 @@ impl CubeCatalog {
     /// dominates recency. An entry of a family the workload keeps probing
     /// is evicted last (and so, symmetrically, a hot evicted payload is
     /// the first the budget re-admits when it is rehydrated on touch).
-    fn make_room(&mut self, incoming: usize, pinned: Option<usize>) {
+    fn make_room(&mut self, incoming: Option<(&ViewKey, &CubePayload)>, pinned: Option<usize>) {
         let Some(budget) = self.budget else { return };
         let clock = self.clock.load(Ordering::Relaxed);
         let heat: Vec<f64> = {
@@ -808,7 +855,9 @@ impl CubeCatalog {
                 .collect()
         };
         let mut evicted_any = false;
-        while self.resident_bytes + incoming > budget {
+        // An eviction can take the last other holder of the incoming table.
+        let incoming = |cat: &Self| incoming.map_or(0, |(key, p)| cat.charge(key, p, pinned));
+        while self.resident_bytes + incoming(self) > budget {
             let victim = self
                 .entries
                 .iter()
@@ -826,8 +875,7 @@ impl CubeCatalog {
                 })
                 .map(|(i, _)| i);
             let Some(victim) = victim else { break };
-            self.entries[victim].payload = None;
-            self.resident_bytes -= self.entries[victim].stats.bytes;
+            self.drop_payload(victim);
             self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
             evicted_any = true;
         }
@@ -845,7 +893,7 @@ mod tests {
     use super::*;
     use crate::anq::AnalyticalQuery;
     use rdfcube_engine::AggFunc;
-    use rdfcube_rdf::parse_turtle;
+    use rdfcube_rdf::{parse_turtle, Term};
 
     fn blog_world() -> Graph {
         parse_turtle(
@@ -1030,10 +1078,7 @@ mod tests {
         // A differently-restricted shape of the same family is distinct,
         // but the family's asks accumulate across both.
         let mut sigma = Sigma::all(2);
-        sigma.set(
-            0,
-            crate::extended::ValueSelector::one(rdfcube_rdf::Term::integer(35)),
-        );
+        sigma.set(0, crate::extended::ValueSelector::one(Term::integer(35)));
         let diced = ExtendedQuery::with_sigma(eq.query().clone(), sigma).unwrap();
         cat.record_query(&diced, &explained, 100);
         let families = cat.logged_families();
@@ -1064,6 +1109,122 @@ mod tests {
         assert_eq!(seen(&shapes[0]), (Strategy::FromScratch, 1, 500));
         assert_eq!(seen(&shapes[1]), (Strategy::Algorithm1, 2, 300));
         assert_eq!(families[0].asks, 3);
+    }
+
+    /// Serves `eq` over `cat` the way a session does (route, refresh,
+    /// execute, commit); returns its entry.
+    fn serve(cat: &mut CubeCatalog, g: &Graph, eq: ExtendedQuery) -> usize {
+        use crate::pipeline::{self, Step};
+        let mut step = pipeline::route(cat, g, eq, None).unwrap();
+        loop {
+            step = match step {
+                Step::Refresh(idx, job) => pipeline::refresh(cat, g, idx, job),
+                Step::Execute(job) => pipeline::execute(g, job),
+                Step::Commit(job, cells) => pipeline::commit(cat, g, job, cells),
+                Step::Done((handle, _)) => return handle.0,
+            }
+            .unwrap();
+        }
+    }
+
+    /// Σ resident `ans` + Σ distinct resident tables.
+    fn recount(cat: &CubeCatalog) -> usize {
+        let held: Vec<_> = cat.entries.iter().filter_map(|e| e.payload()).collect();
+        let tables = held
+            .iter()
+            .enumerate()
+            .filter(|&(i, (_, pres))| !held[..i].iter().any(|(_, other)| other.shares_table(pres)));
+        let tables: usize = tables.map(|(_, (_, pres))| pres.approx_bytes()).sum();
+        tables
+            + held
+                .iter()
+                .map(|(ans, _)| ans.approx_bytes())
+                .sum::<usize>()
+    }
+
+    #[test]
+    fn twins_share_one_table_which_the_budget_charges_once() {
+        let mut g = blog_world();
+        for (post, words) in [("p1", 120), ("p2", 80), ("p3", 300), ("p4", 50), ("p5", 75)] {
+            let words = Term::integer(words);
+            g.insert(&Term::iri(post), &Term::iri("words"), &words);
+        }
+        let sum = ExtendedQuery::from_query(
+            AnalyticalQuery::parse(
+                "c(?x, ?dage, ?dcity) :- ?x rdf:type Blogger, ?x hasAge ?dage, ?x livesIn ?dcity",
+                "m(?x, ?w) :- ?x wrotePost ?p, ?p words ?w",
+                AggFunc::Sum,
+                g.dict_mut(),
+            )
+            .unwrap(),
+        );
+        let mut cat = CubeCatalog::new();
+        let aggs = [AggFunc::Sum, AggFunc::Avg, AggFunc::Min];
+        let twins = aggs.map(|agg| serve(&mut cat, &g, under(&sum, agg)));
+        fn payload(cat: &CubeCatalog, i: usize) -> (&Cube, &PartialResult) {
+            cat.entry(i).payload().unwrap()
+        }
+        let ans = |cat: &CubeCatalog, i: usize| payload(cat, i).0.approx_bytes();
+        let (_, table) = payload(&cat, twins[0]);
+        assert!(twins
+            .iter()
+            .all(|&i| payload(&cat, i).1.shares_table(table)));
+        let table = table.approx_bytes();
+        let all_ans: usize = twins.iter().map(|&i| ans(&cat, i)).sum();
+        assert_eq!(cat.resident_bytes(), table + all_ans);
+        assert_eq!(
+            cat.entry(twins[1]).stats().bytes,
+            ans(&cat, twins[1]) + table
+        );
+
+        // Evicting a twin frees its `ans` only, while another holds the table.
+        cat.touch(twins[2]);
+        for _ in 0..2 {
+            let before = cat.resident_bytes();
+            let held = twins.map(|i| cat.entry(i).is_resident());
+            cat.set_budget(Some(before - 1));
+            let gone: Vec<usize> = (0..3)
+                .filter(|&t| held[t] && !cat.entry(twins[t]).is_resident())
+                .collect();
+            assert_eq!(gone.len(), 1);
+            let freed = cat.entry(twins[gone[0]]).stats().bytes - table;
+            assert_eq!(before - cat.resident_bytes(), freed);
+            assert_eq!(cat.resident_bytes(), recount(&cat));
+        }
+        assert!(cat.entry(twins[2]).is_resident());
+        // The last holder goes with its table.
+        cat.set_budget(Some(0));
+        let other = example_1(&mut g);
+        let newest = serve(&mut cat, &g, other);
+        assert_eq!(cat.resident_bytes(), cat.entry(newest).stats().bytes);
+
+        // An evicted twin is recomputed once, and the others adopt its
+        // table. After an insert the first twin asked re-derives the
+        // table, and the others adopt it. Either way each runs its own γ.
+        fn refresh(cat: &mut CubeCatalog, g: &Graph, i: usize) -> String {
+            assert!(obs::trace_begin("ask"));
+            assert!(cat.ensure_resident(i, g).unwrap());
+            let trace = obs::trace_end().unwrap();
+            let scratch = cat.entry(i).query().answer(g).unwrap();
+            assert!(payload(cat, i).0.same_cells(&scratch));
+            trace.find("refresh").unwrap().detail.clone()
+        }
+        cat.set_budget(None);
+        let modes = twins.map(|i| refresh(&mut cat, &g, i));
+        assert_eq!(modes, ["full", "adopted", "adopted"]);
+        assert_eq!(cat.resident_bytes(), recount(&cat));
+        let watermark = g.len();
+        let p6 = Term::iri("p6");
+        g.insert(&Term::iri("user1"), &Term::iri("wrotePost"), &p6);
+        g.insert(&p6, &Term::iri("words"), &Term::integer(9));
+        assert!(g.inserted_since(watermark).is_some());
+        let modes = twins.map(|i| refresh(&mut cat, &g, i));
+        assert_eq!(modes, ["incremental", "adopted", "adopted"]);
+        let (_, table) = payload(&cat, twins[0]);
+        assert!(twins
+            .iter()
+            .all(|&i| payload(&cat, i).1.shares_table(table)));
+        assert_eq!(cat.resident_bytes(), recount(&cat));
     }
 
     #[test]

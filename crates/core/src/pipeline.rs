@@ -35,7 +35,6 @@ use crate::rewrite;
 use crate::session::{CubeHandle, Strategy};
 use rdfcube_obs::{self as obs, QueryTrace};
 use rdfcube_rdf::{Dictionary, Graph, TermId};
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// What both serving entry points return.
@@ -383,13 +382,14 @@ pub(crate) fn plan_in(
 /// They commute with both (a removed dimension is unrestricted by
 /// Proposition 2, the drilled-in one is new), and the algorithm then sorts
 /// the diced rows only. The table is labelled with the target's ⊕, which
-/// its rows do not depend on, so the algorithm's γ is the target's.
-fn diced_source<'a>(
-    source: &'a CubeSnapshot,
+/// its rows do not depend on, so the algorithm's γ is the target's. A
+/// table Σ leaves whole is the source's own: the clone shares it.
+fn diced_source(
+    source: &CubeSnapshot,
     target: &ExtendedQuery,
     removed: &[usize],
     dict: &Dictionary,
-) -> (Cow<'a, PartialResult>, Sigma) {
+) -> (PartialResult, Sigma) {
     let mut kept = target.sigma().selectors().iter().cloned();
     let selector = |i| {
         let carried = (!removed.contains(&i)).then(|| kept.next()).flatten();
@@ -397,12 +397,12 @@ fn diced_source<'a>(
     };
     let (pres, agg) = (source.pres(), target.query().agg());
     let sigma = Sigma::from_selectors((0..pres.n_dims()).map(selector).collect());
-    let diced = match (&sigma == source.query().sigma(), pres.agg() == agg) {
-        (true, true) => return (Cow::Borrowed(pres), sigma),
-        (true, false) => pres.clone(),
-        (false, _) => rewrite::dice_pres(pres, &sigma, dict),
+    let diced = if &sigma == source.query().sigma() {
+        pres.clone()
+    } else {
+        rewrite::dice_pres(pres, &sigma, dict)
     };
-    (Cow::Owned(diced.with_agg(agg)), sigma)
+    (diced.with_agg(agg), sigma)
 }
 
 /// Executes derivation `d` of `target` from a source snapshot.
@@ -421,12 +421,7 @@ fn derive_with(
         ),
         Derivation::DrillOut(removed) => {
             let (diced, sigma) = diced_source(source, target, removed, dict);
-            // A ⊕ change is γ over the relabelled table, not over a copy.
-            let (ans, pres) = if removed.is_empty() {
-                (diced.to_cube(dict)?, diced.into_owned())
-            } else {
-                rewrite::drill_out_from_pres(&diced, removed, dict)?
-            };
+            let (ans, pres) = rewrite::drill_out_from_pres(&diced, removed, dict)?;
             (ans, pres, sigma.without_dims(removed))
         }
         Derivation::DrillIn(var) => {

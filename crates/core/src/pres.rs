@@ -99,6 +99,7 @@ use rdfcube_rdf::fx::FxHashMap;
 use rdfcube_rdf::{Dictionary, Graph, TermId, Triple};
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One row of a partial result, viewed by reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,17 +118,28 @@ pub struct PresRow<'a> {
 }
 
 /// The materialized `pres(Q, I)` table: cell heads over a fact table (see
-/// the [module docs](self)).
+/// the [module docs](self)), labelled with a query's dimension names and ⊕.
+///
+/// The table is built once and never changed, and every clone shares it:
+/// a clone, `with_agg` and [`Self::with_dim_names`] copy a pointer,
+/// not the rows. So the ⊕ twins of a query hold one table. `PartialEq`
+/// still compares the rows, not the pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PartialResult {
     dim_names: Vec<String>,
     agg: AggFunc,
+    table: Arc<Table>,
+}
+
+/// The rows of a [`PartialResult`], whatever its labels.
+#[derive(Debug, PartialEq)]
+struct Table {
     n_dims: usize,
     /// Flat heads `[d₁…dₙ, f]`, strictly ascending: a cell and the index
     /// `f` (not a term) of a fact of `facts` that sits in it.
     heads: Vec<TermId>,
     facts: Facts,
-    /// The rows the heads stand for (see [`Self::len`]).
+    /// The rows the heads stand for (see [`PartialResult::len`]).
     rows: usize,
 }
 
@@ -202,7 +214,7 @@ impl<'a> Records<'a> {
     /// An empty buffer for heads of `n_dims` dimensions over the facts of
     /// `source`, or over a fact table of its own that `key_join` fills.
     pub(crate) fn new(n_dims: usize, source: Option<&'a PartialResult>) -> Self {
-        let facts = source.map_or_else(Cow::default, |pres| Cow::Borrowed(&pres.facts));
+        let facts = source.map_or_else(Cow::default, |pres| Cow::Borrowed(&pres.table.facts));
         let heads = Vec::new();
         Records {
             n_dims,
@@ -336,13 +348,17 @@ impl<'a> Records<'a> {
         facts.roots.shrink_to_fit();
         facts.ends.shrink_to_fit();
         facts.values.shrink_to_fit();
-        let pres = PartialResult {
+        let rows = row_count(&heads, n, &facts);
+        let table = Arc::new(Table {
             n_dims: n,
-            dim_names,
-            agg,
-            rows: row_count(&heads, n, &facts),
             heads,
             facts,
+            rows,
+        });
+        let pres = PartialResult {
+            dim_names,
+            agg,
+            table,
         };
         debug_assert!(pres.is_canonical(), "pres layout must be canonical");
         pres
@@ -353,10 +369,10 @@ impl PartialResult {
     /// Heads strictly ascending, every fact referenced, facts strictly
     /// root-ascending, and runs non-empty.
     fn is_canonical(&self) -> bool {
-        let facts = &self.facts;
+        let facts = &self.table.facts;
         let mut referenced = vec![false; facts.len()];
         self.heads().for_each(|(_, _, f)| referenced[f] = true);
-        let heads = self.heads.chunks_exact(self.n_dims + 1);
+        let heads = self.table.heads.chunks_exact(self.table.n_dims + 1);
         heads.is_sorted_by(|a, b| a < b)
             && referenced.iter().all(|&r| r)
             && facts.roots.is_sorted_by(|a, b| a < b)
@@ -401,16 +417,17 @@ impl PartialResult {
     ) -> Result<(Self, usize), CoreError> {
         let touched = touched_roots(eq, instance, new)?;
         let (c_rel, m_rel) = evaluate_parts(eq, instance, Some(&touched))?;
-        let mut records = Records::new(self.n_dims, None);
+        let mut records = Records::new(self.table.n_dims, None);
         records.key_join(&c_rel, &m_rel)?;
         let fresh = records.into_pres(self.dim_names.clone(), self.agg);
         // The merge holds no more values than the two tables together.
-        check_size(self.facts.values.len() + fresh.facts.values.len())?;
+        check_size(self.table.facts.values.len() + fresh.table.facts.values.len())?;
 
         // Facts by root: the untouched old ones copied in ranges between the
         // touched roots, fresh ones in their place; `*_at`: merged indices.
         let sp = obs::span("merge");
-        let (old, new, mut merged) = (&self.facts, &fresh.facts, Records::new(self.n_dims, None));
+        let (old, new) = (&self.table.facts, &fresh.table.facts);
+        let mut merged = Records::new(self.n_dims(), None);
         let facts = merged.facts.to_mut();
         let (mut old_at, mut new_at) = (vec![None; old.len()], vec![0; new.len()]);
         let mut carry = |facts: &mut Facts, fs: Range<usize>| {
@@ -431,7 +448,7 @@ impl PartialResult {
         carry(facts, next..old.len());
         // Heads by `(dims, root)`: each fresh one before the first old head
         // not below it, the old ones of untouched facts renumbered.
-        let (s, mut next) = (self.n_dims + 1, 0);
+        let (s, mut next) = (self.table.n_dims + 1, 0);
         let carry = |merged: &mut Records, hs: &[TermId]| {
             for h in hs.chunks_exact(s) {
                 if let Some(at) = old_at[h[s - 1].index()] {
@@ -439,15 +456,15 @@ impl PartialResult {
                 }
             }
         };
-        let fact = |h: usize| self.heads[h * s + s - 1].index();
+        let fact = |h: usize| self.table.heads[h * s + s - 1].index();
         let old_head = |h: usize| (self.dims_of(h), old.roots[fact(h)]);
         for (dims, root, f) in fresh.heads() {
             let cut = gallop(next, self.n_heads(), |h| old_head(h) < (dims, root));
-            carry(&mut merged, &self.heads[next * s..cut * s]);
+            carry(&mut merged, &self.table.heads[next * s..cut * s]);
             merged.push(dims.iter().copied(), new_at[f]);
             next = cut;
         }
-        carry(&mut merged, &self.heads[next * s..]);
+        carry(&mut merged, &self.table.heads[next * s..]);
         let pres = merged.finish(self.dim_names.clone(), self.agg);
         sp.rows((self.len() + fresh.len()) as u64, pres.len() as u64);
         Ok((pres, touched.len()))
@@ -465,21 +482,27 @@ impl PartialResult {
     ///
     /// If `dim_names` does not name as many dimensions as the table has.
     pub fn with_dim_names(mut self, dim_names: Vec<String>) -> Self {
-        assert_eq!(dim_names.len(), self.n_dims);
+        assert_eq!(dim_names.len(), self.table.n_dims);
         self.dim_names = dim_names;
         self
     }
 
     /// The same table labelled with another ⊕: the rows of `pres(Q)` do
-    /// not depend on it, only the γ of [`Self::to_cube`] does.
+    /// not depend on it, only the γ of [`Self::to_cube`] does. The result
+    /// shares the table with every clone of `self`.
     pub(crate) fn with_agg(mut self, agg: AggFunc) -> Self {
         self.agg = agg;
         self
     }
 
+    /// True if `self` and `other` hold one table, not two equal ones.
+    pub(crate) fn shares_table(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
+    }
+
     /// Number of dimensions.
     pub fn n_dims(&self) -> usize {
-        self.n_dims
+        self.table.n_dims
     }
 
     /// The aggregation function of the query this pres belongs to.
@@ -489,34 +512,34 @@ impl PartialResult {
 
     /// Number of rows: each head counts its fact's measure tuples.
     pub fn len(&self) -> usize {
-        self.rows
+        self.table.rows
     }
 
     /// True if the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.heads.is_empty()
+        self.table.heads.is_empty()
     }
 
     /// Number of cell heads: one per fact and cell it sits in.
     pub fn n_heads(&self) -> usize {
-        self.heads.len() / (self.n_dims + 1)
+        self.table.heads.len() / (self.table.n_dims + 1)
     }
 
     /// Number of facts, each stored once with its measure tuples.
     pub fn n_facts(&self) -> usize {
-        self.facts.len()
+        self.table.facts.len()
     }
 
     fn dims_of(&self, h: usize) -> &[TermId] {
-        &self.heads[h * (self.n_dims + 1)..][..self.n_dims]
+        &self.table.heads[h * (self.table.n_dims + 1)..][..self.table.n_dims]
     }
 
     /// The heads as `(dims, root, fact)`, in `(dims, root)` order.
     pub(crate) fn heads(&self) -> impl Iterator<Item = (&[TermId], TermId, usize)> + '_ {
-        let n = self.n_dims;
+        let n = self.table.n_dims;
         let fact = move |h: &[TermId]| h[n].index();
-        let heads = self.heads.chunks_exact(n + 1);
-        heads.map(move |h| (&h[..n], self.facts.roots[fact(h)], fact(h)))
+        let heads = self.table.heads.chunks_exact(n + 1);
+        heads.map(move |h| (&h[..n], self.table.facts.roots[fact(h)], fact(h)))
     }
 
     /// Iterates all rows, in `(dims, root, key)` order.
@@ -528,26 +551,26 @@ impl PartialResult {
                 key,
                 value,
             };
-            let keys = self.facts.start(f) as u32 + 1..=self.facts.start(f + 1) as u32;
-            keys.zip(self.facts.run(f)).map(row)
+            let keys = self.table.facts.start(f) as u32 + 1..=self.table.facts.start(f + 1) as u32;
+            keys.zip(self.table.facts.run(f)).map(row)
         })
     }
 
     /// Approximate memory footprint in bytes (reported by the benchmarks
     /// comparing pres size against instance size).
     pub fn approx_bytes(&self) -> usize {
-        let facts = &self.facts;
-        let ids = self.heads.len() + facts.roots.len() + facts.ends.len() + facts.values.len();
+        let (heads, facts) = (&self.table.heads, &self.table.facts);
+        let ids = heads.len() + facts.roots.len() + facts.ends.len() + facts.values.len();
         ids * std::mem::size_of::<u32>()
     }
 
     /// The Σ-selection of the table: the heads of the cells `sigma` admits,
     /// with the facts they reference; sorted because `self` is.
     pub(crate) fn select_cells(&self, sigma: &CompiledSigma, dict: &Dictionary) -> Self {
-        let (s, mut kept) = (self.n_dims + 1, Records::new(self.n_dims, Some(self)));
-        select_rows(&self.heads, s, self.n_heads(), sigma, dict, |hs| {
+        let (s, mut kept) = (self.n_dims() + 1, Records::new(self.n_dims(), Some(self)));
+        select_rows(&self.table.heads, s, self.n_heads(), sigma, dict, |hs| {
             kept.heads
-                .extend_from_slice(&self.heads[hs.start * s..hs.end * s]);
+                .extend_from_slice(&self.table.heads[hs.start * s..hs.end * s]);
         });
         kept.finish(self.dim_names.clone(), self.agg)
     }
@@ -560,14 +583,14 @@ impl PartialResult {
     /// runs fill one reused bag, and cells emerge in canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
-        let (n, mut start) = (self.n_dims, 0);
+        let (n, mut start) = (self.table.n_dims, 0);
         let (mut keys, mut values, mut bag, mut memo) =
             (vec![], vec![], vec![], FxHashMap::default());
         while start < self.n_heads() {
-            let end = block_end(&self.heads, n + 1, self.n_heads(), start, n);
+            let end = block_end(&self.table.heads, n + 1, self.n_heads(), start, n);
             bag.clear();
-            for h in self.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
-                bag.extend_from_slice(self.facts.run(h[n].index()));
+            for h in self.table.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
+                bag.extend_from_slice(self.table.facts.run(h[n].index()));
             }
             values.push(self.agg.apply_memo(&bag, dict, &mut memo)?);
             keys.extend_from_slice(self.dims_of(start));
@@ -952,7 +975,7 @@ mod tests {
         assert_eq!(x_keys[0], x_keys[1], "same measure tuple ⇒ same key");
         // Stored once: x heads two cells, and both point at its one tuple.
         assert_eq!((pres.n_heads(), pres.n_facts()), (3, 2));
-        assert_eq!(pres.facts.values.len(), 2);
+        assert_eq!(pres.table.facts.values.len(), 2);
         // Equation 3 still sums x's value once per cell.
         let cube = pres.to_cube(g.dict()).unwrap();
         let a = g.dict().iri_id("a").unwrap();
@@ -1163,7 +1186,7 @@ mod tests {
 
                 let mut borrowed = Records::new(n_dims, Some(&pres));
                 let heads = random_heads(pres.n_facts() as u32);
-                let want = reference(&heads, &pres.facts);
+                let want = reference(&heads, &pres.table.facts);
                 heads
                     .iter()
                     .for_each(|(d, f)| borrowed.push(d.iter().copied(), *f));

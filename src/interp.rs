@@ -414,10 +414,11 @@ impl Interpreter {
         }
         if let Some(session) = &self.session {
             out.push_str(&format!(
-                "instance: {} triples, {} terms; {} cubes materialized\n",
+                "instance: {} triples, {} terms; {} cubes materialized, {} bytes resident\n",
                 session.instance().len(),
                 session.instance().dict().len(),
-                session.len()
+                session.len(),
+                session.catalog().resident_bytes()
             ));
         }
         if out.is_empty() {

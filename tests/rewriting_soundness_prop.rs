@@ -579,3 +579,108 @@ proptest! {
         assert_is_pres_of(&derived, &target, &instance, "roll-up of a drill-in");
     }
 }
+
+// ---------------------------------------------------------------------------
+// ⊕ twins: cubes that differ only in ⊕ share one `pres` table, which the
+// budget charges once, and a stale or evicted twin adopts a fresh one's.
+
+/// What step `step` inserts: a post for an old blogger and a new blogger
+/// with a post, so a refresh both touches an old fact and adds one.
+fn arrivals(step: usize, n_bloggers: usize) -> Vec<(Term, Term, Term)> {
+    let old = Term::iri(format!("user{}", step * 7 % n_bloggers));
+    let new = Term::iri(format!("newuser{step}"));
+    let mut out = vec![
+        (
+            new.clone(),
+            Term::iri(rdfcube::rdf::vocab::RDF_TYPE),
+            Term::iri("Blogger"),
+        ),
+        (
+            new.clone(),
+            Term::iri("hasAge"),
+            Term::integer(20 + step as i64),
+        ),
+        (new.clone(), Term::iri("livesIn"), Term::literal("city1")),
+    ];
+    for (user, post) in [
+        (old, format!("newpost{step}a")),
+        (new, format!("newpost{step}b")),
+    ] {
+        let post = Term::iri(post);
+        out.push((user, Term::iri("wrotePost"), post.clone()));
+        out.push((
+            post,
+            Term::iri("hasWordCount"),
+            Term::integer(40 + step as i64),
+        ));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20, ..ProptestConfig::default() })]
+
+    /// A random chain of ⊕ changes within one family — some steps diced,
+    /// some after an insert — under a budget of a fraction of one table up
+    /// to a few tables, so twins are evicted, rehydrated, refreshed and
+    /// adopt each other's tables. On both planes every answer has the
+    /// cells of from-scratch evaluation, and after every step the resident
+    /// bytes fit the budget unless one cube alone outgrows it.
+    #[test]
+    fn aggregate_chains_answer_as_from_scratch_within_the_budget(
+        cfg in arb_config(0.0f64..0.6),
+        steps in proptest::collection::vec((arb_agg(), 0u8..3, any::<bool>()), 4..9),
+        budget_thirds in 1usize..7,
+    ) {
+        let mut instance = generate_instance(&cfg);
+        let base = query_over(&mut instance, CLASSIFIER, AggFunc::Sum);
+        let table = PartialResult::compute(&base, &instance).unwrap().approx_bytes();
+        let budget = table * budget_thirds / 3;
+        let dices = [
+            None,
+            Some(OlapOp::Dice {
+                constraints: vec![("dage".into(), ValueSelector::IntRange { lo: 18, hi: 30 })],
+            }),
+            Some(OlapOp::Dice {
+                constraints: vec![(
+                    "dcity".into(),
+                    ValueSelector::OneOf(vec![Term::literal("city0"), Term::literal("city1")]),
+                )],
+            }),
+        ];
+        for shared in [false, true] {
+            let mut session = OlapSession::with_budget(instance.clone(), budget);
+            for (step, &(agg, dice, insert)) in steps.iter().enumerate() {
+                if insert {
+                    session.insert_triples(arrivals(step, cfg.n_bloggers));
+                }
+                let mut eq = session.parse_query(CLASSIFIER, MEASURE, agg).unwrap();
+                if let Some(op) = &dices[dice as usize] {
+                    eq = rdfcube::apply(&eq, op).unwrap();
+                }
+                let (cells, how) = if shared {
+                    let plane = session.into_shared();
+                    let (h, how) = plane.answer_query(eq.clone()).unwrap();
+                    let cells = plane.snapshot(h).unwrap().answer().clone();
+                    session = plane.into_session();
+                    (cells, how)
+                } else {
+                    let (h, how) = session.answer_query(eq.clone()).unwrap();
+                    (session.answer(h).clone(), how)
+                };
+                let scratch = rewrite::from_scratch(&eq, session.instance()).unwrap();
+                prop_assert!(
+                    cells.same_cells(&scratch),
+                    "step {step} ({agg}, dice {dice}, shared={shared}): {how} diverged"
+                );
+                let cat = session.catalog();
+                prop_assert!(
+                    cat.resident_bytes() <= budget || cat.resident_len() == 1,
+                    "step {step}: {} resident bytes in {} cubes over a budget of {budget}",
+                    cat.resident_bytes(),
+                    cat.resident_len(),
+                );
+            }
+        }
+    }
+}
