@@ -348,17 +348,16 @@ impl<'a> Records<'a> {
         facts.roots.shrink_to_fit();
         facts.ends.shrink_to_fit();
         facts.values.shrink_to_fit();
-        let rows = row_count(&heads, n, &facts);
-        let table = Arc::new(Table {
+        let table = Table {
             n_dims: n,
+            rows: row_count(&heads, n, &facts),
             heads,
             facts,
-            rows,
-        });
+        };
         let pres = PartialResult {
             dim_names,
             agg,
-            table,
+            table: Arc::new(table),
         };
         debug_assert!(pres.is_canonical(), "pres layout must be canonical");
         pres
@@ -536,23 +535,24 @@ impl PartialResult {
 
     /// The heads as `(dims, root, fact)`, in `(dims, root)` order.
     pub(crate) fn heads(&self) -> impl Iterator<Item = (&[TermId], TermId, usize)> + '_ {
-        let n = self.table.n_dims;
+        let (t, n) = (&*self.table, self.table.n_dims);
         let fact = move |h: &[TermId]| h[n].index();
-        let heads = self.table.heads.chunks_exact(n + 1);
-        heads.map(move |h| (&h[..n], self.table.facts.roots[fact(h)], fact(h)))
+        let heads = t.heads.chunks_exact(n + 1);
+        heads.map(move |h| (&h[..n], t.facts.roots[fact(h)], fact(h)))
     }
 
     /// Iterates all rows, in `(dims, root, key)` order.
     pub fn rows(&self) -> impl Iterator<Item = PresRow<'_>> {
-        self.heads().flat_map(|(dims, root, f)| {
+        let facts = &self.table.facts;
+        self.heads().flat_map(move |(dims, root, f)| {
             let row = move |(key, &value)| PresRow {
                 root,
                 dims,
                 key,
                 value,
             };
-            let keys = self.table.facts.start(f) as u32 + 1..=self.table.facts.start(f + 1) as u32;
-            keys.zip(self.table.facts.run(f)).map(row)
+            let keys = facts.start(f) as u32 + 1..=facts.start(f + 1) as u32;
+            keys.zip(facts.run(f)).map(row)
         })
     }
 
@@ -583,17 +583,18 @@ impl PartialResult {
     /// runs fill one reused bag, and cells emerge in canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
-        let (n, mut start) = (self.table.n_dims, 0);
+        let (heads, facts) = (&self.table.heads[..], &self.table.facts);
+        let (n, rows, mut start) = (self.n_dims(), self.n_heads(), 0);
         let (mut keys, mut values, mut bag, mut memo) =
             (vec![], vec![], vec![], FxHashMap::default());
-        while start < self.n_heads() {
-            let end = block_end(&self.table.heads, n + 1, self.n_heads(), start, n);
+        while start < rows {
+            let end = block_end(heads, n + 1, rows, start, n);
             bag.clear();
-            for h in self.table.heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
-                bag.extend_from_slice(self.table.facts.run(h[n].index()));
+            for h in heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
+                bag.extend_from_slice(facts.run(h[n].index()));
             }
             values.push(self.agg.apply_memo(&bag, dict, &mut memo)?);
-            keys.extend_from_slice(self.dims_of(start));
+            keys.extend_from_slice(&heads[start * (n + 1)..][..n]);
             start = end;
         }
         sp.rows(self.len() as u64, values.len() as u64);
