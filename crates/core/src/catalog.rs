@@ -965,21 +965,27 @@ mod tests {
         let one_cube = ans.approx_bytes() + pres.approx_bytes();
 
         // Room for roughly one cube: the second insert evicts the first.
+        // Each insert brings a table of its own, so each is charged in full.
         let mut cat = CubeCatalog::with_budget(one_cube + one_cube / 2);
-        let first = cat.insert(eq.clone(), ans.clone(), pres.clone(), g.len());
+        let first = cat.insert(eq.clone(), ans, pres, g.len());
+        assert_eq!(cat.resident_bytes(), one_cube);
+        let (ans, pres) = materialize(&eq, &g);
         let second = cat.insert(eq.clone(), ans, pres, g.len());
         assert!(!cat.entry(first).is_resident(), "cold entry evicted");
         assert!(cat.entry(second).is_resident(), "pinned entry kept");
-        assert!(cat.resident_bytes() <= cat.budget().unwrap());
+        assert_eq!(cat.resident_bytes(), one_cube);
         assert_eq!(cat.counters().evictions, 1);
 
         // The evicted entry still knows its query, signature and stats.
         assert_eq!(cat.entry(first).stats().pres_rows, 5);
         assert_eq!(cat.len(), 2);
 
-        // Rehydration brings it back (and may evict the other).
+        // Rehydration brings it back, and two cubes do not fit: the other
+        // goes, and the one table left is charged once.
         assert!(cat.ensure_resident(first, &g).unwrap());
         assert!(cat.entry(first).is_resident());
+        assert!(!cat.entry(second).is_resident());
+        assert_eq!(cat.resident_bytes(), one_cube);
         assert_eq!(cat.counters().rehydrations, 1);
         // The recomputed payload answers identically.
         let (re_ans, _) = cat.entry(first).payload().unwrap();
@@ -994,10 +1000,14 @@ mod tests {
         let (ans, pres) = materialize(&eq, &g);
         let one_cube = ans.approx_bytes() + pres.approx_bytes();
 
+        // Three entries, each with a table of its own: three cubes' bytes.
         let mut cat = CubeCatalog::new();
-        let a = cat.insert(eq.clone(), ans.clone(), pres.clone(), g.len());
-        let b = cat.insert(eq.clone(), ans.clone(), pres.clone(), g.len());
+        let a = cat.insert(eq.clone(), ans, pres, g.len());
+        let (ans, pres) = materialize(&eq, &g);
+        let b = cat.insert(eq.clone(), ans, pres, g.len());
+        let (ans, pres) = materialize(&eq, &g);
         let c = cat.insert(eq.clone(), ans, pres, g.len());
+        assert_eq!(cat.resident_bytes(), 3 * one_cube);
         // `a` is oldest but heavily reused; `b` is cold.
         cat.touch(a);
         cat.touch(a);
@@ -1007,6 +1017,8 @@ mod tests {
         assert!(cat.entry(a).is_resident(), "hot entry survives");
         assert!(!cat.entry(b).is_resident(), "cold entry evicted first");
         assert!(cat.entry(c).is_resident());
+        assert_eq!(cat.resident_bytes(), 2 * one_cube);
+        assert_eq!(cat.counters().evictions, 1);
     }
 
     #[test]

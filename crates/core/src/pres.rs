@@ -30,7 +30,7 @@
 //! canonical (every fact referenced, every run non-empty), so:
 //!
 //! * every cube cell is one block of heads, and [`PartialResult::to_cube`]
-//!   is a scan with no sort that gathers a cell's bag from their runs;
+//!   is a scan with no sort that folds each cell over their runs in place;
 //! * a SLICE/DICE tests Σ once per cell (or per refused prefix of cells)
 //!   and keeps the admitted heads and the facts they reference;
 //! * tables holding the same rows are equal buffer for buffer, which is
@@ -579,21 +579,18 @@ impl PartialResult {
     /// the dimension columns (the projection keeps duplicates — bag
     /// semantics — so repeated measure values aggregate correctly).
     ///
-    /// A scan with no sort: the invariant clusters each cell's heads, their
-    /// runs fill one reused bag, and cells emerge in canonical key order.
+    /// A scan with no sort: the invariant clusters each cell's heads, one
+    /// [`Fold`](rdfcube_engine::aggfn::Fold) takes the runs they point at
+    /// straight from the fact table, and cells emerge in canonical key order.
     pub fn to_cube(&self, dict: &Dictionary) -> Result<Cube, CoreError> {
         let sp = obs::span("group_aggregate");
         let (heads, facts) = (&self.table.heads[..], &self.table.facts);
         let (n, rows, mut start) = (self.n_dims(), self.n_heads(), 0);
-        let (mut keys, mut values, mut bag, mut memo) =
-            (vec![], vec![], vec![], FxHashMap::default());
+        let (mut keys, mut values, mut fold) = (vec![], vec![], self.agg.fold(dict));
         while start < rows {
             let end = block_end(heads, n + 1, rows, start, n);
-            bag.clear();
-            for h in heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1) {
-                bag.extend_from_slice(facts.run(h[n].index()));
-            }
-            values.push(self.agg.apply_memo(&bag, dict, &mut memo)?);
+            let cell = heads[start * (n + 1)..end * (n + 1)].chunks_exact(n + 1);
+            values.push(fold.cell(cell.map(|h| facts.run(h[n].index())))?);
             keys.extend_from_slice(&heads[start * (n + 1)..][..n]);
             start = end;
         }
@@ -1246,12 +1243,12 @@ mod tests {
         }
     }
 
-    /// γ through one decode memo for the whole table gives, cell for cell,
+    /// γ folding each cell over its facts' runs gives, cell for cell,
     /// exactly what `AggFunc::apply` gives each cell's bag alone: cells share
     /// values, one bag mixes ints and floats (sum falls back to floats),
     /// one overflows `i64`, and one holds text (min and max order it).
     #[test]
-    fn memoized_gamma_equals_apply_on_every_cell() {
+    fn folded_gamma_equals_apply_on_every_cell() {
         let mut dict = Dictionary::new();
         let terms = [
             Term::integer(1),

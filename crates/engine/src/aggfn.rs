@@ -7,19 +7,23 @@
 //! (like `sum`) and non-distributive ones (like `avg`). Each [`AggFunc`]
 //! therefore carries a [`Distributivity`] classification.
 //!
-//! Floating-point sums are folded over a **sorted** copy of the bag, so the
-//! same multiset of values always aggregates to bit-identical results no
-//! matter which evaluation strategy produced it — a requirement for testing
-//! the paper's equivalence propositions exactly. Grouped aggregation
-//! ([`group_aggregate`]) stably sorts `(key, value)` records on the key and
-//! scans them run by run, so each fold sees its values in row order and the
-//! output comes out in canonical key order.
+//! γ is one [`Fold`] per call, which aggregates a cell in one pass over the
+//! runs of ids that make up its bag (a `pres` cell's fact runs, a group's
+//! records), never gathering the bag, and reads numbers from the
+//! dictionary's numeric column, decoded once at encode: no γ parses text.
+//! Integer sums are exact; a floating-point sum is folded over a **sorted**
+//! copy of the bag, so the same multiset of values always aggregates to
+//! bit-identical results no matter which evaluation strategy produced it or
+//! how its runs are cut — a requirement for testing the paper's equivalence
+//! propositions exactly. [`AggFunc::apply`] is the fold of one run; grouped
+//! aggregation ([`group_aggregate`]) stably sorts `(key, value)` records on
+//! the key and folds each group, so the output comes out in canonical key
+//! order.
 
 use crate::error::EngineError;
 use crate::relation::Relation;
 use crate::var::VarId;
-use rdfcube_rdf::fx::{FxHashMap, FxHashSet};
-use rdfcube_rdf::{Dictionary, Term, TermId};
+use rdfcube_rdf::{Dictionary, TermId};
 use std::cmp::Ordering::{self, Greater, Less};
 use std::fmt;
 
@@ -89,61 +93,185 @@ impl AggFunc {
         }
     }
 
-    /// Aggregates a non-empty bag of values.
+    /// Aggregates a non-empty bag of values: the [`Fold`] of one run.
     ///
     /// Per Definition 1, an empty bag means the fact does not contribute a
     /// cube cell at all, so calling this with an empty bag is a logic error
-    /// reported as a validation failure rather than a panic.
+    /// reported as a validation failure rather than a panic. A caller with
+    /// many bags folds them through one [`AggFunc::fold`], which keeps its
+    /// buffers (for `count_distinct`, one slot per dictionary id).
     pub fn apply(&self, values: &[TermId], dict: &Dictionary) -> Result<AggValue, EngineError> {
-        self.apply_memo(values, dict, &mut FxHashMap::default())
+        self.fold(dict).cell([values])
     }
 
-    /// [`Self::apply`] through `memo`, the numeric views (`Term::as_i64`,
-    /// `Term::as_f64`) of every value decoded so far: a γ that folds many
-    /// bags through one memo parses each distinct value once, with the same
-    /// results as `apply`.
-    pub fn apply_memo(
-        &self,
-        values: &[TermId],
-        dict: &Dictionary,
-        memo: &mut Memo,
-    ) -> Result<AggValue, EngineError> {
-        if values.is_empty() {
-            return Err(EngineError::Validation(
-                "aggregate applied to an empty measure bag (the fact should not contribute)".into(),
-            ));
-        }
-        match self {
-            AggFunc::Count => Ok(AggValue::Int(values.len() as i64)),
-            AggFunc::CountDistinct => {
-                let distinct: FxHashSet<TermId> = values.iter().copied().collect();
-                Ok(AggValue::Int(distinct.len() as i64))
-            }
-            AggFunc::Sum => numeric_bag(values, dict, memo, self.name()).map(|bag| bag.sum()),
-            AggFunc::Avg => match numeric_bag(values, dict, memo, self.name())?.sum() {
-                AggValue::Int(s) => Ok(AggValue::Float(s as f64 / values.len() as f64)),
-                AggValue::Float(s) => Ok(AggValue::Float(s / values.len() as f64)),
-                AggValue::Term(_) => unreachable!("sum never yields Term"),
-            },
-            AggFunc::Min => Ok(AggValue::Term(extremum(values, dict, memo, Less))),
-            AggFunc::Max => Ok(AggValue::Term(extremum(values, dict, memo, Greater))),
+    /// γ with this function over ids of `dict`: a [`Fold`] that aggregates
+    /// cell after cell through the same buffers.
+    pub fn fold(self, dict: &Dictionary) -> Fold<'_> {
+        // Zeroed by the allocator: a page is touched only when an id on it is.
+        let seen = match self {
+            AggFunc::CountDistinct => vec![0; dict.len()],
+            _ => Vec::new(),
+        };
+        Fold {
+            func: self,
+            dict,
+            floats: Vec::new(),
+            seen,
+            stamp: 0,
+            text: Default::default(),
         }
     }
 }
 
-/// A term's numeric views, `Term::as_i64` and `Term::as_f64`.
-type Views = (Option<i64>, Option<f64>);
-/// The views of every term a γ has decoded so far (see [`AggFunc::apply_memo`]).
-type Memo = FxHashMap<TermId, Views>;
+/// The runs of ids that together make up one cell's bag; iterable again.
+pub trait Runs<'a>: IntoIterator<Item = &'a [TermId]> + Clone {}
+impl<'a, R: IntoIterator<Item = &'a [TermId]> + Clone> Runs<'a> for R {}
 
-/// The views of `id`, decoded on its first sight by `memo`.
-fn decode(id: TermId, dict: &Dictionary, memo: &mut Memo) -> Result<Views, EngineError> {
-    if let Some(&views) = memo.get(&id) {
-        return Ok(views);
+/// γ's fold: aggregates one cell at a time in one pass over the runs that
+/// make up its bag, which is never gathered, reading each value's number
+/// from the dictionary's numeric column ([`Dictionary::as_i64`],
+/// [`Dictionary::as_f64`]).
+///
+/// * `count` sums the run lengths and reads no value;
+/// * `count_distinct` stamps each id in an id-indexed array every cell
+///   reuses;
+/// * `sum` / `avg` fold a checked `i64` sum;
+/// * `min` / `max` keep the best number.
+///
+/// A cell the fast fold cannot settle falls back, inside the fold, to the
+/// exact rules: a sum with a non-integer value or an overflow is the sum of
+/// the sorted floats, so the same multiset always sums to the same bits; a
+/// min/max with a non-numeric value orders every value by its rendered
+/// text, and two distinct ids with equal numbers are ordered by text too.
+pub struct Fold<'d> {
+    func: AggFunc,
+    dict: &'d Dictionary,
+    /// The cell's values as floats, for the sorted sum.
+    floats: Vec<f64>,
+    /// Per id, the stamp of the last `count_distinct` cell that held it.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// Two rendered terms, for a text comparison.
+    text: [String; 2],
+}
+
+impl Fold<'_> {
+    /// Aggregates the bag that `runs` make up together.
+    pub fn cell<'a>(&mut self, runs: impl Runs<'a>) -> Result<AggValue, EngineError> {
+        let value = match self.func {
+            AggFunc::Count => {
+                let n: usize = runs.into_iter().map(<[TermId]>::len).sum();
+                (n > 0).then_some(AggValue::Int(n as i64))
+            }
+            AggFunc::CountDistinct => self.count_distinct(runs),
+            AggFunc::Sum => self.sum(runs)?.map(|(sum, _)| sum),
+            AggFunc::Avg => self
+                .sum(runs)?
+                .and_then(|(sum, n)| Some(AggValue::Float(sum.as_f64(self.dict)? / n as f64))),
+            AggFunc::Min => self.extremum(runs, Less).map(AggValue::Term),
+            AggFunc::Max => self.extremum(runs, Greater).map(AggValue::Term),
+        };
+        value.ok_or_else(|| {
+            EngineError::Validation(
+                "aggregate applied to an empty measure bag (the fact should not contribute)".into(),
+            )
+        })
     }
-    let unknown = || EngineError::Schema(format!("unknown term id {id} in aggregate"));
-    let term = dict.get(id).ok_or_else(unknown)?;
-    Ok(*memo.entry(id).or_insert((term.as_i64(), term.as_f64())))
+
+    fn count_distinct<'a>(&mut self, runs: impl Runs<'a>) -> Option<AggValue> {
+        self.stamp = self.stamp.checked_add(1).unwrap_or_else(|| {
+            self.seen.fill(0);
+            1
+        });
+        let mut n = 0;
+        for &id in runs.into_iter().flatten() {
+            if id.index() >= self.seen.len() {
+                self.seen.resize(id.index() + 1, 0); // a foreign id
+            }
+            let seen = &mut self.seen[id.index()];
+            n += (*seen != self.stamp) as i64;
+            *seen = self.stamp;
+        }
+        (n > 0).then_some(AggValue::Int(n))
+    }
+
+    /// The cell's sum, kept an exact integer when possible, and its size.
+    fn sum<'a>(&mut self, runs: impl Runs<'a>) -> Result<Option<(AggValue, usize)>, EngineError> {
+        let (mut sum, mut n) = (0i64, 0);
+        for run in runs.clone() {
+            for &id in run {
+                match self.dict.as_i64(id).and_then(|i| sum.checked_add(i)) {
+                    Some(s) => sum = s,
+                    None => return self.float_sum(runs).map(Some),
+                }
+            }
+            n += run.len();
+        }
+        Ok((n > 0).then_some((AggValue::Int(sum), n)))
+    }
+
+    /// A sum that is not an `i64` fold: of every value's float view,
+    /// sorted. (When the fold overflowed, every value is an integer whose
+    /// float view is the integer as a float, up to the sign of a zero,
+    /// which no float sum holding a nonzero value shows.)
+    fn float_sum<'a>(&mut self, runs: impl Runs<'a>) -> Result<(AggValue, usize), EngineError> {
+        let (dict, func) = (self.dict, self.func.name());
+        self.floats.clear();
+        for &id in runs.into_iter().flatten() {
+            let float = dict.as_f64(id).filter(|f| !f.is_nan());
+            self.floats.push(float.ok_or_else(|| match dict.get(id) {
+                Some(term) => EngineError::NonNumericAggregate(format!(
+                    "{func} over non-numeric value {term}"
+                )),
+                None => EngineError::Schema(format!("unknown term id {id} in aggregate")),
+            })?);
+        }
+        self.floats.sort_unstable_by(f64::total_cmp);
+        Ok((AggValue::Float(self.floats.iter().sum()), self.floats.len()))
+    }
+
+    /// The minimal (`wanted` is `Less`) or maximal (`Greater`) term of the
+    /// cell, in the order `(number, text, id)` when every value is a number
+    /// and `(text, id)` otherwise. The order is total, so the result does
+    /// not depend on the order of the runs. Text is rendered only to order
+    /// two distinct ids the numbers do not, or once a value is not a number.
+    fn extremum<'a>(&mut self, runs: impl Runs<'a>, wanted: Ordering) -> Option<TermId> {
+        let (dict, text) = (self.dict, &mut self.text);
+        let mut best: Option<(TermId, f64)> = None;
+        for &id in runs.clone().into_iter().flatten() {
+            let Some(x) = dict.as_f64(id) else {
+                let values = runs.into_iter().flatten().copied();
+                let order = |a: &TermId, b: &TermId| by_text(dict, text, *a, *b);
+                return match wanted {
+                    Less => values.min_by(order),
+                    _ => values.max_by(order),
+                };
+            };
+            match best {
+                Some((b, y))
+                    if x.total_cmp(&y).then_with(|| by_text(dict, text, id, b)) != wanted => {}
+                _ => best = Some((id, x)),
+            }
+        }
+        best.map(|(id, _)| id)
+    }
+}
+
+/// Orders two ids by their rendered terms (a foreign id renders as itself),
+/// written into the two `text` buffers, then by the id; an id equals itself.
+fn by_text(dict: &Dictionary, [a, b]: &mut [String; 2], x: TermId, y: TermId) -> Ordering {
+    use std::fmt::Write;
+    if x == y {
+        return Ordering::Equal;
+    }
+    for (text, id) in [(&mut *a, x), (&mut *b, y)] {
+        text.clear();
+        let _ = match dict.get(id) {
+            Some(term) => write!(text, "{term}"),
+            None => write!(text, "{id}"),
+        };
+    }
+    a.cmp(&b).then(x.0.cmp(&y.0))
 }
 
 impl fmt::Display for AggFunc {
@@ -169,7 +297,7 @@ impl AggValue {
         match self {
             AggValue::Int(i) => Some(*i as f64),
             AggValue::Float(f) => Some(*f),
-            AggValue::Term(id) => dict.get(*id).and_then(Term::as_f64),
+            AggValue::Term(id) => dict.as_f64(*id),
         }
     }
 
@@ -201,103 +329,13 @@ impl AggValue {
     }
 }
 
-/// A bag of numeric values, kept as exact integers when possible.
-enum NumericBag {
-    Ints(Vec<i64>),
-    Floats(Vec<f64>),
-}
-
-impl NumericBag {
-    fn sum(self) -> AggValue {
-        match self {
-            NumericBag::Ints(ints) => match ints.iter().try_fold(0i64, |s, &i| s.checked_add(i)) {
-                Some(sum) => AggValue::Int(sum),
-                // Fall back to floats on overflow instead of wrapping.
-                None => NumericBag::Floats(ints.iter().map(|&i| i as f64).collect()).sum(),
-            },
-            NumericBag::Floats(mut floats) => {
-                floats.sort_unstable_by(f64::total_cmp);
-                AggValue::Float(floats.iter().sum())
-            }
-        }
-    }
-}
-
-fn numeric_bag(
-    values: &[TermId],
-    dict: &Dictionary,
-    memo: &mut Memo,
-    func: &str,
-) -> Result<NumericBag, EngineError> {
-    let non_numeric = |id| {
-        let term = dict.get(id).map(Term::to_string).unwrap_or_default();
-        EngineError::NonNumericAggregate(format!("{func} over non-numeric value {term}"))
-    };
-    let mut ints = Vec::with_capacity(values.len());
-    for &id in values {
-        match decode(id, dict, memo)?.0 {
-            Some(i) => ints.push(i),
-            None => {
-                // Mixed bag: re-read everything as floats.
-                let float = |&id: &TermId| {
-                    let f = decode(id, dict, memo)?.1.filter(|f| !f.is_nan());
-                    f.ok_or_else(|| non_numeric(id))
-                };
-                let floats = values.iter().map(float).collect::<Result<_, _>>()?;
-                return Ok(NumericBag::Floats(floats));
-            }
-        }
-    }
-    Ok(NumericBag::Ints(ints))
-}
-
-/// Picks the minimal (`wanted` is `Less`) or maximal (`Greater`) term of
-/// the bag: numerically when every value
-/// is numeric, otherwise lexicographically on the rendered term. Ties break
-/// on the rendered form then the id, so the result is deterministic across
-/// evaluation strategies. Each value is decoded once per memo; text is
-/// rendered, into two reused buffers, only to order two distinct ids the
-/// numbers do not.
-fn extremum(values: &[TermId], dict: &Dictionary, memo: &mut Memo, wanted: Ordering) -> TermId {
-    use std::fmt::Write;
-    let numbers: Option<Vec<f64>> = values
-        .iter()
-        .map(|&id| decode(id, dict, memo).ok().and_then(|views| views.1))
-        .collect();
-    let (mut a, mut b) = (String::new(), String::new());
-    let mut by_text = |x: TermId, y: TermId| {
-        if x == y {
-            return Ordering::Equal;
-        }
-        for (text, id) in [(&mut a, x), (&mut b, y)] {
-            text.clear();
-            let _ = match dict.get(id) {
-                Some(term) => write!(text, "{term}"),
-                None => write!(text, "{id}"),
-            };
-        }
-        a.cmp(&b).then(x.0.cmp(&y.0))
-    };
-    let mut best = 0;
-    for i in 1..values.len() {
-        let by_number = numbers
-            .as_ref()
-            .map_or(Ordering::Equal, |n| n[i].total_cmp(&n[best]));
-        if by_number.then_with(|| by_text(values[i], values[best])) == wanted {
-            best = i;
-        }
-    }
-    values[best]
-}
-
 /// γ — grouped aggregation over a relation: groups rows by `group_cols`,
 /// aggregates the `value_col` column of each group with `func`.
 ///
 /// Returns `(group key, aggregate)` pairs sorted by key, a canonical order
 /// that makes results directly comparable across strategies. One stable
-/// sort of the `(key…, value)` records on the key clusters each group, its
-/// bag in row order, and one scan aggregates the runs through one decode
-/// memo ([`AggFunc::apply_memo`]).
+/// sort of the `(key…, value)` records on the key clusters each group, and
+/// one [`Fold`] aggregates each group's records, a run of one value each.
 pub fn group_aggregate(
     rel: &Relation,
     group_cols: &[VarId],
@@ -318,14 +356,10 @@ pub fn group_aggregate(
     }
     let mut records: Vec<&[TermId]> = flat.chunks_exact(n + 1).collect();
     records.sort_by(|a, b| a[..n].cmp(&b[..n]));
-    let (mut out, mut bag, mut memo) = (Vec::new(), Vec::new(), FxHashMap::default());
-    for run in records.chunk_by(|a, b| a[..n] == b[..n]) {
-        bag.clear();
-        bag.extend(run.iter().map(|record| record[n]));
-        out.push((
-            run[0][..n].to_vec(),
-            func.apply_memo(&bag, dict, &mut memo)?,
-        ));
+    let (mut out, mut fold) = (Vec::new(), func.fold(dict));
+    for group in records.chunk_by(|a, b| a[..n] == b[..n]) {
+        let runs = group.iter().map(|record| &record[n..]);
+        out.push((group[0][..n].to_vec(), fold.cell(runs)?));
     }
     Ok(out)
 }
@@ -458,6 +492,63 @@ mod tests {
             }
         }
         best
+    }
+
+    /// `AggFunc::apply` as it was before γ became a fold over runs: one
+    /// bag, each value's numeric views parsed from its term, a hash set for
+    /// `count_distinct` and `extremum_by_keys` for `min` / `max`.
+    fn apply_by_bag(
+        func: AggFunc,
+        values: &[TermId],
+        d: &Dictionary,
+    ) -> Result<AggValue, EngineError> {
+        use rdfcube_rdf::fx::FxHashSet;
+        if values.is_empty() {
+            return Err(EngineError::Validation(
+                "aggregate applied to an empty measure bag (the fact should not contribute)".into(),
+            ));
+        }
+        let views = |id: TermId| {
+            let unknown = || EngineError::Schema(format!("unknown term id {id} in aggregate"));
+            let term = d.get(id).ok_or_else(unknown)?;
+            Ok::<_, EngineError>((term.as_i64(), term.as_f64()))
+        };
+        let float = |&id: &TermId| {
+            let f = views(id)?.1.filter(|f| !f.is_nan());
+            let term = d.term(id);
+            f.ok_or_else(|| {
+                EngineError::NonNumericAggregate(format!("{func} over non-numeric value {term}"))
+            })
+        };
+        let float_sum = |mut floats: Vec<f64>| {
+            floats.sort_unstable_by(f64::total_cmp);
+            AggValue::Float(floats.iter().sum())
+        };
+        let sum = || {
+            let ints: Option<Vec<i64>> = values.iter().map(|&id| views(id).ok()?.0).collect();
+            Ok::<_, EngineError>(match ints {
+                Some(ints) => match ints.iter().try_fold(0i64, |s, &i| s.checked_add(i)) {
+                    Some(sum) => AggValue::Int(sum),
+                    None => float_sum(ints.iter().map(|&i| i as f64).collect()),
+                },
+                None => float_sum(values.iter().map(float).collect::<Result<_, _>>()?),
+            })
+        };
+        let n = values.len() as f64;
+        Ok(match func {
+            AggFunc::Count => AggValue::Int(values.len() as i64),
+            AggFunc::CountDistinct => {
+                AggValue::Int(values.iter().collect::<FxHashSet<_>>().len() as i64)
+            }
+            AggFunc::Sum => sum()?,
+            AggFunc::Avg => match sum()? {
+                AggValue::Int(s) => AggValue::Float(s as f64 / n),
+                AggValue::Float(s) => AggValue::Float(s / n),
+                AggValue::Term(_) => unreachable!(),
+            },
+            AggFunc::Min => AggValue::Term(extremum_by_keys(values, d, false)),
+            AggFunc::Max => AggValue::Term(extremum_by_keys(values, d, true)),
+        })
     }
 
     #[test]
@@ -636,5 +727,97 @@ mod tests {
         assert!(AggValue::Float(1.0).approx_eq(&AggValue::Float(1.0 + 1e-12), 1e-9));
         assert!(AggValue::Int(2).approx_eq(&AggValue::Float(2.0), 1e-9));
         assert!(!AggValue::Int(2).approx_eq(&AggValue::Int(3), 1e-9));
+    }
+
+    /// Measure terms for the fold's property test: integers, decimals and
+    /// doubles; values whose sums leave `i64`; distinct ids with equal
+    /// numbers; `NaN` and infinities; text and an IRI. Bags draw from the
+    /// first 9 (integers only), the first 21 (numbers only) or all.
+    fn fold_pool(d: &mut Dictionary) -> Vec<TermId> {
+        let mut terms = vec![
+            Term::integer(3),
+            Term::integer(-7),
+            Term::integer(0),
+            Term::literal("1"),
+            Term::literal("01"),
+            Term::literal("-0"),
+            Term::integer(i64::MAX),
+            Term::integer(i64::MAX - 1),
+            Term::integer(i64::MIN),
+            Term::double(2.5),
+            Term::double(0.1),
+            Term::literal("1.0"),
+            Term::literal("-0.0"),
+            Term::double(-1e300),
+            Term::double(3.0),
+            Term::literal("3e0"),
+            Term::literal("NaN"),
+            Term::literal("-NaN"),
+            Term::literal("inf"),
+            Term::literal("-inf"),
+            Term::double(1e19),
+        ];
+        terms.extend([
+            Term::literal("Madrid"),
+            Term::literal("Kyoto"),
+            Term::literal(" 3"),
+            Term::iri("1"),
+        ]);
+        terms.iter().map(|t| d.encode(t)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 512,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        /// One `Fold` over a sequence of cells, each a bag cut into runs
+        /// (some empty), gives every ⊕ bit for bit what the bag-based
+        /// `apply` gave the whole bag, errors included.
+        #[test]
+        fn fold_over_runs_equals_the_bag_based_apply(
+            cells in proptest::collection::vec(
+                (
+                    0usize..3,
+                    proptest::collection::vec(0usize..1000, 0..14),
+                    proptest::collection::vec(0usize..15, 0..4),
+                ),
+                1..6,
+            ),
+        ) {
+            let mut d = Dictionary::new();
+            let pool = fold_pool(&mut d);
+            let funcs = [
+                AggFunc::Count,
+                AggFunc::CountDistinct,
+                AggFunc::Sum,
+                AggFunc::Avg,
+                AggFunc::Min,
+                AggFunc::Max,
+            ];
+            let bits = |v: AggValue| match v {
+                AggValue::Int(i) => (0, i as u64),
+                AggValue::Float(f) => (1, f.to_bits()),
+                AggValue::Term(id) => (2, id.0 as u64),
+            };
+            for func in funcs {
+                let mut fold = func.fold(&d);
+                for (kind, picks, cuts) in &cells {
+                    let reach = [9, 21, pool.len()][*kind];
+                    let bag: Vec<TermId> = picks.iter().map(|&p| pool[p % reach]).collect();
+                    let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bag.len())).collect();
+                    cuts.sort_unstable();
+                    let runs = std::iter::once(0)
+                        .chain(cuts.iter().copied())
+                        .zip(cuts.iter().copied().chain(std::iter::once(bag.len())))
+                        .map(|(a, b)| &bag[a..b]);
+                    let exact = |v: Result<AggValue, EngineError>| v.map(bits).map_err(|e| format!("{e:?}"));
+                    let want = exact(apply_by_bag(func, &bag, &d));
+                    proptest::prop_assert_eq!(exact(fold.cell(runs)), want.clone(), "{} of {:?}", func, bag);
+                    proptest::prop_assert_eq!(exact(func.apply(&bag, &d)), want, "{} of {:?}", func, bag);
+                }
+            }
+        }
     }
 }

@@ -13,14 +13,15 @@
 
 use crate::var::VarId;
 use rdfcube_rdf::fx::FxHashSet;
-use rdfcube_rdf::{Dictionary, Term, TermId};
+use rdfcube_rdf::{Dictionary, TermId};
 
 /// The values one restricted dimension admits, as term ids.
 #[derive(Debug, Clone)]
 pub enum Selector {
     /// Exactly these terms (SLICE: one; DICE: any set).
     OneOf(FxHashSet<TermId>),
-    /// Integer literals within `lo..=hi`.
+    /// Integer literals within `lo..=hi`, read from the dictionary's
+    /// numeric column.
     Between {
         /// Lower bound (inclusive).
         lo: i64,
@@ -34,10 +35,7 @@ impl Selector {
     pub fn admits(&self, id: TermId, dict: &Dictionary) -> bool {
         match self {
             Selector::OneOf(set) => set.contains(&id),
-            Selector::Between { lo, hi } => dict
-                .get(id)
-                .and_then(Term::as_i64)
-                .is_some_and(|v| *lo <= v && v <= *hi),
+            Selector::Between { lo, hi } => dict.as_i64(id).is_some_and(|v| *lo <= v && v <= *hi),
         }
     }
 
@@ -66,6 +64,7 @@ pub struct FilterExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdfcube_rdf::Term;
 
     fn dict_with(values: &[Term]) -> (Dictionary, Vec<TermId>) {
         let mut d = Dictionary::new();

@@ -6,6 +6,12 @@
 //! parse and display time. This is the standard RDF-store design (and the
 //! "smaller integers" guidance from the performance guide): ids halve memory
 //! traffic and make hash joins integer-keyed.
+//!
+//! Numbers are decoded once, at encode: beside its terms the dictionary
+//! keeps a numeric column, one 4-byte slot per id that names an entry of
+//! `numbers` or says "not numeric", and one `(as_i64, as_f64)` entry per
+//! term whose lexical form reads as a number. γ and Σ's ranges read
+//! [`Dictionary::as_i64`] / [`Dictionary::as_f64`] instead of parsing text.
 
 use crate::fx::FxHashMap;
 use crate::term::Term;
@@ -39,7 +45,14 @@ impl fmt::Display for TermId {
 pub struct Dictionary {
     terms: Vec<Term>,
     ids: FxHashMap<Term, TermId>,
+    /// Per id, its index in `numbers`, or [`NOT_NUMERIC`].
+    slots: Vec<u32>,
+    /// `(Term::as_i64, Term::as_f64)` of every numeric term, in id order.
+    numbers: Vec<(Option<i64>, f64)>,
 }
+
+/// The slot of a term whose lexical form is not a number.
+const NOT_NUMERIC: u32 = u32::MAX;
 
 impl Dictionary {
     /// Creates an empty dictionary.
@@ -49,25 +62,29 @@ impl Dictionary {
 
     /// Interns `term`, returning its id (existing or fresh).
     pub fn encode(&mut self, term: &Term) -> TermId {
-        if let Some(&id) = self.ids.get(term) {
-            return id;
+        match self.ids.get(term) {
+            Some(&id) => id,
+            None => self.push(term.clone()),
         }
-        let id = TermId(
-            u32::try_from(self.terms.len()).expect("dictionary overflow: more than 2^32 terms"),
-        );
-        self.terms.push(term.clone());
-        self.ids.insert(term.clone(), id);
-        id
     }
 
     /// Interns an owned term without the extra clone when it is fresh.
     pub fn encode_owned(&mut self, term: Term) -> TermId {
-        if let Some(&id) = self.ids.get(&term) {
-            return id;
+        match self.ids.get(&term) {
+            Some(&id) => id,
+            None => self.push(term),
         }
+    }
+
+    /// Gives the fresh `term` the next id and decodes its numeric views.
+    fn push(&mut self, term: Term) -> TermId {
         let id = TermId(
             u32::try_from(self.terms.len()).expect("dictionary overflow: more than 2^32 terms"),
         );
+        let number = term.as_f64().map(|float| (term.as_i64(), float));
+        self.slots
+            .push(number.map_or(NOT_NUMERIC, |_| self.numbers.len() as u32));
+        self.numbers.extend(number);
         self.terms.push(term.clone());
         self.ids.insert(term, id);
         id
@@ -97,6 +114,23 @@ impl Dictionary {
     /// The term behind `id`, or `None` if the id is foreign.
     pub fn get(&self, id: TermId) -> Option<&Term> {
         self.terms.get(id.index())
+    }
+
+    /// `Term::as_i64` of the term behind `id`, decoded at encode; `None`
+    /// for a term that is not an integer or a foreign id.
+    pub fn as_i64(&self, id: TermId) -> Option<i64> {
+        self.number(id).and_then(|n| n.0)
+    }
+
+    /// `Term::as_f64` of the term behind `id`, decoded at encode; `None`
+    /// for a term that is not a number or a foreign id.
+    pub fn as_f64(&self, id: TermId) -> Option<f64> {
+        self.number(id).map(|n| n.1)
+    }
+
+    fn number(&self, id: TermId) -> Option<&(Option<i64>, f64)> {
+        let slot = *self.slots.get(id.index())?;
+        self.numbers.get(slot as usize)
     }
 
     /// Number of interned terms.
@@ -167,6 +201,39 @@ mod tests {
         let d = Dictionary::new();
         assert!(d.get(TermId(99)).is_none());
         assert!(d.iri_id("nope").is_none());
+    }
+
+    #[test]
+    fn numeric_column_matches_the_terms_views() {
+        let terms = [
+            Term::integer(28),
+            Term::double(2.5),
+            Term::literal("01"),
+            Term::literal(" -0 "),
+            Term::literal("NaN"),
+            Term::literal("1e400"),
+            Term::literal("9223372036854775808"),
+            Term::literal("Madrid"),
+            Term::iri("42"),
+            Term::blank("7"),
+        ];
+        let mut d = Dictionary::new();
+        for (i, t) in terms.iter().enumerate() {
+            match i % 2 {
+                0 => d.encode(t),
+                _ => d.encode_owned(t.clone()),
+            };
+        }
+        let views = |t: &Term| (t.as_i64(), t.as_f64().map(f64::to_bits));
+        for dict in [&d, &d.clone()] {
+            for (id, t) in dict.iter() {
+                let column = (dict.as_i64(id), dict.as_f64(id).map(f64::to_bits));
+                assert_eq!(column, views(t), "{t}");
+            }
+        }
+        // Only a literal is a number; a foreign id is none.
+        assert_eq!(d.as_f64(d.iri_id("42").unwrap()), None);
+        assert_eq!((d.as_i64(TermId(99)), d.as_f64(TermId(99))), (None, None));
     }
 
     #[test]
